@@ -60,6 +60,11 @@ _STREAM_RESPONSE = 1
 _STREAM_PLAN = 2
 _STREAM_SMLS = 3
 
+_EPS = np.finfo(np.float64).eps
+# An exact solution whose objective is at most this multiple of
+# eps^2 * ||Y||_F^2 fits the response perfectly (see compute_metrics).
+_PERFECT_FIT_FACTOR = 1e4
+
 
 class ConfigError(ValueError):
     """A config file has an unknown key or an invalid value."""
@@ -93,6 +98,10 @@ class ExperimentConfig:
             raise ConfigError(f"smls must be one of {SMLS_MODES}, got {self.smls!r}")
         if self.mode not in REPLICATE_MODES:
             raise ConfigError(f"mode must be one of {REPLICATE_MODES}, got {self.mode!r}")
+        if self.p < 4:
+            raise ConfigError(f"the coefficient pattern needs p >= 4, got p={self.p}")
+        if self.n < self.p:
+            raise ConfigError(f"the design must have n >= p, got n={self.n} and p={self.p}")
         if self.replicates < 2:
             raise ConfigError("replicates must be at least 2")
         if not self.taus:
@@ -202,13 +211,21 @@ def compute_metrics(
     tau: int = 0,
     wall_times=(),
     failures: int = 0,
+    objectives=None,
+    ols_objectives=None,
 ) -> MetricsRow:
     """Aggregate one cell's replicate estimates into the five metrics.
 
-    `reference_ols` and `prob` may be single objects (fixed-response mode) or
-    per-replicate sequences aligned with `estimates`. When the exact solution
-    fits the data perfectly the relative function value is undefined and
-    reported as NaN with `smrfv_undefined` set.
+    `reference_ols`, `prob` and `ols_objectives` may be single objects
+    (fixed-response mode) or per-replicate sequences aligned with
+    `estimates`. `objectives` and `ols_objectives` are the residual
+    objectives of the estimates and of the exact solutions; when given they
+    are used as they are, otherwise they are computed. When the exact
+    solution fits the data perfectly the relative function value is
+    undefined and reported as NaN with `smrfv_undefined` set. A fit counts as
+    perfect when its objective is at most _PERFECT_FIT_FACTOR * eps^2 *
+    ||Y||_F^2, i.e. its residual norm is at most 100 * eps * ||Y||_F: the
+    rounding noise a consistent system leaves, which is not an exact zero.
     """
     ests = [as_tensor(b, "estimate") for b in estimates]
     count = len(ests)
@@ -217,21 +234,20 @@ def compute_metrics(
     ols_list = [as_tensor(b, "reference") for b in _as_list(reference_ols, count, "reference_ols")]
     prob_list = _as_list(prob, count, "prob")
     truth = as_tensor(reference_truth, "truth")
-
-    rel_f = np.empty(count)
-    rel_e = np.empty(count)
-    undefined = False
-    for i, (est, ols, pb) in enumerate(zip(ests, ols_list, prob_list)):
-        f_ols = objective(pb, ols)
-        if f_ols == 0.0:
-            undefined = True
-            rel_f[i] = np.nan
-        else:
-            rel_f[i] = abs(objective(pb, est) - f_ols) / f_ols
-        denom = float((ols**2).sum())
-        rel_e[i] = float(((est - ols) ** 2).sum()) / denom if denom else np.nan
+    if objectives is None:
+        objectives = [objective(pb, b) for pb, b in zip(prob_list, ests)]
+    if ols_objectives is None:
+        ols_objectives = [objective(pb, b) for pb, b in zip(prob_list, ols_list)]
+    f_est = np.asarray(_as_list(objectives, count, "objectives"), dtype=np.float64)
+    f_ols = np.asarray(_as_list(ols_objectives, count, "ols_objectives"), dtype=np.float64)
+    y_energy = np.array([float(np.vdot(pb.response, pb.response)) for pb in prob_list])
+    undefined = bool((f_ols <= _PERFECT_FIT_FACTOR * _EPS**2 * y_energy).any())
 
     stack = np.stack(ests)
+    ols = np.stack(ols_list)
+    denom = (ols**2).sum(axis=(1, 2, 3))
+    rel_e = np.full(count, np.nan)
+    np.divide(((stack - ols) ** 2).sum(axis=(1, 2, 3)), denom, out=rel_e, where=denom != 0)
     mean_est = stack.mean(axis=0)
     ssb = float(((mean_est - truth) ** 2).sum())
     sv = float(((stack - mean_est) ** 2).sum(axis=(1, 2, 3)).mean())
@@ -240,7 +256,7 @@ def compute_metrics(
     return MetricsRow(
         method=method,
         tau=int(tau),
-        smrfv=float(np.nan if undefined else rel_f.mean()),
+        smrfv=float("nan") if undefined else float((np.abs(f_est - f_ols) / f_ols).mean()),
         smre=float(rel_e.mean()),
         ssb=ssb,
         sv=sv,
@@ -316,7 +332,10 @@ def _max_workers() -> int:
     raw = os.environ.get("TLSQ_THREADS", "").strip()
     if not raw:
         return 1
-    return max(1, int(raw))
+    try:
+        return max(1, int(raw))
+    except ValueError:
+        raise ConfigError(f"TLSQ_THREADS must be an integer, got {raw!r}") from None
 
 
 def _map_replicates(worker, replicates: int):
@@ -330,7 +349,7 @@ def _map_replicates(worker, replicates: int):
 @dataclass
 class _ReplicateState:
     prob: TlsProblem
-    ols: np.ndarray
+    ols: tuple  # (b, objective) of the exact solution
     dists: dict
     smls: tuple | None  # (a, {kind: dist}) when the baseline is on
 
@@ -340,16 +359,18 @@ def _aggregate(results, truth) -> list[MetricsRow]:
     rows = []
     cell_keys = sorted({key for _, _, cells in results for key in cells})
     for method, tau in cell_keys:
-        ests, ols_refs, probs, walls = [], [], [], []
+        ests, objs, ols_refs, ols_objs, probs, walls = [], [], [], [], [], []
         failures = 0
-        for prob_b, ols_b, cells in results:
+        for prob_b, (ols_b, ols_obj), cells in results:
             est, wall = cells[(method, tau)]
             walls.append(wall)
             if est is None:
                 failures += 1
                 continue
-            ests.append(est)
+            ests.append(est[0])
+            objs.append(est[1])
             ols_refs.append(ols_b)
+            ols_objs.append(ols_obj)
             probs.append(prob_b)
         rows.append(
             compute_metrics(
@@ -361,6 +382,8 @@ def _aggregate(results, truth) -> list[MetricsRow]:
                 tau=tau,
                 wall_times=walls,
                 failures=failures,
+                objectives=objs,
+                ols_objectives=ols_objs,
             )
         )
     rows.sort(key=lambda r: (r.method, r.tau))
@@ -381,14 +404,7 @@ def run_experiment(cfg: ExperimentConfig) -> list[MetricsRow]:
 
     def worker(b: int):
         state = _prepare_state(cfg, _STREAM_DESIGN, b) if cfg.redraw_design else base
-        if cfg.mode == "unconditional":
-            y, _ = gen_response(
-                state.prob.design, _rng(cfg.seed, _STREAM_RESPONSE, b), cfg.sigma2
-            )
-            prob_b = state.prob.with_response(y)
-            ols_b = solve_ols(prob_b).b
-        else:
-            prob_b, ols_b = state.prob, state.ols
+        prob_b, ols_b = _replicate_problem(cfg, state, b)
         clock = time.perf_counter if cfg.timing else None
         cells = {}
         for mi, method in enumerate(cfg.methods):
@@ -396,7 +412,7 @@ def run_experiment(cfg: ExperimentConfig) -> list[MetricsRow]:
                 start = clock() if clock else 0.0
                 plan = draw_plan(state.dists[method], tau, _rng(cfg.seed, _STREAM_PLAN, b, mi, ti))
                 try:
-                    est = solve_subsampled(prob_b, plan).b
+                    est = _fit(solve_subsampled(prob_b, plan))
                 except SketchRankDeficient:
                     est = None
                 wall = (clock() - start) * 1e3 if clock else float("nan")
@@ -416,7 +432,7 @@ def run_experiment(cfg: ExperimentConfig) -> list[MetricsRow]:
                     except SketchRankDeficient:
                         est = None
                     wall = (clock() - start) * 1e3 if clock else float("nan")
-                    cells[(f"smls-{kind}", tau)] = (est, wall)
+                    cells[(f"smls-{kind}", tau)] = (_fit_matrix(prob_b, est), wall)
         return prob_b, ols_b, cells
 
     results = _map_replicates(worker, cfg.replicates)
@@ -434,7 +450,26 @@ def _prepare_state(cfg: ExperimentConfig, stream, *key) -> _ReplicateState:
         if kinds:
             a = bcirc(x)
             smls = (a, {k: _matrix_distribution(a, k) for k in kinds})
-    return _ReplicateState(prob=prob, ols=solve_ols(prob).b, dists=dists, smls=smls)
+    return _ReplicateState(prob=prob, ols=_fit(solve_ols(prob)), dists=dists, smls=smls)
+
+
+def _replicate_problem(cfg: ExperimentConfig, state: _ReplicateState, b: int):
+    """Replicate b's problem and exact (b, objective): a fresh response unless conditional."""
+    if cfg.mode == "conditional":
+        return state.prob, state.ols
+    y, _ = gen_response(state.prob.design, _rng(cfg.seed, _STREAM_RESPONSE, b), cfg.sigma2)
+    prob_b = state.prob.with_response(y)
+    return prob_b, _fit(solve_ols(prob_b))
+
+
+def _fit(sol: TlsSolution) -> tuple:
+    """What a cell keeps of a solution: (b, objective), not the plan."""
+    return sol.b, sol.objective
+
+
+def _fit_matrix(prob: TlsProblem, b):
+    """(b, objective) of a matrix-baseline estimate, or None for a lost-rank sketch."""
+    return None if b is None else (b, objective(prob, b))
 
 
 def run_mls_comparison(cfg: ExperimentConfig) -> list[MetricsRow]:
@@ -451,14 +486,7 @@ def run_mls_comparison(cfg: ExperimentConfig) -> list[MetricsRow]:
     a, mdists = state.smls
 
     def worker(b: int):
-        if cfg.mode == "unconditional":
-            y, _ = gen_response(
-                state.prob.design, _rng(cfg.seed, _STREAM_RESPONSE, b), cfg.sigma2
-            )
-            prob_b = state.prob.with_response(y)
-            ols_b = solve_ols(prob_b).b
-        else:
-            prob_b, ols_b = state.prob, state.ols
+        prob_b, ols_b = _replicate_problem(cfg, state, b)
         rhs = unfold(prob_b.response)
         cells = {}
         for ki, kind in enumerate(kinds):
@@ -466,7 +494,7 @@ def run_mls_comparison(cfg: ExperimentConfig) -> list[MetricsRow]:
                 start = time.perf_counter()
                 plan = draw_plan(state.dists[kind], tau, _rng(cfg.seed, _STREAM_PLAN, b, ki, ti))
                 try:
-                    est = solve_subsampled(prob_b, plan).b
+                    est = _fit(solve_subsampled(prob_b, plan))
                 except SketchRankDeficient:
                     est = None
                 wall = (time.perf_counter() - start) * 1e3
@@ -482,7 +510,7 @@ def run_mls_comparison(cfg: ExperimentConfig) -> list[MetricsRow]:
                     except SketchRankDeficient:
                         est = None
                     wall = (time.perf_counter() - start) * 1e3
-                    cells[(label, tau)] = (est, wall)
+                    cells[(label, tau)] = (_fit_matrix(prob_b, est), wall)
         return prob_b, ols_b, cells
 
     results = _map_replicates(worker, cfg.replicates)
@@ -539,6 +567,12 @@ def read_report(path) -> list[MetricsRow]:
     return rows
 
 
+def _parse_flag(s: str) -> bool:
+    if s not in ("0", "1"):
+        raise ValueError(f"expected 0 or 1, got {s!r}")
+    return s == "1"
+
+
 _CONFIG_PARSERS = {
     "n": int,
     "p": int,
@@ -552,8 +586,8 @@ _CONFIG_PARSERS = {
     "seed": int,
     "smls": str,
     "mode": str,
-    "redraw_design": lambda s: bool(int(s)),
-    "timing": lambda s: bool(int(s)),
+    "redraw_design": _parse_flag,
+    "timing": _parse_flag,
 }
 
 

@@ -16,7 +16,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import DegenerateDistribution, DimensionMismatch, RankDeficient
-from .tensor import as_tensor, default_rank_tol, thin_t_svd
+from .tensor import _parseval_weights, _row_energy, _to_half, as_tensor, default_rank_tol
 
 PROB_SUM_TOL = 1e-12
 
@@ -83,29 +83,27 @@ def uniform_probs(n: int) -> SamplingDistribution:
 
 
 def _design_fourier_factors(x):
-    """DFT-domain left singular factor of a design, with full-rank validation.
+    """Per-slice row energies of a design and of its left singular factor, with rank validation.
 
-    Returns (uhat, xhat, leverage) where uhat is the (n, p, l) complex stack
-    of left singular vectors per slice and leverage the spatial row scores.
-    Raises RankDeficient when any DFT slice has column rank below p.
+    Returns (row_u, row_x, w): the squared row norms of the left singular
+    factor and of the design in each independent DFT slice, as
+    (l//2 + 1, n) arrays, and the weights w that average such an array over
+    all l slices (w @ row_u are the leverage scores). Raises RankDeficient
+    when any DFT slice has column rank below p.
     """
     x = as_tensor(x, "design")
     n, p, l = x.shape
     if n < p:
         raise DimensionMismatch(f"design must have n >= p, got {x.shape}")
-    svd = thin_t_svd(x)
-    tol = default_rank_tol((n, p), float(svd.slice_singular_values.max(initial=0.0)))
-    if svd.rank < p or (svd.slice_singular_values[p - 1, :] <= tol).any():
-        bad = (
-            int(np.argmin(svd.slice_singular_values[p - 1, :])) + 1
-            if svd.rank == p
-            else None
-        )
+    xhalf = _to_half(x)
+    uhalf, s, _ = np.linalg.svd(xhalf, full_matrices=False)
+    tol = default_rank_tol((n, p), float(s.max(initial=0.0)))
+    if (s[:, p - 1] <= tol).any():
+        rank = int(np.count_nonzero(s.max(axis=0) > tol))
+        bad = int(np.argmin(s[:, p - 1])) + 1 if rank == p else None
         where = f" (DFT slice {bad} of {l})" if bad is not None else ""
         raise RankDeficient(f"design does not have rank {p} in every DFT slice{where}")
-    uhat = np.fft.fft(svd.u, axis=2)
-    leverage = (np.abs(uhat) ** 2).sum(axis=1).mean(axis=1)
-    return uhat, np.fft.fft(x, axis=2), leverage
+    return _row_energy(uhalf), _row_energy(xhalf), _parseval_weights(l) / l
 
 
 def leverage_probs(x) -> SamplingDistribution:
@@ -114,7 +112,8 @@ def leverage_probs(x) -> SamplingDistribution:
     h_i is the squared Frobenius norm of row i of the left singular factor;
     the scores sum to p, so pi_i = h_i / p.
     """
-    _, _, leverage = _design_fourier_factors(x)
+    row_u, _, w = _design_fourier_factors(x)
+    leverage = w @ row_u
     p = np.asarray(x).shape[1]
     return SamplingDistribution(kind="lev", probs=leverage / p, leverage=leverage)
 
@@ -139,12 +138,9 @@ def optimal_probs(x) -> SamplingDistribution:
     interpolates any response exactly) DegenerateDistribution is raised and
     the caller must fall back to another distribution.
     """
-    uhat, xhat, leverage = _design_fourier_factors(x)
-    row_u = (np.abs(uhat) ** 2).sum(axis=1)
-    row_x = (np.abs(xhat) ** 2).sum(axis=1)
-    radicand = ((1.0 - row_u) * row_x).mean(axis=1)
-    radicand = np.maximum(radicand, 0.0)
-    radicand[radicand <= _RADICAND_REL_TOL * row_x.mean(axis=1)] = 0.0
+    row_u, row_x, w = _design_fourier_factors(x)
+    radicand = np.maximum(w @ ((1.0 - row_u) * row_x), 0.0)
+    radicand[radicand <= _RADICAND_REL_TOL * (w @ row_x)] = 0.0
     weights = np.sqrt(radicand)
     total = weights.sum()
     if total <= 0.0:
@@ -152,7 +148,7 @@ def optimal_probs(x) -> SamplingDistribution:
             "all rows have unit leverage in every DFT slice; "
             "the optimal distribution is undefined"
         )
-    return SamplingDistribution(kind="opt", probs=weights / total, leverage=leverage)
+    return SamplingDistribution(kind="opt", probs=weights / total, leverage=w @ row_u)
 
 
 def coherence(u) -> float:
@@ -172,8 +168,11 @@ def draw_plan(dist: SamplingDistribution, tau: int, seed) -> SamplingPlan:
 
     Uses inverse-CDF binary search over the positive-probability rows, so a
     zero-probability row can never be selected. Weight t is
-    1/sqrt(tau * pi_{i_t}).
+    1/sqrt(tau * pi_{i_t}). A seed is required: a plan is never drawn from
+    operating-system entropy.
     """
+    if seed is None:
+        raise ValueError("draw_plan needs a seed; None would draw from OS entropy")
     if tau < 1:
         raise ValueError("tau must be at least 1")
     probs = dist.probs

@@ -1,10 +1,11 @@
 """Exact and row-subsampled tensor least squares.
 
 The overdetermined problem min_B ||Y - X * B||_F^2 decouples into one complex
-matrix least-squares problem per DFT slice. Only the first l//2 + 1 slices
-are solved; the rest follow by conjugate symmetry. The subsampled solver
-gathers and rescales rows of the already-transformed slices: the sampling
-and rescaling operators act on the first frontal slice only, so row
+matrix least-squares problem per DFT slice. A problem keeps only the first
+l//2 + 1 slices, as slice-major stacks; the rest follow by conjugate symmetry.
+All slices are solved at once by one batched factorization. The subsampled
+solver gathers and rescales rows of the already-transformed slices: the
+sampling and rescaling operators act on the first frontal slice only, so row
 selection commutes with the tube DFT.
 """
 
@@ -18,53 +19,46 @@ import numpy as np
 
 from .errors import DimensionMismatch, RankDeficient, SketchRankDeficient
 from .sampling import SamplingPlan
-from .tensor import (
-    _fill_conjugate,
-    _is_self_conjugate,
-    _num_independent_slices,
-    as_tensor,
-    default_rank_tol,
-    from_fourier,
-)
+from .tensor import _from_half, _mirror_index, _parseval_weights, _row_energy, _to_half
+from .tensor import as_tensor, default_rank_tol
 
 
 def validate_design(design):
     """Check n >= p and column rank p in every DFT slice.
 
-    Returns (design, design_fourier, slice_singular_values); raises
-    RankDeficient when any slice is short of rank p, naming the slice.
+    Returns (design, design_half, slice_singular_values): the half-spectrum
+    (l//2 + 1, n, p) slice stack and the (p, l) singular values of every
+    slice. Raises RankDeficient when any slice is short of rank p, naming the
+    slice.
     """
     x = as_tensor(design, "design")
     n, p, l = x.shape
     if n < p:
         raise DimensionMismatch(f"design must have n >= p, got {x.shape}")
-    xhat = np.fft.fft(x, axis=2)
-    svals = np.empty((p, l))
-    for k in range(_num_independent_slices(l)):
-        a = xhat[:, :, k].real if _is_self_conjugate(k, l) else xhat[:, :, k]
-        svals[:, k] = np.linalg.svd(a, compute_uv=False)
-    for k in range(_num_independent_slices(l), l):
-        svals[:, k] = svals[:, l - k]
+    xhalf = _to_half(x)
+    svals = np.linalg.svd(xhalf, compute_uv=False).T
     tol = default_rank_tol((n, p), float(svals.max(initial=0.0)))
     smallest = svals[p - 1, :]
     if (smallest <= tol).any():
         k_bad = int(np.argmin(smallest)) + 1
         raise RankDeficient(f"design does not have rank {p} in DFT slice {k_bad} of {l}")
-    return x, xhat, svals
+    return x, xhalf, svals[:, _mirror_index(l)]
 
 
 class TlsProblem:
     """A validated overdetermined tensor least-squares instance.
 
     Requires n >= p and column rank p in every DFT slice of the design, so
-    the normal-equations inverse exists. The design's DFT and per-slice
-    singular values are computed once and shared across responses.
+    the normal-equations inverse exists. The design's half-spectrum slice
+    stack (l//2 + 1, n, p) and per-slice singular values are computed once
+    and shared across responses; the response is held as an (l//2 + 1, n, 1)
+    stack.
     """
 
     def __init__(self, design, response):
-        x, xhat, svals = validate_design(design)
+        x, xhalf, svals = validate_design(design)
         self.design = x
-        self.design_fourier = xhat
+        self.design_half = xhalf
         self.design_singular_values = svals
         self._set_response(response)
 
@@ -77,7 +71,7 @@ class TlsProblem:
                 f"expected ({n}, 1, {l})"
             )
         self.response = y
-        self.response_fourier = np.fft.fft(y, axis=2)
+        self.response_half = _to_half(y)
 
     def with_response(self, response) -> "TlsProblem":
         """Same design (validation and DFT reused), different response."""
@@ -101,67 +95,82 @@ class TlsSolution:
 
 
 def objective(prob: TlsProblem, b) -> float:
-    """Residual objective ||Y - X * B||_F^2, evaluated in the DFT domain."""
+    """Residual objective ||Y - X * B||_F^2, evaluated on the half spectrum.
+
+    By Parseval the spatial squared norm is the slice-summed norm over l,
+    where each slice that is not self-conjugate stands for itself and its
+    mirror.
+    """
     b = as_tensor(b, "solution")
     n, p, l = prob.shape
     if b.shape != (p, 1, l):
         raise DimensionMismatch(f"solution shape {b.shape}; expected ({p}, 1, {l})")
-    bhat = np.fft.fft(b, axis=2)
-    fitted = np.einsum("ipk,pjk->ijk", prob.design_fourier, bhat)
-    resid = prob.response_fourier - fitted
-    # Parseval: spatial squared norm equals the slice-summed norm over l.
-    return float((resid.real**2 + resid.imag**2).sum() / l)
+    resid = prob.response_half - prob.design_half @ _to_half(b)
+    return float(_parseval_weights(l) @ _row_energy(resid).sum(axis=1)) / l
+
+
+def _qr_svd(m, p):
+    """R-only QR of every slice of the stack `m`, then the SVD of R's leading p x p block.
+
+    Returns (r, u, s, vh). The SVD acts on p x p triangles, so the tall
+    slices are factored once and normal equations are never formed.
+    """
+    r = np.linalg.qr(m, mode="r")
+    u, s, vh = np.linalg.svd(r[:, :p, :p])
+    return r, u, s, vh
+
+
+def _solve_stack(prob: TlsProblem, m, method: str, plan=None) -> TlsSolution:
+    """Solve every slice of the weighted [A | y] stack `m` and transform back.
+
+    A slice whose singular values fall to lstsq's default cutoff
+    eps * max(rows, p) * s_max has lost rank: SketchRankDeficient names the
+    first such slice, 1-based.
+    """
+    n, p, l = prob.shape
+    r, u, s, vh = _qr_svd(m, p)
+    tol = np.finfo(np.float64).eps * max(m.shape[1], p) * s[:, 0]
+    short = s[:, p - 1] <= tol
+    if short.any():
+        k = int(np.argmax(short))
+        rank = int(np.count_nonzero(s[k] > tol[k]))
+        raise SketchRankDeficient(
+            f"sketched design has rank {rank} < {p} in DFT slice {k + 1} of {l}",
+            slice_index=k + 1,
+        )
+    bhalf = vh.conj().mT @ ((u.conj().mT @ r[:, :p, p:]) / s[:, :, None])
+    b = _from_half(bhalf, l)
+    return TlsSolution(b=b, objective=objective(prob, b), method=method, plan=plan)
 
 
 def solve_ols(prob: TlsProblem) -> TlsSolution:
-    """Exact least-squares solution via one SVD-based slice solve per independent slice."""
-    n, p, l = prob.shape
-    bhat = np.empty((p, 1, l), dtype=np.complex128)
-    for k in range(_num_independent_slices(l)):
-        if _is_self_conjugate(k, l):
-            a = prob.design_fourier[:, :, k].real
-            rhs = prob.response_fourier[:, :, k].real
-        else:
-            a = prob.design_fourier[:, :, k]
-            rhs = prob.response_fourier[:, :, k]
-        bhat[:, :, k] = np.linalg.lstsq(a, rhs, rcond=None)[0]
-    _fill_conjugate(bhat)
-    b = from_fourier(bhat)
-    return TlsSolution(b=b, objective=objective(prob, b), method="ols")
+    """Exact least-squares solution from one batched factorization of every slice."""
+    m = np.concatenate((prob.design_half, prob.response_half), axis=2)
+    return _solve_stack(prob, m, "ols")
 
 
 def solve_subsampled(prob: TlsProblem, plan: SamplingPlan) -> TlsSolution:
     """Weighted least squares on the rows named by `plan`.
 
     Row t of the sketch is row plan.indices[t] of the data scaled by
-    plan.weights[t]. Each independent DFT slice is solved with an SVD-based
-    factorization rather than explicit normal equations; forming the inverse
-    would square the slice condition numbers.
+    plan.weights[t]. The slices are solved from an R-only QR of the sketched
+    [A | y] stack and an SVD of each triangle rather than explicit normal
+    equations; forming the inverse would square the slice condition numbers.
     """
     n, p, l = prob.shape
     if plan.tau < p:
         raise ValueError(f"plan has tau={plan.tau} < p={p}")
     if plan.indices.min() < 0 or plan.indices.max() >= n:
         raise ValueError("plan indices fall outside the design's rows")
-    w = plan.weights[:, None, None]
-    xs = prob.design_fourier[plan.indices, :, :] * w
-    ys = prob.response_fourier[plan.indices, :, :] * w
-    bhat = np.empty((p, 1, l), dtype=np.complex128)
-    for k in range(_num_independent_slices(l)):
-        if _is_self_conjugate(k, l):
-            a, rhs = xs[:, :, k].real, ys[:, :, k].real
-        else:
-            a, rhs = xs[:, :, k], ys[:, :, k]
-        sol, _, rank, _ = np.linalg.lstsq(a, rhs, rcond=None)
-        if rank < p:
-            raise SketchRankDeficient(
-                f"sketched design has rank {rank} < {p} in DFT slice {k + 1} of {l}",
-                slice_index=k + 1,
-            )
-        bhat[:, :, k] = sol
-    _fill_conjugate(bhat)
-    b = from_fourier(bhat)
-    return TlsSolution(b=b, objective=objective(prob, b), method="subsampled", plan=plan)
+    m = np.concatenate(
+        (
+            np.take(prob.design_half, plan.indices, axis=1),
+            np.take(prob.response_half, plan.indices, axis=1),
+        ),
+        axis=2,
+    )
+    m *= plan.weights[:, None]
+    return _solve_stack(prob, m, "subsampled", plan)
 
 
 def tau_lower_bound(p: int, l: int, beta: float, eps: float) -> int:

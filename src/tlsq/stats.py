@@ -20,16 +20,8 @@ import numpy as np
 
 from .errors import DimensionMismatch, ZeroProbabilityRow
 from .sampling import SamplingDistribution
-from .tensor import (
-    _fill_conjugate,
-    _is_self_conjugate,
-    _num_independent_slices,
-    as_tensor,
-    from_fourier,
-    fro_norm,
-    t_product,
-)
-from .solver import TlsProblem, solve_ols, validate_design
+from .tensor import _from_half, _parseval_weights, _row_energy, _to_half, as_tensor
+from .solver import TlsProblem, _qr_svd, solve_ols, validate_design
 
 # Rows whose numerator is this far (relative) below the largest are treated
 # as exact zeros when paired with a zero sampling probability.
@@ -69,50 +61,46 @@ def trace_t(a) -> float:
     return float(np.einsum("iik->", ahat).real / l)
 
 
-def _gram_inverses(xhat) -> np.ndarray:
-    """Inverse of the slice Gram matrices, as a (p, p, l) complex stack.
+def _gram_factors(xhalf) -> np.ndarray:
+    """Per-slice factors F = V S^-1 of the Gram inverses, so that (A^H A)^-1 = F F^H.
 
-    Computed as the pseudoinverse of the Hermitian product per slice; the
-    design is validated to full slice rank beforehand, so this is a true
+    V and S come from the SVD of each slice's R factor; the slice condition
+    numbers are never squared. Takes and returns (l//2 + 1, ., .) stacks.
+    """
+    _, _, s, vh = _qr_svd(xhalf, xhalf.shape[2])
+    return vh.conj().mT / s[:, None, :]
+
+
+def _gram_inverses(xhalf) -> np.ndarray:
+    """Inverse of the slice Gram matrices, V S^-2 V^H, as an (l//2 + 1, p, p) stack.
+
+    The design is validated to full slice rank beforehand, so this is a true
     inverse.
     """
-    n, p, l = xhat.shape
-    g = np.empty((p, p, l), dtype=np.complex128)
-    for k in range(_num_independent_slices(l)):
-        a = xhat[:, :, k].real if _is_self_conjugate(k, l) else xhat[:, :, k]
-        g[:, :, k] = np.linalg.pinv(a.conj().T @ a)
-    _fill_conjugate(g)
-    return g
+    f = _gram_factors(xhalf)
+    return f @ f.conj().mT
 
 
-def _sandwich(xhat, g, middle) -> np.ndarray:
+def _sandwich(xhalf, g, middle, l: int) -> np.ndarray:
     """Assemble G * X^H diag(middle_k) X * G per slice and transform back.
 
-    `middle` is a real (n, l) array of nonnegative row weights per slice, so
-    every slice of the result is Hermitian positive semidefinite.
+    `middle` is a real (l//2 + 1, n) array of nonnegative row weights per
+    slice, so every slice of the result is Hermitian positive semidefinite.
     """
-    n, p, l = xhat.shape
-    out = np.empty((p, p, l), dtype=np.complex128)
-    for k in range(_num_independent_slices(l)):
-        a = xhat[:, :, k]
-        core = a.conj().T @ (middle[:, k : k + 1] * a)
-        out[:, :, k] = g[:, :, k] @ core @ g[:, :, k]
-    _fill_conjugate(out)
-    return from_fourier(out)
+    core = xhalf.conj().mT @ (middle[:, :, None] * xhalf)
+    return _from_half(g @ core @ g, l)
 
 
-def _hat_complements(xhat, g) -> np.ndarray:
-    """Per-slice complements 1 - x_i G x_i^H of the hat-matrix diagonal, (n, l) real."""
-    n, p, l = xhat.shape
-    comp = np.empty((n, l))
-    for k in range(l):
-        a = xhat[:, :, k]
-        comp[:, k] = 1.0 - np.einsum("ij,jm,im->i", a, g[:, :, k], a.conj()).real
-    return comp
+def _hat_complements(xhalf, f) -> np.ndarray:
+    """Complements 1 - ||x_i F||^2 of the hat-matrix diagonal, (l//2 + 1, n) real.
+
+    `f` is the stack of Gram factors from _gram_factors.
+    """
+    return 1.0 - _row_energy(xhalf @ f)
 
 
 def _row_weights(numerators, probs, what: str) -> np.ndarray:
-    """Divide per-row numerators by probabilities, policing zero-probability rows.
+    """Divide per-row numerators (slices x rows) by probabilities, policing zero-probability rows.
 
     A zero-probability row is only legal when its numerator is zero to
     rounding; then the row contributes nothing. Otherwise the first-order
@@ -121,14 +109,14 @@ def _row_weights(numerators, probs, what: str) -> np.ndarray:
     scale = float(np.abs(numerators).max(initial=0.0))
     zero = probs <= 0.0
     if zero.any():
-        live = np.abs(numerators[zero]).max(axis=-1) > _ZERO_ROW_TOL * max(1.0, scale)
+        live = np.abs(numerators[:, zero]).max(axis=0) > _ZERO_ROW_TOL * max(1.0, scale)
         if live.any():
             i = int(np.flatnonzero(zero)[np.argmax(live)]) + 1
             raise ZeroProbabilityRow(
                 f"row {i} has zero sampling probability but a nonzero {what}"
             )
     out = np.zeros_like(numerators)
-    np.divide(numerators, probs[:, None], out=out, where=~zero[:, None])
+    np.divide(numerators, probs, out=out, where=~zero)
     return out
 
 
@@ -143,23 +131,21 @@ def conditional_variance(prob: TlsProblem, dist: SamplingDistribution, tau: int)
     if tau < 1:
         raise ValueError("tau must be at least 1")
     n, p, l = prob.shape
-    ols = solve_ols(prob)
-    resid = prob.response - t_product(prob.design, ols.b)
-    ehat = np.fft.fft(resid, axis=2)[:, 0, :]
-    energy = ehat.real**2 + ehat.imag**2  # (n, l)
-    xhat = prob.design_fourier
-    g = _gram_inverses(xhat)
+    xhalf = prob.design_half
+    energy = _row_energy(prob.response_half - xhalf @ _to_half(solve_ols(prob).b))
+    g = _gram_inverses(xhalf)
     middle = _row_weights(energy, dist.probs, "residual") / tau
-    out = _sandwich(xhat, g, middle)
-    _assert_conditional_specialization(out, xhat, g, energy, dist, tau, n, p)
+    out = _sandwich(xhalf, g, middle, l)
+    _assert_conditional_specialization(out, xhalf, g, energy, dist, tau, prob.shape)
     return out
 
 
-def _assert_conditional_specialization(general, xhat, g, energy, dist, tau, n, p):
+def _assert_conditional_specialization(general, xhalf, g, energy, dist, tau, shape):
+    n, p, l = shape
     if dist.kind == "unif":
-        special = _sandwich(xhat, g, (n / tau) * energy)
+        special = _sandwich(xhalf, g, (n / tau) * energy, l)
     elif dist.kind == "lev" and dist.leverage is not None:
-        special = _sandwich(xhat, g, (p / tau) * energy / dist.leverage[:, None])
+        special = _sandwich(xhalf, g, (p / tau) * energy / dist.leverage, l)
     else:
         return
     scale = max(1.0, float(np.abs(general).max()))
@@ -172,13 +158,13 @@ def ols_variance(design, sigma2: float) -> np.ndarray:
     """Covariance of the exact estimator under i.i.d. noise: sigma^2 (X^T * X)^-1."""
     if sigma2 <= 0:
         raise ValueError("sigma2 must be positive")
-    _, xhat, _ = _design_state(design)
-    return from_fourier(sigma2 * _gram_inverses(xhat))
+    x, xhalf, _ = _design_state(design)
+    return _from_half(sigma2 * _gram_inverses(xhalf), x.shape[2])
 
 
 def _design_state(design):
     if isinstance(design, TlsProblem):
-        return design.design, design.design_fourier, design.design_singular_values
+        return design.design, design.design_half, design.design_singular_values
     return validate_design(design)
 
 
@@ -197,20 +183,19 @@ def unconditional_variance(
         raise ValueError("tau must be at least 1")
     if sigma2 <= 0:
         raise ValueError("sigma2 must be positive")
-    x, xhat, _ = _design_state(design)
+    x, xhalf, _ = _design_state(design)
     n, p, l = x.shape
-    g = _gram_inverses(xhat)
-    comp = _hat_complements(xhat, g)
+    f = _gram_factors(xhalf)
+    g = f @ f.conj().mT
+    comp = _hat_complements(xhalf, f)
     middle = _row_weights(comp, dist.probs, "hat-matrix complement") * (sigma2 / tau)
-    penalty = _sandwich(xhat, g, middle)
-    base = from_fourier(sigma2 * g)
+    penalty = _sandwich(xhalf, g, middle, l)
+    base = _from_half(sigma2 * g, l)
     out = base + penalty
     if dist.kind == "unif":
-        special = base + _sandwich(xhat, g, (n * sigma2 / tau) * comp)
+        special = base + _sandwich(xhalf, g, (n * sigma2 / tau) * comp, l)
     elif dist.kind == "lev" and dist.leverage is not None:
-        special = base + _sandwich(
-            xhat, g, (p * sigma2 / tau) * comp / dist.leverage[:, None]
-        )
+        special = base + _sandwich(xhalf, g, (p * sigma2 / tau) * comp / dist.leverage, l)
     else:
         special = None
     if special is not None:
@@ -228,16 +213,14 @@ def sandwich_middle_trace(design, probs) -> float:
     quantity the optimal distribution provably minimizes over the simplex.
     Rows with zero probability must have a zero numerator.
     """
-    x, xhat, _ = _design_state(design)
+    x, xhalf, _ = _design_state(design)
     probs = np.asarray(probs, dtype=np.float64)
-    n = x.shape[0]
+    n, p, l = x.shape
     if probs.shape != (n,):
         raise DimensionMismatch(f"probabilities shape {probs.shape}; expected ({n},)")
-    g = _gram_inverses(xhat)
-    comp = _hat_complements(xhat, g)
-    row_norms = (np.abs(xhat) ** 2).sum(axis=1)  # (n, l)
-    numerators = (comp * row_norms).mean(axis=1)
-    weighted = _row_weights(numerators[:, None], probs, "sandwich numerator")
+    comp = _hat_complements(xhalf, _gram_factors(xhalf))
+    numerators = _parseval_weights(l) @ (comp * _row_energy(xhalf)) / l
+    weighted = _row_weights(numerators[None, :], probs, "sandwich numerator")
     return float(weighted.sum())
 
 

@@ -40,21 +40,56 @@ def as_tensor(x, name: str = "tensor") -> np.ndarray:
     return arr
 
 
-def _num_independent_slices(l: int) -> int:
-    # DFT slices of a real tensor beyond this index mirror the earlier ones.
-    return l // 2 + 1
+# The DFT slices of a real tensor beyond index l//2 are conjugate mirrors of
+# earlier ones, so only the l//2 + 1 independent slices are ever formed: as a
+# slice-major "half stack" (l//2 + 1, n, p), which numpy's stacked linalg and
+# matmul treat as a batch of matrices. Slice 0, and slice l/2 for even l, are
+# self-conjugate (real).
 
 
-def _is_self_conjugate(k: int, l: int) -> bool:
-    return k == 0 or (l % 2 == 0 and k == l // 2)
+def _parseval_weights(l: int) -> np.ndarray:
+    """Multiplicity of each half-spectrum slice in the full DFT: 1 if self-conjugate, else 2."""
+    w = np.full(l // 2 + 1, 2.0)
+    w[0] = 1.0
+    if l % 2 == 0:
+        w[-1] = 1.0
+    return w
 
 
-def _fill_conjugate(blocks: np.ndarray) -> np.ndarray:
-    """Complete DFT slices h..l-1 in place as conjugates of their mirrors."""
-    l = blocks.shape[2]
-    for k in range(_num_independent_slices(l), l):
-        blocks[:, :, k] = np.conj(blocks[:, :, l - k])
-    return blocks
+def _mirror_index(l: int) -> np.ndarray:
+    """For each of the l DFT slices, the index of its half-stack slice (itself or its mirror)."""
+    k = np.arange(l)
+    return np.minimum(k, l - k)
+
+
+def _to_half(x) -> np.ndarray:
+    """The independent DFT slices of a real (n, p, l) tensor as an (l//2 + 1, n, p) half stack."""
+    return np.ascontiguousarray(np.moveaxis(np.fft.rfft(x, axis=2), 2, 0))
+
+
+def _row_energy(stack) -> np.ndarray:
+    """Squared norm of every row of every slice of a half stack, as an (l//2 + 1, n) array."""
+    parts = np.ascontiguousarray(stack).view(np.float64)
+    return np.einsum("hij,hij->hi", parts, parts)
+
+
+def _from_half(blocks, l: int) -> np.ndarray:
+    """Inverse of _to_half: a real (n, p, l) tensor from its (l//2 + 1, n, p) slice stack.
+
+    The inverse real DFT drops the imaginary part of the self-conjugate
+    slices, so that part is checked first: ImaginaryResidue is raised when
+    what would be discarded exceeds IMAG_RESIDUE_TOL relative to the result.
+    """
+    spectrum = np.moveaxis(blocks, 0, 2)
+    spatial = np.ascontiguousarray(np.fft.irfft(spectrum, n=l, axis=2))
+    own = spectrum[:, :, [0, -1] if l % 2 == 0 else [0]]
+    residue = float(np.abs(own.imag).max(initial=0.0)) / l
+    scale = max(1.0, float(np.abs(spatial).max(initial=0.0)))
+    if residue > IMAG_RESIDUE_TOL * scale:
+        raise ImaginaryResidue(
+            f"imaginary residue {residue:.3e} exceeds {IMAG_RESIDUE_TOL:.0e} * {scale:.3e}"
+        )
+    return spatial
 
 
 def to_fourier(x) -> np.ndarray:
@@ -94,16 +129,7 @@ def t_product(x, y) -> np.ndarray:
     p2, r, l2 = y.shape
     if p != p2 or l != l2:
         raise DimensionMismatch(f"cannot multiply {x.shape} by {y.shape}")
-    xh = np.fft.fft(x, axis=2)
-    yh = np.fft.fft(y, axis=2)
-    zh = np.empty((n, r, l), dtype=np.complex128)
-    for k in range(_num_independent_slices(l)):
-        if _is_self_conjugate(k, l):
-            zh[:, :, k] = xh[:, :, k].real @ yh[:, :, k].real
-        else:
-            zh[:, :, k] = xh[:, :, k] @ yh[:, :, k]
-    _fill_conjugate(zh)
-    return from_fourier(zh)
+    return _from_half(_to_half(x) @ _to_half(y), l)
 
 
 def t_transpose(x) -> np.ndarray:
@@ -148,15 +174,8 @@ def fourier_singular_values(x) -> np.ndarray:
     slices share values with their conjugates, so only half are computed.
     """
     x = as_tensor(x)
-    n, p, l = x.shape
-    xh = np.fft.fft(x, axis=2)
-    sv = np.empty((min(n, p), l))
-    for k in range(_num_independent_slices(l)):
-        a = xh[:, :, k].real if _is_self_conjugate(k, l) else xh[:, :, k]
-        sv[:, k] = np.linalg.svd(a, compute_uv=False)
-    for k in range(_num_independent_slices(l), l):
-        sv[:, k] = sv[:, l - k]
-    return sv
+    sv = np.linalg.svd(_to_half(x), compute_uv=False).T
+    return sv[:, _mirror_index(x.shape[2])]
 
 
 def default_rank_tol(shape, smax: float) -> float:
@@ -180,37 +199,23 @@ class ThinTSVD(NamedTuple):
 
 
 def thin_t_svd(x, tol: float | None = None) -> ThinTSVD:
-    """Thin tubal SVD via one matrix SVD per independent DFT slice."""
+    """Thin tubal SVD via one batched matrix SVD of the independent DFT slices."""
     x = as_tensor(x)
     n, p, l = x.shape
-    m = min(n, p)
-    xh = np.fft.fft(x, axis=2)
-    uh = np.empty((n, m, l), dtype=np.complex128)
-    vh = np.empty((p, m, l), dtype=np.complex128)
-    sv = np.empty((m, l))
-    for k in range(_num_independent_slices(l)):
-        a = xh[:, :, k].real if _is_self_conjugate(k, l) else xh[:, :, k]
-        u, s, vt = np.linalg.svd(a, full_matrices=False)
-        uh[:, :, k] = u
-        sv[:, k] = s
-        vh[:, :, k] = vt.conj().T
-    for k in range(_num_independent_slices(l), l):
-        uh[:, :, k] = np.conj(uh[:, :, l - k])
-        vh[:, :, k] = np.conj(vh[:, :, l - k])
-        sv[:, k] = sv[:, l - k]
+    uh, s, vh = np.linalg.svd(_to_half(x), full_matrices=False)
+    sv = s.T[:, _mirror_index(l)]
     if tol is None:
         tol = default_rank_tol((n, p), float(sv.max(initial=0.0)))
     rank = int(np.count_nonzero(sv.max(axis=1) > tol))
-    sv = sv[:rank, :]
-    sh = np.zeros((rank, rank, l), dtype=np.complex128)
+    sh = np.zeros((s.shape[0], rank, rank), dtype=np.complex128)
     idx = np.arange(rank)
-    sh[idx, idx, :] = sv
+    sh[:, idx, idx] = s[:, :rank]
     return ThinTSVD(
-        u=from_fourier(uh[:, :rank, :]),
-        s=from_fourier(sh),
-        v=from_fourier(vh[:, :rank, :]),
+        u=_from_half(uh[:, :, :rank], l),
+        s=_from_half(sh, l),
+        v=_from_half(vh[:, :rank, :].conj().mT, l),
         rank=rank,
-        slice_singular_values=sv,
+        slice_singular_values=sv[:rank, :],
     )
 
 
@@ -227,14 +232,7 @@ def tubal_rank(x, tol: float | None = None) -> int:
 def t_pinv(x) -> np.ndarray:
     """Moore-Penrose inverse, taken slice-wise in the DFT domain."""
     x = as_tensor(x)
-    n, p, l = x.shape
-    yh = np.empty((p, n, l), dtype=np.complex128)
-    xh = np.fft.fft(x, axis=2)
-    for k in range(_num_independent_slices(l)):
-        a = xh[:, :, k].real if _is_self_conjugate(k, l) else xh[:, :, k]
-        yh[:, :, k] = np.linalg.pinv(a)
-    _fill_conjugate(yh)
-    return from_fourier(yh)
+    return _from_half(np.linalg.pinv(_to_half(x)), x.shape[2])
 
 
 def extremal_singular_values(x) -> tuple[float, float, float]:

@@ -137,6 +137,20 @@ class TestExperiment:
         cfg = write_config(tmp_path, bogus="1")
         assert main(["experiment", "--config", cfg, "--out", str(tmp_path / "r.csv")]) == 1
 
+    @pytest.mark.parametrize(
+        "override", [{"redraw_design": 5}, {"timing": 2}, {"p": 3}, {"n": 3}]
+    )
+    def test_invalid_config_value_is_usage_error(self, tmp_path, capsys, override):
+        cfg = write_config(tmp_path, **override)
+        assert main(["experiment", "--config", cfg, "--out", str(tmp_path / "r.csv")]) == 1
+        assert "error" in capsys.readouterr().err
+
+    def test_non_integer_thread_count_is_usage_error(self, tmp_path, capsys, monkeypatch):
+        monkeypatch.setenv("TLSQ_THREADS", "two")
+        cfg = write_config(tmp_path, replicates=2, taus="12")
+        assert main(["experiment", "--config", cfg, "--out", str(tmp_path / "r.csv")]) == 1
+        assert "TLSQ_THREADS" in capsys.readouterr().err
+
     def test_compare_mls_labels(self, tmp_path):
         cfg = write_config(tmp_path, replicates=4, taus="16", methods="lev")
         out = tmp_path / "cmp.csv"

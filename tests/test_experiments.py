@@ -323,3 +323,18 @@ class TestConfig:
             ExperimentConfig(seed=0, design="exp")
         with pytest.raises(ConfigError):
             ExperimentConfig(seed=0, alpha=1.0)
+
+    def test_coefficient_pattern_needs_p_at_least_4(self):
+        with pytest.raises(ConfigError, match="p >= 4"):
+            ExperimentConfig(seed=0, p=3, taus=(10,))
+
+    def test_design_must_be_overdetermined(self):
+        with pytest.raises(ConfigError, match="n >= p"):
+            ExperimentConfig(seed=0, n=8, p=10)
+
+    @pytest.mark.parametrize("line", ["redraw_design=5", "timing=2", "timing=true"])
+    def test_flags_accept_only_0_or_1(self, tmp_path, line):
+        path = tmp_path / "flag.txt"
+        path.write_text(f"seed=1\n{line}\n")
+        with pytest.raises(ConfigError, match="0 or 1"):
+            parse_config_file(path)

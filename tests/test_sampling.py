@@ -215,6 +215,10 @@ class TestDrawPlan:
         with pytest.raises(ValueError):
             tlsq.draw_plan(tlsq.uniform_probs(3), 0, seed=0)
 
+    def test_seed_required(self):
+        with pytest.raises(ValueError, match="seed"):
+            tlsq.draw_plan(tlsq.uniform_probs(3), 2, seed=None)
+
     def test_all_rows_plan(self):
         plan = tlsq.all_rows_plan(7)
         assert np.array_equal(plan.indices, np.arange(7))

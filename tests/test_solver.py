@@ -2,6 +2,8 @@
 
 import numpy as np
 import pytest
+from hypothesis import assume, example, given, settings
+from hypothesis import strategies as st
 
 import tlsq
 from tlsq.errors import DimensionMismatch, RankDeficient, SketchRankDeficient
@@ -35,7 +37,7 @@ class TestProblemValidation:
     def test_with_response_shares_design_state(self):
         prob = make_problem(seed=6)
         other = prob.with_response(rand((40, 1, 4), 7))
-        assert other.design_fourier is prob.design_fourier
+        assert other.design_half is prob.design_half
         assert not np.array_equal(other.response, prob.response)
 
 
@@ -172,6 +174,18 @@ class TestSolveSubsampled:
             tlsq.solve_subsampled(prob, plan)
         assert err.value.slice_index == 1
 
+    def test_rank_loss_in_second_slice_only_reports_it(self):
+        # Constant tubes have no energy outside DFT slice 1, so a sketch of
+        # only those rows keeps rank in slice 1 and loses it in slice 2.
+        x = rand((20, 2, 3), 40)
+        x[:5] = rand((5, 2, 1), 41)
+        prob = tlsq.TlsProblem(x, rand((20, 1, 3), 42))
+        plan = tlsq.SamplingPlan(tau=5, indices=np.arange(5), weights=np.ones(5), seed=None)
+        with pytest.raises(SketchRankDeficient) as err:
+            tlsq.solve_subsampled(prob, plan)
+        assert err.value.slice_index == 2
+        assert "slice 2 of 3" in str(err.value)
+
     def test_tau_below_p_rejected(self):
         prob = make_problem(seed=25)
         plan = tlsq.SamplingPlan(tau=2, indices=np.array([0, 1]), weights=np.ones(2), seed=None)
@@ -194,6 +208,73 @@ class TestSolveSubsampled:
         assert sol.plan is plan
         recomputed = tlsq.fro_norm(prob.response - tlsq.t_product(prob.design, sol.b)) ** 2
         assert abs(sol.objective - recomputed) <= 1e-8 * max(1.0, recomputed)
+
+
+def flattened_lstsq(x, y):
+    """Block-circulant oracle: the dense least-squares solution and the system's condition."""
+    a = tlsq.bcirc(x)
+    sol = np.linalg.lstsq(a, tlsq.unfold(y), rcond=None)[0]
+    return tlsq.fold(sol, x.shape[1], x.shape[2]), np.linalg.cond(a)
+
+
+edge_shapes = dict(
+    p=st.integers(1, 4),
+    extra_rows=st.integers(0, 4),
+    l=st.integers(1, 6),
+    seed=st.integers(0, 2**32 - 1),
+)
+
+
+class TestEdgeShapesAgainstOracle:
+    """Property checks on l = 1, l = 2, odd and even l, n = p and tau = p."""
+
+    @settings(max_examples=60, deadline=None)
+    @given(**edge_shapes)
+    @example(p=3, extra_rows=0, l=1, seed=0)
+    @example(p=2, extra_rows=3, l=2, seed=1)
+    @example(p=4, extra_rows=0, l=6, seed=2)
+    def test_solve_ols(self, p, extra_rows, l, seed):
+        rng = np.random.default_rng(seed)
+        x = rng.standard_normal((p + extra_rows, p, l))
+        y = rng.standard_normal((p + extra_rows, 1, l))
+        dense, kappa = flattened_lstsq(x, y)
+        assume(kappa < 1e3)
+        sol = tlsq.solve_ols(tlsq.TlsProblem(x, y))
+        assert np.abs(sol.b - dense).max() <= 1e-9 * max(1.0, np.abs(dense).max())
+
+    @settings(max_examples=60, deadline=None)
+    @given(**edge_shapes, extra_tau=st.integers(0, 4))
+    @example(p=3, extra_rows=2, l=1, seed=3, extra_tau=0)
+    @example(p=2, extra_rows=0, l=2, seed=4, extra_tau=0)
+    @example(p=3, extra_rows=4, l=5, seed=5, extra_tau=0)
+    def test_solve_subsampled(self, p, extra_rows, l, seed, extra_tau):
+        n = p + extra_rows
+        tau = p + min(extra_tau, extra_rows)
+        rng = np.random.default_rng(seed)
+        x = rng.standard_normal((n, p, l))
+        y = rng.standard_normal((n, 1, l))
+        plan = tlsq.SamplingPlan(
+            tau=tau, indices=rng.permutation(n)[:tau], weights=rng.uniform(0.5, 2.0, tau)
+        )
+        w = plan.weights[:, None, None]
+        dense, kappa = flattened_lstsq(x[plan.indices] * w, y[plan.indices] * w)
+        assume(kappa < 1e3)
+        sol = tlsq.solve_subsampled(tlsq.TlsProblem(x, y), plan)
+        assert np.abs(sol.b - dense).max() <= 1e-9 * max(1.0, np.abs(dense).max())
+
+    @settings(max_examples=60, deadline=None)
+    @given(**edge_shapes)
+    @example(p=1, extra_rows=0, l=1, seed=6)
+    @example(p=2, extra_rows=1, l=2, seed=7)
+    def test_objective(self, p, extra_rows, l, seed):
+        rng = np.random.default_rng(seed)
+        x = rng.standard_normal((p + extra_rows, p, l))
+        y = rng.standard_normal((p + extra_rows, 1, l))
+        b = rng.standard_normal((p, 1, l))
+        assume(np.linalg.cond(tlsq.bcirc(x)) < 1e6)
+        expected = float(((tlsq.bcirc(x) @ tlsq.unfold(b) - tlsq.unfold(y)) ** 2).sum())
+        got = tlsq.objective(tlsq.TlsProblem(x, y), b)
+        assert abs(got - expected) <= 1e-10 * max(1.0, expected)
 
 
 class TestTauLowerBound:

@@ -225,11 +225,12 @@ class TestUnconditionalVariance:
         assert trace_t(out) > trace_t(ols_variance(x, 1.0))
 
     def test_hat_complement_components_within_unit_interval(self):
-        from tlsq.stats import _gram_inverses, _hat_complements
+        from tlsq.stats import _gram_factors, _hat_complements
+        from tlsq.tensor import _to_half
 
         x = rand((40, 3, 4), 19)
-        xh = np.fft.fft(x, axis=2)
-        comp = _hat_complements(xh, _gram_inverses(xh))
+        xh = _to_half(x)
+        comp = _hat_complements(xh, _gram_factors(xh))
         assert comp.min() >= -1e-10
         assert comp.max() <= 1.0 + 1e-10
 
@@ -248,13 +249,60 @@ class TestUnconditionalVariance:
 
     def test_gram_inverse_matches_svd_route(self):
         from tlsq.stats import _gram_inverses
+        from tlsq.tensor import _from_half, _to_half
 
         x = rand((25, 3, 3), 27)
-        direct = tlsq.from_fourier(_gram_inverses(np.fft.fft(x, axis=2)))
+        direct = _from_half(_gram_inverses(_to_half(x)), 3)
         svd = tlsq.thin_t_svd(x)
         sinv2 = tlsq.t_pinv(tlsq.t_product(svd.s, svd.s))
         via_svd = tlsq.t_product(tlsq.t_product(svd.v, sinv2), tlsq.t_transpose(svd.v))
         assert np.abs(direct - via_svd).max() <= 1e-9 * max(1.0, np.abs(direct).max())
+
+
+def ill_conditioned_half_design(n, p, l, svals, seed):
+    """Half-spectrum slice stack with known SVDs U diag(svals) V^H, plus U and V.
+
+    Self-conjugate slices are real so the stack is the spectrum of a real design.
+    """
+    rng = np.random.default_rng(seed)
+    h = l // 2 + 1
+    u = np.empty((h, n, p), dtype=complex)
+    v = np.empty((h, p, p), dtype=complex)
+    for k in range(h):
+        imag = 0.0 if k == 0 or 2 * k == l else 1.0
+        for out, rows in ((u, n), (v, p)):
+            z = rng.standard_normal((rows, p)) + imag * 1j * rng.standard_normal((rows, p))
+            out[k] = np.linalg.qr(z)[0]
+    return (u * svals) @ v.conj().mT, u, v
+
+
+class TestIllConditionedDesign:
+    """kappa = 2e7 per slice: inverting the Gram matrix would square it to 4e14."""
+
+    def setup_method(self):
+        from tlsq.tensor import _from_half, _to_half
+
+        self.l = 4
+        self.svals = np.array([2e7, 4e3, 1.0])
+        half, self.u, self.v = ill_conditioned_half_design(30, 3, self.l, self.svals, seed=35)
+        self.x = _from_half(half, self.l)
+        self.xh = _to_half(self.x)
+
+    def test_gram_inverse_matches_known_svd(self):
+        from tlsq.stats import _gram_inverses
+
+        g = _gram_inverses(self.xh)
+        exact = (self.v / self.svals**2) @ self.v.conj().mT
+        for k in range(g.shape[0]):
+            scale = np.abs(exact[k]).max()
+            assert np.abs(g[k] - exact[k]).max() <= 1e-6 * scale
+
+    def test_hat_complements_match_known_svd(self):
+        from tlsq.stats import _gram_factors, _hat_complements
+
+        comp = _hat_complements(self.xh, _gram_factors(self.xh))
+        exact = 1.0 - (np.abs(self.u) ** 2).sum(axis=2)
+        assert np.abs(comp - exact).max() <= 1e-6
 
 
 class TestZeroProbabilityPolicy:
