@@ -124,7 +124,7 @@ def _cmd_solve(args) -> int:
     else:
         if args.tau is None or args.seed is None:
             raise _UsageError("tlsq solve: --tau and --seed are required for subsampling methods")
-        dist = build_distribution(prob.design, args.method, args.alpha)
+        dist = build_distribution(prob, args.method, args.alpha)
         start = time.perf_counter()
         plan = draw_plan(dist, args.tau, args.seed)
         sol = solve_subsampled(prob, plan)
@@ -143,7 +143,7 @@ def _cmd_probs(args) -> int:
 
 def _cmd_variance(args) -> int:
     prob = TlsProblem(read_tensor(args.design), read_tensor(args.response))
-    dist = build_distribution(prob.design, args.method, args.alpha)
+    dist = build_distribution(prob, args.method, args.alpha)
     report = variance_report(prob, dist, args.tau, args.sigma2)
     print("method,tau,trace_conditional_fo,trace_unconditional_fo")
     print(

@@ -34,6 +34,7 @@ from .sampling import (
     uniform_probs,
 )
 from .solver import TlsProblem, TlsSolution, objective, solve_ols, solve_subsampled
+from .solver import validate_design
 from .tensor import as_tensor, bcirc, fold, t_product, unfold
 
 DESIGN_KINDS = ("mn", "t3", "t1")
@@ -269,9 +270,15 @@ def compute_metrics(
 
 
 def build_distribution(x, method: str, alpha: float = 0.9) -> SamplingDistribution:
-    """Construct one of the four named distributions for a design."""
+    """Construct one of the four named distributions for a TlsProblem or a design tensor.
+
+    A problem's cached factorization is reused; a design tensor is validated
+    and factored once, also for the uniform distribution, so every method
+    rejects a design that TlsProblem would reject.
+    """
     if method == "unif":
-        return uniform_probs(np.asarray(x).shape[0])
+        design = x if isinstance(x, TlsProblem) else validate_design(x)[0]
+        return uniform_probs(design.shape[0])
     if method == "lev":
         return leverage_probs(x)
     if method == "slev":
@@ -372,6 +379,9 @@ def _aggregate(results, truth) -> list[MetricsRow]:
             ols_refs.append(ols_b)
             ols_objs.append(ols_obj)
             probs.append(prob_b)
+        if len(ests) < 2:
+            rows.append(_starved_row(method, tau, len(ests), failures, walls))
+            continue
         rows.append(
             compute_metrics(
                 ests,
@@ -390,6 +400,24 @@ def _aggregate(results, truth) -> list[MetricsRow]:
     return rows
 
 
+def _starved_row(method, tau, replicates, failures, walls) -> MetricsRow:
+    """A cell with fewer than two successful sketches: its counts, with NaN metrics."""
+    nan = float("nan")
+    return MetricsRow(
+        method=method,
+        tau=int(tau),
+        smrfv=nan,
+        smre=nan,
+        ssb=nan,
+        sv=nan,
+        smse=nan,
+        mean_ms=float(np.mean(walls)),
+        replicates=replicates,
+        failures=failures,
+        smrfv_undefined=True,
+    )
+
+
 def run_experiment(cfg: ExperimentConfig) -> list[MetricsRow]:
     """Run the replicate grid and aggregate one MetricsRow per (method, tau).
 
@@ -397,8 +425,10 @@ def run_experiment(cfg: ExperimentConfig) -> list[MetricsRow]:
     `redraw_design` is set). Replicate b derives every random stream from
     (seed, stream, b, ...), so results do not depend on scheduling. Sketches
     that lose rank are counted in `failures` and excluded from the
-    aggregates for their cell. With `timing` off (the default) the mean_ms
-    column is NaN and the whole report is a pure function of the config.
+    aggregates for their cell; a cell left with fewer than two estimates is
+    reported with NaN metrics and its counts. With `timing` off (the
+    default) the mean_ms column is NaN and the whole report is a pure
+    function of the config.
     """
     base = None if cfg.redraw_design else _prepare_state(cfg, _STREAM_DESIGN)
 
@@ -443,7 +473,7 @@ def _prepare_state(cfg: ExperimentConfig, stream, *key) -> _ReplicateState:
     x = gen_design(cfg.design, cfg.n, cfg.p, cfg.l, _rng(cfg.seed, stream, *key))
     y, _ = gen_response(x, _rng(cfg.seed, _STREAM_RESPONSE), cfg.sigma2)
     prob = TlsProblem(x, y)
-    dists = {m: build_distribution(x, m, cfg.alpha) for m in cfg.methods}
+    dists = {m: build_distribution(prob, m, cfg.alpha) for m in cfg.methods}
     smls = None
     if cfg.smls != "off":
         kinds = [m for m in cfg.methods if m in ("unif", "lev")]

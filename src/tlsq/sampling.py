@@ -15,8 +15,9 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import DegenerateDistribution, DimensionMismatch, RankDeficient
-from .tensor import _parseval_weights, _row_energy, _to_half, as_tensor, default_rank_tol
+from .errors import DegenerateDistribution
+from .solver import _design_factors
+from .tensor import _parseval_weights, _row_energy, as_tensor
 
 PROB_SUM_TOL = 1e-12
 
@@ -82,52 +83,30 @@ def uniform_probs(n: int) -> SamplingDistribution:
     return SamplingDistribution(kind="unif", probs=np.full(n, 1.0 / n))
 
 
-def _design_fourier_factors(x):
-    """Per-slice row energies of a design and of its left singular factor, with rank validation.
-
-    Returns (row_u, row_x, w): the squared row norms of the left singular
-    factor and of the design in each independent DFT slice, as
-    (l//2 + 1, n) arrays, and the weights w that average such an array over
-    all l slices (w @ row_u are the leverage scores). Raises RankDeficient
-    when any DFT slice has column rank below p.
-    """
-    x = as_tensor(x, "design")
-    n, p, l = x.shape
-    if n < p:
-        raise DimensionMismatch(f"design must have n >= p, got {x.shape}")
-    xhalf = _to_half(x)
-    uhalf, s, _ = np.linalg.svd(xhalf, full_matrices=False)
-    tol = default_rank_tol((n, p), float(s.max(initial=0.0)))
-    if (s[:, p - 1] <= tol).any():
-        rank = int(np.count_nonzero(s.max(axis=0) > tol))
-        bad = int(np.argmin(s[:, p - 1])) + 1 if rank == p else None
-        where = f" (DFT slice {bad} of {l})" if bad is not None else ""
-        raise RankDeficient(f"design does not have rank {p} in every DFT slice{where}")
-    return _row_energy(uhalf), _row_energy(xhalf), _parseval_weights(l) / l
-
-
-def leverage_probs(x) -> SamplingDistribution:
+def leverage_probs(design) -> SamplingDistribution:
     """Probabilities proportional to the row leverage scores h_i.
 
-    h_i is the squared Frobenius norm of row i of the left singular factor;
-    the scores sum to p, so pi_i = h_i / p.
+    h_i is the slice-averaged squared norm of row i of X F, the design times
+    its Gram factors (the left singular factor); the scores sum to p, so
+    pi_i = h_i / p. `design` is a TlsProblem, whose factorization is reused,
+    or a design tensor, which is validated and factored once.
     """
-    row_u, _, w = _design_fourier_factors(x)
-    leverage = w @ row_u
-    p = np.asarray(x).shape[1]
+    x, _, _, rows = _design_factors(design)
+    n, p, l = x.shape
+    leverage = (_parseval_weights(l) / l) @ rows
     return SamplingDistribution(kind="lev", probs=leverage / p, leverage=leverage)
 
 
-def shrinked_leverage_probs(x, alpha: float) -> SamplingDistribution:
+def shrinked_leverage_probs(design, alpha: float) -> SamplingDistribution:
     """Convex mix alpha * leverage + (1 - alpha) * uniform, strictly positive."""
     if not 0.0 < alpha < 1.0:
         raise ValueError(f"alpha must lie in (0, 1), got {alpha}")
-    lev = leverage_probs(x)
+    lev = leverage_probs(design)
     probs = alpha * lev.probs + (1.0 - alpha) / lev.n
     return SamplingDistribution(kind="slev", probs=probs, alpha=alpha, leverage=lev.leverage)
 
 
-def optimal_probs(x) -> SamplingDistribution:
+def optimal_probs(design) -> SamplingDistribution:
     """Distribution minimizing the trace of the variance sandwich middle factor.
 
     pi_i is proportional to sqrt of the slice-averaged product of the
@@ -136,10 +115,13 @@ def optimal_probs(x) -> SamplingDistribution:
     one, so it is clamped at zero; rows whose radicand is zero in every slice
     get probability zero. When every row degenerates this way (the design
     interpolates any response exactly) DegenerateDistribution is raised and
-    the caller must fall back to another distribution.
+    the caller must fall back to another distribution. Takes a TlsProblem or
+    a design tensor, as leverage_probs does.
     """
-    row_u, row_x, w = _design_fourier_factors(x)
-    radicand = np.maximum(w @ ((1.0 - row_u) * row_x), 0.0)
+    x, xhalf, _, rows = _design_factors(design)
+    w = _parseval_weights(x.shape[2]) / x.shape[2]
+    row_x = _row_energy(xhalf)
+    radicand = np.maximum(w @ ((1.0 - rows) * row_x), 0.0)
     radicand[radicand <= _RADICAND_REL_TOL * (w @ row_x)] = 0.0
     weights = np.sqrt(radicand)
     total = weights.sum()
@@ -148,7 +130,7 @@ def optimal_probs(x) -> SamplingDistribution:
             "all rows have unit leverage in every DFT slice; "
             "the optimal distribution is undefined"
         )
-    return SamplingDistribution(kind="opt", probs=weights / total, leverage=w @ row_u)
+    return SamplingDistribution(kind="opt", probs=weights / total, leverage=w @ rows)
 
 
 def coherence(u) -> float:

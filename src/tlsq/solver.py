@@ -12,37 +12,42 @@ selection commutes with the tube DFT.
 from __future__ import annotations
 
 import copy
+import functools
 import math
 from dataclasses import dataclass
+from typing import TYPE_CHECKING
 
 import numpy as np
 
 from .errors import DimensionMismatch, RankDeficient, SketchRankDeficient
-from .sampling import SamplingPlan
-from .tensor import _from_half, _mirror_index, _parseval_weights, _row_energy, _to_half
+from .tensor import _from_half, _parseval_weights, _row_energy, _to_half
 from .tensor import as_tensor, default_rank_tol
+
+if TYPE_CHECKING:  # sampling builds on problems, so it imports this module
+    from .sampling import SamplingPlan
 
 
 def validate_design(design):
-    """Check n >= p and column rank p in every DFT slice.
+    """Check n >= p and column rank p in every DFT slice, factoring the design once.
 
-    Returns (design, design_half, slice_singular_values): the half-spectrum
-    (l//2 + 1, n, p) slice stack and the (p, l) singular values of every
-    slice. Raises RankDeficient when any slice is short of rank p, naming the
-    slice.
+    Takes an R-only QR of the half-spectrum (l//2 + 1, n, p) slice stack and
+    the SVD R = U S V^H of each p x p triangle. Returns (design, design_half,
+    gram_factors): the Gram factors F = V S^-1, an (l//2 + 1, p, p) stack,
+    give each slice's Gram inverse F F^H and leverage rows ||x_i F||^2.
+    Raises RankDeficient when any slice is short of rank p, naming the slice.
     """
     x = as_tensor(design, "design")
     n, p, l = x.shape
     if n < p:
         raise DimensionMismatch(f"design must have n >= p, got {x.shape}")
     xhalf = _to_half(x)
-    svals = np.linalg.svd(xhalf, compute_uv=False).T
-    tol = default_rank_tol((n, p), float(svals.max(initial=0.0)))
-    smallest = svals[p - 1, :]
+    _, _, s, vh = _qr_svd(xhalf, p)
+    tol = default_rank_tol((n, p), float(s.max(initial=0.0)))
+    smallest = s[:, p - 1]
     if (smallest <= tol).any():
         k_bad = int(np.argmin(smallest)) + 1
         raise RankDeficient(f"design does not have rank {p} in DFT slice {k_bad} of {l}")
-    return x, xhalf, svals[:, _mirror_index(l)]
+    return x, xhalf, vh.conj().mT / s[:, None, :]
 
 
 class TlsProblem:
@@ -50,16 +55,12 @@ class TlsProblem:
 
     Requires n >= p and column rank p in every DFT slice of the design, so
     the normal-equations inverse exists. The design's half-spectrum slice
-    stack (l//2 + 1, n, p) and per-slice singular values are computed once
-    and shared across responses; the response is held as an (l//2 + 1, n, 1)
-    stack.
+    stack (l//2 + 1, n, p) and its Gram factors are computed once and shared
+    across responses; the response is held as an (l//2 + 1, n, 1) stack.
     """
 
     def __init__(self, design, response):
-        x, xhalf, svals = validate_design(design)
-        self.design = x
-        self.design_half = xhalf
-        self.design_singular_values = svals
+        self.design, self.design_half, self.gram_factors = validate_design(design)
         self._set_response(response)
 
     def _set_response(self, response):
@@ -74,7 +75,7 @@ class TlsProblem:
         self.response_half = _to_half(y)
 
     def with_response(self, response) -> "TlsProblem":
-        """Same design (validation and DFT reused), different response."""
+        """Same design (validation, DFT and factors reused), different response."""
         other = copy.copy(self)
         other._set_response(response)
         return other
@@ -82,6 +83,39 @@ class TlsProblem:
     @property
     def shape(self) -> tuple[int, int, int]:
         return self.design.shape
+
+    @functools.cached_property
+    def leverage_rows(self) -> np.ndarray:
+        """Slice leverage rows ||x_i F||^2, (l//2 + 1, n) real, computed on first use.
+
+        Only the row energies are kept, not the (l//2 + 1, n, p) product X F.
+        """
+        return _leverage_rows(self.design_half, self.gram_factors)
+
+
+def _leverage_rows(xhalf, f) -> np.ndarray:
+    """Row energies of X F per slice, each slice rescaled to its exact trace p.
+
+    S^-1 amplifies rounding, so the rows of X F are orthonormal only to about
+    eps * kappa: at kappa = 2e7 a slice's rows sum to p only to 1e-10, while
+    each row stays accurate to a few 1e-10. Restoring the trace keeps the
+    probabilities built on the rows summing to one.
+    """
+    rows = _row_energy(xhalf @ f)
+    rows *= xhalf.shape[2] / rows.sum(axis=1, keepdims=True)
+    return rows
+
+
+def _design_factors(design):
+    """(design, design_half, gram_factors, leverage_rows) of a problem or a design tensor.
+
+    A TlsProblem's factorization is reused; a design tensor is validated and
+    factored here.
+    """
+    if isinstance(design, TlsProblem):
+        return design.design, design.design_half, design.gram_factors, design.leverage_rows
+    x, xhalf, f = validate_design(design)
+    return x, xhalf, f, _leverage_rows(xhalf, f)
 
 
 @dataclass(frozen=True, eq=False)

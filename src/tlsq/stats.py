@@ -21,13 +21,11 @@ import numpy as np
 from .errors import DimensionMismatch, ZeroProbabilityRow
 from .sampling import SamplingDistribution
 from .tensor import _from_half, _parseval_weights, _row_energy, _to_half, as_tensor
-from .solver import TlsProblem, _qr_svd, solve_ols, validate_design
+from .solver import TlsProblem, _design_factors, solve_ols
 
 # Rows whose numerator is this far (relative) below the largest are treated
 # as exact zeros when paired with a zero sampling probability.
 _ZERO_ROW_TOL = 1e-10
-
-_SPECIALIZATION_TOL = 1e-10
 
 
 @dataclass(frozen=True, eq=False)
@@ -61,23 +59,13 @@ def trace_t(a) -> float:
     return float(np.einsum("iik->", ahat).real / l)
 
 
-def _gram_factors(xhalf) -> np.ndarray:
-    """Per-slice factors F = V S^-1 of the Gram inverses, so that (A^H A)^-1 = F F^H.
+def _gram_inverses(f) -> np.ndarray:
+    """Inverse of the slice Gram matrices, F F^H = V S^-2 V^H, as an (l//2 + 1, p, p) stack.
 
-    V and S come from the SVD of each slice's R factor; the slice condition
-    numbers are never squared. Takes and returns (l//2 + 1, ., .) stacks.
+    `f` holds the Gram factors F = V S^-1 of a design validated to full
+    slice rank (TlsProblem.gram_factors), so this is a true inverse and the
+    slice condition numbers are never squared.
     """
-    _, _, s, vh = _qr_svd(xhalf, xhalf.shape[2])
-    return vh.conj().mT / s[:, None, :]
-
-
-def _gram_inverses(xhalf) -> np.ndarray:
-    """Inverse of the slice Gram matrices, V S^-2 V^H, as an (l//2 + 1, p, p) stack.
-
-    The design is validated to full slice rank beforehand, so this is a true
-    inverse.
-    """
-    f = _gram_factors(xhalf)
     return f @ f.conj().mT
 
 
@@ -89,14 +77,6 @@ def _sandwich(xhalf, g, middle, l: int) -> np.ndarray:
     """
     core = xhalf.conj().mT @ (middle[:, :, None] * xhalf)
     return _from_half(g @ core @ g, l)
-
-
-def _hat_complements(xhalf, f) -> np.ndarray:
-    """Complements 1 - ||x_i F||^2 of the hat-matrix diagonal, (l//2 + 1, n) real.
-
-    `f` is the stack of Gram factors from _gram_factors.
-    """
-    return 1.0 - _row_energy(xhalf @ f)
 
 
 def _row_weights(numerators, probs, what: str) -> np.ndarray:
@@ -125,47 +105,22 @@ def conditional_variance(prob: TlsProblem, dist: SamplingDistribution, tau: int)
 
     The residual of the exact solution enters through its per-row energy;
     each row is inflated by 1/(tau * pi_i). Under the uniform and leverage
-    distributions the formula collapses to the n/tau and (p/tau)/h_i forms,
-    which are recomputed and asserted against the general expression.
+    distributions the formula collapses to the n/tau and (p/tau)/h_i forms.
     """
     if tau < 1:
         raise ValueError("tau must be at least 1")
-    n, p, l = prob.shape
     xhalf = prob.design_half
     energy = _row_energy(prob.response_half - xhalf @ _to_half(solve_ols(prob).b))
-    g = _gram_inverses(xhalf)
     middle = _row_weights(energy, dist.probs, "residual") / tau
-    out = _sandwich(xhalf, g, middle, l)
-    _assert_conditional_specialization(out, xhalf, g, energy, dist, tau, prob.shape)
-    return out
-
-
-def _assert_conditional_specialization(general, xhalf, g, energy, dist, tau, shape):
-    n, p, l = shape
-    if dist.kind == "unif":
-        special = _sandwich(xhalf, g, (n / tau) * energy, l)
-    elif dist.kind == "lev" and dist.leverage is not None:
-        special = _sandwich(xhalf, g, (p / tau) * energy / dist.leverage, l)
-    else:
-        return
-    scale = max(1.0, float(np.abs(general).max()))
-    assert np.abs(general - special).max() <= _SPECIALIZATION_TOL * scale, (
-        f"{dist.kind} specialization deviates from the general conditional formula"
-    )
+    return _sandwich(xhalf, _gram_inverses(prob.gram_factors), middle, prob.shape[2])
 
 
 def ols_variance(design, sigma2: float) -> np.ndarray:
     """Covariance of the exact estimator under i.i.d. noise: sigma^2 (X^T * X)^-1."""
     if sigma2 <= 0:
         raise ValueError("sigma2 must be positive")
-    x, xhalf, _ = _design_state(design)
-    return _from_half(sigma2 * _gram_inverses(xhalf), x.shape[2])
-
-
-def _design_state(design):
-    if isinstance(design, TlsProblem):
-        return design.design, design.design_half, design.design_singular_values
-    return validate_design(design)
+    x, _, f, _ = _design_factors(design)
+    return _from_half(sigma2 * _gram_inverses(f), x.shape[2])
 
 
 def unconditional_variance(
@@ -176,34 +131,18 @@ def unconditional_variance(
     Sum of the exact estimator's covariance and a sampling penalty that
     scales with sigma^2/tau and inflates each row's hat-matrix complement by
     1/pi_i. Accepts a design tensor or a TlsProblem (the response is unused).
-    Uniform and leverage specializations are asserted as in the conditional
-    form.
+    Under the uniform and leverage distributions the penalty collapses to the
+    n/tau and (p/tau)/h_i forms, as in the conditional form.
     """
     if tau < 1:
         raise ValueError("tau must be at least 1")
     if sigma2 <= 0:
         raise ValueError("sigma2 must be positive")
-    x, xhalf, _ = _design_state(design)
-    n, p, l = x.shape
-    f = _gram_factors(xhalf)
-    g = f @ f.conj().mT
-    comp = _hat_complements(xhalf, f)
-    middle = _row_weights(comp, dist.probs, "hat-matrix complement") * (sigma2 / tau)
-    penalty = _sandwich(xhalf, g, middle, l)
-    base = _from_half(sigma2 * g, l)
-    out = base + penalty
-    if dist.kind == "unif":
-        special = base + _sandwich(xhalf, g, (n * sigma2 / tau) * comp, l)
-    elif dist.kind == "lev" and dist.leverage is not None:
-        special = base + _sandwich(xhalf, g, (p * sigma2 / tau) * comp / dist.leverage, l)
-    else:
-        special = None
-    if special is not None:
-        scale = max(1.0, float(np.abs(out).max()))
-        assert np.abs(out - special).max() <= _SPECIALIZATION_TOL * scale, (
-            f"{dist.kind} specialization deviates from the general unconditional formula"
-        )
-    return out
+    x, xhalf, f, rows = _design_factors(design)
+    l = x.shape[2]
+    g = _gram_inverses(f)
+    middle = _row_weights(1.0 - rows, dist.probs, "hat-matrix complement") * (sigma2 / tau)
+    return _from_half(sigma2 * g, l) + _sandwich(xhalf, g, middle, l)
 
 
 def sandwich_middle_trace(design, probs) -> float:
@@ -213,13 +152,12 @@ def sandwich_middle_trace(design, probs) -> float:
     quantity the optimal distribution provably minimizes over the simplex.
     Rows with zero probability must have a zero numerator.
     """
-    x, xhalf, _ = _design_state(design)
+    x, xhalf, _, rows = _design_factors(design)
     probs = np.asarray(probs, dtype=np.float64)
     n, p, l = x.shape
     if probs.shape != (n,):
         raise DimensionMismatch(f"probabilities shape {probs.shape}; expected ({n},)")
-    comp = _hat_complements(xhalf, _gram_factors(xhalf))
-    numerators = _parseval_weights(l) @ (comp * _row_energy(xhalf)) / l
+    numerators = _parseval_weights(l) @ ((1.0 - rows) * _row_energy(xhalf)) / l
     weighted = _row_weights(numerators[None, :], probs, "sandwich numerator")
     return float(weighted.sum())
 

@@ -109,6 +109,52 @@ class TestProbs:
         expected = tlsq.shrinked_leverage_probs(x, 0.8).probs
         assert np.array_equal(probs, expected)
 
+    @pytest.mark.parametrize("method", ["unif", "lev", "slev", "opt"])
+    def test_rank_deficient_slice_fails_as_solve_does(self, tmp_path, capsys, method):
+        # constant tubes leave every DFT slice but the first empty
+        x = np.repeat(np.random.default_rng(4).standard_normal((8, 2, 1)), 3, axis=2)
+        y = np.random.default_rng(5).standard_normal((8, 1, 3))
+        xp, yp = tmp_path / "x.tt", tmp_path / "y.tt"
+        tlsq.write_tensor(x, xp)
+        tlsq.write_tensor(y, yp)
+        assert main(["solve", "--design", str(xp), "--response", str(yp),
+                     "--method", "ols", "--out", str(tmp_path / "b.tt")]) == 2
+        solve_err = capsys.readouterr().err
+        assert main(["probs", "--design", str(xp), "--method", method]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == solve_err
+        assert "DFT slice 2 of 3" in captured.err
+
+
+class TestSingleFactorization:
+    """Each command factors the n-row design once; only variance adds the [X | y] QR."""
+
+    @pytest.mark.parametrize(
+        "command, tall_calls",
+        [
+            (["solve", "--method", "opt", "--tau", "20", "--seed", "3"], 1),
+            (["variance", "--method", "lev", "--tau", "20", "--sigma2", "4.0"], 2),
+        ],
+    )
+    def test_tall_factorizations(self, problem_files, tmp_path, monkeypatch, capsys,
+                                 command, tall_calls):
+        x, _, xp, yp = problem_files
+        n = x.shape[0]
+        tall = []
+        for name in ("qr", "svd"):
+            def counting(a, *args, _original=getattr(np.linalg, name), **kwargs):
+                if np.shape(a)[-2] == n:
+                    tall.append(_original.__name__)
+                return _original(a, *args, **kwargs)
+
+            monkeypatch.setattr(np.linalg, name, counting)
+        argv = command + ["--design", xp, "--response", yp]
+        if command[0] == "solve":
+            argv += ["--out", str(tmp_path / "b.tt")]
+        assert main(argv) == 0
+        assert tall == ["qr"] * tall_calls
+
 
 class TestVariance:
     def test_traces_match_library(self, problem_files, capsys):
@@ -157,6 +203,21 @@ class TestExperiment:
         assert main(["compare-mls", "--config", cfg, "--out", str(out)]) == 0
         rows = tlsq.read_report(out)
         assert {r.method for r in rows} == {"stls-lev", "smls-lev-tau", "smls-lev-ltau"}
+
+    def test_starved_cell_is_reported_not_fatal(self, tmp_path, capsys):
+        # tau = p on a 12-row design: most sketches lose rank in some slice
+        cfg = tmp_path / "cfg.txt"
+        cfg.write_text("n=12\np=10\nl=2\ntaus=10\nreplicates=4\nseed=1\n")
+        out = tmp_path / "r.csv"
+        assert main(["experiment", "--config", str(cfg), "--out", str(out)]) == 0
+        rows = tlsq.read_report(out)
+        assert {r.method for r in rows} == {"unif", "lev", "slev", "opt"}
+        starved = [r for r in rows if r.replicates < 2]
+        assert starved
+        for r in rows:
+            assert r.tau == 10 and r.replicates + r.failures == 4
+        for r in starved:
+            assert all(np.isnan(v) for v in (r.smrfv, r.smre, r.ssb, r.sv, r.smse))
 
 
 class TestSelfcheck:

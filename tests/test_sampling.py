@@ -225,6 +225,18 @@ class TestDrawPlan:
         assert (plan.weights == 1.0).all()
 
 
+class TestProblemInput:
+    @pytest.mark.parametrize("method", ["unif", "lev", "slev", "opt"])
+    def test_problem_and_design_give_identical_distributions(self, method):
+        x = tlsq.gen_design("t3", 60, 4, 5, seed=9)
+        prob = tlsq.TlsProblem(x, rand((60, 1, 5), 10))
+        build = tlsq.experiments.build_distribution
+        from_prob, from_design = build(prob, method, 0.7), build(prob.design, method, 0.7)
+        assert np.array_equal(from_prob.probs, from_design.probs)
+        if method != "unif":
+            assert np.array_equal(from_prob.leverage, from_design.leverage)
+
+
 class TestDistributionValidation:
     def test_negative_rejected(self):
         with pytest.raises(ValueError):

@@ -40,6 +40,23 @@ class TestProblemValidation:
         assert other.design_half is prob.design_half
         assert not np.array_equal(other.response, prob.response)
 
+    def test_with_response_shares_gram_factors_and_leverage(self):
+        prob = make_problem(seed=6)
+        rows = prob.leverage_rows
+        other = prob.with_response(rand((40, 1, 4), 7))
+        assert other.gram_factors is prob.gram_factors
+        assert other.leverage_rows is rows is prob.leverage_rows
+
+    def test_gram_factors_invert_slice_grams(self):
+        prob = make_problem(seed=8)
+        xh, f = prob.design_half, prob.gram_factors
+        assert f.shape == (3, 3, 3)
+        gram = xh.conj().mT @ xh
+        eye = np.broadcast_to(np.eye(3), gram.shape)
+        assert np.abs(gram @ (f @ f.conj().mT) - eye).max() <= 1e-12
+        assert prob.leverage_rows.shape == (3, 40)
+        assert np.abs(prob.leverage_rows.sum(axis=1) - 3.0).max() <= 1e-12
+
 
 class TestObjective:
     def test_consistent_system_zero(self):

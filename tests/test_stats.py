@@ -225,12 +225,10 @@ class TestUnconditionalVariance:
         assert trace_t(out) > trace_t(ols_variance(x, 1.0))
 
     def test_hat_complement_components_within_unit_interval(self):
-        from tlsq.stats import _gram_factors, _hat_complements
-        from tlsq.tensor import _to_half
+        from tlsq.solver import _design_factors
 
         x = rand((40, 3, 4), 19)
-        xh = _to_half(x)
-        comp = _hat_complements(xh, _gram_factors(xh))
+        comp = 1.0 - _design_factors(x)[3]
         assert comp.min() >= -1e-10
         assert comp.max() <= 1.0 + 1e-10
 
@@ -248,15 +246,73 @@ class TestUnconditionalVariance:
             unconditional_variance(x, tlsq.uniform_probs(10), 5, 0.0)
 
     def test_gram_inverse_matches_svd_route(self):
+        from tlsq.solver import validate_design
         from tlsq.stats import _gram_inverses
-        from tlsq.tensor import _from_half, _to_half
+        from tlsq.tensor import _from_half
 
         x = rand((25, 3, 3), 27)
-        direct = _from_half(_gram_inverses(_to_half(x)), 3)
+        direct = _from_half(_gram_inverses(validate_design(x)[2]), 3)
         svd = tlsq.thin_t_svd(x)
         sinv2 = tlsq.t_pinv(tlsq.t_product(svd.s, svd.s))
         via_svd = tlsq.t_product(tlsq.t_product(svd.v, sinv2), tlsq.t_transpose(svd.v))
         assert np.abs(direct - via_svd).max() <= 1e-9 * max(1.0, np.abs(direct).max())
+
+
+class TestSpecializationIdentities:
+    """The general middle weights against the n/tau and (p/tau)/h_i forms.
+
+    Both sides go through the same sandwich assembly, so a wrong weight, not
+    a different rounding path, is what a failure shows. TestSpecializedForms
+    checks the same forms against the spatial-domain oracle.
+    """
+
+    tau, sigma2 = 30, 2.0
+
+    def problem(self, design):
+        x = tlsq.gen_design("t3", 60, 4, 5, seed=40) if design == "t3" else rand((60, 4, 5), 41)
+        return tlsq.TlsProblem(x, rand((60, 1, 5), 42))
+
+    def special_middle(self, prob, kind, row_terms):
+        n, p, l = prob.shape
+        if kind == "unif":
+            return (n / self.tau) * row_terms
+        return (p / self.tau) * row_terms / tlsq.leverage_probs(prob).leverage
+
+    def check(self, general, special):
+        scale = max(1.0, float(np.abs(general).max()))
+        assert np.abs(general - special).max() <= 1e-10 * scale
+
+    @pytest.mark.parametrize("design", ["random", "t3"])
+    @pytest.mark.parametrize("kind", ["unif", "lev"])
+    def test_conditional(self, design, kind):
+        from tlsq.stats import _gram_inverses, _sandwich
+        from tlsq.tensor import _row_energy, _to_half
+
+        prob = self.problem(design)
+        dist = tlsq.experiments.build_distribution(prob, kind)
+        general = conditional_variance(prob, dist, self.tau)
+        xh = prob.design_half
+        energy = _row_energy(prob.response_half - xh @ _to_half(tlsq.solve_ols(prob).b))
+        g = _gram_inverses(prob.gram_factors)
+        special = _sandwich(xh, g, self.special_middle(prob, kind, energy), prob.shape[2])
+        self.check(general, special)
+
+    @pytest.mark.parametrize("design", ["random", "t3"])
+    @pytest.mark.parametrize("kind", ["unif", "lev"])
+    def test_unconditional(self, design, kind):
+        from tlsq.stats import _gram_inverses, _sandwich
+        from tlsq.tensor import _from_half
+
+        prob = self.problem(design)
+        dist = tlsq.experiments.build_distribution(prob, kind)
+        general = unconditional_variance(prob, dist, self.tau, self.sigma2)
+        l = prob.shape[2]
+        g = _gram_inverses(prob.gram_factors)
+        comp = self.sigma2 * (1.0 - prob.leverage_rows)
+        special = _from_half(self.sigma2 * g, l) + _sandwich(
+            prob.design_half, g, self.special_middle(prob, kind, comp), l
+        )
+        self.check(general, special)
 
 
 def ill_conditioned_half_design(n, p, l, svals, seed):
@@ -280,29 +336,51 @@ class TestIllConditionedDesign:
     """kappa = 2e7 per slice: inverting the Gram matrix would square it to 4e14."""
 
     def setup_method(self):
-        from tlsq.tensor import _from_half, _to_half
+        from tlsq.tensor import _from_half
 
         self.l = 4
         self.svals = np.array([2e7, 4e3, 1.0])
         half, self.u, self.v = ill_conditioned_half_design(30, 3, self.l, self.svals, seed=35)
         self.x = _from_half(half, self.l)
-        self.xh = _to_half(self.x)
 
     def test_gram_inverse_matches_known_svd(self):
+        from tlsq.solver import validate_design
         from tlsq.stats import _gram_inverses
 
-        g = _gram_inverses(self.xh)
+        g = _gram_inverses(validate_design(self.x)[2])
         exact = (self.v / self.svals**2) @ self.v.conj().mT
         for k in range(g.shape[0]):
             scale = np.abs(exact[k]).max()
             assert np.abs(g[k] - exact[k]).max() <= 1e-6 * scale
 
     def test_hat_complements_match_known_svd(self):
-        from tlsq.stats import _gram_factors, _hat_complements
+        from tlsq.solver import _design_factors
 
-        comp = _hat_complements(self.xh, _gram_factors(self.xh))
+        comp = 1.0 - _design_factors(self.x)[3]
         exact = 1.0 - (np.abs(self.u) ** 2).sum(axis=2)
         assert np.abs(comp - exact).max() <= 1e-6
+
+    def exact_scores(self):
+        """Exact leverage scores and optimal weights from the known slice SVDs."""
+        from tlsq.tensor import _parseval_weights
+
+        w = _parseval_weights(self.l) / self.l
+        rows_u = (np.abs(self.u) ** 2).sum(axis=2)
+        rows_x = (np.abs(self.u) ** 2 * self.svals**2).sum(axis=2)
+        return w @ rows_u, np.sqrt(w @ ((1.0 - rows_u) * rows_x))
+
+    def test_leverage_probs_match_known_svd(self):
+        leverage, _ = self.exact_scores()
+        dist = tlsq.leverage_probs(self.x)
+        exact = leverage / 3
+        assert np.abs(dist.probs - exact).max() <= 1e-6 * exact.max()
+        assert np.abs(dist.leverage - leverage).max() <= 1e-6 * leverage.max()
+
+    def test_optimal_probs_match_known_svd(self):
+        _, weights = self.exact_scores()
+        exact = weights / weights.sum()
+        got = tlsq.optimal_probs(self.x).probs
+        assert np.abs(got - exact).max() <= 1e-6 * exact.max()
 
 
 class TestZeroProbabilityPolicy:
