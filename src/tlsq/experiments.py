@@ -33,7 +33,7 @@ from .sampling import (
     shrinked_leverage_probs,
     uniform_probs,
 )
-from .solver import TlsProblem, TlsSolution, objective, solve_ols, solve_subsampled
+from .solver import TlsProblem, TlsSolution, _solve_sketches, objective, solve_ols
 from .solver import validate_design
 from .tensor import as_tensor, bcirc, fold, t_product, unfold
 
@@ -418,6 +418,77 @@ def _starved_row(method, tau, replicates, failures, walls) -> MetricsRow:
     )
 
 
+@dataclass(frozen=True)
+class _Cell:
+    """One report cell: per replicate b, `draws` rows from distribution `kind`.
+
+    The plan's random stream is (seed, stream, b, *index). A matrix cell is
+    solved on the flattened block-circulant system, every other cell by the
+    tensor solver.
+    """
+
+    label: str
+    tau: int
+    kind: str
+    draws: int
+    stream: int
+    index: tuple[int, int]
+    matrix: bool = False
+
+
+def _run_cells(cfg: ExperimentConfig, base, cells, timed: bool) -> list[MetricsRow]:
+    """Run every cell in every replicate and aggregate one MetricsRow per cell.
+
+    `base` is the shared design state, or None to draw one per replicate.
+    Within a replicate the tensor cells are grouped by plan size, and each
+    group is solved as one batch; batches never span replicates. When
+    `timed`, a cell's wall time is its plan draw plus an equal share of its
+    group's batched solve; otherwise it is NaN.
+    """
+    clock = time.perf_counter if timed else lambda: math.nan
+    groups = {}
+    for cell in cells:
+        if not cell.matrix:
+            groups.setdefault(cell.draws, []).append(cell)
+    matrix_cells = [cell for cell in cells if cell.matrix]
+
+    def draw(state, cell, b):
+        dists = state.smls[1] if cell.matrix else state.dists
+        return draw_plan(dists[cell.kind], cell.draws, _rng(cfg.seed, cell.stream, b, *cell.index))
+
+    def worker(b: int):
+        state = base if base is not None else _prepare_state(cfg, _STREAM_DESIGN, b)
+        prob_b, ols_b = _replicate_problem(cfg, state, b)
+        out = {}
+        for group in groups.values():
+            plans, walls = [], []
+            for cell in group:
+                start = clock()
+                plans.append(draw(state, cell, b))
+                walls.append((clock() - start) * 1e3)
+            start = clock()
+            fits = _solve_sketches(prob_b, plans)
+            share = (clock() - start) * 1e3 / len(group)
+            for cell, fit, wall in zip(group, fits, walls):
+                est = None if isinstance(fit, SketchRankDeficient) else fit
+                out[(cell.label, cell.tau)] = (est, wall + share)
+        if matrix_cells:
+            a = state.smls[0]
+            rhs = unfold(prob_b.response)
+            for cell in matrix_cells:
+                start = clock()
+                try:
+                    est = _solve_matrix_subsample(a, rhs, draw(state, cell, b), cfg.p, cfg.l)
+                except SketchRankDeficient:
+                    est = None
+                wall = (clock() - start) * 1e3
+                out[(cell.label, cell.tau)] = (_fit_matrix(prob_b, est), wall)
+        return prob_b, ols_b, out
+
+    results = _map_replicates(worker, cfg.replicates)
+    return _aggregate(results, true_coefficients(cfg.p, cfg.l))
+
+
 def run_experiment(cfg: ExperimentConfig) -> list[MetricsRow]:
     """Run the replicate grid and aggregate one MetricsRow per (method, tau).
 
@@ -430,43 +501,20 @@ def run_experiment(cfg: ExperimentConfig) -> list[MetricsRow]:
     default) the mean_ms column is NaN and the whole report is a pure
     function of the config.
     """
+    cells = [
+        _Cell(method, tau, method, tau, _STREAM_PLAN, (mi, ti))
+        for mi, method in enumerate(cfg.methods)
+        for ti, tau in enumerate(cfg.taus)
+    ]
+    if cfg.smls != "off":
+        factor = cfg.l if cfg.smls == "l_times_tau" else 1
+        cells += [
+            _Cell(f"smls-{kind}", tau, kind, factor * tau, _STREAM_SMLS, (ki, ti), matrix=True)
+            for ki, kind in enumerate(sorted({m for m in cfg.methods if m in ("unif", "lev")}))
+            for ti, tau in enumerate(cfg.taus)
+        ]
     base = None if cfg.redraw_design else _prepare_state(cfg, _STREAM_DESIGN)
-
-    def worker(b: int):
-        state = _prepare_state(cfg, _STREAM_DESIGN, b) if cfg.redraw_design else base
-        prob_b, ols_b = _replicate_problem(cfg, state, b)
-        clock = time.perf_counter if cfg.timing else None
-        cells = {}
-        for mi, method in enumerate(cfg.methods):
-            for ti, tau in enumerate(cfg.taus):
-                start = clock() if clock else 0.0
-                plan = draw_plan(state.dists[method], tau, _rng(cfg.seed, _STREAM_PLAN, b, mi, ti))
-                try:
-                    est = _fit(solve_subsampled(prob_b, plan))
-                except SketchRankDeficient:
-                    est = None
-                wall = (clock() - start) * 1e3 if clock else float("nan")
-                cells[(method, tau)] = (est, wall)
-        if state.smls is not None:
-            a, mdists = state.smls
-            rhs = unfold(prob_b.response)
-            factor = cfg.l if cfg.smls == "l_times_tau" else 1
-            for ki, kind in enumerate(sorted(mdists)):
-                for ti, tau in enumerate(cfg.taus):
-                    start = clock() if clock else 0.0
-                    plan = draw_plan(
-                        mdists[kind], factor * tau, _rng(cfg.seed, _STREAM_SMLS, b, ki, ti)
-                    )
-                    try:
-                        est = _solve_matrix_subsample(a, rhs, plan, cfg.p, cfg.l)
-                    except SketchRankDeficient:
-                        est = None
-                    wall = (clock() - start) * 1e3 if clock else float("nan")
-                    cells[(f"smls-{kind}", tau)] = (_fit_matrix(prob_b, est), wall)
-        return prob_b, ols_b, cells
-
-    results = _map_replicates(worker, cfg.replicates)
-    return _aggregate(results, true_coefficients(cfg.p, cfg.l))
+    return _run_cells(cfg, base, cells, cfg.timing)
 
 
 def _prepare_state(cfg: ExperimentConfig, stream, *key) -> _ReplicateState:
@@ -512,39 +560,16 @@ def run_mls_comparison(cfg: ExperimentConfig) -> list[MetricsRow]:
     kinds = [m for m in cfg.methods if m in ("unif", "lev")]
     if not kinds:
         raise ConfigError("the matrix comparison needs unif or lev among the methods")
+    cells = []
+    for ki, kind in enumerate(kinds):
+        for ti, tau in enumerate(cfg.taus):
+            cells += [
+                _Cell(f"stls-{kind}", tau, kind, tau, _STREAM_PLAN, (ki, ti)),
+                _Cell(f"smls-{kind}-tau", tau, kind, tau, _STREAM_SMLS, (ki, ti), True),
+                _Cell(f"smls-{kind}-ltau", tau, kind, cfg.l * tau, _STREAM_SMLS + 1, (ki, ti), True),
+            ]
     state = _prepare_state(replace(cfg, smls="same_tau", methods=tuple(kinds)), _STREAM_DESIGN)
-    a, mdists = state.smls
-
-    def worker(b: int):
-        prob_b, ols_b = _replicate_problem(cfg, state, b)
-        rhs = unfold(prob_b.response)
-        cells = {}
-        for ki, kind in enumerate(kinds):
-            for ti, tau in enumerate(cfg.taus):
-                start = time.perf_counter()
-                plan = draw_plan(state.dists[kind], tau, _rng(cfg.seed, _STREAM_PLAN, b, ki, ti))
-                try:
-                    est = _fit(solve_subsampled(prob_b, plan))
-                except SketchRankDeficient:
-                    est = None
-                wall = (time.perf_counter() - start) * 1e3
-                cells[(f"stls-{kind}", tau)] = (est, wall)
-                for label, m_tau, stream in (
-                    (f"smls-{kind}-tau", tau, _STREAM_SMLS),
-                    (f"smls-{kind}-ltau", cfg.l * tau, _STREAM_SMLS + 1),
-                ):
-                    start = time.perf_counter()
-                    plan = draw_plan(mdists[kind], m_tau, _rng(cfg.seed, stream, b, ki, ti))
-                    try:
-                        est = _solve_matrix_subsample(a, rhs, plan, cfg.p, cfg.l)
-                    except SketchRankDeficient:
-                        est = None
-                    wall = (time.perf_counter() - start) * 1e3
-                    cells[(label, tau)] = (_fit_matrix(prob_b, est), wall)
-        return prob_b, ols_b, cells
-
-    results = _map_replicates(worker, cfg.replicates)
-    return _aggregate(results, true_coefficients(cfg.p, cfg.l))
+    return _run_cells(cfg, state, cells, timed=True)
 
 
 def write_report(rows, path) -> None:

@@ -41,7 +41,7 @@ def validate_design(design):
     if n < p:
         raise DimensionMismatch(f"design must have n >= p, got {x.shape}")
     xhalf = _to_half(x)
-    _, _, s, vh = _qr_svd(xhalf, p)
+    _, _, s, vh = _qr_svd(_row_blocks(xhalf), p)
     tol = default_rank_tol((n, p), float(s.max(initial=0.0)))
     smallest = s[:, p - 1]
     if (smallest <= tol).any():
@@ -139,72 +139,145 @@ def objective(prob: TlsProblem, b) -> float:
     n, p, l = prob.shape
     if b.shape != (p, 1, l):
         raise DimensionMismatch(f"solution shape {b.shape}; expected ({p}, 1, {l})")
-    resid = prob.response_half - prob.design_half @ _to_half(b)
-    return float(_parseval_weights(l) @ _row_energy(resid).sum(axis=1)) / l
+    return float(_objectives(prob, b[None])[0])
 
 
-def _qr_svd(m, p):
-    """R-only QR of every slice of the stack `m`, then the SVD of R's leading p x p block.
+def _objectives(prob: TlsProblem, bs) -> np.ndarray:
+    """The objective of each solution in the batch `bs` (B, p, 1, l), from one matmul."""
+    l = prob.shape[2]
+    bhalf = np.fft.rfft(bs[:, :, 0, :], axis=-1).T  # (l//2 + 1, p, B)
+    resid = prob.response_half - prob.design_half @ bhalf
+    return _parseval_weights(l) @ _row_energy(resid.mT) / l
 
-    Returns (r, u, s, vh). The SVD acts on p x p triangles, so the tall
-    slices are factored once and normal equations are never formed.
+
+# Stacks taller than this many rows are factored a block of rows at a time.
+_QR_BLOCK_ROWS = 2048
+
+
+def _row_blocks(*stacks):
+    """Row blocks of the column-wise concatenation of `stacks`, _QR_BLOCK_ROWS rows each.
+
+    Only one block is gathered at a time, so the whole concatenation is
+    never held.
     """
-    r = np.linalg.qr(m, mode="r")
-    u, s, vh = np.linalg.svd(r[:, :p, :p])
+    for start in range(0, stacks[0].shape[-2], _QR_BLOCK_ROWS):
+        part = [s[..., start : start + _QR_BLOCK_ROWS, :] for s in stacks]
+        yield part[0] if len(part) == 1 else np.concatenate(part, axis=-1)
+
+
+def _qr_svd(blocks, p):
+    """R-only QR of a stack given as row blocks, then the SVD of R's leading p x p block.
+
+    Returns (r, u, s, vh). Each block is factored on its own and the
+    stacked R factors once more (TSQR), which gives the R of the whole
+    stack; a stack of one block is factored once. The SVD acts on p x p
+    triangles, so the tall slices are factored once and normal equations
+    are never formed.
+    """
+    rs = [np.linalg.qr(block, mode="r") for block in blocks]
+    r = rs[0] if len(rs) == 1 else np.linalg.qr(np.concatenate(rs, axis=-2), mode="r")
+    u, s, vh = np.linalg.svd(r[..., :p, :p])
     return r, u, s, vh
 
 
-def _solve_stack(prob: TlsProblem, m, method: str, plan=None) -> TlsSolution:
-    """Solve every slice of the weighted [A | y] stack `m` and transform back.
+def _solve_factored(prob: TlsProblem, factors, rows) -> list:
+    """Solve a batch of factored [A | y] stacks and transform the solutions back.
 
-    A slice whose singular values fall to lstsq's default cutoff
-    eps * max(rows, p) * s_max has lost rank: SketchRankDeficient names the
-    first such slice, 1-based.
+    `factors` is _qr_svd's (r, u, s, vh) with a leading batch axis, and
+    `rows[k]` is the number of rows stack k stands for. A slice whose
+    singular values fall to lstsq's default cutoff eps * max(rows, p) * s_max
+    has lost rank: that stack's entry is a SketchRankDeficient naming its
+    first such slice, 1-based. Every other entry is (b, objective), from one
+    inverse transform and one objective matmul for the whole batch.
     """
     n, p, l = prob.shape
-    r, u, s, vh = _qr_svd(m, p)
-    tol = np.finfo(np.float64).eps * max(m.shape[1], p) * s[:, 0]
-    short = s[:, p - 1] <= tol
-    if short.any():
-        k = int(np.argmax(short))
-        rank = int(np.count_nonzero(s[k] > tol[k]))
-        raise SketchRankDeficient(
-            f"sketched design has rank {rank} < {p} in DFT slice {k + 1} of {l}",
-            slice_index=k + 1,
+    r, u, s, vh = factors
+    tol = np.finfo(np.float64).eps * np.maximum(np.asarray(rows), p)[:, None] * s[..., 0]
+    short = s[..., p - 1] <= tol
+    fits = [None] * len(short)
+    ok = ~short.any(axis=1)
+    for k in np.flatnonzero(~ok):
+        j = int(np.argmax(short[k]))
+        rank = int(np.count_nonzero(s[k, j] > tol[k, j]))
+        fits[k] = SketchRankDeficient(
+            f"sketched design has rank {rank} < {p} in DFT slice {j + 1} of {l}",
+            slice_index=j + 1,
         )
-    bhalf = vh.conj().mT @ ((u.conj().mT @ r[:, :p, p:]) / s[:, :, None])
-    b = _from_half(bhalf, l)
-    return TlsSolution(b=b, objective=objective(prob, b), method=method, plan=plan)
+    if ok.any():
+        if not ok.all():
+            r, u, s, vh = r[ok], u[ok], s[ok], vh[ok]
+        bhalf = vh.conj().mT @ ((u.conj().mT @ r[..., :p, p:]) / s[..., None])
+        bs = _from_half(bhalf, l)
+        for k, b, f in zip(np.flatnonzero(ok), bs, _objectives(prob, bs)):
+            fits[k] = (b, float(f))
+    return fits
 
 
 def solve_ols(prob: TlsProblem) -> TlsSolution:
-    """Exact least-squares solution from one batched factorization of every slice."""
-    m = np.concatenate((prob.design_half, prob.response_half), axis=2)
-    return _solve_stack(prob, m, "ols")
+    """Exact least-squares solution from one batched factorization of every slice.
+
+    [X | y] is gathered and factored _QR_BLOCK_ROWS rows at a time.
+    """
+    n, p, l = prob.shape
+    r, u, s, vh = _qr_svd(_row_blocks(prob.design_half, prob.response_half), p)
+    (fit,) = _solve_factored(prob, (r[None], u[None], s[None], vh[None]), [n])
+    if isinstance(fit, SketchRankDeficient):
+        raise fit
+    return TlsSolution(b=fit[0], objective=fit[1], method="ols")
+
+
+def _solve_sketches(prob: TlsProblem, plans) -> list:
+    """Solve the sketches of several plans on one problem in one batch.
+
+    With-replacement draws enter the least-squares problem only through the
+    summed squared weight of each drawn row, so every plan is first
+    compressed to its unique rows, each scaled by the square root of that
+    sum: exact for any plan, also for a row drawn with different weights.
+    The compressed sketches are padded with zero rows (which leave R
+    unchanged) to a common height, stacked as (B, l//2 + 1, rows, p + 1) and
+    factored by one R-only QR and one batch of p x p SVDs. Returns one entry
+    per plan, as _solve_factored does; the rank cutoff counts a plan's tau
+    draws, not its unique rows.
+    """
+    n, p, l = prob.shape
+    taus = np.array([plan.tau for plan in plans])
+    if (taus < p).any():
+        raise ValueError(f"plan has tau={taus[taus < p][0]} < p={p}")
+    indices = np.concatenate([plan.indices for plan in plans])
+    if indices.min() < 0 or indices.max() >= n:
+        raise ValueError("plan indices fall outside the design's rows")
+    count = len(plans)
+    weights = np.concatenate([plan.weights for plan in plans])
+    keys = np.repeat(np.arange(count) * n, taus) + indices
+    energy = np.bincount(keys, weights=weights**2, minlength=count * n).reshape(count, n)
+    owner, rows = np.nonzero(energy)
+    unique = np.bincount(owner, minlength=count)
+    slot = np.arange(owner.size) - np.repeat(np.cumsum(unique) - unique, unique)
+    height = max(int(unique.max()), p)
+    picked = np.zeros((count, height), dtype=np.intp)
+    scale = np.zeros((count, height))
+    picked[owner, slot] = rows
+    scale[owner, slot] = np.sqrt(energy[owner, rows])
+    m = np.empty((l // 2 + 1, count, height, p + 1), dtype=np.complex128)
+    m[..., :p] = np.take(prob.design_half, picked, axis=1)
+    m[..., p:] = np.take(prob.response_half, picked, axis=1)
+    m *= scale[:, :, None]
+    return _solve_factored(prob, _qr_svd(_row_blocks(m.swapaxes(0, 1)), p), taus)
 
 
 def solve_subsampled(prob: TlsProblem, plan: SamplingPlan) -> TlsSolution:
     """Weighted least squares on the rows named by `plan`.
 
     Row t of the sketch is row plan.indices[t] of the data scaled by
-    plan.weights[t]. The slices are solved from an R-only QR of the sketched
-    [A | y] stack and an SVD of each triangle rather than explicit normal
-    equations; forming the inverse would square the slice condition numbers.
+    plan.weights[t]. The plan is solved as a batch of one by
+    _solve_sketches: from an R-only QR of its compressed [A | y] stack and
+    an SVD of each triangle rather than explicit normal equations; forming
+    the inverse would square the slice condition numbers.
     """
-    n, p, l = prob.shape
-    if plan.tau < p:
-        raise ValueError(f"plan has tau={plan.tau} < p={p}")
-    if plan.indices.min() < 0 or plan.indices.max() >= n:
-        raise ValueError("plan indices fall outside the design's rows")
-    m = np.concatenate(
-        (
-            np.take(prob.design_half, plan.indices, axis=1),
-            np.take(prob.response_half, plan.indices, axis=1),
-        ),
-        axis=2,
-    )
-    m *= plan.weights[:, None]
-    return _solve_stack(prob, m, "subsampled", plan)
+    (fit,) = _solve_sketches(prob, [plan])
+    if isinstance(fit, SketchRankDeficient):
+        raise fit
+    return TlsSolution(b=fit[0], objective=fit[1], method="subsampled", plan=plan)
 
 
 def tau_lower_bound(p: int, l: int, beta: float, eps: float) -> int:

@@ -76,18 +76,25 @@ def _row_energy(stack) -> np.ndarray:
 def _from_half(blocks, l: int) -> np.ndarray:
     """Inverse of _to_half: a real (n, p, l) tensor from its (l//2 + 1, n, p) slice stack.
 
-    The inverse real DFT drops the imaginary part of the self-conjugate
-    slices, so that part is checked first: ImaginaryResidue is raised when
-    what would be discarded exceeds IMAG_RESIDUE_TOL relative to the result.
+    A batch of half stacks (..., l//2 + 1, n, p) gives a batch of tensors
+    (..., n, p, l) from one inverse transform. The inverse real DFT drops the
+    imaginary part of the self-conjugate slices, so that part is checked
+    first, for each tensor of a batch on its own: ImaginaryResidue is raised
+    when what would be discarded exceeds IMAG_RESIDUE_TOL relative to that
+    tensor.
     """
-    spectrum = np.moveaxis(blocks, 0, 2)
-    spatial = np.ascontiguousarray(np.fft.irfft(spectrum, n=l, axis=2))
-    own = spectrum[:, :, [0, -1] if l % 2 == 0 else [0]]
-    residue = float(np.abs(own.imag).max(initial=0.0)) / l
-    scale = max(1.0, float(np.abs(spatial).max(initial=0.0)))
-    if residue > IMAG_RESIDUE_TOL * scale:
+    spectrum = np.moveaxis(blocks, -3, -1)
+    spatial = np.ascontiguousarray(np.fft.irfft(spectrum, n=l, axis=-1))
+    own = spectrum[..., [0, -1] if l % 2 == 0 else [0]]
+    axes = (-3, -2, -1)
+    residue = np.abs(own.imag).max(axis=axes, initial=0.0) / l
+    scale = np.maximum(1.0, np.abs(spatial).max(axis=axes, initial=0.0))
+    over = residue > IMAG_RESIDUE_TOL * scale
+    if over.any():
+        k = int(np.argmax(over))
         raise ImaginaryResidue(
-            f"imaginary residue {residue:.3e} exceeds {IMAG_RESIDUE_TOL:.0e} * {scale:.3e}"
+            f"imaginary residue {residue.flat[k]:.3e} exceeds "
+            f"{IMAG_RESIDUE_TOL:.0e} * {scale.flat[k]:.3e}"
         )
     return spatial
 

@@ -1,9 +1,14 @@
 """Data generators, metric definitions, harness determinism, and report I/O."""
 
+import math
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
 import tlsq
+from tlsq import experiments
+from tlsq.errors import SketchRankDeficient
 from tlsq.experiments import (
     ConfigError,
     ExperimentConfig,
@@ -200,6 +205,106 @@ class TestRunExperiment:
         for row in run_experiment(cfg):
             assert abs(row.smse - (row.ssb + row.sv)) <= 1e-8 * max(1.0, row.smse)
             assert min(row.smrfv, row.smre, row.ssb, row.sv, row.smse) >= 0.0
+
+
+def per_cell_loop(cfg, compare=False):
+    """Reference reports from one solve_subsampled call per cell, on the same stream keys.
+
+    Replicate b draws the plan of tensor cell (i, j) from (seed, plan stream,
+    b, i, j), i indexing the methods (the unif/lev kinds in compare mode)
+    and j the taus; matrix cells use the baseline streams.
+    """
+    ex = experiments
+    kinds = [m for m in cfg.methods if m in ("unif", "lev")]
+    if compare:
+        base = ex._prepare_state(replace(cfg, smls="same_tau", methods=tuple(kinds)),
+                                 ex._STREAM_DESIGN)
+    else:
+        base = None if cfg.redraw_design else ex._prepare_state(cfg, ex._STREAM_DESIGN)
+
+    def replicate(b):
+        state = base if base is not None else ex._prepare_state(cfg, ex._STREAM_DESIGN, b)
+        prob_b, ols_b = ex._replicate_problem(cfg, state, b)
+        rhs = tlsq.unfold(prob_b.response)
+        cells = {}
+
+        def tensor_cell(label, tau, kind, index):
+            plan = tlsq.draw_plan(state.dists[kind], tau,
+                                  ex._rng(cfg.seed, ex._STREAM_PLAN, b, *index))
+            try:
+                sol = tlsq.solve_subsampled(prob_b, plan)
+                cells[(label, tau)] = ((sol.b, sol.objective), math.nan)
+            except SketchRankDeficient:
+                cells[(label, tau)] = (None, math.nan)
+
+        def matrix_cell(label, tau, kind, draws, stream, index):
+            plan = tlsq.draw_plan(state.smls[1][kind], draws, ex._rng(cfg.seed, stream, b, *index))
+            try:
+                est = ex._solve_matrix_subsample(state.smls[0], rhs, plan, cfg.p, cfg.l)
+            except SketchRankDeficient:
+                est = None
+            cells[(label, tau)] = (ex._fit_matrix(prob_b, est), math.nan)
+
+        for i, method in enumerate(kinds if compare else cfg.methods):
+            for j, tau in enumerate(cfg.taus):
+                if compare:
+                    tensor_cell(f"stls-{method}", tau, method, (i, j))
+                    matrix_cell(f"smls-{method}-tau", tau, method, tau, ex._STREAM_SMLS, (i, j))
+                    matrix_cell(f"smls-{method}-ltau", tau, method, cfg.l * tau,
+                                ex._STREAM_SMLS + 1, (i, j))
+                else:
+                    tensor_cell(method, tau, method, (i, j))
+        if not compare and state.smls is not None:
+            factor = cfg.l if cfg.smls == "l_times_tau" else 1
+            for i, kind in enumerate(sorted(state.smls[1])):
+                for j, tau in enumerate(cfg.taus):
+                    matrix_cell(f"smls-{kind}", tau, kind, factor * tau, ex._STREAM_SMLS, (i, j))
+        return prob_b, ols_b, cells
+
+    results = [replicate(b) for b in range(cfg.replicates)]
+    return ex._aggregate(results, true_coefficients(cfg.p, cfg.l))
+
+
+def assert_reports_match(rows, expected, rtol=1e-12):
+    assert [(r.method, r.tau) for r in rows] == [(r.method, r.tau) for r in expected]
+    for got, want in zip(rows, expected):
+        assert (got.replicates, got.failures) == (want.replicates, want.failures), got.method
+        for name in ("smrfv", "smre", "ssb", "sv", "smse"):
+            a, b = getattr(got, name), getattr(want, name)
+            assert (math.isnan(a) and math.isnan(b)) or abs(a - b) <= rtol * abs(b), (
+                got.method, got.tau, name, a, b)
+
+
+class TestBatchedReplicateLoop:
+    """Batched solves report what one solve_subsampled call per cell reports."""
+
+    @pytest.mark.parametrize(
+        "overrides",
+        [
+            dict(mode="unconditional"),
+            dict(mode="conditional"),
+            dict(mode="unconditional", smls="same_tau", design="mn"),
+            dict(mode="conditional", smls="l_times_tau", redraw_design=True),
+        ],
+    )
+    def test_experiment_matches_per_cell_loop(self, overrides):
+        cfg = ExperimentConfig(**{**dict(seed=31, n=150, p=4, l=3, design="t3", replicates=6,
+                                         taus=(8, 30), methods=("unif", "lev", "slev", "opt")),
+                                  **overrides})
+        assert_reports_match(run_experiment(cfg), per_cell_loop(cfg))
+
+    @pytest.mark.parametrize("mode", ["unconditional", "conditional"])
+    def test_comparison_matches_per_cell_loop(self, mode):
+        cfg = ExperimentConfig(seed=32, n=100, p=4, l=4, design="mn", replicates=5,
+                               taus=(12, 25), methods=("lev", "unif"), mode=mode)
+        assert_reports_match(run_mls_comparison(cfg), per_cell_loop(cfg, compare=True))
+
+    def test_starved_config_counts_the_same_failures(self):
+        cfg = ExperimentConfig(seed=33, n=12, p=10, l=2, design="mn", replicates=10,
+                               taus=(10,), smls="same_tau")
+        rows = run_experiment(cfg)
+        assert_reports_match(rows, per_cell_loop(cfg))
+        assert sum(r.failures for r in rows) > 0
 
 
 class TestSmlsBaseline:

@@ -6,7 +6,9 @@ from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 import tlsq
+from tlsq import solver
 from tlsq.errors import DimensionMismatch, RankDeficient, SketchRankDeficient
+from tlsq.tensor import _to_half
 
 
 def rand(shape, seed):
@@ -292,6 +294,121 @@ class TestEdgeShapesAgainstOracle:
         expected = float(((tlsq.bcirc(x) @ tlsq.unfold(b) - tlsq.unfold(y)) ** 2).sum())
         got = tlsq.objective(tlsq.TlsProblem(x, y), b)
         assert abs(got - expected) <= 1e-10 * max(1.0, expected)
+
+
+def uncompressed_short_slice(x, plan):
+    """First rank-deficient DFT slice of the uncompressed sketch, 1-based, or None.
+
+    Slice k counts as short when its p-th singular value is at most
+    eps * max(tau, p) * its largest, the rule solve_subsampled applies.
+    """
+    p = x.shape[1]
+    s = np.linalg.svd(_to_half(x[plan.indices] * plan.weights[:, None, None]), compute_uv=False)
+    if s.shape[1] < p:
+        return 1
+    short = s[:, p - 1] <= np.finfo(np.float64).eps * max(plan.tau, p) * s[:, 0]
+    return int(np.argmax(short)) + 1 if short.any() else None
+
+
+def repeated_plan(rng, n, unique, repeats):
+    """A plan over `unique` distinct rows, `repeats` of them drawn again, each draw its own weight."""
+    rows = rng.permutation(n)[:unique]
+    indices = rng.permutation(np.concatenate([rows, rng.choice(rows, repeats)]))
+    return tlsq.SamplingPlan(
+        tau=indices.size, indices=indices, weights=rng.uniform(0.5, 2.0, indices.size)
+    )
+
+
+class TestDuplicateCompression:
+    """A plan is solved on its unique rows, each scaled by its summed squared weight."""
+
+    @settings(max_examples=60, deadline=None)
+    @given(**edge_shapes, repeats=st.integers(1, 8))
+    @example(p=3, extra_rows=2, l=1, seed=8, repeats=4)
+    @example(p=2, extra_rows=1, l=2, seed=9, repeats=3)
+    @example(p=3, extra_rows=4, l=5, seed=10, repeats=6)
+    @example(p=4, extra_rows=3, l=6, seed=11, repeats=8)
+    def test_repeated_draws_match_oracle(self, p, extra_rows, l, seed, repeats):
+        n = p + extra_rows
+        rng = np.random.default_rng(seed)
+        x = rng.standard_normal((n, p, l))
+        y = rng.standard_normal((n, 1, l))
+        plan = repeated_plan(rng, n, p + int(rng.integers(0, extra_rows + 1)), repeats)
+        w = plan.weights[:, None, None]
+        dense, kappa = flattened_lstsq(x[plan.indices] * w, y[plan.indices] * w)
+        assume(kappa < 1e3)
+        sol = tlsq.solve_subsampled(tlsq.TlsProblem(x, y), plan)
+        assert np.abs(sol.b - dense).max() <= 1e-9 * max(1.0, np.abs(dense).max())
+
+    @pytest.mark.parametrize("l", [1, 2, 5, 6])
+    def test_fewer_than_p_unique_rows_fails_like_uncompressed(self, l):
+        rng = np.random.default_rng(50 + l)
+        prob = make_problem(n=30, p=4, l=l, seed=l)
+        plan = repeated_plan(rng, 30, 3, 9)
+        expected = uncompressed_short_slice(prob.design, plan)
+        assert expected is not None
+        with pytest.raises(SketchRankDeficient) as err:
+            tlsq.solve_subsampled(prob, plan)
+        assert err.value.slice_index == expected
+
+    def test_repeated_constant_tubes_fail_in_second_slice(self):
+        x = rand((20, 2, 3), 40)
+        x[:5] = rand((5, 2, 1), 41)
+        prob = tlsq.TlsProblem(x, rand((20, 1, 3), 42))
+        indices = np.array([0, 1, 2, 3, 4, 0, 2, 2])
+        plan = tlsq.SamplingPlan(tau=8, indices=indices, weights=np.linspace(0.5, 2.0, 8))
+        assert uncompressed_short_slice(x, plan) == 2
+        with pytest.raises(SketchRankDeficient) as err:
+            tlsq.solve_subsampled(prob, plan)
+        assert err.value.slice_index == 2
+
+    def test_batch_matches_single_solves(self):
+        rng = np.random.default_rng(60)
+        prob = make_problem(n=40, p=3, l=4, seed=61)
+        plans = [repeated_plan(rng, 40, u, r) for u, r in ((20, 5), (3, 12), (2, 13), (9, 6))]
+        fits = solver._solve_sketches(prob, plans)
+        for plan, fit in zip(plans, fits):
+            try:
+                single = tlsq.solve_subsampled(prob, plan)
+            except SketchRankDeficient as err:
+                assert isinstance(fit, SketchRankDeficient)
+                assert fit.slice_index == err.slice_index and str(fit) == str(err)
+                continue
+            b, obj = fit
+            assert np.abs(b - single.b).max() <= 1e-12 * max(1.0, np.abs(single.b).max())
+            assert abs(obj - single.objective) <= 1e-12 * single.objective
+        assert isinstance(fits[2], SketchRankDeficient)
+        assert not isinstance(fits[0], SketchRankDeficient)
+
+
+class TestBlockedQr:
+    """Stacks taller than _QR_BLOCK_ROWS are factored block by block (TSQR)."""
+
+    @pytest.mark.parametrize("block", [1, 4, 9, 16])
+    def test_multi_block_matches_one_shot(self, monkeypatch, block):
+        x, y = rand((37, 3, 5), 70), rand((37, 1, 5), 71)
+        one_prob = tlsq.TlsProblem(x, y)
+        one = tlsq.solve_ols(one_prob)
+        m = np.concatenate((one_prob.design_half, one_prob.response_half), axis=2)
+        r_one = solver._qr_svd([m], 3)[0]
+        monkeypatch.setattr(solver, "_QR_BLOCK_ROWS", block)
+        prob = tlsq.TlsProblem(x, y)
+        r = solver._qr_svd(solver._row_blocks(prob.design_half, prob.response_half), 3)[0]
+        gram_one = r_one.conj().mT @ r_one
+        assert np.abs(r.conj().mT @ r - gram_one).max() <= 1e-13 * np.abs(gram_one).max()
+        assert np.abs(prob.gram_factors @ prob.gram_factors.conj().mT
+                      - one_prob.gram_factors @ one_prob.gram_factors.conj().mT).max() <= 1e-12
+        blocked = tlsq.solve_ols(prob)
+        assert np.abs(blocked.b - one.b).max() <= 1e-12 * max(1.0, np.abs(one.b).max())
+        assert abs(blocked.objective - one.objective) <= 1e-12 * one.objective
+        full = tlsq.solve_subsampled(prob, tlsq.all_rows_plan(37))
+        assert np.abs(full.b - one.b).max() <= 1e-12 * max(1.0, np.abs(one.b).max())
+
+    def test_blocked_validation_finds_rank_deficient_slice(self, monkeypatch):
+        monkeypatch.setattr(solver, "_QR_BLOCK_ROWS", 3)
+        x = np.repeat(rand((8, 2, 1), 4), 3, axis=2)
+        with pytest.raises(RankDeficient, match="slice"):
+            tlsq.TlsProblem(x, rand((8, 1, 3), 5))
 
 
 class TestTauLowerBound:
