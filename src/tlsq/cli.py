@@ -93,7 +93,13 @@ def _build_parser() -> _Parser:
     sp.add_argument("--method", required=True, choices=METHODS)
     sp.add_argument("--alpha", type=float, default=0.9)
     sp.add_argument("--tau", type=int, required=True)
-    sp.add_argument("--sigma2", type=float, required=True, help="model noise variance")
+    sp.add_argument(
+        "--sigma2",
+        type=float,
+        required=True,
+        help="noise variance of one tube, E[e * e^T] = sigma2 I; "
+        "for i.i.d. N(0, s2) entries pass l * s2",
+    )
     sp.set_defaults(func=_cmd_variance)
 
     sp = sub.add_parser("experiment", help="run a replicated benchmark")

@@ -33,9 +33,9 @@ from .sampling import (
     shrinked_leverage_probs,
     uniform_probs,
 )
-from .solver import TlsProblem, TlsSolution, _solve_sketches, objective, solve_ols
-from .solver import validate_design
-from .tensor import as_tensor, bcirc, fold, t_product, unfold
+from .solver import TlsProblem, TlsSolution, _fit_responses, _solve_sketches, objective
+from .solver import solve_ols, validate_design
+from .tensor import _from_half, _to_half, as_tensor, bcirc, fold, t_product, unfold
 
 DESIGN_KINDS = ("mn", "t3", "t1")
 METHOD_KINDS = ("unif", "lev", "slev", "opt")
@@ -60,6 +60,12 @@ _STREAM_DESIGN = 0
 _STREAM_RESPONSE = 1
 _STREAM_PLAN = 2
 _STREAM_SMLS = 3
+
+# Replicate responses on one design are fitted this many at a time by one
+# factorization of [X | Y]. The chunk bounds that stack: on the t1 replicate
+# grid (25 replicates) one stack of all responses raised the peak RSS by 8%,
+# chunks of 8 by 2%.
+_RESPONSE_CHUNK = 8
 
 _EPS = np.finfo(np.float64).eps
 # An exact solution whose objective is at most this multiple of
@@ -183,15 +189,19 @@ def true_coefficients(p: int, l: int) -> np.ndarray:
 def gen_response(x, seed, sigma2: float = 9.0) -> tuple[np.ndarray, np.ndarray]:
     """Response under the linear model: Y = X * B0 + noise, noise i.i.d. N(0, sigma2)."""
     x = as_tensor(x, "design")
-    n, p, l = x.shape
+    _, p, l = x.shape
     if sigma2 < 0:
         raise ValueError("sigma2 must be nonnegative")
     b0 = true_coefficients(p, l)
-    signal = t_product(x, b0)
+    return _add_noise(t_product(x, b0), seed, sigma2), b0
+
+
+def _add_noise(signal, seed, sigma2: float) -> np.ndarray:
+    """`signal` plus i.i.d. N(0, sigma2) entries drawn from `seed`; `signal` itself at sigma2 = 0."""
     if sigma2 == 0:
-        return signal, b0
+        return signal
     rng = np.random.default_rng(seed)
-    return signal + rng.normal(0.0, math.sqrt(sigma2), size=(n, 1, l)), b0
+    return signal + rng.normal(0.0, math.sqrt(sigma2), size=signal.shape)
 
 
 def _as_list(value, count, what):
@@ -356,7 +366,7 @@ def _map_replicates(worker, replicates: int):
 @dataclass
 class _ReplicateState:
     prob: TlsProblem
-    ols: tuple  # (b, objective) of the exact solution
+    ols: tuple | None  # (b, objective) of the exact solution; conditional mode only
     dists: dict
     smls: tuple | None  # (a, {kind: dist}) when the baseline is on
 
@@ -440,8 +450,9 @@ def _run_cells(cfg: ExperimentConfig, base, cells, timed: bool) -> list[MetricsR
     """Run every cell in every replicate and aggregate one MetricsRow per cell.
 
     `base` is the shared design state, or None to draw one per replicate.
-    Within a replicate the tensor cells are grouped by plan size, and each
-    group is solved as one batch; batches never span replicates. When
+    On a shared design every replicate's response is fitted before the pool
+    starts. Within a replicate the tensor cells are grouped by plan size,
+    and each group is solved as one batch; batches never span replicates. When
     `timed`, a cell's wall time is its plan draw plus an equal share of its
     group's batched solve; otherwise it is NaN.
     """
@@ -456,9 +467,11 @@ def _run_cells(cfg: ExperimentConfig, base, cells, timed: bool) -> list[MetricsR
         dists = state.smls[1] if cell.matrix else state.dists
         return draw_plan(dists[cell.kind], cell.draws, _rng(cfg.seed, cell.stream, b, *cell.index))
 
+    fitted = None if base is None else _replicate_problems(cfg, base, range(cfg.replicates))
+
     def worker(b: int):
         state = base if base is not None else _prepare_state(cfg, _STREAM_DESIGN, b)
-        prob_b, ols_b = _replicate_problem(cfg, state, b)
+        prob_b, ols_b = fitted[b] if fitted is not None else _replicate_problems(cfg, state, [b])[0]
         out = {}
         for group in groups.values():
             plans, walls = [], []
@@ -528,16 +541,35 @@ def _prepare_state(cfg: ExperimentConfig, stream, *key) -> _ReplicateState:
         if kinds:
             a = bcirc(x)
             smls = (a, {k: _matrix_distribution(a, k) for k in kinds})
-    return _ReplicateState(prob=prob, ols=_fit(solve_ols(prob)), dists=dists, smls=smls)
+    ols = _fit(solve_ols(prob)) if cfg.mode == "conditional" else None
+    return _ReplicateState(prob=prob, ols=ols, dists=dists, smls=smls)
 
 
-def _replicate_problem(cfg: ExperimentConfig, state: _ReplicateState, b: int):
-    """Replicate b's problem and exact (b, objective): a fresh response unless conditional."""
+def _replicate_problems(cfg: ExperimentConfig, state: _ReplicateState, replicates) -> list:
+    """(problem, exact (b, objective)) of each listed replicate on the state's design.
+
+    Conditional mode shares the state's response. Otherwise replicate b's
+    response is the signal X * B0, formed once from the design's half stack,
+    plus noise from stream (seed, response, b): bit-identical to
+    gen_response's. The responses are fitted by one factorization per
+    _RESPONSE_CHUNK replicates, from a stack of their half stacks that no
+    problem keeps.
+    """
     if cfg.mode == "conditional":
-        return state.prob, state.ols
-    y, _ = gen_response(state.prob.design, _rng(cfg.seed, _STREAM_RESPONSE, b), cfg.sigma2)
-    prob_b = state.prob.with_response(y)
-    return prob_b, _fit(solve_ols(prob_b))
+        return [(state.prob, state.ols)] * len(replicates)
+    prob = state.prob
+    _, p, l = prob.shape
+    signal = _from_half(prob.design_half @ _to_half(true_coefficients(p, l)), l)
+    out = []
+    for start in range(0, len(replicates), _RESPONSE_CHUNK):
+        probs = [
+            prob.with_response(_add_noise(signal, _rng(cfg.seed, _STREAM_RESPONSE, b), cfg.sigma2))
+            for b in replicates[start : start + _RESPONSE_CHUNK]
+        ]
+        yhalf = np.concatenate([pb.response_half for pb in probs], axis=2)
+        bs, objectives = _fit_responses(prob.design_half, yhalf, l)
+        out += [(pb, (coef, float(f))) for pb, coef, f in zip(probs, bs, objectives)]
+    return out
 
 
 def _fit(sol: TlsSolution) -> tuple:

@@ -41,7 +41,7 @@ def validate_design(design):
     if n < p:
         raise DimensionMismatch(f"design must have n >= p, got {x.shape}")
     xhalf = _to_half(x)
-    _, _, s, vh = _qr_svd(_row_blocks(xhalf), p)
+    _, s, vh = _qr_svd(_row_blocks(xhalf), p)
     tol = default_rank_tol((n, p), float(s.max(initial=0.0)))
     smallest = s[:, p - 1]
     if (smallest <= tol).any():
@@ -139,14 +139,18 @@ def objective(prob: TlsProblem, b) -> float:
     n, p, l = prob.shape
     if b.shape != (p, 1, l):
         raise DimensionMismatch(f"solution shape {b.shape}; expected ({p}, 1, {l})")
-    return float(_objectives(prob, b[None])[0])
+    return float(_objectives(prob.design_half, prob.response_half, b[None])[0])
 
 
-def _objectives(prob: TlsProblem, bs) -> np.ndarray:
-    """The objective of each solution in the batch `bs` (B, p, 1, l), from one matmul."""
-    l = prob.shape[2]
+def _objectives(xhalf, yhalf, bs) -> np.ndarray:
+    """The objective of each solution in the batch `bs` (B, p, 1, l), from one matmul.
+
+    `yhalf` is one response's half stack (l//2 + 1, n, 1), shared by the
+    batch, or one response per solution as the columns of (l//2 + 1, n, B).
+    """
+    l = bs.shape[-1]
     bhalf = np.fft.rfft(bs[:, :, 0, :], axis=-1).T  # (l//2 + 1, p, B)
-    resid = prob.response_half - prob.design_half @ bhalf
+    resid = yhalf - xhalf @ bhalf
     return _parseval_weights(l) @ _row_energy(resid.mT) / l
 
 
@@ -165,37 +169,40 @@ def _row_blocks(*stacks):
         yield part[0] if len(part) == 1 else np.concatenate(part, axis=-1)
 
 
-def _qr_svd(blocks, p):
+def _qr_svd(blocks, p, compute_uv=True):
     """R-only QR of a stack given as row blocks, then the SVD of R's leading p x p block.
 
-    Returns (r, u, s, vh). Each block is factored on its own and the
-    stacked R factors once more (TSQR), which gives the R of the whole
-    stack; a stack of one block is factored once. The SVD acts on p x p
-    triangles, so the tall slices are factored once and normal equations
-    are never formed.
+    Returns (r, s, vh), or (r, s) without `compute_uv`. Each block is
+    factored on its own and the stacked R factors once more (TSQR), which
+    gives the R of the whole stack; a stack of one block is factored once.
+    The SVD acts on p x p triangles, so the tall slices are factored once
+    and normal equations are never formed.
     """
     rs = [np.linalg.qr(block, mode="r") for block in blocks]
     r = rs[0] if len(rs) == 1 else np.linalg.qr(np.concatenate(rs, axis=-2), mode="r")
-    u, s, vh = np.linalg.svd(r[..., :p, :p])
-    return r, u, s, vh
+    if not compute_uv:
+        return r, np.linalg.svd(r[..., :p, :p], compute_uv=False)
+    _, s, vh = np.linalg.svd(r[..., :p, :p])
+    return r, s, vh
 
 
-def _solve_factored(prob: TlsProblem, factors, rows) -> list:
-    """Solve a batch of factored [A | y] stacks and transform the solutions back.
+def _solve_factored(r, s, rows, l: int):
+    """Rank-check a batch of factored [A | Y] stacks and solve the well-posed ones.
 
-    `factors` is _qr_svd's (r, u, s, vh) with a leading batch axis, and
-    `rows[k]` is the number of rows stack k stands for. A slice whose
-    singular values fall to lstsq's default cutoff eps * max(rows, p) * s_max
-    has lost rank: that stack's entry is a SketchRankDeficient naming its
-    first such slice, 1-based. Every other entry is (b, objective), from one
-    inverse transform and one objective matmul for the whole batch.
+    `r` (B, l//2 + 1, m, p + k) holds the R factors and `s` the singular
+    values of their leading p x p triangles; `rows[j]` is the number of rows
+    stack j stands for. A slice whose singular values fall to lstsq's
+    default cutoff eps * max(rows, p) * s_max has lost rank. Returns (ok,
+    bhalf, fits): `ok` masks the stacks of full rank, `bhalf` holds their
+    half-spectrum solutions R11^-1 R12, (count(ok), l//2 + 1, p, k), and
+    `fits` has one entry per stack, a SketchRankDeficient naming the first
+    short slice (1-based) of a stack that lost rank and None otherwise.
     """
-    n, p, l = prob.shape
-    r, u, s, vh = factors
+    p = s.shape[-1]
     tol = np.finfo(np.float64).eps * np.maximum(np.asarray(rows), p)[:, None] * s[..., 0]
     short = s[..., p - 1] <= tol
-    fits = [None] * len(short)
     ok = ~short.any(axis=1)
+    fits = [None] * len(ok)
     for k in np.flatnonzero(~ok):
         j = int(np.argmax(short[k]))
         rank = int(np.count_nonzero(s[k, j] > tol[k, j]))
@@ -203,27 +210,35 @@ def _solve_factored(prob: TlsProblem, factors, rows) -> list:
             f"sketched design has rank {rank} < {p} in DFT slice {j + 1} of {l}",
             slice_index=j + 1,
         )
-    if ok.any():
-        if not ok.all():
-            r, u, s, vh = r[ok], u[ok], s[ok], vh[ok]
-        bhalf = vh.conj().mT @ ((u.conj().mT @ r[..., :p, p:]) / s[..., None])
-        bs = _from_half(bhalf, l)
-        for k, b, f in zip(np.flatnonzero(ok), bs, _objectives(prob, bs)):
-            fits[k] = (b, float(f))
-    return fits
+    if not ok.all():
+        r = r[ok]
+    # R11 is upper triangular, so LU with partial pivoting swaps no rows and
+    # this is a back substitution.
+    return ok, np.linalg.solve(r[..., :p, :p], r[..., :p, p:]), fits
+
+
+def _fit_responses(xhalf, yhalf, l: int):
+    """Exact least-squares fits of several responses on one design, from one factorization.
+
+    `yhalf` holds the responses' half stacks as columns, (l//2 + 1, n, k).
+    One R-only QR of [X | Y_1 ... Y_k], gathered _QR_BLOCK_ROWS rows at a
+    time, gives every column's solution R11^-1 R12[:, j]. Returns the
+    solutions (k, p, 1, l) and their objectives (k,). Raises
+    SketchRankDeficient when a slice of the design is short of rank p.
+    """
+    n, p = xhalf.shape[1:]
+    r, s = _qr_svd(_row_blocks(xhalf, yhalf), p, compute_uv=False)
+    ok, bhalf, fits = _solve_factored(r[None], s[None], [n], l)
+    if not ok[0]:
+        raise fits[0]
+    bs = _from_half(np.moveaxis(bhalf[0], -1, 0)[..., None], l)
+    return bs, _objectives(xhalf, yhalf, bs)
 
 
 def solve_ols(prob: TlsProblem) -> TlsSolution:
-    """Exact least-squares solution from one batched factorization of every slice.
-
-    [X | y] is gathered and factored _QR_BLOCK_ROWS rows at a time.
-    """
-    n, p, l = prob.shape
-    r, u, s, vh = _qr_svd(_row_blocks(prob.design_half, prob.response_half), p)
-    (fit,) = _solve_factored(prob, (r[None], u[None], s[None], vh[None]), [n])
-    if isinstance(fit, SketchRankDeficient):
-        raise fit
-    return TlsSolution(b=fit[0], objective=fit[1], method="ols")
+    """Exact least-squares solution: a batch of one response through _fit_responses."""
+    bs, objectives = _fit_responses(prob.design_half, prob.response_half, prob.shape[2])
+    return TlsSolution(b=bs[0], objective=float(objectives[0]), method="ols")
 
 
 def _solve_sketches(prob: TlsProblem, plans) -> list:
@@ -235,9 +250,13 @@ def _solve_sketches(prob: TlsProblem, plans) -> list:
     sum: exact for any plan, also for a row drawn with different weights.
     The compressed sketches are padded with zero rows (which leave R
     unchanged) to a common height, stacked as (B, l//2 + 1, rows, p + 1) and
-    factored by one R-only QR and one batch of p x p SVDs. Returns one entry
-    per plan, as _solve_factored does; the rank cutoff counts a plan's tau
-    draws, not its unique rows.
+    factored by one R-only QR; one batch of p x p singular values checks the
+    rank and one batch of triangular solves gives the solutions. Returns one
+    entry per plan: (b, objective), or the plan's SketchRankDeficient from
+    _solve_factored; the rank cutoff counts a plan's tau draws, not its
+    unique rows. The batch is not split into plans of similar height: that
+    halves the padded rows on the heavy-tailed replicate grid but more than
+    doubles the factorization calls, and measured slower there.
     """
     n, p, l = prob.shape
     taus = np.array([plan.tau for plan in plans])
@@ -262,7 +281,13 @@ def _solve_sketches(prob: TlsProblem, plans) -> list:
     m[..., :p] = np.take(prob.design_half, picked, axis=1)
     m[..., p:] = np.take(prob.response_half, picked, axis=1)
     m *= scale[:, :, None]
-    return _solve_factored(prob, _qr_svd(_row_blocks(m.swapaxes(0, 1)), p), taus)
+    r, s = _qr_svd(_row_blocks(m.swapaxes(0, 1)), p, compute_uv=False)
+    ok, bhalf, fits = _solve_factored(r, s, taus, l)
+    bs = _from_half(bhalf, l)
+    objectives = _objectives(prob.design_half, prob.response_half, bs)
+    for k, b, f in zip(np.flatnonzero(ok), bs, objectives):
+        fits[k] = (b, float(f))
+    return fits
 
 
 def solve_subsampled(prob: TlsProblem, plan: SamplingPlan) -> TlsSolution:
@@ -271,8 +296,8 @@ def solve_subsampled(prob: TlsProblem, plan: SamplingPlan) -> TlsSolution:
     Row t of the sketch is row plan.indices[t] of the data scaled by
     plan.weights[t]. The plan is solved as a batch of one by
     _solve_sketches: from an R-only QR of its compressed [A | y] stack and
-    an SVD of each triangle rather than explicit normal equations; forming
-    the inverse would square the slice condition numbers.
+    a solve with each triangle rather than explicit normal equations;
+    forming the inverse would square the slice condition numbers.
     """
     (fit,) = _solve_sketches(prob, [plan])
     if isinstance(fit, SketchRankDeficient):

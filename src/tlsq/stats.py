@@ -7,6 +7,11 @@ conditional form fixes the observed response and captures the sampling
 randomness only; the unconditional form also integrates over the model
 noise, whose variance sigma^2 must be supplied.
 
+sigma^2 is the variance of one noise tube: the noise tensor e (n, 1, l)
+satisfies E[e * e^T] = sigma^2 I under the t-product. Noise with i.i.d.
+N(0, s^2) entries, as experiments.gen_response draws it, has tube variance
+l * s^2, so pass sigma2 = l * s^2 for it.
+
 Each result is a T-symmetric, T-positive-semidefinite p-by-p tubal matrix;
 its tubal trace (the mean of the DFT-slice traces) equals the total variance
 of the vectorized estimator.
@@ -116,7 +121,11 @@ def conditional_variance(prob: TlsProblem, dist: SamplingDistribution, tau: int)
 
 
 def ols_variance(design, sigma2: float) -> np.ndarray:
-    """Covariance of the exact estimator under i.i.d. noise: sigma^2 (X^T * X)^-1."""
+    """Covariance of the exact estimator under i.i.d. noise: sigma^2 (X^T * X)^-1.
+
+    `sigma2` is the tube variance, E[e * e^T] = sigma2 I; for i.i.d.
+    N(0, s^2) entries pass l * s^2 (see the module docstring).
+    """
     if sigma2 <= 0:
         raise ValueError("sigma2 must be positive")
     x, _, f, _ = _design_factors(design)
@@ -132,7 +141,9 @@ def unconditional_variance(
     scales with sigma^2/tau and inflates each row's hat-matrix complement by
     1/pi_i. Accepts a design tensor or a TlsProblem (the response is unused).
     Under the uniform and leverage distributions the penalty collapses to the
-    n/tau and (p/tau)/h_i forms, as in the conditional form.
+    n/tau and (p/tau)/h_i forms, as in the conditional form. `sigma2` is the
+    tube variance, E[e * e^T] = sigma2 I; for i.i.d. N(0, s^2) entries pass
+    l * s^2 (see the module docstring).
     """
     if tau < 1:
         raise ValueError("tau must be at least 1")
@@ -168,7 +179,11 @@ def variance_report(
     tau: int,
     sigma2: float | None = None,
 ) -> VarianceReport:
-    """Bundle the conditional and (when sigma2 is given) unconditional terms."""
+    """Bundle the conditional and (when sigma2 is given) unconditional terms.
+
+    `sigma2` is the tube variance, E[e * e^T] = sigma2 I; for i.i.d.
+    N(0, s^2) entries pass l * s^2 (see the module docstring).
+    """
     cond = conditional_variance(prob, dist, tau)
     uncond = None
     if sigma2 is not None:

@@ -210,9 +210,11 @@ class TestRunExperiment:
 def per_cell_loop(cfg, compare=False):
     """Reference reports from one solve_subsampled call per cell, on the same stream keys.
 
-    Replicate b draws the plan of tensor cell (i, j) from (seed, plan stream,
-    b, i, j), i indexing the methods (the unif/lev kinds in compare mode)
-    and j the taus; matrix cells use the baseline streams.
+    Replicate b's response is gen_response's draw from (seed, response
+    stream, b) unless conditional, and its exact fit is its own solve_ols.
+    It draws the plan of tensor cell (i, j) from (seed, plan stream, b, i, j),
+    i indexing the methods (the unif/lev kinds in compare mode) and j the
+    taus; matrix cells use the baseline streams.
     """
     ex = experiments
     kinds = [m for m in cfg.methods if m in ("unif", "lev")]
@@ -224,7 +226,13 @@ def per_cell_loop(cfg, compare=False):
 
     def replicate(b):
         state = base if base is not None else ex._prepare_state(cfg, ex._STREAM_DESIGN, b)
-        prob_b, ols_b = ex._replicate_problem(cfg, state, b)
+        prob_b = state.prob
+        if cfg.mode == "unconditional":
+            y, _ = gen_response(prob_b.design, ex._rng(cfg.seed, ex._STREAM_RESPONSE, b),
+                                cfg.sigma2)
+            prob_b = prob_b.with_response(y)
+        ols = tlsq.solve_ols(prob_b)
+        ols_b = (ols.b, ols.objective)
         rhs = tlsq.unfold(prob_b.response)
         cells = {}
 
@@ -285,6 +293,8 @@ class TestBatchedReplicateLoop:
             dict(mode="conditional"),
             dict(mode="unconditional", smls="same_tau", design="mn"),
             dict(mode="conditional", smls="l_times_tau", redraw_design=True),
+            dict(mode="unconditional", redraw_design=True),
+            dict(mode="unconditional", replicates=2 * experiments._RESPONSE_CHUNK + 3),
         ],
     )
     def test_experiment_matches_per_cell_loop(self, overrides):
@@ -298,6 +308,21 @@ class TestBatchedReplicateLoop:
         cfg = ExperimentConfig(seed=32, n=100, p=4, l=4, design="mn", replicates=5,
                                taus=(12, 25), methods=("lev", "unif"), mode=mode)
         assert_reports_match(run_mls_comparison(cfg), per_cell_loop(cfg, compare=True))
+
+    def test_replicate_responses_are_gen_response_draws(self):
+        ex = experiments
+        cfg = ExperimentConfig(seed=34, n=60, p=4, l=5, design="t3",
+                               replicates=ex._RESPONSE_CHUNK + 3, taus=(20,))
+        state = ex._prepare_state(cfg, ex._STREAM_DESIGN)
+        assert state.ols is None  # no cell reads the shared response's fit
+        fitted = ex._replicate_problems(cfg, state, range(cfg.replicates))
+        for b, (prob_b, (ols_b, ols_obj)) in enumerate(fitted):
+            y, _ = gen_response(state.prob.design, ex._rng(cfg.seed, ex._STREAM_RESPONSE, b),
+                                cfg.sigma2)
+            assert np.array_equal(prob_b.response, y)
+            exact = tlsq.solve_ols(state.prob.with_response(y))
+            assert np.abs(ols_b - exact.b).max() <= 1e-12 * np.abs(exact.b).max()
+            assert abs(ols_obj - exact.objective) <= 1e-12 * exact.objective
 
     def test_starved_config_counts_the_same_failures(self):
         cfg = ExperimentConfig(seed=33, n=12, p=10, l=2, design="mn", replicates=10,

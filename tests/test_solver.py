@@ -411,6 +411,48 @@ class TestBlockedQr:
             tlsq.TlsProblem(x, rand((8, 1, 3), 5))
 
 
+class TestMultiResponseFit:
+    """_fit_responses: one factorization of [X | Y_1 ... Y_k] fits every column."""
+
+    @staticmethod
+    def assert_columns_match_solve_ols(x, ys, refs):
+        prob = tlsq.TlsProblem(x, ys[0])
+        yhalf = np.concatenate([_to_half(y) for y in ys], axis=2)
+        bs, objectives = solver._fit_responses(prob.design_half, yhalf, x.shape[2])
+        assert bs.shape == (len(ys), x.shape[1], 1, x.shape[2])
+        for y, b, obj, ref in zip(ys, bs, objectives, refs):
+            assert np.abs(b - ref.b).max() <= 1e-12 * np.abs(ref.b).max()
+            # n = p leaves only rounding in the objective, so it gets a floor.
+            assert abs(obj - ref.objective) <= 1e-12 * ref.objective + 1e-24 * (y**2).sum()
+
+    @staticmethod
+    def draw(n, p, l, k, seed):
+        rng = np.random.default_rng(seed)
+        x = rng.standard_normal((n, p, l))
+        return x, [rng.standard_normal((n, 1, l)) * 10.0**j for j in range(k)]
+
+    @pytest.mark.parametrize(
+        "n, p, l", [(12, 3, 1), (12, 3, 2), (15, 4, 5), (15, 4, 6), (4, 4, 3), (5, 5, 4)]
+    )
+    def test_each_column_matches_its_own_solve_ols(self, n, p, l):
+        x, ys = self.draw(n, p, l, 5, seed=90 + n + p + l)
+        refs = [tlsq.solve_ols(tlsq.TlsProblem(x, y)) for y in ys]
+        self.assert_columns_match_solve_ols(x, ys, refs)
+
+    @pytest.mark.parametrize("block", [1, 4, 9])
+    def test_blocked_path(self, monkeypatch, block):
+        x, ys = self.draw(37, 3, 5, 4, seed=95)
+        refs = [tlsq.solve_ols(tlsq.TlsProblem(x, y)) for y in ys]
+        monkeypatch.setattr(solver, "_QR_BLOCK_ROWS", block)
+        self.assert_columns_match_solve_ols(x, ys, refs)
+
+    def test_slice_rank_deficient_design_raises(self):
+        x = np.repeat(rand((8, 2, 1), 96), 3, axis=2)  # every slice but the first is zero
+        yhalf = np.concatenate([_to_half(rand((8, 1, 3), s)) for s in (97, 98)], axis=2)
+        with pytest.raises(RankDeficient, match="slice 2 of 3"):
+            solver._fit_responses(_to_half(x), yhalf, 3)
+
+
 class TestTauLowerBound:
     def test_unit_case(self):
         assert tlsq.tau_lower_bound(1, 1, 1.0, 1.0) == 440
