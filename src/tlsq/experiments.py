@@ -532,7 +532,12 @@ def run_experiment(cfg: ExperimentConfig) -> list[MetricsRow]:
 
 def _prepare_state(cfg: ExperimentConfig, stream, *key) -> _ReplicateState:
     x = gen_design(cfg.design, cfg.n, cfg.p, cfg.l, _rng(cfg.seed, stream, *key))
-    y, _ = gen_response(x, _rng(cfg.seed, _STREAM_RESPONSE), cfg.sigma2)
+    if cfg.mode == "conditional":
+        y, _ = gen_response(x, _rng(cfg.seed, _STREAM_RESPONSE), cfg.sigma2)
+    else:
+        # Every replicate draws its own response (_replicate_problems), so the
+        # shared problem's response is a placeholder that no cell reads.
+        y = np.zeros((cfg.n, 1, cfg.l))
     prob = TlsProblem(x, y)
     dists = {m: build_distribution(prob, m, cfg.alpha) for m in cfg.methods}
     smls = None

@@ -35,19 +35,37 @@ def validate_design(design):
     gram_factors): the Gram factors F = V S^-1, an (l//2 + 1, p, p) stack,
     give each slice's Gram inverse F F^H and leverage rows ||x_i F||^2.
     Raises RankDeficient when any slice is short of rank p, naming the slice.
+    A TlsProblem factors [X | y] instead, which gives the same check and
+    factors from its leading p columns.
     """
-    x = as_tensor(design, "design")
-    n, p, l = x.shape
-    if n < p:
-        raise DimensionMismatch(f"design must have n >= p, got {x.shape}")
+    x = _check_design(design)
     xhalf = _to_half(x)
-    _, s, vh = _qr_svd(_row_blocks(xhalf), p)
+    return x, xhalf, _factor(xhalf, l=x.shape[2])[1]
+
+
+def _check_design(design) -> np.ndarray:
+    x = as_tensor(design, "design")
+    if x.shape[0] < x.shape[1]:
+        raise DimensionMismatch(f"design must have n >= p, got {x.shape}")
+    return x
+
+
+def _factor(xhalf, *responses, l: int):
+    """R-only TSQR of [X | responses], the design's rank check and its Gram factors.
+
+    R's leading p x p block R11 is the design's own R factor; the SVD
+    R11 = U S V^H gives the check of every slice against rank p and
+    F = V S^-1. Returns (r, gram_factors); with responses, R11^-1 R12 is
+    their exact fit.
+    """
+    n, p = xhalf.shape[1:]
+    r, s, vh = _qr_svd(_row_blocks(xhalf, *responses), p)
     tol = default_rank_tol((n, p), float(s.max(initial=0.0)))
     smallest = s[:, p - 1]
     if (smallest <= tol).any():
         k_bad = int(np.argmin(smallest)) + 1
         raise RankDeficient(f"design does not have rank {p} in DFT slice {k_bad} of {l}")
-    return x, xhalf, vh.conj().mT / s[:, None, :]
+    return r, vh.conj().mT / s[:, None, :]
 
 
 class TlsProblem:
@@ -57,11 +75,20 @@ class TlsProblem:
     the normal-equations inverse exists. The design's half-spectrum slice
     stack (l//2 + 1, n, p) and its Gram factors are computed once and shared
     across responses; the response is held as an (l//2 + 1, n, 1) stack.
+    Construction factors [X | y] by one R-only TSQR: its leading block gives
+    the rank check and the Gram factors, and R11^-1 R12 is the exact fit that
+    solve_ols and the conditional variance read, so neither factors the
+    design again. A with_response copy keeps the design's factors but drops
+    that fit, which belongs to the first response; its own is factored on
+    first use.
     """
 
     def __init__(self, design, response):
-        self.design, self.design_half, self.gram_factors = validate_design(design)
+        x = _check_design(design)
+        self.design, self.design_half = x, _to_half(x)
         self._set_response(response)
+        r, self.gram_factors = _factor(self.design_half, self.response_half, l=x.shape[2])
+        self._ols_half = _back_substitute(r, x.shape[1])
 
     def _set_response(self, response):
         y = as_tensor(response, "response")
@@ -73,6 +100,7 @@ class TlsProblem:
             )
         self.response = y
         self.response_half = _to_half(y)
+        self._ols_half = None
 
     def with_response(self, response) -> "TlsProblem":
         """Same design (validation, DFT and factors reused), different response."""
@@ -99,9 +127,14 @@ def _leverage_rows(xhalf, f) -> np.ndarray:
     S^-1 amplifies rounding, so the rows of X F are orthonormal only to about
     eps * kappa: at kappa = 2e7 a slice's rows sum to p only to 1e-10, while
     each row stays accurate to a few 1e-10. Restoring the trace keeps the
-    probabilities built on the rows summing to one.
+    probabilities built on the rows summing to one. X F is formed
+    _QR_BLOCK_ROWS rows at a time, so it is never held whole.
     """
-    rows = _row_energy(xhalf @ f)
+    n = xhalf.shape[1]
+    rows = np.concatenate(
+        [_row_energy(xhalf[:, i : i + _QR_BLOCK_ROWS] @ f) for i in range(0, n, _QR_BLOCK_ROWS)],
+        axis=1,
+    )
     rows *= xhalf.shape[2] / rows.sum(axis=1, keepdims=True)
     return rows
 
@@ -212,18 +245,21 @@ def _solve_factored(r, s, rows, l: int):
         )
     if not ok.all():
         r = r[ok]
+    return ok, _back_substitute(r, p), fits
+
+
+def _back_substitute(r, p: int) -> np.ndarray:
+    """R11^-1 R12 of a stack of R factors of [A | Y], where A has p columns."""
     # R11 is upper triangular, so LU with partial pivoting swaps no rows and
     # this is a back substitution.
-    return ok, np.linalg.solve(r[..., :p, :p], r[..., :p, p:]), fits
+    return np.linalg.solve(r[..., :p, :p], r[..., :p, p:])
 
 
-def _fit_responses(xhalf, yhalf, l: int):
-    """Exact least-squares fits of several responses on one design, from one factorization.
+def _fit_half(xhalf, yhalf, l: int) -> np.ndarray:
+    """Half-spectrum exact fits (l//2 + 1, p, k) of the k response columns of `yhalf`.
 
-    `yhalf` holds the responses' half stacks as columns, (l//2 + 1, n, k).
     One R-only QR of [X | Y_1 ... Y_k], gathered _QR_BLOCK_ROWS rows at a
-    time, gives every column's solution R11^-1 R12[:, j]. Returns the
-    solutions (k, p, 1, l) and their objectives (k,). Raises
+    time, gives every column's solution R11^-1 R12[:, j]. Raises
     SketchRankDeficient when a slice of the design is short of rank p.
     """
     n, p = xhalf.shape[1:]
@@ -231,14 +267,36 @@ def _fit_responses(xhalf, yhalf, l: int):
     ok, bhalf, fits = _solve_factored(r[None], s[None], [n], l)
     if not ok[0]:
         raise fits[0]
-    bs = _from_half(np.moveaxis(bhalf[0], -1, 0)[..., None], l)
+    return bhalf[0]
+
+
+def _fit_responses(xhalf, yhalf, l: int):
+    """Exact least-squares fits of several responses on one design, from one factorization.
+
+    `yhalf` holds the responses' half stacks as columns, (l//2 + 1, n, k).
+    Returns the solutions (k, p, 1, l) and their objectives (k,), from
+    _fit_half.
+    """
+    bs = _from_half(np.moveaxis(_fit_half(xhalf, yhalf, l), -1, 0)[..., None], l)
     return bs, _objectives(xhalf, yhalf, bs)
 
 
+def _exact_half(prob: TlsProblem) -> np.ndarray:
+    """The exact solution's half stack (l//2 + 1, p, 1): R11^-1 R12 of the problem's [X | y].
+
+    Construction stores it; a with_response copy factors its own on first
+    use and keeps it.
+    """
+    if prob._ols_half is None:
+        prob._ols_half = _fit_half(prob.design_half, prob.response_half, prob.shape[2])
+    return prob._ols_half
+
+
 def solve_ols(prob: TlsProblem) -> TlsSolution:
-    """Exact least-squares solution: a batch of one response through _fit_responses."""
-    bs, objectives = _fit_responses(prob.design_half, prob.response_half, prob.shape[2])
-    return TlsSolution(b=bs[0], objective=float(objectives[0]), method="ols")
+    """Exact least-squares solution, from the fit the problem's [X | y] factor gives."""
+    b = _from_half(_exact_half(prob), prob.shape[2])
+    f = _objectives(prob.design_half, prob.response_half, b[None])[0]
+    return TlsSolution(b=b, objective=float(f), method="ols")
 
 
 def _solve_sketches(prob: TlsProblem, plans) -> list:

@@ -25,12 +25,16 @@ import numpy as np
 
 from .errors import DimensionMismatch, ZeroProbabilityRow
 from .sampling import SamplingDistribution
-from .tensor import _from_half, _parseval_weights, _row_energy, _to_half, as_tensor
-from .solver import TlsProblem, _design_factors, solve_ols
+from .tensor import _from_half, _parseval_weights, _row_energy, as_tensor
+from .solver import TlsProblem, _design_factors, _exact_half
 
 # Rows whose numerator is this far (relative) below the largest are treated
 # as exact zeros when paired with a zero sampling probability.
 _ZERO_ROW_TOL = 1e-10
+
+# The sandwich cores X^H diag(m) X are summed over blocks of this many rows,
+# so the weighted rows are never held for the whole design.
+_CORE_BLOCK_ROWS = 512
 
 
 @dataclass(frozen=True, eq=False)
@@ -79,8 +83,15 @@ def _sandwich(xhalf, g, middle, l: int) -> np.ndarray:
 
     `middle` is a real (l//2 + 1, n) array of nonnegative row weights per
     slice, so every slice of the result is Hermitian positive semidefinite.
+    A batch of middles (k, l//2 + 1, n) gives a batch of k tensors: every
+    core comes from one stacked matmul per block of rows, (diag(m) X)^H X,
+    with one conjugate of the weighted rows.
     """
-    core = xhalf.conj().mT @ (middle[:, :, None] * xhalf)
+    core = 0
+    for start in range(0, xhalf.shape[1], _CORE_BLOCK_ROWS):
+        rows = xhalf[:, start : start + _CORE_BLOCK_ROWS]
+        weighted = middle[..., start : start + _CORE_BLOCK_ROWS, None] * rows
+        core = core + np.conjugate(weighted, out=weighted).mT @ rows
     return _from_half(g @ core @ g, l)
 
 
@@ -111,13 +122,19 @@ def conditional_variance(prob: TlsProblem, dist: SamplingDistribution, tau: int)
     The residual of the exact solution enters through its per-row energy;
     each row is inflated by 1/(tau * pi_i). Under the uniform and leverage
     distributions the formula collapses to the n/tau and (p/tau)/h_i forms.
+    The exact solution is the problem's own, R11^-1 R12 of the [X | y]
+    factor made with the problem, so no tall factorization is run here.
     """
+    g = _gram_inverses(prob.gram_factors)
+    return _sandwich(prob.design_half, g, _conditional_middle(prob, dist, tau), prob.shape[2])
+
+
+def _conditional_middle(prob: TlsProblem, dist: SamplingDistribution, tau: int) -> np.ndarray:
+    """Row weights (l//2 + 1, n) of the conditional sandwich: residual energy / (tau * pi_i)."""
     if tau < 1:
         raise ValueError("tau must be at least 1")
-    xhalf = prob.design_half
-    energy = _row_energy(prob.response_half - xhalf @ _to_half(solve_ols(prob).b))
-    middle = _row_weights(energy, dist.probs, "residual") / tau
-    return _sandwich(xhalf, _gram_inverses(prob.gram_factors), middle, prob.shape[2])
+    energy = _row_energy(prob.response_half - prob.design_half @ _exact_half(prob))
+    return _row_weights(energy, dist.probs, "residual") / tau
 
 
 def ols_variance(design, sigma2: float) -> np.ndarray:
@@ -145,15 +162,20 @@ def unconditional_variance(
     tube variance, E[e * e^T] = sigma2 I; for i.i.d. N(0, s^2) entries pass
     l * s^2 (see the module docstring).
     """
+    x, xhalf, f, rows = _design_factors(design)
+    l = x.shape[2]
+    g = _gram_inverses(f)
+    middle = _unconditional_middle(rows, dist, tau, sigma2)
+    return _from_half(sigma2 * g, l) + _sandwich(xhalf, g, middle, l)
+
+
+def _unconditional_middle(rows, dist: SamplingDistribution, tau: int, sigma2: float):
+    """Row weights (l//2 + 1, n) of the noise sandwich: sigma2 (1 - h_i(k)) / (tau * pi_i)."""
     if tau < 1:
         raise ValueError("tau must be at least 1")
     if sigma2 <= 0:
         raise ValueError("sigma2 must be positive")
-    x, xhalf, f, rows = _design_factors(design)
-    l = x.shape[2]
-    g = _gram_inverses(f)
-    middle = _row_weights(1.0 - rows, dist.probs, "hat-matrix complement") * (sigma2 / tau)
-    return _from_half(sigma2 * g, l) + _sandwich(xhalf, g, middle, l)
+    return _row_weights(1.0 - rows, dist.probs, "hat-matrix complement") * (sigma2 / tau)
 
 
 def sandwich_middle_trace(design, probs) -> float:
@@ -182,12 +204,23 @@ def variance_report(
     """Bundle the conditional and (when sigma2 is given) unconditional terms.
 
     `sigma2` is the tube variance, E[e * e^T] = sigma2 I; for i.i.d.
-    N(0, s^2) entries pass l * s^2 (see the module docstring).
+    N(0, s^2) entries pass l * s^2 (see the module docstring). Both terms
+    share the design, so their sandwich cores come from one stacked pass
+    over its rows.
     """
-    cond = conditional_variance(prob, dist, tau)
-    uncond = None
-    if sigma2 is not None:
-        uncond = unconditional_variance(prob, dist, tau, sigma2)
+    if sigma2 is None:
+        cond, uncond = conditional_variance(prob, dist, tau), None
+    else:
+        l = prob.shape[2]
+        g = _gram_inverses(prob.gram_factors)
+        middles = np.stack(
+            [
+                _conditional_middle(prob, dist, tau),
+                _unconditional_middle(prob.leverage_rows, dist, tau, sigma2),
+            ]
+        )
+        cond, penalty = _sandwich(prob.design_half, g, middles, l)
+        uncond = _from_half(sigma2 * g, l) + penalty
     return VarianceReport(
         kind=dist.kind,
         tau=tau,

@@ -128,13 +128,18 @@ class TestProbs:
 
 
 class TestSingleFactorization:
-    """Each command factors the n-row design once; only variance adds the [X | y] QR."""
+    """Each command runs one tall factorization: the [X | y] QR made with its problem.
+
+    It gives the rank check, the Gram factors and the exact fit, so neither
+    solve --method ols nor the conditional variance factors the design again.
+    """
 
     @pytest.mark.parametrize(
         "command, tall_calls",
         [
             (["solve", "--method", "opt", "--tau", "20", "--seed", "3"], 1),
-            (["variance", "--method", "lev", "--tau", "20", "--sigma2", "4.0"], 2),
+            (["variance", "--method", "lev", "--tau", "20", "--sigma2", "4.0"], 1),
+            (["solve", "--method", "ols"], 1),
         ],
     )
     def test_tall_factorizations(self, problem_files, tmp_path, monkeypatch, capsys,

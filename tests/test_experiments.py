@@ -324,6 +324,22 @@ class TestBatchedReplicateLoop:
             assert np.abs(ols_b - exact.b).max() <= 1e-12 * np.abs(exact.b).max()
             assert abs(ols_obj - exact.objective) <= 1e-12 * exact.objective
 
+    @pytest.mark.parametrize("redraw", [False, True])
+    @pytest.mark.parametrize("mode, draws", [("unconditional", 0), ("conditional", 1)])
+    def test_shared_response_drawn_only_when_read(self, monkeypatch, redraw, mode, draws):
+        calls = []
+        for name in ("gen_response", "t_product"):
+            def counting(*args, _original=getattr(experiments, name), _name=name, **kwargs):
+                calls.append(_name)
+                return _original(*args, **kwargs)
+
+            monkeypatch.setattr(experiments, name, counting)
+        cfg = ExperimentConfig(seed=35, n=60, p=4, l=3, design="t3", replicates=3,
+                               taus=(12,), mode=mode, redraw_design=redraw)
+        run_experiment(cfg)
+        designs = cfg.replicates if redraw else 1
+        assert calls == ["gen_response", "t_product"] * (draws * designs)
+
     def test_starved_config_counts_the_same_failures(self):
         cfg = ExperimentConfig(seed=33, n=12, p=10, l=2, design="mn", replicates=10,
                                taus=(10,), smls="same_tau")

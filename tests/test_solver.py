@@ -6,7 +6,7 @@ from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 import tlsq
-from tlsq import solver
+from tlsq import experiments, solver
 from tlsq.errors import DimensionMismatch, RankDeficient, SketchRankDeficient
 from tlsq.tensor import _to_half
 
@@ -451,6 +451,39 @@ class TestMultiResponseFit:
         yhalf = np.concatenate([_to_half(rand((8, 1, 3), s)) for s in (97, 98)], axis=2)
         with pytest.raises(RankDeficient, match="slice 2 of 3"):
             solver._fit_responses(_to_half(x), yhalf, 3)
+
+
+class TestWithResponseFit:
+    """A with_response copy never reads the [X | y] fit of the response it was copied from."""
+
+    @staticmethod
+    def assert_same_fit(got, want):
+        assert np.abs(got.b - want.b).max() <= 1e-12 * np.abs(want.b).max()
+        assert abs(got.objective - want.objective) <= 1e-12 * want.objective
+
+    def test_direct_problem(self):
+        x, y1, y2 = rand((30, 3, 5), 110), rand((30, 1, 5), 111), rand((30, 1, 5), 112)
+        prob = tlsq.TlsProblem(x, y1)
+        first = tlsq.solve_ols(prob)
+        other = prob.with_response(y2)
+        fresh = tlsq.TlsProblem(x, y2)
+        self.assert_same_fit(tlsq.solve_ols(other), tlsq.solve_ols(fresh))
+        dist = tlsq.uniform_probs(30)
+        cond, want = (tlsq.conditional_variance(q, dist, 12) for q in (other, fresh))
+        assert np.abs(cond - want).max() <= 1e-12 * np.abs(want).max()
+        # the copy's own fit does not leak back either
+        again = tlsq.solve_ols(prob)
+        assert np.array_equal(again.b, first.b) and again.objective == first.objective
+
+    @pytest.mark.parametrize("mode", ["unconditional", "conditional"])
+    def test_replicate_problems(self, mode):
+        ex = experiments
+        cfg = tlsq.ExperimentConfig(seed=36, n=50, p=4, l=4, design="t3", replicates=3,
+                                    taus=(20,), mode=mode)
+        state = ex._prepare_state(cfg, ex._STREAM_DESIGN)
+        for prob_b, _ in ex._replicate_problems(cfg, state, range(cfg.replicates)):
+            fresh = tlsq.TlsProblem(state.prob.design, prob_b.response)
+            self.assert_same_fit(tlsq.solve_ols(prob_b), tlsq.solve_ols(fresh))
 
 
 class TestTauLowerBound:

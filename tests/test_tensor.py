@@ -1,10 +1,16 @@
 """Tubal algebra against the dense block-circulant oracle and exact identities."""
 
+import struct
+
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 import tlsq
+from tlsq.cli import main
 from tlsq.errors import DimensionMismatch, FileFormatError, ImaginaryResidue
+from tlsq.tensor import _to_half
 
 
 def rand(shape, seed):
@@ -42,6 +48,36 @@ class TestFourier:
         l = x.shape[2]
         for k in range(l // 2 + 1, l):
             assert np.abs(blocks[:, :, k] - np.conj(blocks[:, :, l - k])).max() <= 1e-12
+
+
+class TestHalfStackLayout:
+    """_to_half writes the rfft straight into a C-contiguous (l//2 + 1, n, p) stack."""
+
+    @settings(max_examples=80, deadline=None)
+    @given(
+        n=st.integers(1, 7),
+        p=st.integers(1, 7),
+        l=st.integers(1, 9),
+        square=st.booleans(),
+        layout=st.sampled_from(["C", "F", "strided"]),
+        seed=st.integers(0, 2**16),
+    )
+    @example(n=5, p=3, l=1, square=False, layout="C", seed=0)
+    @example(n=5, p=3, l=2, square=False, layout="F", seed=1)
+    @example(n=4, p=4, l=6, square=True, layout="strided", seed=2)
+    @example(n=6, p=2, l=7, square=False, layout="strided", seed=3)
+    def test_bit_identical_to_moved_rfft(self, n, p, l, square, layout, seed):
+        if square:
+            p = n
+        if layout == "strided":
+            x = rand((2 * n, p + 1, 2 * l), seed)[::2, 1:, ::2]
+        else:
+            x = np.asarray(rand((n, p, l), seed), order=layout)
+        expected = np.ascontiguousarray(np.moveaxis(np.fft.rfft(x, axis=2), 2, 0))
+        half = _to_half(x)
+        assert half.shape == (l // 2 + 1, n, p)
+        assert half.flags.c_contiguous  # the replicate path gathers rows of it
+        assert half.tobytes() == expected.tobytes()
 
 
 class TestTProduct:
@@ -321,6 +357,55 @@ class TestTensorFile:
         path.write_bytes(path.read_bytes()[:-8])
         with pytest.raises(FileFormatError, match="expected"):
             tlsq.read_tensor(path)
+
+    def test_reads_c_order_float64(self, tmp_path):
+        x = np.asfortranarray(rand((5, 3, 4), 39))
+        path = tmp_path / "c.tt"
+        tlsq.write_tensor(x, path)
+        got = tlsq.read_tensor(path)
+        assert got.shape == (5, 3, 4) and got.dtype == np.float64
+        assert got.flags.c_contiguous
+
+    @staticmethod
+    def malformed_file(tmp_path, kind):
+        path = tmp_path / f"{kind}.tt"
+        tlsq.write_tensor(rand((4, 3, 2), 40), path)
+        raw = bytearray(path.read_bytes())
+        if kind == "trailing-value":
+            raw += struct.pack("<d", 1.0)
+        elif kind == "trailing-bytes":
+            raw += b"\x00\x01\x02"
+        elif kind == "truncated-header":
+            raw = raw[:20]
+        else:
+            value = {"nan": np.nan, "inf": np.inf, "-inf": -np.inf}[kind]
+            raw[32 + 8 * 13 : 32 + 8 * 14] = struct.pack("<d", value)
+        path.write_bytes(bytes(raw))
+        return path
+
+    @pytest.mark.parametrize(
+        "kind, message",
+        [
+            ("trailing-value", "expected 24 values"),
+            ("trailing-bytes", "expected 24 values"),
+            ("truncated-header", "truncated header"),
+            ("nan", "non-finite"),
+            ("inf", "non-finite"),
+            ("-inf", "non-finite"),
+        ],
+    )
+    def test_rejects_malformed_file_in_library_and_cli(self, tmp_path, capsys, kind, message):
+        path = self.malformed_file(tmp_path, kind)
+        with pytest.raises(FileFormatError, match=message) as info:
+            tlsq.read_tensor(path)
+        response = tmp_path / "y.tt"
+        tlsq.write_tensor(rand((4, 1, 2), 41), response)
+        code = main(["solve", "--design", str(path), "--response", str(response),
+                     "--method", "ols", "--out", str(tmp_path / "b.tt")])
+        assert code == 3
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert str(info.value) in captured.err
 
     def test_layout_is_slice_major_column_major(self, tmp_path):
         x = np.arange(2 * 3 * 2, dtype=float).reshape(2, 3, 2)
