@@ -35,7 +35,8 @@ from .sampling import (
 )
 from .solver import TlsProblem, TlsSolution, _fit_responses, _solve_sketches, objective
 from .solver import solve_ols, validate_design
-from .tensor import _from_half, _to_half, as_tensor, bcirc, fold, t_product, unfold
+from .tensor import BCIRC_MAX_ENTRIES, _from_half, _to_half, as_tensor, bcirc, fold
+from .tensor import t_product, unfold
 
 DESIGN_KINDS = ("mn", "t3", "t1")
 METHOD_KINDS = ("unif", "lev", "slev", "opt")
@@ -122,6 +123,13 @@ class ExperimentConfig:
             raise ConfigError(f"unknown methods {bad}; choose from {METHOD_KINDS}")
         if not 0.0 < self.alpha < 1.0:
             raise ConfigError(f"alpha must lie in (0, 1), got {self.alpha}")
+        entries = self.n * self.l * self.p * self.l
+        baseline = self.smls != "off" and any(m in ("unif", "lev") for m in self.methods)
+        if baseline and entries > BCIRC_MAX_ENTRIES:
+            raise ConfigError(
+                f"the matrix baseline at n={self.n}, p={self.p}, l={self.l} needs a block-circulant"
+                f" embedding of n*l*p*l = {entries} entries, over the limit of {BCIRC_MAX_ENTRIES}"
+            )
         if self.sigma2 < 0:
             raise ConfigError("sigma2 must be nonnegative")
         object.__setattr__(self, "taus", tuple(int(t) for t in self.taus))
@@ -298,15 +306,20 @@ def build_distribution(x, method: str, alpha: float = 0.9) -> SamplingDistributi
     raise ValueError(f"unknown method {method!r}")
 
 
-def _matrix_distribution(a: np.ndarray, kind: str) -> SamplingDistribution:
-    """Row distribution over the flattened block-circulant system."""
-    rows = a.shape[0]
+def _matrix_distribution(prob: TlsProblem, kind: str) -> SamplingDistribution:
+    """Row distribution over the n*l rows of the problem's flattened block-circulant system.
+
+    The unitary DFT block-diagonalises bcirc(X) (Kilmer & Martin 2011), so row
+    (r, i) of bcirc(X) has the tensor's slice-averaged leverage h_i in every
+    block row r: `lev` tiles the problem's leverage l times, with no SVD of
+    the embedding.
+    """
+    n, _, l = prob.shape
     if kind == "unif":
-        return uniform_probs(rows)
+        return uniform_probs(n * l)
     if kind == "lev":
-        u = np.linalg.svd(a, full_matrices=False)[0]
-        h = (u**2).sum(axis=1)
-        return SamplingDistribution(kind="lev", probs=h / h.sum(), leverage=h)
+        lev = leverage_probs(prob)
+        return replace(lev, probs=np.tile(lev.probs / l, l), leverage=np.tile(lev.leverage, l))
     raise ValueError(f"matrix baseline supports unif or lev, got {kind!r}")
 
 
@@ -327,16 +340,16 @@ def smls_baseline(
     """Row-subsampled weighted least squares on the flattened matrix system.
 
     Flattens the problem through the block-circulant embedding (subject to
-    its size guard), samples tau of its n*l rows, and folds the solution back
-    to a (p, 1, l) tensor. Returns the solution and the sampling-plus-solve
-    wall time in milliseconds; building the embedding and its row
-    distribution is setup and excluded from the timing, mirroring how the
-    tensor solvers are timed.
+    its size guard), samples tau of its n*l rows from _matrix_distribution,
+    and folds the solution back to a (p, 1, l) tensor. Returns the solution
+    and the sampling-plus-solve wall time in milliseconds; building the
+    embedding and its row distribution is setup and excluded from the
+    timing, mirroring how the tensor solvers are timed.
     """
     n, p, l = prob.shape
     a = bcirc(prob.design)
     rhs = unfold(prob.response)
-    dist = _matrix_distribution(a, dist_kind)
+    dist = _matrix_distribution(prob, dist_kind)
     start = time.perf_counter()
     plan = draw_plan(dist, tau, seed)
     b = _solve_matrix_subsample(a, rhs, plan, p, l)
@@ -540,12 +553,8 @@ def _prepare_state(cfg: ExperimentConfig, stream, *key) -> _ReplicateState:
         y = np.zeros((cfg.n, 1, cfg.l))
     prob = TlsProblem(x, y)
     dists = {m: build_distribution(prob, m, cfg.alpha) for m in cfg.methods}
-    smls = None
-    if cfg.smls != "off":
-        kinds = [m for m in cfg.methods if m in ("unif", "lev")]
-        if kinds:
-            a = bcirc(x)
-            smls = (a, {k: _matrix_distribution(a, k) for k in kinds})
+    kinds = [m for m in cfg.methods if m in ("unif", "lev")] if cfg.smls != "off" else []
+    smls = (bcirc(x), {k: _matrix_distribution(prob, k) for k in kinds}) if kinds else None
     ols = _fit(solve_ols(prob)) if cfg.mode == "conditional" else None
     return _ReplicateState(prob=prob, ols=ols, dists=dists, smls=smls)
 
@@ -597,6 +606,8 @@ def run_mls_comparison(cfg: ExperimentConfig) -> list[MetricsRow]:
     kinds = [m for m in cfg.methods if m in ("unif", "lev")]
     if not kinds:
         raise ConfigError("the matrix comparison needs unif or lev among the methods")
+    # The replaced config checks the baseline's size before anything is drawn.
+    base_cfg = replace(cfg, smls="same_tau", methods=tuple(kinds))
     cells = []
     for ki, kind in enumerate(kinds):
         for ti, tau in enumerate(cfg.taus):
@@ -605,7 +616,7 @@ def run_mls_comparison(cfg: ExperimentConfig) -> list[MetricsRow]:
                 _Cell(f"smls-{kind}-tau", tau, kind, tau, _STREAM_SMLS, (ki, ti), True),
                 _Cell(f"smls-{kind}-ltau", tau, kind, cfg.l * tau, _STREAM_SMLS + 1, (ki, ti), True),
             ]
-    state = _prepare_state(replace(cfg, smls="same_tau", methods=tuple(kinds)), _STREAM_DESIGN)
+    state = _prepare_state(base_cfg, _STREAM_DESIGN)
     return _run_cells(cfg, state, cells, timed=True)
 
 

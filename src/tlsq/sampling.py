@@ -10,7 +10,6 @@ are never materialized as dense tubal matrices.
 
 from __future__ import annotations
 
-import csv
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -119,10 +118,9 @@ def optimal_probs(design) -> SamplingDistribution:
     a design tensor, as leverage_probs does.
     """
     x, xhalf, _, rows = _design_factors(design)
-    w = _parseval_weights(x.shape[2]) / x.shape[2]
-    row_x = _row_energy(xhalf)
-    radicand = np.maximum(w @ ((1.0 - rows) * row_x), 0.0)
-    radicand[radicand <= _RADICAND_REL_TOL * (w @ row_x)] = 0.0
+    numerators, energy = _sandwich_numerators(xhalf, rows, x.shape[2])
+    radicand = np.maximum(numerators, 0.0)
+    radicand[radicand <= _RADICAND_REL_TOL * energy] = 0.0
     weights = np.sqrt(radicand)
     total = weights.sum()
     if total <= 0.0:
@@ -130,7 +128,19 @@ def optimal_probs(design) -> SamplingDistribution:
             "all rows have unit leverage in every DFT slice; "
             "the optimal distribution is undefined"
         )
-    return SamplingDistribution(kind="opt", probs=weights / total, leverage=w @ rows)
+    leverage = (_parseval_weights(x.shape[2]) / x.shape[2]) @ rows
+    return SamplingDistribution(kind="opt", probs=weights / total, leverage=leverage)
+
+
+def _sandwich_numerators(xhalf, rows, l: int):
+    """Means over all l slices of (1 - h_i(k)) * ||x_i(k)||^2 and of ||x_i(k)||^2, (n,) each.
+
+    The first is the sandwich middle trace's numerator, whose square root
+    optimal_probs follows; `rows` are the leverage rows h_i(k) of `xhalf`.
+    """
+    w = _parseval_weights(l) / l
+    row_x = _row_energy(xhalf)
+    return w @ ((1.0 - rows) * row_x), w @ row_x
 
 
 def coherence(u) -> float:
@@ -177,16 +187,6 @@ def all_rows_plan(n: int) -> SamplingPlan:
 
 
 def write_distribution_csv(dist: SamplingDistribution, fh) -> None:
-    """Write (index, prob) rows; indices are 1-based."""
-    writer = csv.writer(fh, lineterminator="\n")
-    writer.writerow(["index", "prob"])
-    for i, prob in enumerate(dist.probs, start=1):
-        writer.writerow([i, f"{prob:.17g}"])
-
-
-def write_plan_csv(plan: SamplingPlan, fh) -> None:
-    """Write (t, index, weight) rows; t and indices are 1-based."""
-    writer = csv.writer(fh, lineterminator="\n")
-    writer.writerow(["t", "index", "weight"])
-    for t, (idx, w) in enumerate(zip(plan.indices, plan.weights), start=1):
-        writer.writerow([t, int(idx) + 1, f"{w:.17g}"])
+    """Write (index, prob) rows as CSV; indices are 1-based, probabilities 17 digits."""
+    fh.write("index,prob\n")
+    fh.write("".join([f"{i},{prob:.17g}\n" for i, prob in enumerate(dist.probs.tolist(), start=1)]))

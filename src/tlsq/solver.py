@@ -255,40 +255,28 @@ def _back_substitute(r, p: int) -> np.ndarray:
     return np.linalg.solve(r[..., :p, :p], r[..., :p, p:])
 
 
-def _fit_half(xhalf, yhalf, l: int) -> np.ndarray:
-    """Half-spectrum exact fits (l//2 + 1, p, k) of the k response columns of `yhalf`.
-
-    One R-only QR of [X | Y_1 ... Y_k], gathered _QR_BLOCK_ROWS rows at a
-    time, gives every column's solution R11^-1 R12[:, j]. Raises
-    SketchRankDeficient when a slice of the design is short of rank p.
-    """
-    n, p = xhalf.shape[1:]
-    r, s = _qr_svd(_row_blocks(xhalf, yhalf), p, compute_uv=False)
-    ok, bhalf, fits = _solve_factored(r[None], s[None], [n], l)
-    if not ok[0]:
-        raise fits[0]
-    return bhalf[0]
-
-
 def _fit_responses(xhalf, yhalf, l: int):
     """Exact least-squares fits of several responses on one design, from one factorization.
 
     `yhalf` holds the responses' half stacks as columns, (l//2 + 1, n, k).
-    Returns the solutions (k, p, 1, l) and their objectives (k,), from
-    _fit_half.
+    The constructor's _factor of [X | Y_1 ... Y_k] checks the design and
+    gives every column's R11^-1 R12[:, j]. Returns the solutions
+    (k, p, 1, l) and their objectives (k,).
     """
-    bs = _from_half(np.moveaxis(_fit_half(xhalf, yhalf, l), -1, 0)[..., None], l)
+    bhalf = _back_substitute(_factor(xhalf, yhalf, l=l)[0], xhalf.shape[2])
+    bs = _from_half(np.moveaxis(bhalf, -1, 0)[..., None], l)
     return bs, _objectives(xhalf, yhalf, bs)
 
 
 def _exact_half(prob: TlsProblem) -> np.ndarray:
     """The exact solution's half stack (l//2 + 1, p, 1): R11^-1 R12 of the problem's [X | y].
 
-    Construction stores it; a with_response copy factors its own on first
-    use and keeps it.
+    Construction stores it; a with_response copy runs the constructor's
+    _factor on its own [X | y] on first use and keeps the fit.
     """
     if prob._ols_half is None:
-        prob._ols_half = _fit_half(prob.design_half, prob.response_half, prob.shape[2])
+        r = _factor(prob.design_half, prob.response_half, l=prob.shape[2])[0]
+        prob._ols_half = _back_substitute(r, prob.shape[1])
     return prob._ols_half
 
 

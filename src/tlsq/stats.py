@@ -24,8 +24,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DimensionMismatch, ZeroProbabilityRow
-from .sampling import SamplingDistribution
-from .tensor import _from_half, _parseval_weights, _row_energy, as_tensor
+from .sampling import SamplingDistribution, _sandwich_numerators
+from .tensor import _from_half, _row_energy, as_tensor
 from .solver import TlsProblem, _design_factors, _exact_half
 
 # Rows whose numerator is this far (relative) below the largest are treated
@@ -190,7 +190,7 @@ def sandwich_middle_trace(design, probs) -> float:
     n, p, l = x.shape
     if probs.shape != (n,):
         raise DimensionMismatch(f"probabilities shape {probs.shape}; expected ({n},)")
-    numerators = _parseval_weights(l) @ ((1.0 - rows) * _row_energy(xhalf)) / l
+    numerators = _sandwich_numerators(xhalf, rows, l)[0]
     weighted = _row_weights(numerators[None, :], probs, "sandwich numerator")
     return float(weighted.sum())
 

@@ -209,6 +209,18 @@ class TestExperiment:
         rows = tlsq.read_report(out)
         assert {r.method for r in rows} == {"stls-lev", "smls-lev-tau", "smls-lev-ltau"}
 
+    @pytest.mark.parametrize(
+        "command, overrides",
+        [("compare-mls", {}), ("experiment", {"smls": "same_tau"})],
+    )
+    def test_oversized_baseline_is_usage_error(self, tmp_path, capsys, command, overrides):
+        cfg = write_config(tmp_path, n=2000, p=20, l=16, taus="400", methods="unif,lev",
+                           seed=1, **overrides)
+        assert main([command, "--config", cfg, "--out", str(tmp_path / "r.csv")]) == 1
+        err = capsys.readouterr().err
+        assert "n=2000, p=20, l=16" in err and "10240000" in err and "4000000" in err
+        assert not (tmp_path / "r.csv").exists()
+
     def test_starved_cell_is_reported_not_fatal(self, tmp_path, capsys):
         # tau = p on a 12-row design: most sketches lose rank in some slice
         cfg = tmp_path / "cfg.txt"

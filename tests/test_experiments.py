@@ -5,6 +5,8 @@ from dataclasses import replace
 
 import numpy as np
 import pytest
+from hypothesis import assume, example, given, settings
+from hypothesis import strategies as st
 
 import tlsq
 from tlsq import experiments
@@ -363,6 +365,31 @@ class TestSmlsBaseline:
         assert np.abs(folded - tlsq.fold(dense, 4, 3)).max() <= 1e-12
         assert np.abs(folded - exact).max() <= 1e-10 * max(1.0, np.abs(exact).max())
 
+    @settings(max_examples=60, deadline=None)
+    @given(
+        design=st.sampled_from(["mn", "t1"]),
+        p=st.integers(2, 5),
+        extra_rows=st.integers(0, 6),
+        l=st.integers(1, 7),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    @example(design="mn", p=3, extra_rows=4, l=1, seed=0)
+    @example(design="t1", p=4, extra_rows=5, l=2, seed=1)
+    @example(design="mn", p=2, extra_rows=3, l=5, seed=2)
+    @example(design="t1", p=3, extra_rows=6, l=6, seed=3)
+    @example(design="mn", p=4, extra_rows=0, l=7, seed=4)
+    def test_leverage_is_the_dense_embedding_leverage(self, design, p, extra_rows, l, seed):
+        """The lev baseline distribution is the thin-SVD row leverage of bcirc(X)."""
+        n = p + extra_rows
+        x = gen_design(design, n, p, l, seed=seed)
+        a = tlsq.bcirc(x)
+        # Both sides are accurate to about eps * kappa.
+        assume(np.linalg.cond(a) < 1e4)
+        h = (np.linalg.svd(a, full_matrices=False)[0] ** 2).sum(axis=1)
+        dist = experiments._matrix_distribution(tlsq.TlsProblem(x, np.zeros((n, 1, l))), "lev")
+        assert np.abs(dist.leverage - h).max() <= 1e-12
+        assert np.abs(dist.probs - h / h.sum()).max() <= 1e-12
+
     def test_baseline_returns_solution_and_time(self):
         x = gen_design("mn", 60, 4, 2, seed=10)
         y, _ = gen_response(x, seed=11)
@@ -473,6 +500,14 @@ class TestConfig:
     def test_coefficient_pattern_needs_p_at_least_4(self):
         with pytest.raises(ConfigError, match="p >= 4"):
             ExperimentConfig(seed=0, p=3, taus=(10,))
+
+    def test_oversized_baseline_rejected(self):
+        sizes = dict(seed=1, n=2000, p=20, l=16, taus=(400,))
+        with pytest.raises(ConfigError, match=r"n=2000, p=20, l=16 .* limit of 4000000"):
+            ExperimentConfig(**sizes, methods=("unif", "lev"), smls="same_tau")
+        # Without unif or lev among the methods no baseline cell runs.
+        ExperimentConfig(**sizes, methods=("slev", "opt"), smls="same_tau")
+        ExperimentConfig(**sizes, methods=("unif", "lev"), smls="off")
 
     def test_design_must_be_overdetermined(self):
         with pytest.raises(ConfigError, match="n >= p"):

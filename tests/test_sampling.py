@@ -1,5 +1,6 @@
 """Sampling distributions against per-slice hat-matrix oracles and draw statistics."""
 
+import csv
 import io
 
 import numpy as np
@@ -7,7 +8,7 @@ import pytest
 
 import tlsq
 from tlsq.errors import DegenerateDistribution, RankDeficient
-from tlsq.sampling import write_distribution_csv, write_plan_csv
+from tlsq.sampling import write_distribution_csv
 
 
 def rand(shape, seed):
@@ -261,13 +262,13 @@ class TestCsv:
         parsed = np.array([float(line.split(",")[1]) for line in lines[1:]])
         assert np.array_equal(parsed, dist.probs)
 
-    def test_plan_round_trip(self):
-        plan = tlsq.draw_plan(tlsq.uniform_probs(6), 4, seed=20)
+    def test_distribution_matches_csv_writer_bytes(self):
+        dist = tlsq.SamplingDistribution(kind="opt", probs=np.array([0.0, 1e-300, 1.0, 0.0]))
+        expected = io.StringIO()
+        writer = csv.writer(expected, lineterminator="\n")
+        writer.writerow(["index", "prob"])
+        for i, prob in enumerate(dist.probs, start=1):
+            writer.writerow([i, f"{prob:.17g}"])
         buf = io.StringIO()
-        write_plan_csv(plan, buf)
-        lines = buf.getvalue().strip().splitlines()
-        assert lines[0] == "t,index,weight"
-        idx = [int(line.split(",")[1]) - 1 for line in lines[1:]]
-        w = np.array([float(line.split(",")[2]) for line in lines[1:]])
-        assert np.array_equal(idx, plan.indices)
-        assert np.array_equal(w, plan.weights)
+        write_distribution_csv(dist, buf)
+        assert buf.getvalue() == expected.getvalue()
