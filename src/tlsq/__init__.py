@@ -1,5 +1,7 @@
 """Randomized row subsampling for tensor least squares under the t-product."""
 
+from types import ModuleType as _ModuleType
+
 from .errors import (
     DegenerateDistribution,
     DimensionMismatch,
@@ -27,7 +29,6 @@ from .tensor import (
     t_product,
     t_transpose,
     thin_t_svd,
-    to_fourier,
     tubal_rank,
     unfold,
     write_tensor,
@@ -35,7 +36,6 @@ from .tensor import (
 from .sampling import (
     SamplingDistribution,
     SamplingPlan,
-    all_rows_plan,
     coherence,
     draw_plan,
     leverage_probs,
@@ -69,9 +69,11 @@ from .experiments import (
     read_report,
     run_experiment,
     run_mls_comparison,
-    smls_baseline,
     write_report,
 )
 
-__all__ = [name for name in dir() if not name.startswith("_")]
+__all__ = [
+    name for name in dir()
+    if not name.startswith("_") and not isinstance(globals()[name], _ModuleType)
+]
 __version__ = "0.1.0"

@@ -9,6 +9,7 @@ randomized path takes an explicit seed; nothing is seeded from the clock.
 from __future__ import annotations
 
 import argparse
+import math
 import sys
 import time
 
@@ -120,16 +121,33 @@ def _build_parser() -> _Parser:
     return parser
 
 
+def _check(args, flag: str, ok: bool, rule: str) -> None:
+    """Reject an out-of-range flag value as a usage error that names the flag."""
+    if not ok:
+        value = getattr(args, flag.lstrip("-"))
+        raise _UsageError(f"tlsq {args.command}: {flag} must be {rule}, got {value}")
+
+
+def _check_alpha(args) -> None:
+    _check(args, "--alpha", args.method != "slev" or 0.0 < args.alpha < 1.0, "in (0, 1) for slev")
+
+
 def _cmd_solve(args) -> int:
-    prob = TlsProblem(read_tensor(args.design), read_tensor(args.response))
+    x = read_tensor(args.design)
+    if args.method != "ols":
+        if args.tau is None or args.seed is None:
+            raise _UsageError("tlsq solve: --tau and --seed are required for subsampling methods")
+        p = x.shape[1]
+        _check(args, "--tau", args.tau >= p, f"at least p={p}")
+        _check(args, "--seed", args.seed >= 0, "nonnegative")
+        _check_alpha(args)
+    prob = TlsProblem(x, read_tensor(args.response))
     if args.method == "ols":
         start = time.perf_counter()
         sol = solve_ols(prob)
         wall_ms = (time.perf_counter() - start) * 1e3
         tau_field = ""
     else:
-        if args.tau is None or args.seed is None:
-            raise _UsageError("tlsq solve: --tau and --seed are required for subsampling methods")
         dist = build_distribution(prob, args.method, args.alpha)
         start = time.perf_counter()
         plan = draw_plan(dist, args.tau, args.seed)
@@ -142,12 +160,16 @@ def _cmd_solve(args) -> int:
 
 
 def _cmd_probs(args) -> int:
+    _check_alpha(args)
     dist = build_distribution(read_tensor(args.design), args.method, args.alpha)
     write_distribution_csv(dist, sys.stdout)
     return 0
 
 
 def _cmd_variance(args) -> int:
+    _check(args, "--tau", args.tau >= 1, "at least 1")
+    _check(args, "--sigma2", 0.0 < args.sigma2 < math.inf, "positive and finite")
+    _check_alpha(args)
     prob = TlsProblem(read_tensor(args.design), read_tensor(args.response))
     dist = build_distribution(prob, args.method, args.alpha)
     report = variance_report(prob, dist, args.tau, args.sigma2)

@@ -33,8 +33,7 @@ from .sampling import (
     shrinked_leverage_probs,
     uniform_probs,
 )
-from .solver import TlsProblem, TlsSolution, _fit_responses, _solve_sketches, objective
-from .solver import solve_ols, validate_design
+from .solver import TlsProblem, _fit_responses, _solve_sketches, objective, validate_design
 from .tensor import BCIRC_MAX_ENTRIES, _from_half, _to_half, as_tensor, bcirc, fold
 from .tensor import t_product, unfold
 
@@ -110,6 +109,10 @@ class ExperimentConfig:
             raise ConfigError(f"the coefficient pattern needs p >= 4, got p={self.p}")
         if self.n < self.p:
             raise ConfigError(f"the design must have n >= p, got n={self.n} and p={self.p}")
+        if self.l < 1:
+            raise ConfigError(f"the tubes need l >= 1, got l={self.l}")
+        if not 0.0 <= self.sigma2 < math.inf:
+            raise ConfigError(f"sigma2 must be finite and nonnegative, got {self.sigma2}")
         if self.replicates < 2:
             raise ConfigError("replicates must be at least 2")
         if not self.taus:
@@ -130,8 +133,6 @@ class ExperimentConfig:
                 f"the matrix baseline at n={self.n}, p={self.p}, l={self.l} needs a block-circulant"
                 f" embedding of n*l*p*l = {entries} entries, over the limit of {BCIRC_MAX_ENTRIES}"
             )
-        if self.sigma2 < 0:
-            raise ConfigError("sigma2 must be nonnegative")
         object.__setattr__(self, "taus", tuple(int(t) for t in self.taus))
         object.__setattr__(self, "methods", tuple(self.methods))
 
@@ -334,30 +335,6 @@ def _solve_matrix_subsample(a, rhs, plan, p, l) -> np.ndarray:
     return fold(sol, p, l)
 
 
-def smls_baseline(
-    prob: TlsProblem, dist_kind: str, tau: int, seed
-) -> tuple[TlsSolution, float]:
-    """Row-subsampled weighted least squares on the flattened matrix system.
-
-    Flattens the problem through the block-circulant embedding (subject to
-    its size guard), samples tau of its n*l rows from _matrix_distribution,
-    and folds the solution back to a (p, 1, l) tensor. Returns the solution
-    and the sampling-plus-solve wall time in milliseconds; building the
-    embedding and its row distribution is setup and excluded from the
-    timing, mirroring how the tensor solvers are timed.
-    """
-    n, p, l = prob.shape
-    a = bcirc(prob.design)
-    rhs = unfold(prob.response)
-    dist = _matrix_distribution(prob, dist_kind)
-    start = time.perf_counter()
-    plan = draw_plan(dist, tau, seed)
-    b = _solve_matrix_subsample(a, rhs, plan, p, l)
-    wall_ms = (time.perf_counter() - start) * 1e3
-    sol = TlsSolution(b=b, objective=objective(prob, b), method=f"smls-{dist_kind}", plan=plan)
-    return sol, wall_ms
-
-
 def _max_workers() -> int:
     raw = os.environ.get("TLSQ_THREADS", "").strip()
     if not raw:
@@ -379,7 +356,6 @@ def _map_replicates(worker, replicates: int):
 @dataclass
 class _ReplicateState:
     prob: TlsProblem
-    ols: tuple | None  # (b, objective) of the exact solution; conditional mode only
     dists: dict
     smls: tuple | None  # (a, {kind: dist}) when the baseline is on
 
@@ -545,50 +521,39 @@ def run_experiment(cfg: ExperimentConfig) -> list[MetricsRow]:
 
 def _prepare_state(cfg: ExperimentConfig, stream, *key) -> _ReplicateState:
     x = gen_design(cfg.design, cfg.n, cfg.p, cfg.l, _rng(cfg.seed, stream, *key))
-    if cfg.mode == "conditional":
-        y, _ = gen_response(x, _rng(cfg.seed, _STREAM_RESPONSE), cfg.sigma2)
-    else:
-        # Every replicate draws its own response (_replicate_problems), so the
-        # shared problem's response is a placeholder that no cell reads.
-        y = np.zeros((cfg.n, 1, cfg.l))
-    prob = TlsProblem(x, y)
+    # The replicates draw their responses (_replicate_problems), so the shared
+    # problem's response is a placeholder that no cell reads.
+    prob = TlsProblem(x, np.zeros((cfg.n, 1, cfg.l)))
     dists = {m: build_distribution(prob, m, cfg.alpha) for m in cfg.methods}
     kinds = [m for m in cfg.methods if m in ("unif", "lev")] if cfg.smls != "off" else []
     smls = (bcirc(x), {k: _matrix_distribution(prob, k) for k in kinds}) if kinds else None
-    ols = _fit(solve_ols(prob)) if cfg.mode == "conditional" else None
-    return _ReplicateState(prob=prob, ols=ols, dists=dists, smls=smls)
+    return _ReplicateState(prob=prob, dists=dists, smls=smls)
 
 
 def _replicate_problems(cfg: ExperimentConfig, state: _ReplicateState, replicates) -> list:
     """(problem, exact (b, objective)) of each listed replicate on the state's design.
 
-    Conditional mode shares the state's response. Otherwise replicate b's
-    response is the signal X * B0, formed once from the design's half stack,
-    plus noise from stream (seed, response, b): bit-identical to
-    gen_response's. The responses are fitted by one factorization per
-    _RESPONSE_CHUNK replicates, from a stack of their half stacks that no
-    problem keeps.
+    A response is the signal X * B0, formed once from the design's half
+    stack, plus noise from stream (seed, response, b), or (seed, response)
+    in conditional mode, which shares one response among all replicates:
+    bit-identical to gen_response's. The distinct responses are fitted by
+    one factorization per _RESPONSE_CHUNK of them, from a stack of their half
+    stacks that no problem keeps.
     """
-    if cfg.mode == "conditional":
-        return [(state.prob, state.ols)] * len(replicates)
     prob = state.prob
     _, p, l = prob.shape
     signal = _from_half(prob.design_half @ _to_half(true_coefficients(p, l)), l)
+    keys = [()] if cfg.mode == "conditional" else [(b,) for b in replicates]
     out = []
-    for start in range(0, len(replicates), _RESPONSE_CHUNK):
+    for start in range(0, len(keys), _RESPONSE_CHUNK):
         probs = [
-            prob.with_response(_add_noise(signal, _rng(cfg.seed, _STREAM_RESPONSE, b), cfg.sigma2))
-            for b in replicates[start : start + _RESPONSE_CHUNK]
+            prob.with_response(_add_noise(signal, _rng(cfg.seed, _STREAM_RESPONSE, *key), cfg.sigma2))
+            for key in keys[start : start + _RESPONSE_CHUNK]
         ]
         yhalf = np.concatenate([pb.response_half for pb in probs], axis=2)
         bs, objectives = _fit_responses(prob.design_half, yhalf, l)
         out += [(pb, (coef, float(f))) for pb, coef, f in zip(probs, bs, objectives)]
-    return out
-
-
-def _fit(sol: TlsSolution) -> tuple:
-    """What a cell keeps of a solution: (b, objective), not the plan."""
-    return sol.b, sol.objective
+    return out * len(replicates) if cfg.mode == "conditional" else out
 
 
 def _fit_matrix(prob: TlsProblem, b):

@@ -178,14 +178,6 @@ def draw_plan(dist: SamplingDistribution, tau: int, seed) -> SamplingPlan:
     return SamplingPlan(tau=tau, indices=indices, weights=weights, seed=seed)
 
 
-def all_rows_plan(n: int) -> SamplingPlan:
-    """Degenerate plan visiting every row exactly once with unit weights.
-
-    Equivalent to solving the full problem; useful as a sanity anchor.
-    """
-    return SamplingPlan(tau=n, indices=np.arange(n), weights=np.ones(n), seed=None)
-
-
 def write_distribution_csv(dist: SamplingDistribution, fh) -> None:
     """Write (index, prob) rows as CSV; indices are 1-based, probabilities 17 digits."""
     fh.write("index,prob\n")

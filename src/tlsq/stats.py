@@ -58,14 +58,13 @@ class VarianceReport:
 def trace_t(a) -> float:
     """Tubal trace: the mean of the traces of the DFT slices.
 
-    Equals the trace of the first frontal slice of a real tubal matrix.
+    For a real tubal matrix it equals the trace of the first frontal slice,
+    which is what is read, so no transform is taken.
     """
     a = as_tensor(a, "square tubal matrix")
-    n, p, l = a.shape
-    if n != p:
+    if a.shape[0] != a.shape[1]:
         raise DimensionMismatch(f"trace needs a square tubal matrix, got {a.shape}")
-    ahat = np.fft.fft(a, axis=2)
-    return float(np.einsum("iik->", ahat).real / l)
+    return float(np.trace(a[:, :, 0]))
 
 
 def _gram_inverses(f) -> np.ndarray:
@@ -204,23 +203,17 @@ def variance_report(
     """Bundle the conditional and (when sigma2 is given) unconditional terms.
 
     `sigma2` is the tube variance, E[e * e^T] = sigma2 I; for i.i.d.
-    N(0, s^2) entries pass l * s^2 (see the module docstring). Both terms
+    N(0, s^2) entries pass l * s^2 (see the module docstring). The terms
     share the design, so their sandwich cores come from one stacked pass
-    over its rows.
+    over its rows, also when only the conditional term is asked for.
     """
-    if sigma2 is None:
-        cond, uncond = conditional_variance(prob, dist, tau), None
-    else:
-        l = prob.shape[2]
-        g = _gram_inverses(prob.gram_factors)
-        middles = np.stack(
-            [
-                _conditional_middle(prob, dist, tau),
-                _unconditional_middle(prob.leverage_rows, dist, tau, sigma2),
-            ]
-        )
-        cond, penalty = _sandwich(prob.design_half, g, middles, l)
-        uncond = _from_half(sigma2 * g, l) + penalty
+    l = prob.shape[2]
+    g = _gram_inverses(prob.gram_factors)
+    middles = [_conditional_middle(prob, dist, tau)]
+    if sigma2 is not None:
+        middles.append(_unconditional_middle(prob.leverage_rows, dist, tau, sigma2))
+    cond, *penalty = _sandwich(prob.design_half, g, np.stack(middles), l)
+    uncond = None if sigma2 is None else _from_half(sigma2 * g, l) + penalty[0]
     return VarianceReport(
         kind=dist.kind,
         tau=tau,

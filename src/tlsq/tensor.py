@@ -109,11 +109,6 @@ def _from_half(blocks, l: int) -> np.ndarray:
     return spatial
 
 
-def to_fourier(x) -> np.ndarray:
-    """DFT of every tube; returns the complex frontal slices as an (n, p, l) array."""
-    return np.fft.fft(as_tensor(x), axis=2)
-
-
 def from_fourier(blocks) -> np.ndarray:
     """Inverse tube DFT back to a real tubal matrix.
 
@@ -216,13 +211,19 @@ class ThinTSVD(NamedTuple):
 
 
 def thin_t_svd(x, tol: float | None = None) -> ThinTSVD:
-    """Thin tubal SVD via one batched matrix SVD of the independent DFT slices."""
+    """Thin tubal SVD via one batched matrix SVD of the independent DFT slices.
+
+    A singular tube is kept when its largest slice value exceeds `tol`,
+    default_rank_tol by default; a negative `tol` raises ValueError.
+    """
     x = as_tensor(x)
     n, p, l = x.shape
     uh, s, vh = np.linalg.svd(_to_half(x), full_matrices=False)
     sv = s.T[:, _mirror_index(l)]
     if tol is None:
         tol = default_rank_tol((n, p), float(sv.max(initial=0.0)))
+    elif tol < 0:
+        raise ValueError("tolerance must be nonnegative")
     rank = int(np.count_nonzero(sv.max(axis=1) > tol))
     sh = np.zeros((s.shape[0], rank, rank), dtype=np.complex128)
     idx = np.arange(rank)
@@ -237,13 +238,8 @@ def thin_t_svd(x, tol: float | None = None) -> ThinTSVD:
 
 
 def tubal_rank(x, tol: float | None = None) -> int:
-    """Number of singular tubes whose largest slice value exceeds `tol`."""
-    if tol is not None and tol < 0:
-        raise ValueError("tolerance must be nonnegative")
-    sv = fourier_singular_values(x)
-    if tol is None:
-        tol = default_rank_tol(np.asarray(x).shape, float(sv.max(initial=0.0)))
-    return int(np.count_nonzero(sv.max(axis=1) > tol))
+    """Number of singular tubes whose largest slice value exceeds `tol`: thin_t_svd's rank."""
+    return thin_t_svd(x, tol).rank
 
 
 def t_pinv(x) -> np.ndarray:

@@ -161,6 +161,40 @@ class TestSingleFactorization:
         assert tall == ["qr"] * tall_calls
 
 
+class TestFlagRanges:
+    """An out-of-range flag value is a usage error (exit 1) that names the flag."""
+
+    @pytest.mark.parametrize(
+        "command, flag",
+        [
+            (["solve", "--method", "lev", "--tau", "3", "--seed", "5"], "--tau"),  # tau < p = 4
+            (["solve", "--method", "unif", "--tau", "0", "--seed", "5"], "--tau"),
+            (["solve", "--method", "lev", "--tau", "20", "--seed", "-1"], "--seed"),
+            (["solve", "--method", "slev", "--alpha", "1.5", "--tau", "20", "--seed", "5"],
+             "--alpha"),
+            (["probs", "--method", "slev", "--alpha", "0"], "--alpha"),
+            (["variance", "--method", "lev", "--tau", "0", "--sigma2", "4.0"], "--tau"),
+            (["variance", "--method", "lev", "--tau", "20", "--sigma2", "0"], "--sigma2"),
+            (["variance", "--method", "lev", "--tau", "20", "--sigma2", "-1"], "--sigma2"),
+            (["variance", "--method", "slev", "--alpha", "-0.1", "--tau", "20",
+              "--sigma2", "4.0"], "--alpha"),
+        ],
+    )
+    def test_out_of_range_flag_is_usage_error(self, problem_files, tmp_path, capsys,
+                                              command, flag):
+        _, _, xp, yp = problem_files
+        argv = command + ["--design", xp]
+        if command[0] != "probs":
+            argv += ["--response", yp]
+        if command[0] == "solve":
+            argv += ["--out", str(tmp_path / "b.tt")]
+        assert main(argv) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert flag in captured.err
+        assert not (tmp_path / "b.tt").exists()
+
+
 class TestVariance:
     def test_traces_match_library(self, problem_files, capsys):
         x, y, xp, yp = problem_files
@@ -189,7 +223,9 @@ class TestExperiment:
         assert main(["experiment", "--config", cfg, "--out", str(tmp_path / "r.csv")]) == 1
 
     @pytest.mark.parametrize(
-        "override", [{"redraw_design": 5}, {"timing": 2}, {"p": 3}, {"n": 3}]
+        "override",
+        [{"redraw_design": 5}, {"timing": 2}, {"p": 3}, {"n": 3},
+         {"l": 0}, {"l": -2}, {"sigma2": "inf"}, {"sigma2": "nan"}],
     )
     def test_invalid_config_value_is_usage_error(self, tmp_path, capsys, override):
         cfg = write_config(tmp_path, **override)

@@ -22,7 +22,6 @@ from tlsq.experiments import (
     read_report,
     run_experiment,
     run_mls_comparison,
-    smls_baseline,
     true_coefficients,
     write_report,
 )
@@ -213,7 +212,8 @@ def per_cell_loop(cfg, compare=False):
     """Reference reports from one solve_subsampled call per cell, on the same stream keys.
 
     Replicate b's response is gen_response's draw from (seed, response
-    stream, b) unless conditional, and its exact fit is its own solve_ols.
+    stream, b), or from (seed, response stream) if conditional, and its exact
+    fit is its own solve_ols.
     It draws the plan of tensor cell (i, j) from (seed, plan stream, b, i, j),
     i indexing the methods (the unif/lev kinds in compare mode) and j the
     taus; matrix cells use the baseline streams.
@@ -228,11 +228,10 @@ def per_cell_loop(cfg, compare=False):
 
     def replicate(b):
         state = base if base is not None else ex._prepare_state(cfg, ex._STREAM_DESIGN, b)
-        prob_b = state.prob
-        if cfg.mode == "unconditional":
-            y, _ = gen_response(prob_b.design, ex._rng(cfg.seed, ex._STREAM_RESPONSE, b),
-                                cfg.sigma2)
-            prob_b = prob_b.with_response(y)
+        key = () if cfg.mode == "conditional" else (b,)
+        y, _ = gen_response(state.prob.design, ex._rng(cfg.seed, ex._STREAM_RESPONSE, *key),
+                            cfg.sigma2)
+        prob_b = state.prob.with_response(y)
         ols = tlsq.solve_ols(prob_b)
         ols_b = (ols.b, ols.objective)
         rhs = tlsq.unfold(prob_b.response)
@@ -313,34 +312,42 @@ class TestBatchedReplicateLoop:
 
     def test_replicate_responses_are_gen_response_draws(self):
         ex = experiments
-        cfg = ExperimentConfig(seed=34, n=60, p=4, l=5, design="t3",
-                               replicates=ex._RESPONSE_CHUNK + 3, taus=(20,))
-        state = ex._prepare_state(cfg, ex._STREAM_DESIGN)
-        assert state.ols is None  # no cell reads the shared response's fit
-        fitted = ex._replicate_problems(cfg, state, range(cfg.replicates))
-        for b, (prob_b, (ols_b, ols_obj)) in enumerate(fitted):
-            y, _ = gen_response(state.prob.design, ex._rng(cfg.seed, ex._STREAM_RESPONSE, b),
-                                cfg.sigma2)
-            assert np.array_equal(prob_b.response, y)
-            exact = tlsq.solve_ols(state.prob.with_response(y))
-            assert np.abs(ols_b - exact.b).max() <= 1e-12 * np.abs(exact.b).max()
-            assert abs(ols_obj - exact.objective) <= 1e-12 * exact.objective
+        for mode in ex.REPLICATE_MODES:
+            cfg = ExperimentConfig(seed=34, n=60, p=4, l=5, design="t3",
+                                   replicates=ex._RESPONSE_CHUNK + 3, taus=(20,), mode=mode)
+            state = ex._prepare_state(cfg, ex._STREAM_DESIGN)
+            fitted = ex._replicate_problems(cfg, state, range(cfg.replicates))
+            assert len(fitted) == cfg.replicates
+            for b, (prob_b, (ols_b, ols_obj)) in enumerate(fitted):
+                key = () if mode == "conditional" else (b,)
+                y, _ = gen_response(state.prob.design,
+                                    ex._rng(cfg.seed, ex._STREAM_RESPONSE, *key), cfg.sigma2)
+                assert np.array_equal(prob_b.response, y)
+                exact = tlsq.solve_ols(state.prob.with_response(y))
+                assert np.abs(ols_b - exact.b).max() <= 1e-12 * np.abs(exact.b).max()
+                assert abs(ols_obj - exact.objective) <= 1e-12 * exact.objective
 
     @pytest.mark.parametrize("redraw", [False, True])
-    @pytest.mark.parametrize("mode, draws", [("unconditional", 0), ("conditional", 1)])
-    def test_shared_response_drawn_only_when_read(self, monkeypatch, redraw, mode, draws):
+    @pytest.mark.parametrize("mode", experiments.REPLICATE_MODES)
+    def test_shared_response_drawn_only_when_read(self, monkeypatch, redraw, mode):
+        """Neither mode draws or fits a response on the shared problem, which no cell reads.
+
+        Every response is drawn and fitted by _replicate_problems, from the
+        design's half stack, so gen_response, t_product and solve_ols are
+        never called. Each is watched as a driver attribute even where the
+        driver does not import it, so an import brought back is caught.
+        """
         calls = []
-        for name in ("gen_response", "t_product"):
-            def counting(*args, _original=getattr(experiments, name), _name=name, **kwargs):
+        for name in ("gen_response", "t_product", "solve_ols"):
+            def counting(*args, _original=getattr(tlsq, name), _name=name, **kwargs):
                 calls.append(_name)
                 return _original(*args, **kwargs)
 
-            monkeypatch.setattr(experiments, name, counting)
+            monkeypatch.setattr(experiments, name, counting, raising=False)
         cfg = ExperimentConfig(seed=35, n=60, p=4, l=3, design="t3", replicates=3,
                                taus=(12,), mode=mode, redraw_design=redraw)
         run_experiment(cfg)
-        designs = cfg.replicates if redraw else 1
-        assert calls == ["gen_response", "t_product"] * (draws * designs)
+        assert calls == []
 
     def test_starved_config_counts_the_same_failures(self):
         cfg = ExperimentConfig(seed=33, n=12, p=10, l=2, design="mn", replicates=10,
@@ -359,7 +366,8 @@ class TestSmlsBaseline:
         dense = np.linalg.lstsq(a, tlsq.unfold(y), rcond=None)[0]
         from tlsq.experiments import _solve_matrix_subsample
 
-        plan = tlsq.all_rows_plan(a.shape[0])
+        plan = tlsq.SamplingPlan(tau=a.shape[0], indices=np.arange(a.shape[0]),
+                                 weights=np.ones(a.shape[0]))
         folded = _solve_matrix_subsample(a, tlsq.unfold(y), plan, 4, 3)
         exact = tlsq.solve_ols(prob).b
         assert np.abs(folded - tlsq.fold(dense, 4, 3)).max() <= 1e-12
@@ -389,15 +397,6 @@ class TestSmlsBaseline:
         dist = experiments._matrix_distribution(tlsq.TlsProblem(x, np.zeros((n, 1, l))), "lev")
         assert np.abs(dist.leverage - h).max() <= 1e-12
         assert np.abs(dist.probs - h / h.sum()).max() <= 1e-12
-
-    def test_baseline_returns_solution_and_time(self):
-        x = gen_design("mn", 60, 4, 2, seed=10)
-        y, _ = gen_response(x, seed=11)
-        prob = tlsq.TlsProblem(x, y)
-        sol, wall_ms = smls_baseline(prob, "lev", 30, seed=12)
-        assert sol.method == "smls-lev"
-        assert sol.b.shape == (4, 1, 2)
-        assert wall_ms > 0.0
 
     def test_comparison_rows(self):
         cfg = ExperimentConfig(seed=13, n=100, p=4, l=3, design="mn", replicates=4,

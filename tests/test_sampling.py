@@ -221,9 +221,9 @@ class TestDrawPlan:
             tlsq.draw_plan(tlsq.uniform_probs(3), 2, seed=None)
 
     def test_all_rows_plan(self):
-        plan = tlsq.all_rows_plan(7)
-        assert np.array_equal(plan.indices, np.arange(7))
-        assert (plan.weights == 1.0).all()
+        plan = tlsq.SamplingPlan(tau=7, indices=range(7), weights=[1] * 7)
+        assert plan.indices.dtype == np.int64 and np.array_equal(plan.indices, np.arange(7))
+        assert plan.weights.dtype == np.float64 and (plan.weights == 1.0).all()
 
 
 class TestProblemInput:

@@ -22,6 +22,11 @@ def make_problem(n=40, p=3, l=4, seed=0, sigma=1.0):
     return tlsq.TlsProblem(x, y)
 
 
+def all_rows_plan(n):
+    """Every row once with unit weight: the sketch is the whole problem."""
+    return tlsq.SamplingPlan(tau=n, indices=np.arange(n), weights=np.ones(n))
+
+
 class TestProblemValidation:
     def test_requires_overdetermined(self):
         with pytest.raises(DimensionMismatch):
@@ -142,7 +147,7 @@ class TestSolveSubsampled:
     def test_all_rows_plan_reproduces_exact_solution(self):
         prob = make_problem(seed=22)
         exact = tlsq.solve_ols(prob)
-        full = tlsq.solve_subsampled(prob, tlsq.all_rows_plan(40))
+        full = tlsq.solve_subsampled(prob, all_rows_plan(40))
         assert np.array_equal(full.b, exact.b)
 
     def test_unit_weights_from_uniform_probabilities(self):
@@ -401,7 +406,7 @@ class TestBlockedQr:
         blocked = tlsq.solve_ols(prob)
         assert np.abs(blocked.b - one.b).max() <= 1e-12 * max(1.0, np.abs(one.b).max())
         assert abs(blocked.objective - one.objective) <= 1e-12 * one.objective
-        full = tlsq.solve_subsampled(prob, tlsq.all_rows_plan(37))
+        full = tlsq.solve_subsampled(prob, all_rows_plan(37))
         assert np.abs(full.b - one.b).max() <= 1e-12 * max(1.0, np.abs(one.b).max())
 
     def test_blocked_validation_finds_rank_deficient_slice(self, monkeypatch):

@@ -110,7 +110,7 @@ class TestConditionalVariance:
         prob = make_problem(seed=8)
         out = conditional_variance(prob, tlsq.leverage_probs(prob.design), tau=30)
         assert np.abs(tlsq.t_transpose(out) - out).max() <= 1e-8
-        blocks = tlsq.to_fourier(out)
+        blocks = np.fft.fft(out, axis=2)
         for k in range(out.shape[2]):
             herm = (blocks[:, :, k] + blocks[:, :, k].conj().T) / 2
             assert np.linalg.eigvalsh(herm).min() >= -1e-8
