@@ -61,11 +61,14 @@ _STREAM_RESPONSE = 1
 _STREAM_PLAN = 2
 _STREAM_SMLS = 3
 
-# Replicate responses on one design are fitted this many at a time by one
-# factorization of [X | Y]. The chunk bounds that stack: on the t1 replicate
-# grid (25 replicates) one stack of all responses raised the peak RSS by 8%,
-# chunks of 8 by 2%.
-_RESPONSE_CHUNK = 8
+# The replicates run in ceil(R / _REPLICATE_CHUNK) near-equal chunks, one
+# pool task each. A chunk fits its responses on one design by one
+# factorization of [X | Y] and solves each tensor cell as one batch of one
+# plan per replicate. The chunk bounds those stacks: on the t1 replicate grid
+# (25 replicates) one stack of all responses raised the peak RSS by 8%,
+# chunks of 8 by 2%. It depends on R alone, so reports do not depend on the
+# thread count.
+_REPLICATE_CHUNK = 8
 
 _EPS = np.finfo(np.float64).eps
 # An exact solution whose objective is at most this multiple of
@@ -199,8 +202,8 @@ def gen_response(x, seed, sigma2: float = 9.0) -> tuple[np.ndarray, np.ndarray]:
     """Response under the linear model: Y = X * B0 + noise, noise i.i.d. N(0, sigma2)."""
     x = as_tensor(x, "design")
     _, p, l = x.shape
-    if sigma2 < 0:
-        raise ValueError("sigma2 must be nonnegative")
+    if not 0.0 <= sigma2 < math.inf:
+        raise ValueError(f"sigma2 must be finite and nonnegative, got {sigma2}")
     b0 = true_coefficients(p, l)
     return _add_noise(t_product(x, b0), seed, sigma2), b0
 
@@ -345,12 +348,12 @@ def _max_workers() -> int:
         raise ConfigError(f"TLSQ_THREADS must be an integer, got {raw!r}") from None
 
 
-def _map_replicates(worker, replicates: int):
+def _map_chunks(worker, chunks):
     workers = _max_workers()
     if workers == 1:
-        return [worker(b) for b in range(replicates)]
+        return [worker(chunk) for chunk in chunks]
     with ThreadPoolExecutor(max_workers=workers) as pool:
-        return list(pool.map(worker, range(replicates)))
+        return list(pool.map(worker, chunks))
 
 
 @dataclass
@@ -439,55 +442,57 @@ def _run_cells(cfg: ExperimentConfig, base, cells, timed: bool) -> list[MetricsR
     """Run every cell in every replicate and aggregate one MetricsRow per cell.
 
     `base` is the shared design state, or None to draw one per replicate.
-    On a shared design every replicate's response is fitted before the pool
-    starts. Within a replicate the tensor cells are grouped by plan size,
-    and each group is solved as one batch; batches never span replicates. When
-    `timed`, a cell's wall time is its plan draw plus an equal share of its
-    group's batched solve; otherwise it is NaN.
+    The pool maps near-equal chunks of the replicates (_REPLICATE_CHUNK). A
+    chunk fits its responses by one factorization per design, solves each
+    tensor cell as one batch of one plan per replicate, every plan on its
+    own stream key, and then runs the matrix cells replicate by replicate.
+    When `timed`, a tensor cell's wall time is its plan draw plus an equal
+    share of its cell batch, a matrix cell's its draw and solve; otherwise
+    it is NaN.
     """
     clock = time.perf_counter if timed else lambda: math.nan
-    groups = {}
-    for cell in cells:
-        if not cell.matrix:
-            groups.setdefault(cell.draws, []).append(cell)
+    tensor_cells = [cell for cell in cells if not cell.matrix]
     matrix_cells = [cell for cell in cells if cell.matrix]
 
     def draw(state, cell, b):
         dists = state.smls[1] if cell.matrix else state.dists
         return draw_plan(dists[cell.kind], cell.draws, _rng(cfg.seed, cell.stream, b, *cell.index))
 
-    fitted = None if base is None else _replicate_problems(cfg, base, range(cfg.replicates))
-
-    def worker(b: int):
-        state = base if base is not None else _prepare_state(cfg, _STREAM_DESIGN, b)
-        prob_b, ols_b = fitted[b] if fitted is not None else _replicate_problems(cfg, state, [b])[0]
-        out = {}
-        for group in groups.values():
+    def worker(chunk):
+        if base is not None:
+            states = [base] * len(chunk)
+            fitted = _replicate_problems(cfg, base, chunk)
+        else:
+            states = [_prepare_state(cfg, _STREAM_DESIGN, b) for b in chunk]
+            fitted = [_replicate_problems(cfg, state, [b])[0] for state, b in zip(states, chunk)]
+        problems = [prob_b for prob_b, _ in fitted]
+        outs = [{} for _ in chunk]
+        for cell in tensor_cells:
             plans, walls = [], []
-            for cell in group:
+            for state, b in zip(states, chunk):
                 start = clock()
                 plans.append(draw(state, cell, b))
                 walls.append((clock() - start) * 1e3)
             start = clock()
-            fits = _solve_sketches(prob_b, plans)
-            share = (clock() - start) * 1e3 / len(group)
-            for cell, fit, wall in zip(group, fits, walls):
+            fits = _solve_sketches(problems, plans)
+            share = (clock() - start) * 1e3 / len(chunk)
+            for out, fit, wall in zip(outs, fits, walls):
                 est = None if isinstance(fit, SketchRankDeficient) else fit
                 out[(cell.label, cell.tau)] = (est, wall + share)
-        if matrix_cells:
-            a = state.smls[0]
+        for state, b, prob_b, out in zip(states, chunk, problems, outs):
             rhs = unfold(prob_b.response)
             for cell in matrix_cells:
                 start = clock()
+                plan = draw(state, cell, b)
                 try:
-                    est = _solve_matrix_subsample(a, rhs, draw(state, cell, b), cfg.p, cfg.l)
+                    est = _solve_matrix_subsample(state.smls[0], rhs, plan, cfg.p, cfg.l)
                 except SketchRankDeficient:
                     est = None
-                wall = (clock() - start) * 1e3
-                out[(cell.label, cell.tau)] = (_fit_matrix(prob_b, est), wall)
-        return prob_b, ols_b, out
+                out[(cell.label, cell.tau)] = (_fit_matrix(prob_b, est), (clock() - start) * 1e3)
+        return [(prob_b, ols_b, out) for (prob_b, ols_b), out in zip(fitted, outs)]
 
-    results = _map_replicates(worker, cfg.replicates)
+    chunks = np.array_split(np.arange(cfg.replicates), -(-cfg.replicates // _REPLICATE_CHUNK))
+    results = [result for part in _map_chunks(worker, chunks) for result in part]
     return _aggregate(results, true_coefficients(cfg.p, cfg.l))
 
 
@@ -533,26 +538,23 @@ def _prepare_state(cfg: ExperimentConfig, stream, *key) -> _ReplicateState:
 def _replicate_problems(cfg: ExperimentConfig, state: _ReplicateState, replicates) -> list:
     """(problem, exact (b, objective)) of each listed replicate on the state's design.
 
-    A response is the signal X * B0, formed once from the design's half
-    stack, plus noise from stream (seed, response, b), or (seed, response)
-    in conditional mode, which shares one response among all replicates:
+    A response is the signal X * B0, formed from the design's half stack,
+    plus noise from stream (seed, response, b), or (seed, response) in
+    conditional mode, which shares one response among all replicates:
     bit-identical to gen_response's. The distinct responses are fitted by
-    one factorization per _RESPONSE_CHUNK of them, from a stack of their half
-    stacks that no problem keeps.
+    one _fit_responses factorization, which also stores each problem's fit
+    and residual energy for the objectives of its sketches.
     """
     prob = state.prob
     _, p, l = prob.shape
     signal = _from_half(prob.design_half @ _to_half(true_coefficients(p, l)), l)
     keys = [()] if cfg.mode == "conditional" else [(b,) for b in replicates]
-    out = []
-    for start in range(0, len(keys), _RESPONSE_CHUNK):
-        probs = [
-            prob.with_response(_add_noise(signal, _rng(cfg.seed, _STREAM_RESPONSE, *key), cfg.sigma2))
-            for key in keys[start : start + _RESPONSE_CHUNK]
-        ]
-        yhalf = np.concatenate([pb.response_half for pb in probs], axis=2)
-        bs, objectives = _fit_responses(prob.design_half, yhalf, l)
-        out += [(pb, (coef, float(f))) for pb, coef, f in zip(probs, bs, objectives)]
+    probs = [
+        prob.with_response(_add_noise(signal, _rng(cfg.seed, _STREAM_RESPONSE, *key), cfg.sigma2))
+        for key in keys
+    ]
+    bs, objectives = _fit_responses(probs)
+    out = [(pb, (coef, float(f))) for pb, coef, f in zip(probs, bs, objectives)]
     return out * len(replicates) if cfg.mode == "conditional" else out
 
 

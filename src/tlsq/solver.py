@@ -76,11 +76,13 @@ class TlsProblem:
     stack (l//2 + 1, n, p) and its Gram factors are computed once and shared
     across responses; the response is held as an (l//2 + 1, n, 1) stack.
     Construction factors [X | y] by one R-only TSQR: its leading block gives
-    the rank check and the Gram factors, and R11^-1 R12 is the exact fit that
-    solve_ols and the conditional variance read, so neither factors the
-    design again. A with_response copy keeps the design's factors but drops
-    that fit, which belongs to the first response; its own is factored on
-    first use.
+    the rank check, the Gram factors and R11, R11^-1 R12 is the exact fit
+    that solve_ols and the conditional variance read, and the trailing block
+    gives rho, the exact fit's residual energy per slice. Every objective is
+    read from R11, rho and the fit, so neither the design nor its rows are
+    touched again. A with_response copy keeps the design's factors and R11
+    but drops the fit and rho, which belong to the first response; its own
+    are factored on first use.
     """
 
     def __init__(self, design, response):
@@ -88,7 +90,8 @@ class TlsProblem:
         self.design, self.design_half = x, _to_half(x)
         self._set_response(response)
         r, self.gram_factors = _factor(self.design_half, self.response_half, l=x.shape[2])
-        self._ols_half = _back_substitute(r, x.shape[1])
+        self._r11 = r[..., : x.shape[1], : x.shape[1]]
+        _keep_fits([self], r)
 
     def _set_response(self, response):
         y = as_tensor(response, "response")
@@ -100,7 +103,7 @@ class TlsProblem:
             )
         self.response = y
         self.response_half = _to_half(y)
-        self._ols_half = None
+        self._ols_half = self._rho = None
 
     def with_response(self, response) -> "TlsProblem":
         """Same design (validation, DFT and factors reused), different response."""
@@ -162,29 +165,33 @@ class TlsSolution:
 
 
 def objective(prob: TlsProblem, b) -> float:
-    """Residual objective ||Y - X * B||_F^2, evaluated on the half spectrum.
+    """Residual objective ||Y - X * B||_F^2, read from the problem's factor of [X | y].
 
     By Parseval the spatial squared norm is the slice-summed norm over l,
     where each slice that is not self-conjugate stands for itself and its
-    mirror.
+    mirror; see _r_objectives for how each slice's norm is read from R.
     """
     b = as_tensor(b, "solution")
     n, p, l = prob.shape
     if b.shape != (p, 1, l):
         raise DimensionMismatch(f"solution shape {b.shape}; expected ({p}, 1, {l})")
-    return float(_objectives(prob.design_half, prob.response_half, b[None])[0])
+    return float(_r_objectives(prob._r11, *_exact_fit(prob), b))
 
 
-def _objectives(xhalf, yhalf, bs) -> np.ndarray:
-    """The objective of each solution in the batch `bs` (B, p, 1, l), from one matmul.
+def _r_objectives(r11, ols_half, rho, bs) -> np.ndarray:
+    """sum_k w_k (rho_k + ||R11_k (b_k - bols_k)||^2) / l for each solution of `bs` (..., p, 1, l).
 
-    `yhalf` is one response's half stack (l//2 + 1, n, 1), shared by the
-    batch, or one response per solution as the columns of (l//2 + 1, n, B).
+    [X | y] = Q [[R11, R12], [0, R22]] gives ||y - X b||^2 = ||R22||^2 +
+    ||R11 b - R12||^2 in each slice, and R12 = R11 bols, so the objective
+    needs no row of the design. Its rounding error is the factorization's
+    backward error, about eps ||[X | y]|| per slice, not that of a residual
+    over the rows. `r11` (..., l//2 + 1, p, p), `ols_half` (..., l//2 + 1,
+    p, 1) and `rho` (..., l//2 + 1) broadcast against the batch.
     """
     l = bs.shape[-1]
-    bhalf = np.fft.rfft(bs[:, :, 0, :], axis=-1).T  # (l//2 + 1, p, B)
-    resid = yhalf - xhalf @ bhalf
-    return _parseval_weights(l) @ _row_energy(resid.mT) / l
+    d = r11 @ (np.moveaxis(np.fft.rfft(bs, axis=-1), -1, -3) - ols_half)
+    excess = (d.real**2 + d.imag**2).sum(axis=(-2, -1))
+    return (rho + excess) @ _parseval_weights(l) / l
 
 
 # Stacks taller than this many rows are factored a block of rows at a time.
@@ -255,40 +262,57 @@ def _back_substitute(r, p: int) -> np.ndarray:
     return np.linalg.solve(r[..., :p, :p], r[..., :p, p:])
 
 
-def _fit_responses(xhalf, yhalf, l: int):
-    """Exact least-squares fits of several responses on one design, from one factorization.
+def _keep_fits(probs, r):
+    """Store each problem's exact fit and rho, read from the R factor of [X | Y_1 ... Y_k].
 
-    `yhalf` holds the responses' half stacks as columns, (l//2 + 1, n, k).
-    The constructor's _factor of [X | Y_1 ... Y_k] checks the design and
-    gives every column's R11^-1 R12[:, j]. Returns the solutions
-    (k, p, 1, l) and their objectives (k,).
+    Column j of R12 and of the trailing triangle R22 belong to probs[j]: its
+    fit is R11^-1 R12[:, j] and its residual energy per slice is the squared
+    norm of R22[:, j]. Returns the fits (k, l//2 + 1, p, 1) and rho
+    (k, l//2 + 1).
     """
-    bhalf = _back_substitute(_factor(xhalf, yhalf, l=l)[0], xhalf.shape[2])
-    bs = _from_half(np.moveaxis(bhalf, -1, 0)[..., None], l)
-    return bs, _objectives(xhalf, yhalf, bs)
+    p = probs[0].shape[1]
+    ols = np.moveaxis(_back_substitute(r, p), -1, 0)[..., None]
+    rho = _row_energy(r[..., p:, p:].mT).T
+    for pb, fit, energy in zip(probs, ols, rho):
+        pb._ols_half, pb._rho = fit, energy
+    return ols, rho
 
 
-def _exact_half(prob: TlsProblem) -> np.ndarray:
-    """The exact solution's half stack (l//2 + 1, p, 1): R11^-1 R12 of the problem's [X | y].
+def _fit_responses(probs):
+    """Exact least-squares fits of several problems on one design, from one factorization.
 
-    Construction stores it; a with_response copy runs the constructor's
-    _factor on its own [X | y] on first use and keeps the fit.
+    The problems share the design of probs[0]. The constructor's _factor of
+    [X | Y_1 ... Y_k] checks the design and gives every problem its fit and
+    rho, which are stored on it. Returns the solutions (k, p, 1, l) and their
+    objectives (k,).
+    """
+    l = probs[0].shape[2]
+    r = _factor(probs[0].design_half, *(pb.response_half for pb in probs), l=l)[0]
+    ols, rho = _keep_fits(probs, r)
+    bs = _from_half(ols, l)
+    return bs, _r_objectives(probs[0]._r11, ols, rho, bs)
+
+
+def _exact_fit(prob: TlsProblem):
+    """(ols_half, rho) of the problem: R11^-1 R12 of its [X | y], (l//2 + 1, p, 1), and rho.
+
+    Construction stores them; a with_response copy runs the constructor's
+    _factor on its own [X | y] on first use and keeps both.
     """
     if prob._ols_half is None:
-        r = _factor(prob.design_half, prob.response_half, l=prob.shape[2])[0]
-        prob._ols_half = _back_substitute(r, prob.shape[1])
-    return prob._ols_half
+        _keep_fits([prob], _factor(prob.design_half, prob.response_half, l=prob.shape[2])[0])
+    return prob._ols_half, prob._rho
 
 
 def solve_ols(prob: TlsProblem) -> TlsSolution:
     """Exact least-squares solution, from the fit the problem's [X | y] factor gives."""
-    b = _from_half(_exact_half(prob), prob.shape[2])
-    f = _objectives(prob.design_half, prob.response_half, b[None])[0]
+    b = _from_half(_exact_fit(prob)[0], prob.shape[2])
+    f = _r_objectives(prob._r11, *_exact_fit(prob), b)
     return TlsSolution(b=b, objective=float(f), method="ols")
 
 
-def _solve_sketches(prob: TlsProblem, plans) -> list:
-    """Solve the sketches of several plans on one problem in one batch.
+def _solve_sketches(problems, plans) -> list:
+    """Solve the sketches of several plans in one batch, plan j on problems[j].
 
     With-replacement draws enter the least-squares problem only through the
     summed squared weight of each drawn row, so every plan is first
@@ -297,14 +321,16 @@ def _solve_sketches(prob: TlsProblem, plans) -> list:
     The compressed sketches are padded with zero rows (which leave R
     unchanged) to a common height, stacked as (B, l//2 + 1, rows, p + 1) and
     factored by one R-only QR; one batch of p x p singular values checks the
-    rank and one batch of triangular solves gives the solutions. Returns one
-    entry per plan: (b, objective), or the plan's SketchRankDeficient from
-    _solve_factored; the rank cutoff counts a plan's tau draws, not its
-    unique rows. The batch is not split into plans of similar height: that
-    halves the padded rows on the heavy-tailed replicate grid but more than
-    doubles the factorization calls, and measured slower there.
+    rank and one batch of triangular solves gives the solutions. Plans on
+    one design gather its rows with one take; problems on different designs
+    gather their own. Returns one entry per plan: (b, objective), the
+    objective read from its problem's R factor by _r_objectives, or the
+    plan's SketchRankDeficient from _solve_factored; the rank cutoff counts
+    a plan's tau draws, not its unique rows. Padding costs rows, so a batch
+    should hold plans of similar height, as the replicate driver's batches
+    of one cell do.
     """
-    n, p, l = prob.shape
+    n, p, l = problems[0].shape
     taus = np.array([plan.tau for plan in plans])
     if (taus < p).any():
         raise ValueError(f"plan has tau={taus[taus < p][0]} < p={p}")
@@ -324,14 +350,20 @@ def _solve_sketches(prob: TlsProblem, plans) -> list:
     picked[owner, slot] = rows
     scale[owner, slot] = np.sqrt(energy[owner, rows])
     m = np.empty((l // 2 + 1, count, height, p + 1), dtype=np.complex128)
-    m[..., :p] = np.take(prob.design_half, picked, axis=1)
-    m[..., p:] = np.take(prob.response_half, picked, axis=1)
+    shared = all(pb.design_half is problems[0].design_half for pb in problems)
+    if shared:
+        m[..., :p] = np.take(problems[0].design_half, picked, axis=1)
+    for j, pb in enumerate(problems):
+        if not shared:
+            m[:, j, :, :p] = np.take(pb.design_half, picked[j], axis=1)
+        m[:, j, :, p] = pb.response_half[:, picked[j], 0]
     m *= scale[:, :, None]
     r, s = _qr_svd(_row_blocks(m.swapaxes(0, 1)), p, compute_uv=False)
     ok, bhalf, fits = _solve_factored(r, s, taus, l)
     bs = _from_half(bhalf, l)
-    objectives = _objectives(prob.design_half, prob.response_half, bs)
-    for k, b, f in zip(np.flatnonzero(ok), bs, objectives):
+    ols_half, rho = (np.stack(part)[ok] for part in zip(*map(_exact_fit, problems)))
+    r11 = problems[0]._r11 if shared else np.stack([pb._r11 for pb in problems])[ok]
+    for k, b, f in zip(np.flatnonzero(ok), bs, _r_objectives(r11, ols_half, rho, bs)):
         fits[k] = (b, float(f))
     return fits
 
@@ -345,7 +377,7 @@ def solve_subsampled(prob: TlsProblem, plan: SamplingPlan) -> TlsSolution:
     a solve with each triangle rather than explicit normal equations;
     forming the inverse would square the slice condition numbers.
     """
-    (fit,) = _solve_sketches(prob, [plan])
+    (fit,) = _solve_sketches([prob], [plan])
     if isinstance(fit, SketchRankDeficient):
         raise fit
     return TlsSolution(b=fit[0], objective=fit[1], method="subsampled", plan=plan)

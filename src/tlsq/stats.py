@@ -26,7 +26,7 @@ import numpy as np
 from .errors import DimensionMismatch, ZeroProbabilityRow
 from .sampling import SamplingDistribution, _sandwich_numerators
 from .tensor import _from_half, _row_energy, as_tensor
-from .solver import TlsProblem, _design_factors, _exact_half
+from .solver import TlsProblem, _design_factors, _exact_fit
 
 # Rows whose numerator is this far (relative) below the largest are treated
 # as exact zeros when paired with a zero sampling probability.
@@ -132,7 +132,7 @@ def _conditional_middle(prob: TlsProblem, dist: SamplingDistribution, tau: int) 
     """Row weights (l//2 + 1, n) of the conditional sandwich: residual energy / (tau * pi_i)."""
     if tau < 1:
         raise ValueError("tau must be at least 1")
-    energy = _row_energy(prob.response_half - prob.design_half @ _exact_half(prob))
+    energy = _row_energy(prob.response_half - prob.design_half @ _exact_fit(prob)[0])
     return _row_weights(energy, dist.probs, "residual") / tau
 
 
@@ -142,8 +142,8 @@ def ols_variance(design, sigma2: float) -> np.ndarray:
     `sigma2` is the tube variance, E[e * e^T] = sigma2 I; for i.i.d.
     N(0, s^2) entries pass l * s^2 (see the module docstring).
     """
-    if sigma2 <= 0:
-        raise ValueError("sigma2 must be positive")
+    if not 0.0 < sigma2 < np.inf:
+        raise ValueError(f"sigma2 must be positive and finite, got {sigma2}")
     x, _, f, _ = _design_factors(design)
     return _from_half(sigma2 * _gram_inverses(f), x.shape[2])
 
@@ -172,8 +172,8 @@ def _unconditional_middle(rows, dist: SamplingDistribution, tau: int, sigma2: fl
     """Row weights (l//2 + 1, n) of the noise sandwich: sigma2 (1 - h_i(k)) / (tau * pi_i)."""
     if tau < 1:
         raise ValueError("tau must be at least 1")
-    if sigma2 <= 0:
-        raise ValueError("sigma2 must be positive")
+    if not 0.0 < sigma2 < np.inf:
+        raise ValueError(f"sigma2 must be positive and finite, got {sigma2}")
     return _row_weights(1.0 - rows, dist.probs, "hat-matrix complement") * (sigma2 / tau)
 
 

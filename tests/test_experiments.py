@@ -9,7 +9,7 @@ from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 import tlsq
-from tlsq import experiments
+from tlsq import experiments, solver
 from tlsq.errors import SketchRankDeficient
 from tlsq.experiments import (
     ConfigError,
@@ -295,7 +295,12 @@ class TestBatchedReplicateLoop:
             dict(mode="unconditional", smls="same_tau", design="mn"),
             dict(mode="conditional", smls="l_times_tau", redraw_design=True),
             dict(mode="unconditional", redraw_design=True),
-            dict(mode="unconditional", replicates=2 * experiments._RESPONSE_CHUNK + 3),
+            dict(mode="unconditional", replicates=2 * experiments._REPLICATE_CHUNK + 3),
+            # chunks of 7, 6 and 6 replicates, each cell batch mixing designs
+            dict(mode="unconditional", redraw_design=True, replicates=19),
+            dict(mode="conditional", replicates=19),
+            # the starved config: batches mix designs and rank-deficient plans
+            dict(n=12, p=10, l=2, design="mn", replicates=19, taus=(10, 12), redraw_design=True),
         ],
     )
     def test_experiment_matches_per_cell_loop(self, overrides):
@@ -314,7 +319,7 @@ class TestBatchedReplicateLoop:
         ex = experiments
         for mode in ex.REPLICATE_MODES:
             cfg = ExperimentConfig(seed=34, n=60, p=4, l=5, design="t3",
-                                   replicates=ex._RESPONSE_CHUNK + 3, taus=(20,), mode=mode)
+                                   replicates=ex._REPLICATE_CHUNK + 3, taus=(20,), mode=mode)
             state = ex._prepare_state(cfg, ex._STREAM_DESIGN)
             fitted = ex._replicate_problems(cfg, state, range(cfg.replicates))
             assert len(fitted) == cfg.replicates
@@ -348,6 +353,32 @@ class TestBatchedReplicateLoop:
                                taus=(12,), mode=mode, redraw_design=redraw)
         run_experiment(cfg)
         assert calls == []
+
+    @pytest.mark.parametrize("redraw", [False, True])
+    @pytest.mark.parametrize("mode", experiments.REPLICATE_MODES)
+    def test_factorizations_per_run(self, monkeypatch, redraw, mode):
+        """One factorization fits a chunk's responses on a design; one solves a cell's batch.
+
+        A shared design is factored once more on its own. Under redraw_design
+        every replicate factors its design and fits its response, while each
+        cell batch still spans the chunk. Matrix cells and objectives factor
+        nothing.
+        """
+        calls = []
+
+        def counting(*args, _original=solver._qr_svd, **kwargs):
+            calls.append(1)
+            return _original(*args, **kwargs)
+
+        monkeypatch.setattr(solver, "_qr_svd", counting)
+        cfg = ExperimentConfig(seed=37, n=150, p=4, l=3, design="t3", replicates=19,
+                               taus=(8, 30), smls="same_tau", mode=mode, redraw_design=redraw)
+        rows = run_experiment(cfg)
+        chunks = math.ceil(cfg.replicates / experiments._REPLICATE_CHUNK)
+        cells = len(cfg.methods) * len(cfg.taus)
+        assert len(rows) == cells + 2 * len(cfg.taus)
+        expected = 2 * cfg.replicates + chunks * cells if redraw else 1 + chunks * (1 + cells)
+        assert len(calls) == expected
 
     def test_starved_config_counts_the_same_failures(self):
         cfg = ExperimentConfig(seed=33, n=12, p=10, l=2, design="mn", replicates=10,

@@ -8,7 +8,8 @@ from hypothesis import strategies as st
 import tlsq
 from tlsq import experiments, solver
 from tlsq.errors import DimensionMismatch, RankDeficient, SketchRankDeficient
-from tlsq.tensor import _to_half
+from tlsq.tensor import _from_half, _to_half
+from test_stats import ill_conditioned_half_design
 
 
 def rand(shape, seed):
@@ -301,6 +302,34 @@ class TestEdgeShapesAgainstOracle:
         assert abs(got - expected) <= 1e-10 * max(1.0, expected)
 
 
+class TestObjectiveFromR:
+    """objective reads ||Y - X * B||_F^2 from the factor of [X | y], never from the rows."""
+
+    @settings(max_examples=60, deadline=None)
+    @given(**edge_shapes, ill=st.booleans())
+    @example(p=1, extra_rows=0, l=1, seed=8, ill=False)
+    @example(p=3, extra_rows=0, l=2, seed=9, ill=False)
+    @example(p=2, extra_rows=3, l=5, seed=10, ill=False)
+    @example(p=4, extra_rows=1, l=6, seed=11, ill=False)
+    @example(p=1, extra_rows=0, l=3, seed=12, ill=True)
+    @example(p=1, extra_rows=0, l=4, seed=13, ill=True)
+    def test_matches_bcirc_residual(self, p, extra_rows, l, seed, ill):
+        """Random designs on the edge shapes, or the kappa = 2e7 design of the stats tests."""
+        rng = np.random.default_rng(seed)
+        if ill:
+            half = ill_conditioned_half_design(30, 3, l, np.array([2e7, 4e3, 1.0]), seed)[0]
+            x = _from_half(half, l)
+        else:
+            x = rng.standard_normal((p + extra_rows, p, l))
+        n, p, _ = x.shape
+        y = rng.standard_normal((n, 1, l))
+        b = rng.standard_normal((p, 1, l))
+        expected = float(((tlsq.bcirc(x) @ tlsq.unfold(b) - tlsq.unfold(y)) ** 2).sum())
+        prob = tlsq.TlsProblem(x, y)
+        for pb in (prob, prob.with_response(y)):
+            assert abs(tlsq.objective(pb, b) - expected) <= 1e-10 * expected
+
+
 def uncompressed_short_slice(x, plan):
     """First rank-deficient DFT slice of the uncompressed sketch, 1-based, or None.
 
@@ -371,7 +400,7 @@ class TestDuplicateCompression:
         rng = np.random.default_rng(60)
         prob = make_problem(n=40, p=3, l=4, seed=61)
         plans = [repeated_plan(rng, 40, u, r) for u, r in ((20, 5), (3, 12), (2, 13), (9, 6))]
-        fits = solver._solve_sketches(prob, plans)
+        fits = solver._solve_sketches([prob] * len(plans), plans)
         for plan, fit in zip(plans, fits):
             try:
                 single = tlsq.solve_subsampled(prob, plan)
@@ -422,8 +451,7 @@ class TestMultiResponseFit:
     @staticmethod
     def assert_columns_match_solve_ols(x, ys, refs):
         prob = tlsq.TlsProblem(x, ys[0])
-        yhalf = np.concatenate([_to_half(y) for y in ys], axis=2)
-        bs, objectives = solver._fit_responses(prob.design_half, yhalf, x.shape[2])
+        bs, objectives = solver._fit_responses([prob.with_response(y) for y in ys])
         assert bs.shape == (len(ys), x.shape[1], 1, x.shape[2])
         for y, b, obj, ref in zip(ys, bs, objectives, refs):
             assert np.abs(b - ref.b).max() <= 1e-12 * np.abs(ref.b).max()
@@ -453,9 +481,12 @@ class TestMultiResponseFit:
 
     def test_slice_rank_deficient_design_raises(self):
         x = np.repeat(rand((8, 2, 1), 96), 3, axis=2)  # every slice but the first is zero
-        yhalf = np.concatenate([_to_half(rand((8, 1, 3), s)) for s in (97, 98)], axis=2)
+        # A TlsProblem rejects such a design, so the problems get its half stack afterwards.
+        probs = [tlsq.TlsProblem(rand((8, 2, 3), 99), rand((8, 1, 3), s)) for s in (97, 98)]
+        for pb in probs:
+            pb.design_half = _to_half(x)
         with pytest.raises(RankDeficient, match="slice 2 of 3"):
-            solver._fit_responses(_to_half(x), yhalf, 3)
+            solver._fit_responses(probs)
 
 
 class TestWithResponseFit:

@@ -245,6 +245,24 @@ class TestUnconditionalVariance:
         with pytest.raises(ValueError):
             unconditional_variance(x, tlsq.uniform_probs(10), 5, 0.0)
 
+    @pytest.mark.parametrize("sigma2", [float("nan"), float("inf")])
+    @pytest.mark.parametrize(
+        "call", ["gen_response", "ols_variance", "unconditional_variance", "variance_report"]
+    )
+    def test_non_finite_sigma2_rejected(self, call, sigma2):
+        x = tlsq.experiments.gen_design("mn", 10, 4, 2, seed=0)
+        dist = tlsq.uniform_probs(10)
+        calls = {
+            "gen_response": lambda: tlsq.experiments.gen_response(x, 1, sigma2),
+            "ols_variance": lambda: ols_variance(x, sigma2),
+            "unconditional_variance": lambda: unconditional_variance(x, dist, 5, sigma2),
+            "variance_report": lambda: variance_report(
+                tlsq.TlsProblem(x, rand((10, 1, 2), 2)), dist, 5, sigma2
+            ),
+        }
+        with pytest.raises(ValueError, match="sigma2 must be .*finite"):
+            calls[call]()
+
     def test_gram_inverse_matches_svd_route(self):
         from tlsq.solver import validate_design
         from tlsq.stats import _gram_inverses
