@@ -52,7 +52,8 @@ file formats:
                 same_tau|l_times_tau), mode (unconditional|conditional),
                 redraw_design (0|1), timing (0|1).
   reports       CSV: method,tau,smrfv,smre,ssb,sv,smse,mean_ms,replicates,
-                failures. TLSQ_THREADS caps replicate parallelism.
+                failures. TLSQ_THREADS caps replicate parallelism, as do
+                the ceil(replicates / 8) replicate chunks.
 """
 
 

@@ -62,12 +62,12 @@ _STREAM_PLAN = 2
 _STREAM_SMLS = 3
 
 # The replicates run in ceil(R / _REPLICATE_CHUNK) near-equal chunks, one
-# pool task each. A chunk fits its responses on one design by one
-# factorization of [X | Y] and solves each tensor cell as one batch of one
-# plan per replicate. The chunk bounds those stacks: on the t1 replicate grid
-# (25 replicates) one stack of all responses raised the peak RSS by 8%,
-# chunks of 8 by 2%. It depends on R alone, so reports do not depend on the
-# thread count.
+# pool task each, so at most that many threads work at once. A chunk fits its
+# responses on one design by one factorization of [X | Y] and solves each
+# tensor cell as one batch of one plan per replicate. The chunk bounds those
+# stacks: on the t1 replicate grid (25 replicates) one stack of all responses
+# raised the peak RSS by 8%, chunks of 8 by 2%. It depends on R alone, so
+# reports do not depend on the thread count.
 _REPLICATE_CHUNK = 8
 
 _EPS = np.finfo(np.float64).eps
@@ -442,10 +442,12 @@ def _run_cells(cfg: ExperimentConfig, base, cells, timed: bool) -> list[MetricsR
     """Run every cell in every replicate and aggregate one MetricsRow per cell.
 
     `base` is the shared design state, or None to draw one per replicate.
-    The pool maps near-equal chunks of the replicates (_REPLICATE_CHUNK). A
-    chunk fits its responses by one factorization per design, solves each
-    tensor cell as one batch of one plan per replicate, every plan on its
-    own stream key, and then runs the matrix cells replicate by replicate.
+    The pool maps near-equal chunks of the replicates (_REPLICATE_CHUNK), so
+    at most ceil(R / 8) tasks run at once. A chunk fits its responses by one
+    factorization per design (a shared design's one conditional-mode
+    response is fitted once for all chunks), solves each tensor cell as one
+    batch of one plan per replicate, every plan on its own stream key, and
+    then runs the matrix cells replicate by replicate.
     When `timed`, a tensor cell's wall time is its plan draw plus an equal
     share of its cell batch, a matrix cell's its draw and solve; otherwise
     it is NaN.
@@ -458,13 +460,18 @@ def _run_cells(cfg: ExperimentConfig, base, cells, timed: bool) -> list[MetricsR
         dists = state.smls[1] if cell.matrix else state.dists
         return draw_plan(dists[cell.kind], cell.draws, _rng(cfg.seed, cell.stream, b, *cell.index))
 
+    # A shared design in conditional mode has one response: fit it once for every chunk.
+    fixed = None
+    if base is not None and cfg.mode == "conditional":
+        fixed = _replicate_problems(cfg, base, [0])
+
     def worker(chunk):
-        if base is not None:
-            states = [base] * len(chunk)
-            fitted = _replicate_problems(cfg, base, chunk)
-        else:
+        if base is None:
             states = [_prepare_state(cfg, _STREAM_DESIGN, b) for b in chunk]
             fitted = [_replicate_problems(cfg, state, [b])[0] for state, b in zip(states, chunk)]
+        else:
+            states = [base] * len(chunk)
+            fitted = fixed * len(chunk) if fixed else _replicate_problems(cfg, base, chunk)
         problems = [prob_b for prob_b, _ in fitted]
         outs = [{} for _ in chunk]
         for cell in tensor_cells:

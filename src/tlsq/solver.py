@@ -321,14 +321,13 @@ def _solve_sketches(problems, plans) -> list:
     The compressed sketches are padded with zero rows (which leave R
     unchanged) to a common height, stacked as (B, l//2 + 1, rows, p + 1) and
     factored by one R-only QR; one batch of p x p singular values checks the
-    rank and one batch of triangular solves gives the solutions. Plans on
-    one design gather its rows with one take; problems on different designs
-    gather their own. Returns one entry per plan: (b, objective), the
-    objective read from its problem's R factor by _r_objectives, or the
-    plan's SketchRankDeficient from _solve_factored; the rank cutoff counts
-    a plan's tau draws, not its unique rows. Padding costs rows, so a batch
-    should hold plans of similar height, as the replicate driver's batches
-    of one cell do.
+    rank and one batch of triangular solves gives the solutions. Each plan
+    gathers its rows from its own problem. Returns one entry per plan:
+    (b, objective), the objective read from its problem's R factor by
+    _r_objectives, or the plan's SketchRankDeficient from _solve_factored;
+    the rank cutoff counts a plan's tau draws, not its unique rows. Padding
+    costs rows, so a batch should hold plans of similar height, as the
+    replicate driver's batches of one cell do.
     """
     n, p, l = problems[0].shape
     taus = np.array([plan.tau for plan in plans])
@@ -350,19 +349,15 @@ def _solve_sketches(problems, plans) -> list:
     picked[owner, slot] = rows
     scale[owner, slot] = np.sqrt(energy[owner, rows])
     m = np.empty((l // 2 + 1, count, height, p + 1), dtype=np.complex128)
-    shared = all(pb.design_half is problems[0].design_half for pb in problems)
-    if shared:
-        m[..., :p] = np.take(problems[0].design_half, picked, axis=1)
     for j, pb in enumerate(problems):
-        if not shared:
-            m[:, j, :, :p] = np.take(pb.design_half, picked[j], axis=1)
+        m[:, j, :, :p] = pb.design_half[:, picked[j]]
         m[:, j, :, p] = pb.response_half[:, picked[j], 0]
     m *= scale[:, :, None]
     r, s = _qr_svd(_row_blocks(m.swapaxes(0, 1)), p, compute_uv=False)
     ok, bhalf, fits = _solve_factored(r, s, taus, l)
     bs = _from_half(bhalf, l)
     ols_half, rho = (np.stack(part)[ok] for part in zip(*map(_exact_fit, problems)))
-    r11 = problems[0]._r11 if shared else np.stack([pb._r11 for pb in problems])[ok]
+    r11 = np.stack([pb._r11 for pb in problems])[ok]
     for k, b, f in zip(np.flatnonzero(ok), bs, _r_objectives(r11, ols_half, rho, bs)):
         fits[k] = (b, float(f))
     return fits

@@ -359,7 +359,8 @@ class TestBatchedReplicateLoop:
     def test_factorizations_per_run(self, monkeypatch, redraw, mode):
         """One factorization fits a chunk's responses on a design; one solves a cell's batch.
 
-        A shared design is factored once more on its own. Under redraw_design
+        A shared design is factored once more on its own; in conditional mode
+        its one response is fitted once for all chunks. Under redraw_design
         every replicate factors its design and fits its response, while each
         cell batch still spans the chunk. Matrix cells and objectives factor
         nothing.
@@ -377,7 +378,12 @@ class TestBatchedReplicateLoop:
         chunks = math.ceil(cfg.replicates / experiments._REPLICATE_CHUNK)
         cells = len(cfg.methods) * len(cfg.taus)
         assert len(rows) == cells + 2 * len(cfg.taus)
-        expected = 2 * cfg.replicates + chunks * cells if redraw else 1 + chunks * (1 + cells)
+        if redraw:
+            expected = 2 * cfg.replicates + chunks * cells
+        elif mode == "conditional":
+            expected = 2 + chunks * cells
+        else:
+            expected = 1 + chunks * (1 + cells)
         assert len(calls) == expected
 
     def test_starved_config_counts_the_same_failures(self):

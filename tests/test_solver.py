@@ -9,7 +9,6 @@ import tlsq
 from tlsq import experiments, solver
 from tlsq.errors import DimensionMismatch, RankDeficient, SketchRankDeficient
 from tlsq.tensor import _from_half, _to_half
-from test_stats import ill_conditioned_half_design
 
 
 def rand(shape, seed):
@@ -313,7 +312,9 @@ class TestObjectiveFromR:
     @example(p=4, extra_rows=1, l=6, seed=11, ill=False)
     @example(p=1, extra_rows=0, l=3, seed=12, ill=True)
     @example(p=1, extra_rows=0, l=4, seed=13, ill=True)
-    def test_matches_bcirc_residual(self, p, extra_rows, l, seed, ill):
+    def test_matches_bcirc_residual(
+        self, ill_conditioned_half_design, p, extra_rows, l, seed, ill
+    ):
         """Random designs on the edge shapes, or the kappa = 2e7 design of the stats tests."""
         rng = np.random.default_rng(seed)
         if ill:
