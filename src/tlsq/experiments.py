@@ -33,9 +33,9 @@ from .sampling import (
     shrinked_leverage_probs,
     uniform_probs,
 )
-from .solver import TlsProblem, _fit_responses, _solve_sketches, objective, validate_design
-from .tensor import BCIRC_MAX_ENTRIES, _from_half, _to_half, as_tensor, bcirc, fold
-from .tensor import t_product, unfold
+from .solver import TlsProblem, _exact_solutions, _on_design, _solve_sketches, objective
+from .solver import validate_design
+from .tensor import BCIRC_MAX_ENTRIES, as_tensor, bcirc, fold, unfold
 
 DESIGN_KINDS = ("mn", "t3", "t1")
 METHOD_KINDS = ("unif", "lev", "slev", "opt")
@@ -199,13 +199,23 @@ def true_coefficients(p: int, l: int) -> np.ndarray:
 
 
 def gen_response(x, seed, sigma2: float = 9.0) -> tuple[np.ndarray, np.ndarray]:
-    """Response under the linear model: Y = X * B0 + noise, noise i.i.d. N(0, sigma2)."""
+    """Response under the linear model: Y = X * B0 + noise, noise i.i.d. N(0, sigma2).
+
+    Every tube of B0 is constant, v_j at each position, so the signal has a
+    closed form: row i of X * B0 is sum_j v_j sum_k x_ij(k) at every position.
+    """
     x = as_tensor(x, "design")
     _, p, l = x.shape
     if not 0.0 <= sigma2 < math.inf:
         raise ValueError(f"sigma2 must be finite and nonnegative, got {sigma2}")
-    b0 = true_coefficients(p, l)
-    return _add_noise(t_product(x, b0), seed, sigma2), b0
+    return _add_noise(_signal(x), seed, sigma2), true_coefficients(p, l)
+
+
+def _signal(x) -> np.ndarray:
+    """X * B0 in closed form (see gen_response), shared by gen_response and the replicate driver."""
+    _, p, l = x.shape
+    v = true_coefficients(p, 1)[:, 0, 0]
+    return np.repeat((x.sum(axis=2) @ v)[:, None, None], l, axis=2)
 
 
 def _add_noise(signal, seed, sigma2: float) -> np.ndarray:
@@ -358,7 +368,8 @@ def _map_chunks(worker, chunks):
 
 @dataclass
 class _ReplicateState:
-    prob: TlsProblem
+    prob: TlsProblem  # carries the response of stream key `key` (_response_key)
+    key: tuple
     dists: dict
     smls: tuple | None  # (a, {kind: dist}) when the baseline is on
 
@@ -443,11 +454,10 @@ def _run_cells(cfg: ExperimentConfig, base, cells, timed: bool) -> list[MetricsR
 
     `base` is the shared design state, or None to draw one per replicate.
     The pool maps near-equal chunks of the replicates (_REPLICATE_CHUNK), so
-    at most ceil(R / 8) tasks run at once. A chunk fits its responses by one
-    factorization per design (a shared design's one conditional-mode
-    response is fitted once for all chunks), solves each tensor cell as one
-    batch of one plan per replicate, every plan on its own stream key, and
-    then runs the matrix cells replicate by replicate.
+    at most ceil(R / 8) tasks run at once. A chunk builds its replicates'
+    problems (_replicate_problems), solves each tensor cell as one batch of
+    one plan per replicate, every plan on its own stream key, and then runs
+    the matrix cells replicate by replicate.
     When `timed`, a tensor cell's wall time is its plan draw plus an equal
     share of its cell batch, a matrix cell's its draw and solve; otherwise
     it is NaN.
@@ -460,18 +470,13 @@ def _run_cells(cfg: ExperimentConfig, base, cells, timed: bool) -> list[MetricsR
         dists = state.smls[1] if cell.matrix else state.dists
         return draw_plan(dists[cell.kind], cell.draws, _rng(cfg.seed, cell.stream, b, *cell.index))
 
-    # A shared design in conditional mode has one response: fit it once for every chunk.
-    fixed = None
-    if base is not None and cfg.mode == "conditional":
-        fixed = _replicate_problems(cfg, base, [0])
-
     def worker(chunk):
         if base is None:
             states = [_prepare_state(cfg, _STREAM_DESIGN, b) for b in chunk]
             fitted = [_replicate_problems(cfg, state, [b])[0] for state, b in zip(states, chunk)]
         else:
             states = [base] * len(chunk)
-            fitted = fixed * len(chunk) if fixed else _replicate_problems(cfg, base, chunk)
+            fitted = _replicate_problems(cfg, base, chunk)
         problems = [prob_b for prob_b, _ in fitted]
         outs = [{} for _ in chunk]
         for cell in tensor_cells:
@@ -532,37 +537,48 @@ def run_experiment(cfg: ExperimentConfig) -> list[MetricsRow]:
 
 
 def _prepare_state(cfg: ExperimentConfig, stream, *key) -> _ReplicateState:
+    """The design drawn from stream (seed, stream, *key), its problem and distributions.
+
+    Key (b,) draws replicate b's own design under redraw_design, key () the
+    shared one. The problem carries the response that the design's first
+    replicate reads: replicate b's, or replicate 0's on the shared design.
+    """
     x = gen_design(cfg.design, cfg.n, cfg.p, cfg.l, _rng(cfg.seed, stream, *key))
-    # The replicates draw their responses (_replicate_problems), so the shared
-    # problem's response is a placeholder that no cell reads.
-    prob = TlsProblem(x, np.zeros((cfg.n, 1, cfg.l)))
+    response_key = _response_key(cfg, *(key or (0,)))
+    prob = TlsProblem(x, _response(cfg, _signal(x), response_key))
     dists = {m: build_distribution(prob, m, cfg.alpha) for m in cfg.methods}
     kinds = [m for m in cfg.methods if m in ("unif", "lev")] if cfg.smls != "off" else []
     smls = (bcirc(x), {k: _matrix_distribution(prob, k) for k in kinds}) if kinds else None
-    return _ReplicateState(prob=prob, dists=dists, smls=smls)
+    return _ReplicateState(prob=prob, key=response_key, dists=dists, smls=smls)
+
+
+def _response_key(cfg: ExperimentConfig, b) -> tuple:
+    """Noise stream key of replicate b: (b,), or () in conditional mode, which shares one response."""
+    return () if cfg.mode == "conditional" else (b,)
+
+
+def _response(cfg: ExperimentConfig, signal, key) -> np.ndarray:
+    """`signal` plus noise from stream (seed, response, *key): gen_response's draw on its design."""
+    return _add_noise(signal, _rng(cfg.seed, _STREAM_RESPONSE, *key), cfg.sigma2)
 
 
 def _replicate_problems(cfg: ExperimentConfig, state: _ReplicateState, replicates) -> list:
     """(problem, exact (b, objective)) of each listed replicate on the state's design.
 
-    A response is the signal X * B0, formed from the design's half stack,
-    plus noise from stream (seed, response, b), or (seed, response) in
-    conditional mode, which shares one response among all replicates:
-    bit-identical to gen_response's. The distinct responses are fitted by
-    one _fit_responses factorization, which also stores each problem's fit
-    and residual energy for the objectives of its sketches.
+    Replicates that share a response key share one problem. The state's
+    problem serves its own key; the responses of the other keys are drawn
+    and fitted by one _on_design factorization. The exact solutions are read
+    from the problems' fits.
     """
-    prob = state.prob
-    _, p, l = prob.shape
-    signal = _from_half(prob.design_half @ _to_half(true_coefficients(p, l)), l)
-    keys = [()] if cfg.mode == "conditional" else [(b,) for b in replicates]
-    probs = [
-        prob.with_response(_add_noise(signal, _rng(cfg.seed, _STREAM_RESPONSE, *key), cfg.sigma2))
-        for key in keys
-    ]
-    bs, objectives = _fit_responses(probs)
-    out = [(pb, (coef, float(f))) for pb, coef, f in zip(probs, bs, objectives)]
-    return out * len(replicates) if cfg.mode == "conditional" else out
+    keys = [_response_key(cfg, b) for b in replicates]
+    fresh = list(dict.fromkeys(k for k in keys if k != state.key))
+    built = {state.key: state.prob}
+    if fresh:
+        signal = _signal(state.prob.design)
+        built.update(zip(fresh, _on_design(state.prob, [_response(cfg, signal, k) for k in fresh])))
+    probs = [built[k] for k in keys]
+    bs, objectives = _exact_solutions(probs)
+    return [(pb, (coef, float(f))) for pb, coef, f in zip(probs, bs, objectives)]
 
 
 def _fit_matrix(prob: TlsProblem, b):

@@ -11,7 +11,6 @@ selection commutes with the tube DFT.
 
 from __future__ import annotations
 
-import copy
 import functools
 import math
 from dataclasses import dataclass
@@ -69,47 +68,28 @@ def _factor(xhalf, *responses, l: int):
 
 
 class TlsProblem:
-    """A validated overdetermined tensor least-squares instance.
+    """A validated overdetermined tensor least-squares instance, fitted when it is built.
 
     Requires n >= p and column rank p in every DFT slice of the design, so
     the normal-equations inverse exists. The design's half-spectrum slice
     stack (l//2 + 1, n, p) and its Gram factors are computed once and shared
     across responses; the response is held as an (l//2 + 1, n, 1) stack.
-    Construction factors [X | y] by one R-only TSQR: its leading block gives
-    the rank check, the Gram factors and R11, R11^-1 R12 is the exact fit
-    that solve_ols and the conditional variance read, and the trailing block
-    gives rho, the exact fit's residual energy per slice. Every objective is
-    read from R11, rho and the fit, so neither the design nor its rows are
-    touched again. A with_response copy keeps the design's factors and R11
-    but drops the fit and rho, which belong to the first response; its own
-    are factored on first use.
+    Every problem, also a with_response copy, is built by _on_design: one
+    R-only TSQR of [X | y] whose leading block gives the rank check, the
+    Gram factors and R11, R11^-1 R12 the exact fit that solve_ols and the
+    conditional variance read, and the trailing block rho, the exact fit's
+    residual energy per slice. Every objective is read from R11, rho and the
+    fit, so neither the design nor its rows are touched again.
     """
 
     def __init__(self, design, response):
         x = _check_design(design)
         self.design, self.design_half = x, _to_half(x)
-        self._set_response(response)
-        r, self.gram_factors = _factor(self.design_half, self.response_half, l=x.shape[2])
-        self._r11 = r[..., : x.shape[1], : x.shape[1]]
-        _keep_fits([self], r)
-
-    def _set_response(self, response):
-        y = as_tensor(response, "response")
-        n, p, l = self.design.shape
-        if y.shape != (n, 1, l):
-            raise DimensionMismatch(
-                f"response shape {y.shape} does not match design {self.design.shape}; "
-                f"expected ({n}, 1, {l})"
-            )
-        self.response = y
-        self.response_half = _to_half(y)
-        self._ols_half = self._rho = None
+        vars(self).update(vars(_on_design(self, [response])[0]))
 
     def with_response(self, response) -> "TlsProblem":
-        """Same design (validation, DFT and factors reused), different response."""
-        other = copy.copy(self)
-        other._set_response(response)
-        return other
+        """Same design (validation, DFT and factors reused), different response, fitted at once."""
+        return _on_design(self, [response])[0]
 
     @property
     def shape(self) -> tuple[int, int, int]:
@@ -175,19 +155,24 @@ def objective(prob: TlsProblem, b) -> float:
     n, p, l = prob.shape
     if b.shape != (p, 1, l):
         raise DimensionMismatch(f"solution shape {b.shape}; expected ({p}, 1, {l})")
-    return float(_r_objectives(prob._r11, *_exact_fit(prob), b))
+    return float(_r_objectives([prob], b[None])[0])
 
 
-def _r_objectives(r11, ols_half, rho, bs) -> np.ndarray:
-    """sum_k w_k (rho_k + ||R11_k (b_k - bols_k)||^2) / l for each solution of `bs` (..., p, 1, l).
+def _r_objectives(problems, bs) -> np.ndarray:
+    """sum_k w_k (rho_k + ||R11_k (b_k - bols_k)||^2) / l of solution bs[j] on problems[j].
 
     [X | y] = Q [[R11, R12], [0, R22]] gives ||y - X b||^2 = ||R22||^2 +
     ||R11 b - R12||^2 in each slice, and R12 = R11 bols, so the objective
     needs no row of the design. Its rounding error is the factorization's
     backward error, about eps ||[X | y]|| per slice, not that of a residual
-    over the rows. `r11` (..., l//2 + 1, p, p), `ols_half` (..., l//2 + 1,
-    p, 1) and `rho` (..., l//2 + 1) broadcast against the batch.
+    over the rows. Near the exact fit the relative error grows to about eps
+    times the slice condition number: at worst 4.1e-11 on a kappa = 2e7
+    design with b within 1e-5 of the fit, where an exact fit taken from the
+    normal equations R11^H R11 reads 1.5e-8. `bs` is (len(problems), p, 1, l).
     """
+    r11, ols_half, rho = (
+        np.stack([getattr(pb, name) for pb in problems]) for name in ("_r11", "_ols_half", "_rho")
+    )
     l = bs.shape[-1]
     d = r11 @ (np.moveaxis(np.fft.rfft(bs, axis=-1), -1, -3) - ols_half)
     excess = (d.real**2 + d.imag**2).sum(axis=(-2, -1))
@@ -262,52 +247,47 @@ def _back_substitute(r, p: int) -> np.ndarray:
     return np.linalg.solve(r[..., :p, :p], r[..., :p, p:])
 
 
-def _keep_fits(probs, r):
-    """Store each problem's exact fit and rho, read from the R factor of [X | Y_1 ... Y_k].
+def _on_design(prob, responses) -> list:
+    """Problems on the design of `prob`, one per response, fitted by one R-only TSQR.
 
-    Column j of R12 and of the trailing triangle R22 belong to probs[j]: its
-    fit is R11^-1 R12[:, j] and its residual energy per slice is the squared
-    norm of R22[:, j]. Returns the fits (k, l//2 + 1, p, 1) and rho
-    (k, l//2 + 1).
+    _factor of [X | Y_1 ... Y_k] checks the design again. Column j of R12
+    and of the trailing triangle R22 belong to response j: its fit is
+    R11^-1 R12[:, j] and its residual energy per slice, rho, the squared
+    norm of R22[:, j]. Each problem shares only the design state of `prob`:
+    its design and half stack, its Gram factors and R11 (taken from this R
+    when `prob` has none yet, as in the constructor) and its leverage rows
+    once computed. Nothing else of `prob` is carried over.
     """
-    p = probs[0].shape[1]
-    ols = np.moveaxis(_back_substitute(r, p), -1, 0)[..., None]
-    rho = _row_energy(r[..., p:, p:].mT).T
-    for pb, fit, energy in zip(probs, ols, rho):
-        pb._ols_half, pb._rho = fit, energy
-    return ols, rho
+    n, p, l = prob.shape
+    ys = [as_tensor(y, "response") for y in responses]
+    for y in ys:
+        if y.shape != (n, 1, l):
+            raise DimensionMismatch(
+                f"response shape {y.shape} does not match design {prob.shape}; "
+                f"expected ({n}, 1, {l})"
+            )
+    halves = [_to_half(y) for y in ys]
+    r, f = _factor(prob.design_half, *halves, l=l)
+    fits = np.moveaxis(_back_substitute(r, p), -1, 0)[..., None]
+    rhos = _row_energy(r[..., p:, p:].mT).T
+    shared = ("design", "design_half", "gram_factors", "_r11", "leverage_rows")
+    design = {"gram_factors": f, "_r11": r[..., :p, :p]}
+    design.update((key, v) for key, v in vars(prob).items() if key in shared)
+    probs = [object.__new__(TlsProblem) for _ in ys]
+    for pb, y, half, fit, rho in zip(probs, ys, halves, fits, rhos):
+        vars(pb).update(design, response=y, response_half=half, _ols_half=fit, _rho=rho)
+    return probs
 
 
-def _fit_responses(probs):
-    """Exact least-squares fits of several problems on one design, from one factorization.
-
-    The problems share the design of probs[0]. The constructor's _factor of
-    [X | Y_1 ... Y_k] checks the design and gives every problem its fit and
-    rho, which are stored on it. Returns the solutions (k, p, 1, l) and their
-    objectives (k,).
-    """
-    l = probs[0].shape[2]
-    r = _factor(probs[0].design_half, *(pb.response_half for pb in probs), l=l)[0]
-    ols, rho = _keep_fits(probs, r)
-    bs = _from_half(ols, l)
-    return bs, _r_objectives(probs[0]._r11, ols, rho, bs)
-
-
-def _exact_fit(prob: TlsProblem):
-    """(ols_half, rho) of the problem: R11^-1 R12 of its [X | y], (l//2 + 1, p, 1), and rho.
-
-    Construction stores them; a with_response copy runs the constructor's
-    _factor on its own [X | y] on first use and keeps both.
-    """
-    if prob._ols_half is None:
-        _keep_fits([prob], _factor(prob.design_half, prob.response_half, l=prob.shape[2])[0])
-    return prob._ols_half, prob._rho
+def _exact_solutions(problems):
+    """Exact solutions (k, p, 1, l) of the problems and their objectives (k,), read from their fits."""
+    bs = _from_half(np.stack([pb._ols_half for pb in problems]), problems[0].shape[2])
+    return bs, _r_objectives(problems, bs)
 
 
 def solve_ols(prob: TlsProblem) -> TlsSolution:
     """Exact least-squares solution, from the fit the problem's [X | y] factor gives."""
-    b = _from_half(_exact_fit(prob)[0], prob.shape[2])
-    f = _r_objectives(prob._r11, *_exact_fit(prob), b)
+    (b,), (f,) = _exact_solutions([prob])
     return TlsSolution(b=b, objective=float(f), method="ols")
 
 
@@ -355,11 +335,11 @@ def _solve_sketches(problems, plans) -> list:
     m *= scale[:, :, None]
     r, s = _qr_svd(_row_blocks(m.swapaxes(0, 1)), p, compute_uv=False)
     ok, bhalf, fits = _solve_factored(r, s, taus, l)
-    bs = _from_half(bhalf, l)
-    ols_half, rho = (np.stack(part)[ok] for part in zip(*map(_exact_fit, problems)))
-    r11 = np.stack([pb._r11 for pb in problems])[ok]
-    for k, b, f in zip(np.flatnonzero(ok), bs, _r_objectives(r11, ols_half, rho, bs)):
-        fits[k] = (b, float(f))
+    kept = np.flatnonzero(ok)
+    if kept.size:
+        bs = _from_half(bhalf, l)
+        for k, b, f in zip(kept, bs, _r_objectives([problems[j] for j in kept], bs)):
+            fits[k] = (b, float(f))
     return fits
 
 

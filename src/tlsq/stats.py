@@ -26,7 +26,7 @@ import numpy as np
 from .errors import DimensionMismatch, ZeroProbabilityRow
 from .sampling import SamplingDistribution, _sandwich_numerators
 from .tensor import _from_half, _row_energy, as_tensor
-from .solver import TlsProblem, _design_factors, _exact_fit
+from .solver import TlsProblem, _design_factors
 
 # Rows whose numerator is this far (relative) below the largest are treated
 # as exact zeros when paired with a zero sampling probability.
@@ -132,7 +132,7 @@ def _conditional_middle(prob: TlsProblem, dist: SamplingDistribution, tau: int) 
     """Row weights (l//2 + 1, n) of the conditional sandwich: residual energy / (tau * pi_i)."""
     if tau < 1:
         raise ValueError("tau must be at least 1")
-    energy = _row_energy(prob.response_half - prob.design_half @ _exact_fit(prob)[0])
+    energy = _row_energy(prob.response_half - prob.design_half @ prob._ols_half)
     return _row_weights(energy, dist.probs, "residual") / tau
 
 

@@ -151,6 +151,19 @@ class TestComputeMetrics:
         assert row.smrfv == 0.0 and row.smre == 0.0
 
 
+class TestClosedFormSignal:
+    """The driver's closed-form signal is the t-product X * B0."""
+
+    @pytest.mark.parametrize("design", ["mn", "t3", "t1"])
+    @pytest.mark.parametrize("l", [1, 2, 5, 6])
+    def test_matches_t_product(self, design, l):
+        x = gen_design(design, 50, 5, l, seed=40 + l)
+        want = tlsq.t_product(x, true_coefficients(5, l))
+        got = experiments._signal(x)
+        assert got.shape == want.shape
+        assert np.abs(got - want).max() <= 1e-14 * np.abs(want).max()
+
+
 class TestRunExperiment:
     def test_repeat_runs_identical(self):
         cfg = ExperimentConfig(seed=3, n=120, p=4, l=3, design="mn", replicates=8,
@@ -335,12 +348,13 @@ class TestBatchedReplicateLoop:
     @pytest.mark.parametrize("redraw", [False, True])
     @pytest.mark.parametrize("mode", experiments.REPLICATE_MODES)
     def test_shared_response_drawn_only_when_read(self, monkeypatch, redraw, mode):
-        """Neither mode draws or fits a response on the shared problem, which no cell reads.
+        """The driver draws only responses that a replicate reads, without the public helpers.
 
-        Every response is drawn and fitted by _replicate_problems, from the
-        design's half stack, so gen_response, t_product and solve_ols are
-        never called. Each is watched as a driver attribute even where the
-        driver does not import it, so an import brought back is caught.
+        Each design's problem carries its first replicate's response and the
+        others are drawn by _replicate_problems, from the closed-form signal,
+        so gen_response, t_product and solve_ols are never called. Each is
+        watched as a driver attribute even where the driver does not import
+        it, so an import brought back is caught.
         """
         calls = []
         for name in ("gen_response", "t_product", "solve_ols"):
@@ -357,13 +371,14 @@ class TestBatchedReplicateLoop:
     @pytest.mark.parametrize("redraw", [False, True])
     @pytest.mark.parametrize("mode", experiments.REPLICATE_MODES)
     def test_factorizations_per_run(self, monkeypatch, redraw, mode):
-        """One factorization fits a chunk's responses on a design; one solves a cell's batch.
+        """One factorization builds a design's problem; one solves a cell's batch.
 
-        A shared design is factored once more on its own; in conditional mode
-        its one response is fitted once for all chunks. Under redraw_design
-        every replicate factors its design and fits its response, while each
-        cell batch still spans the chunk. Matrix cells and objectives factor
-        nothing.
+        A shared design's problem carries replicate 0's response, and each
+        chunk fits the responses it does not yet hold by one more
+        factorization; in conditional mode that one response serves every
+        chunk. Under redraw_design every replicate's design is factored once,
+        with its response, while each cell batch still spans the chunk.
+        Matrix cells, exact solutions and objectives factor nothing.
         """
         calls = []
 
@@ -379,9 +394,9 @@ class TestBatchedReplicateLoop:
         cells = len(cfg.methods) * len(cfg.taus)
         assert len(rows) == cells + 2 * len(cfg.taus)
         if redraw:
-            expected = 2 * cfg.replicates + chunks * cells
+            expected = cfg.replicates + chunks * cells
         elif mode == "conditional":
-            expected = 2 + chunks * cells
+            expected = 1 + chunks * cells
         else:
             expected = 1 + chunks * (1 + cells)
         assert len(calls) == expected
