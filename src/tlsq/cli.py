@@ -53,7 +53,9 @@ file formats:
                 redraw_design (0|1), timing (0|1).
   reports       CSV: method,tau,smrfv,smre,ssb,sv,smse,mean_ms,replicates,
                 failures. TLSQ_THREADS caps replicate parallelism, as do
-                the ceil(replicates / 8) replicate chunks.
+                the ceil(replicates / 8) replicate chunks. A second thread
+                pays on compare-mls's matrix cells (one lstsq per sketch),
+                not on the tensor grid of experiment.
 """
 
 

@@ -27,6 +27,7 @@ import numpy as np
 from .errors import SketchRankDeficient
 from .sampling import (
     SamplingDistribution,
+    _draw_plans,
     draw_plan,
     leverage_probs,
     optimal_probs,
@@ -64,10 +65,9 @@ _STREAM_SMLS = 3
 # The replicates run in ceil(R / _REPLICATE_CHUNK) near-equal chunks, one
 # pool task each, so at most that many threads work at once. A chunk fits its
 # responses on one design by one factorization of [X | Y] and solves each
-# tensor cell as one batch of one plan per replicate. The chunk bounds those
-# stacks: on the t1 replicate grid (25 replicates) one stack of all responses
-# raised the peak RSS by 8%, chunks of 8 by 2%. It depends on R alone, so
-# reports do not depend on the thread count.
+# tensor cell as one batch of one plan per replicate. The chunk bounds the
+# memory those stacks take. It depends on R alone, so reports do not depend
+# on the thread count.
 _REPLICATE_CHUNK = 8
 
 _EPS = np.finfo(np.float64).eps
@@ -455,20 +455,16 @@ def _run_cells(cfg: ExperimentConfig, base, cells, timed: bool) -> list[MetricsR
     `base` is the shared design state, or None to draw one per replicate.
     The pool maps near-equal chunks of the replicates (_REPLICATE_CHUNK), so
     at most ceil(R / 8) tasks run at once. A chunk builds its replicates'
-    problems (_replicate_problems), solves each tensor cell as one batch of
-    one plan per replicate, every plan on its own stream key, and then runs
-    the matrix cells replicate by replicate.
-    When `timed`, a tensor cell's wall time is its plan draw plus an equal
-    share of its cell batch, a matrix cell's its draw and solve; otherwise
-    it is NaN.
+    problems (_replicate_problems). It draws each tensor cell's plans, one
+    per replicate and each from its own stream key, in one _draw_plans call
+    and solves them as one batch, and then runs the matrix cells replicate
+    by replicate. When `timed`, a tensor cell's wall time in a replicate is
+    an equal share of its batch's draw and solve, a matrix cell's its own
+    draw and solve; otherwise it is NaN.
     """
     clock = time.perf_counter if timed else lambda: math.nan
     tensor_cells = [cell for cell in cells if not cell.matrix]
     matrix_cells = [cell for cell in cells if cell.matrix]
-
-    def draw(state, cell, b):
-        dists = state.smls[1] if cell.matrix else state.dists
-        return draw_plan(dists[cell.kind], cell.draws, _rng(cfg.seed, cell.stream, b, *cell.index))
 
     def worker(chunk):
         if base is None:
@@ -480,22 +476,20 @@ def _run_cells(cfg: ExperimentConfig, base, cells, timed: bool) -> list[MetricsR
         problems = [prob_b for prob_b, _ in fitted]
         outs = [{} for _ in chunk]
         for cell in tensor_cells:
-            plans, walls = [], []
-            for state, b in zip(states, chunk):
-                start = clock()
-                plans.append(draw(state, cell, b))
-                walls.append((clock() - start) * 1e3)
             start = clock()
-            fits = _solve_sketches(problems, plans)
+            rngs = [_rng(cfg.seed, cell.stream, b, *cell.index) for b in chunk]
+            dists = [state.dists[cell.kind] for state in states]
+            fits = _solve_sketches(problems, *_draw_plans(dists, cell.draws, rngs))
             share = (clock() - start) * 1e3 / len(chunk)
-            for out, fit, wall in zip(outs, fits, walls):
+            for out, fit in zip(outs, fits):
                 est = None if isinstance(fit, SketchRankDeficient) else fit
-                out[(cell.label, cell.tau)] = (est, wall + share)
+                out[(cell.label, cell.tau)] = (est, share)
         for state, b, prob_b, out in zip(states, chunk, problems, outs):
             rhs = unfold(prob_b.response)
             for cell in matrix_cells:
                 start = clock()
-                plan = draw(state, cell, b)
+                rng = _rng(cfg.seed, cell.stream, b, *cell.index)
+                plan = draw_plan(state.smls[1][cell.kind], cell.draws, rng)
                 try:
                     est = _solve_matrix_subsample(state.smls[0], rhs, plan, cfg.p, cfg.l)
                 except SketchRankDeficient:

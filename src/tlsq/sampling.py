@@ -10,7 +10,8 @@ are never materialized as dense tubal matrices.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+import functools
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -53,6 +54,14 @@ class SamplingDistribution:
     @property
     def n(self) -> int:
         return self.probs.size
+
+    @functools.cached_property
+    def _inverse_cdf(self) -> tuple[np.ndarray, np.ndarray]:
+        """(support, cum): the positive-probability rows and their cumulative sums, cum[-1] = 1."""
+        support = np.flatnonzero(self.probs > 0)
+        cum = np.cumsum(self.probs[support])
+        cum[-1] = 1.0  # cumsum may land an ulp under 1
+        return support, cum
 
 
 @dataclass(frozen=True, eq=False)
@@ -158,24 +167,39 @@ def coherence(u) -> float:
 def draw_plan(dist: SamplingDistribution, tau: int, seed) -> SamplingPlan:
     """Draw tau i.i.d. rows with replacement, deterministically from `seed`.
 
-    Uses inverse-CDF binary search over the positive-probability rows, so a
-    zero-probability row can never be selected. Weight t is
-    1/sqrt(tau * pi_{i_t}). A seed is required: a plan is never drawn from
+    The batch of one of _draw_plans, on the Generator np.random.default_rng
+    makes of `seed`. A seed is required: a plan is never drawn from
     operating-system entropy.
     """
     if seed is None:
         raise ValueError("draw_plan needs a seed; None would draw from OS entropy")
+    (indices,), (weights,) = _draw_plans([dist], tau, [np.random.default_rng(seed)])
+    return SamplingPlan(tau=tau, indices=indices, weights=weights, seed=seed)
+
+
+def _draw_plans(dists, tau: int, rngs) -> tuple[np.ndarray, np.ndarray]:
+    """Indices and weights, (B, tau) each, of one plan per Generator, plan j from dists[j].
+
+    Row j of the uniforms is rngs[j].random(tau), so a plan depends on its
+    own Generator alone. They are mapped to rows by inverse-CDF binary
+    search over each distribution's positive-probability rows (cached on
+    the distribution), so a zero-probability row can never be selected: one
+    searchsorted per distinct distribution, one in all for a batch on a
+    shared design. Weight t is 1/sqrt(tau * pi_{i_t}).
+    """
     if tau < 1:
         raise ValueError("tau must be at least 1")
-    probs = dist.probs
-    support = np.flatnonzero(probs > 0)
-    cum = np.cumsum(probs[support])
-    cum[-1] = 1.0  # cumsum may land an ulp under 1
-    rng = np.random.default_rng(seed)
-    positions = np.searchsorted(cum, rng.random(tau), side="right")
-    indices = support[positions]
-    weights = 1.0 / np.sqrt(tau * probs[indices])
-    return SamplingPlan(tau=tau, indices=indices, weights=weights, seed=seed)
+    uniforms = np.empty((len(rngs), tau))
+    for row, rng in zip(uniforms, rngs):
+        rng.random(out=row)
+    indices = np.empty(uniforms.shape, dtype=np.intp)
+    probs = np.empty(uniforms.shape)
+    for dist in {id(d): d for d in dists}.values():
+        rows = [j for j, d in enumerate(dists) if d is dist]
+        support, cum = dist._inverse_cdf
+        indices[rows] = support[np.searchsorted(cum, uniforms[rows], side="right")]
+        probs[rows] = dist.probs[indices[rows]]
+    return indices, 1.0 / np.sqrt(tau * probs)
 
 
 def write_distribution_csv(dist: SamplingDistribution, fh) -> None:

@@ -166,9 +166,8 @@ def _r_objectives(problems, bs) -> np.ndarray:
     needs no row of the design. Its rounding error is the factorization's
     backward error, about eps ||[X | y]|| per slice, not that of a residual
     over the rows. Near the exact fit the relative error grows to about eps
-    times the slice condition number: at worst 4.1e-11 on a kappa = 2e7
-    design with b within 1e-5 of the fit, where an exact fit taken from the
-    normal equations R11^H R11 reads 1.5e-8. `bs` is (len(problems), p, 1, l).
+    times the slice condition number, not its square as with an exact fit
+    taken from the normal equations R11^H R11. `bs` is (len(problems), p, 1, l).
     """
     r11, ols_half, rho = (
         np.stack([getattr(pb, name) for pb in problems]) for name in ("_r11", "_ols_half", "_rho")
@@ -194,37 +193,54 @@ def _row_blocks(*stacks):
         yield part[0] if len(part) == 1 else np.concatenate(part, axis=-1)
 
 
-def _qr_svd(blocks, p, compute_uv=True):
-    """R-only QR of a stack given as row blocks, then the SVD of R's leading p x p block.
+def _qr_svd(blocks, p=None):
+    """R-only QR of a stack given as row blocks, and with `p` the SVD of R's leading p x p block.
 
-    Returns (r, s, vh), or (r, s) without `compute_uv`. Each block is
-    factored on its own and the stacked R factors once more (TSQR), which
-    gives the R of the whole stack; a stack of one block is factored once.
-    The SVD acts on p x p triangles, so the tall slices are factored once
-    and normal equations are never formed.
+    Returns r, or (r, s, vh) with `p`. Each block is factored on its own and
+    the stacked R factors once more (TSQR), which gives the R of the whole
+    stack; a stack of one block is factored once. The SVD acts on p x p
+    triangles, so the tall slices are factored once and normal equations are
+    never formed.
     """
     rs = [np.linalg.qr(block, mode="r") for block in blocks]
     r = rs[0] if len(rs) == 1 else np.linalg.qr(np.concatenate(rs, axis=-2), mode="r")
-    if not compute_uv:
-        return r, np.linalg.svd(r[..., :p, :p], compute_uv=False)
+    if p is None:
+        return r
     _, s, vh = np.linalg.svd(r[..., :p, :p])
     return r, s, vh
 
 
-def _solve_factored(r, s, rows, l: int):
+def _solve_factored(r, p: int, rows, l: int):
     """Rank-check a batch of factored [A | Y] stacks and solve the well-posed ones.
 
-    `r` (B, l//2 + 1, m, p + k) holds the R factors and `s` the singular
-    values of their leading p x p triangles; `rows[j]` is the number of rows
-    stack j stands for. A slice whose singular values fall to lstsq's
-    default cutoff eps * max(rows, p) * s_max has lost rank. Returns (ok,
-    bhalf, fits): `ok` masks the stacks of full rank, `bhalf` holds their
-    half-spectrum solutions R11^-1 R12, (count(ok), l//2 + 1, p, k), and
-    `fits` has one entry per stack, a SketchRankDeficient naming the first
-    short slice (1-based) of a stack that lost rank and None otherwise.
+    `r` (B, l//2 + 1, m, p + k) holds the R factors; `rows[j]` is the number
+    of rows stack j stands for. A slice whose singular values fall to
+    lstsq's default cutoff eps * max(rows, p) * s_max has lost rank. One
+    solve with R11 and [R12 | I] gives the solutions R11^-1 R12 and R11^-1.
+    If ||R11||_F ||R11^-1||_F eps max(rows, p) <= 1/2 in every slice of
+    every stack, each slice passes the cutoff by a factor of 2, since the
+    2-norm condition number is at most that Frobenius product, and no SVD
+    is taken. Otherwise (a singular pivot, a non-finite or a larger bound)
+    the singular values of every R11 decide, and the stacks of full rank
+    are solved again. Returns (ok, bhalf, fits): `ok` masks the stacks of
+    full rank, `bhalf` holds their half-spectrum solutions,
+    (count(ok), l//2 + 1, p, k), and `fits` has one entry per stack, a
+    SketchRankDeficient naming the first short slice (1-based) of a stack
+    that lost rank and None otherwise.
     """
-    p = s.shape[-1]
-    tol = np.finfo(np.float64).eps * np.maximum(np.asarray(rows), p)[:, None] * s[..., 0]
+    cutoff = np.finfo(np.float64).eps * np.maximum(np.asarray(rows), p)
+    r11 = r[..., :p, :p]
+    eye = np.broadcast_to(np.eye(p, dtype=r.dtype), r11.shape)
+    try:
+        sol = np.linalg.solve(r11, np.concatenate([r[..., :p, p:], eye], axis=-1))
+    except np.linalg.LinAlgError:
+        pass  # a zero pivot: the singular values decide
+    else:
+        bound = np.linalg.norm(r11, axis=(-2, -1)) * np.linalg.norm(sol[..., -p:], axis=(-2, -1))
+        if (bound * cutoff[:, None] <= 0.5).all():
+            return np.ones(len(cutoff), dtype=bool), sol[..., :-p], [None] * len(cutoff)
+    s = np.linalg.svd(r11, compute_uv=False)
+    tol = cutoff[:, None] * s[..., 0]
     short = s[..., p - 1] <= tol
     ok = ~short.any(axis=1)
     fits = [None] * len(ok)
@@ -235,9 +251,7 @@ def _solve_factored(r, s, rows, l: int):
             f"sketched design has rank {rank} < {p} in DFT slice {j + 1} of {l}",
             slice_index=j + 1,
         )
-    if not ok.all():
-        r = r[ok]
-    return ok, _back_substitute(r, p), fits
+    return ok, _back_substitute(r[ok], p), fits
 
 
 def _back_substitute(r, p: int) -> np.ndarray:
@@ -291,33 +305,39 @@ def solve_ols(prob: TlsProblem) -> TlsSolution:
     return TlsSolution(b=b, objective=float(f), method="ols")
 
 
-def _solve_sketches(problems, plans) -> list:
+def _solve_sketches(problems, indices, weights) -> list:
     """Solve the sketches of several plans in one batch, plan j on problems[j].
 
+    Plan j draws rows indices[j] with weights weights[j], one entry per draw;
+    a (B, tau) array holds a batch of plans of one size. The checks of a
+    SamplingPlan and of the design's size run once for the whole batch.
     With-replacement draws enter the least-squares problem only through the
     summed squared weight of each drawn row, so every plan is first
     compressed to its unique rows, each scaled by the square root of that
     sum: exact for any plan, also for a row drawn with different weights.
     The compressed sketches are padded with zero rows (which leave R
     unchanged) to a common height, stacked as (B, l//2 + 1, rows, p + 1) and
-    factored by one R-only QR; one batch of p x p singular values checks the
-    rank and one batch of triangular solves gives the solutions. Each plan
-    gathers its rows from its own problem. Returns one entry per plan:
-    (b, objective), the objective read from its problem's R factor by
-    _r_objectives, or the plan's SketchRankDeficient from _solve_factored;
-    the rank cutoff counts a plan's tau draws, not its unique rows. Padding
-    costs rows, so a batch should hold plans of similar height, as the
-    replicate driver's batches of one cell do.
+    factored by one R-only QR; _solve_factored checks the rank and solves
+    every triangle in one batch. Each plan gathers its rows from its own
+    problem. Returns one entry per plan: (b, objective), the objective read
+    from its problem's R factor by _r_objectives, or the plan's
+    SketchRankDeficient; the rank cutoff counts a plan's tau draws, not its
+    unique rows. Padding costs rows, so a batch should hold plans of similar
+    height, as the replicate driver's batches of one cell do.
     """
     n, p, l = problems[0].shape
-    taus = np.array([plan.tau for plan in plans])
+    taus = np.array([len(row) for row in indices])
+    if len(weights) != taus.size or any(len(w) != t for w, t in zip(weights, taus)):
+        raise ValueError("indices and weights must both have length tau")
+    weights = np.concatenate(weights)
+    if not np.isfinite(weights).all() or (weights <= 0).any():
+        raise ValueError("weights must be positive and finite")
     if (taus < p).any():
         raise ValueError(f"plan has tau={taus[taus < p][0]} < p={p}")
-    indices = np.concatenate([plan.indices for plan in plans])
+    indices = np.concatenate(indices)
     if indices.min() < 0 or indices.max() >= n:
         raise ValueError("plan indices fall outside the design's rows")
-    count = len(plans)
-    weights = np.concatenate([plan.weights for plan in plans])
+    count = taus.size
     keys = np.repeat(np.arange(count) * n, taus) + indices
     energy = np.bincount(keys, weights=weights**2, minlength=count * n).reshape(count, n)
     owner, rows = np.nonzero(energy)
@@ -333,8 +353,7 @@ def _solve_sketches(problems, plans) -> list:
         m[:, j, :, :p] = pb.design_half[:, picked[j]]
         m[:, j, :, p] = pb.response_half[:, picked[j], 0]
     m *= scale[:, :, None]
-    r, s = _qr_svd(_row_blocks(m.swapaxes(0, 1)), p, compute_uv=False)
-    ok, bhalf, fits = _solve_factored(r, s, taus, l)
+    ok, bhalf, fits = _solve_factored(_qr_svd(_row_blocks(m.swapaxes(0, 1))), p, taus, l)
     kept = np.flatnonzero(ok)
     if kept.size:
         bs = _from_half(bhalf, l)
@@ -349,10 +368,10 @@ def solve_subsampled(prob: TlsProblem, plan: SamplingPlan) -> TlsSolution:
     Row t of the sketch is row plan.indices[t] of the data scaled by
     plan.weights[t]. The plan is solved as a batch of one by
     _solve_sketches: from an R-only QR of its compressed [A | y] stack and
-    a solve with each triangle rather than explicit normal equations;
-    forming the inverse would square the slice condition numbers.
+    a solve with each triangle, never from the normal equations, which
+    would square the slice condition numbers.
     """
-    (fit,) = _solve_sketches([prob], [plan])
+    (fit,) = _solve_sketches([prob], [plan.indices], [plan.weights])
     if isinstance(fit, SketchRankDeficient):
         raise fit
     return TlsSolution(b=fit[0], objective=fit[1], method="subsampled", plan=plan)

@@ -7,6 +7,8 @@ import numpy as np
 import pytest
 
 import tlsq
+from tlsq import experiments as ex
+from tlsq import sampling, solver
 from tlsq.errors import DegenerateDistribution, RankDeficient
 from tlsq.sampling import write_distribution_csv
 
@@ -224,6 +226,83 @@ class TestDrawPlan:
         plan = tlsq.SamplingPlan(tau=7, indices=range(7), weights=[1] * 7)
         assert plan.indices.dtype == np.int64 and np.array_equal(plan.indices, np.arange(7))
         assert plan.weights.dtype == np.float64 and (plan.weights == 1.0).all()
+
+
+def zero_row_opt_design(n=12, p=3, l=4, seed=19):
+    """Rows 0 and 1 alone carry the last two columns, so their leverage is one in every slice."""
+    x = rand((n, p, l), seed)
+    x[2:, p - 2 :] = 0.0
+    return x
+
+
+class TestBatchDraw:
+    """_draw_plans gives every plan exactly what draw_plan gives it on the same stream."""
+
+    @staticmethod
+    def assert_rows_match(dists, tau, stream):
+        """Row j of the batch against draw_plan(dists[j], tau, stream(j)), stream(j) a Generator."""
+        indices, weights = sampling._draw_plans(dists, tau, [stream(j) for j in range(len(dists))])
+        assert indices.shape == weights.shape == (len(dists), tau)
+        for j, (dist, row_i, row_w) in enumerate(zip(dists, indices, weights)):
+            plan = tlsq.draw_plan(dist, tau, stream(j))
+            assert np.array_equal(row_i, plan.indices) and np.array_equal(row_w, plan.weights)
+
+    @pytest.mark.parametrize("redraw", [False, True])
+    @pytest.mark.parametrize("mode", ex.REPLICATE_MODES)
+    def test_driver_grid(self, redraw, mode):
+        cfg = ex.ExperimentConfig(seed=29, n=40, p=4, l=3, design="t1", replicates=5, taus=(4, 9),
+                                  mode=mode, redraw_design=redraw)
+        states = [ex._prepare_state(cfg, ex._STREAM_DESIGN, *((b,) if redraw else ()))
+                  for b in range(cfg.replicates)]
+        for mi, method in enumerate(cfg.methods):
+            for ti, tau in enumerate(cfg.taus):
+                dists = [state.dists[method] for state in states]
+                self.assert_rows_match(
+                    dists, tau, lambda b: ex._rng(cfg.seed, ex._STREAM_PLAN, b, mi, ti)
+                )
+
+    @pytest.mark.parametrize("tau", [1, 2, 40])
+    def test_zero_probability_rows_and_short_plans(self, tau):
+        opt = tlsq.optimal_probs(zero_row_opt_design())
+        assert (opt.probs[:2] == 0).all() and (opt.probs[2:] > 0).all()
+        lev = tlsq.leverage_probs(zero_row_opt_design())
+        self.assert_rows_match([opt, lev, opt, lev], tau, lambda j: np.random.default_rng(30 + j))
+        rngs = [np.random.default_rng(s) for s in (34, 35, 36)]
+        indices, _ = sampling._draw_plans([opt] * 3, tau, rngs)
+        assert (indices >= 2).all()
+
+    def test_tau_domain(self):
+        with pytest.raises(ValueError, match="tau must be at least 1"):
+            sampling._draw_plans([tlsq.uniform_probs(3)], 0, [np.random.default_rng(0)])
+
+    @staticmethod
+    def plan_error(build):
+        with pytest.raises(ValueError) as err:
+            build()
+        return str(err.value)
+
+    @pytest.mark.parametrize("fault", ["zero_weight", "nan_weight", "out_of_range", "short_tau",
+                                       "lengths"])
+    def test_batch_rejects_what_a_plan_rejects(self, fault):
+        x = rand((30, 3, 4), 37)
+        prob = tlsq.TlsProblem(x, rand((30, 1, 4), 38))
+        tau = 2 if fault == "short_tau" else 12
+        rngs = [np.random.default_rng(s) for s in (39, 40, 41)]
+        indices, weights = sampling._draw_plans([tlsq.leverage_probs(prob)] * 3, tau, rngs)
+        if fault == "zero_weight":
+            weights[1, 5] = 0.0
+        elif fault == "nan_weight":
+            weights[2, 0] = np.nan
+        elif fault == "out_of_range":
+            indices[0, 3] = 30
+        elif fault == "lengths":
+            weights = weights[:, 1:]
+        bad = {"zero_weight": 1, "nan_weight": 2}.get(fault, 0)
+        expected = self.plan_error(lambda: tlsq.solve_subsampled(
+            prob, tlsq.SamplingPlan(tau=tau, indices=indices[bad], weights=weights[bad])))
+        with pytest.raises(ValueError) as err:
+            solver._solve_sketches([prob] * 3, indices, weights)
+        assert str(err.value) == expected
 
 
 class TestProblemInput:

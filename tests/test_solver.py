@@ -6,7 +6,7 @@ from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 import tlsq
-from tlsq import experiments, solver
+from tlsq import experiments, sampling, solver
 from tlsq.errors import DimensionMismatch, RankDeficient, SketchRankDeficient
 from tlsq.tensor import _from_half, _to_half
 
@@ -419,7 +419,9 @@ class TestDuplicateCompression:
         rng = np.random.default_rng(60)
         prob = make_problem(n=40, p=3, l=4, seed=61)
         plans = [repeated_plan(rng, 40, u, r) for u, r in ((20, 5), (3, 12), (2, 13), (9, 6))]
-        fits = solver._solve_sketches([prob] * len(plans), plans)
+        fits = solver._solve_sketches(
+            [prob] * len(plans), [plan.indices for plan in plans], [plan.weights for plan in plans]
+        )
         for plan, fit in zip(plans, fits):
             try:
                 single = tlsq.solve_subsampled(prob, plan)
@@ -432,6 +434,98 @@ class TestDuplicateCompression:
             assert abs(obj - single.objective) <= 1e-12 * single.objective
         assert isinstance(fits[2], SketchRankDeficient)
         assert not isinstance(fits[0], SketchRankDeficient)
+
+
+def svd_rank_rule(r, p, rows, l):
+    """The rank rule without the screen: the singular values of every R11 against lstsq's cutoff.
+
+    Returns the mask of full-rank stacks and, per stack, None or the
+    (message, slice_index) of its SketchRankDeficient.
+    """
+    s = np.linalg.svd(r[..., :p, :p], compute_uv=False)
+    tol = np.finfo(np.float64).eps * np.maximum(np.asarray(rows), p)[:, None] * s[..., 0]
+    short = s[..., p - 1] <= tol
+    fits = []
+    for k in range(len(rows)):
+        if not short[k].any():
+            fits.append(None)
+            continue
+        j = int(np.argmax(short[k]))
+        rank = int(np.count_nonzero(s[k, j] > tol[k, j]))
+        fits.append((f"sketched design has rank {rank} < {p} in DFT slice {j + 1} of {l}", j + 1))
+    return ~short.any(axis=1), fits
+
+
+class TestRankScreen:
+    """The Frobenius screen decides as the singular values would, and skips them when it can."""
+
+    @settings(max_examples=120, deadline=None)
+    @given(
+        p=st.integers(1, 4),
+        l=st.sampled_from([1, 2, 5, 6]),
+        seed=st.integers(0, 2**32 - 1),
+        plans=st.lists(
+            st.tuples(st.integers(0, 3), st.integers(0, 3), st.floats(-17.0, -9.0)),
+            min_size=1,
+            max_size=4,
+        ),
+    )
+    @example(p=3, l=1, seed=1, plans=[(0, 0, -17.0), (2, 3, -10.0)])
+    @example(p=4, l=6, seed=2, plans=[(0, 0, -14.5), (3, 3, -14.0), (1, 0, -15.0)])
+    @example(p=2, l=5, seed=3, plans=[(3, 3, -15.5), (3, 3, -15.0), (3, 3, -14.5)])
+    @example(p=4, l=2, seed=4, plans=[(0, 0, -9.0)])
+    def test_matches_svd_rule(self, p, l, seed, plans):
+        """Sketches of n = p + extra_rows rows drawn tau = p + extra_tau times from a design whose
+        columns are shrunk by 10^log_delta along a random direction, so the batch sits near the
+        cutoff and mixes short plans (fewer than p distinct rows) with full ones."""
+        rng = np.random.default_rng(seed)
+        taus = [p + extra_tau for _, extra_tau, _ in plans]
+        m = np.zeros((len(plans), l // 2 + 1, max(taus), p + 1), dtype=complex)
+        for j, (extra_rows, _, log_delta) in enumerate(plans):
+            n = p + extra_rows
+            x = rng.standard_normal((n, p + 1, l))
+            v = rng.standard_normal(p)
+            v /= np.linalg.norm(v)
+            shrink = np.eye(p) - (1.0 - 10.0**log_delta) * np.outer(v, v)
+            x[:, :p] = np.einsum("ipk,pq->iqk", x[:, :p], shrink)
+            w = rng.uniform(0.5, 2.0, (taus[j], 1, 1))
+            m[j, :, : taus[j]] = _to_half(x[rng.integers(0, n, taus[j])] * w)
+        r = solver._qr_svd([m])
+        ok, bhalf, fits = solver._solve_factored(r, p, taus, l)
+        expected_ok, expected_fits = svd_rank_rule(r, p, taus, l)
+        assert np.array_equal(ok, expected_ok)
+        assert [None if f is None else (str(f), f.slice_index) for f in fits] == expected_fits
+        assert np.array_equal(bhalf, solver._back_substitute(r[ok], p))
+
+    @staticmethod
+    def count_svd(monkeypatch):
+        calls = []
+
+        def counting(*args, _original=np.linalg.svd, **kwargs):
+            calls.append(1)
+            return _original(*args, **kwargs)
+
+        monkeypatch.setattr(np.linalg, "svd", counting)
+        return calls
+
+    def test_svd_only_for_a_short_plan(self, monkeypatch):
+        """A desk-sized t1 leverage batch passes the screen; a plan of 9 distinct rows sends the
+        batch to the singular values, and the other plans keep their solutions bit for bit."""
+        x = tlsq.gen_design("t1", 1000, 10, 6, seed=5)
+        prob = tlsq.TlsProblem(x, tlsq.gen_response(x, seed=6)[0])
+        dist = tlsq.leverage_probs(prob)
+        rngs = [np.random.default_rng(s) for s in range(8)]
+        indices, weights = sampling._draw_plans([dist] * 8, 300, rngs)
+        calls = self.count_svd(monkeypatch)
+        fits = solver._solve_sketches([prob] * 8, indices, weights)
+        assert calls == []
+        assert not any(isinstance(fit, SketchRankDeficient) for fit in fits)
+        indices[3] = np.resize(indices[3, :9], 300)
+        refits = solver._solve_sketches([prob] * 8, indices, weights)
+        assert len(calls) == 1
+        assert isinstance(refits[3], SketchRankDeficient)
+        for j in (0, 1, 2, 4, 5, 6, 7):
+            assert np.array_equal(refits[j][0], fits[j][0]) and refits[j][1] == fits[j][1]
 
 
 class TestBlockedQr:
