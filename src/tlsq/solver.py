@@ -19,7 +19,7 @@ from typing import TYPE_CHECKING
 import numpy as np
 
 from .errors import DimensionMismatch, RankDeficient, SketchRankDeficient
-from .tensor import _from_half, _parseval_weights, _row_energy, _to_half
+from .tensor import _QR_BLOCK_ROWS, _from_half, _parseval_weights, _row_energy, _to_half
 from .tensor import as_tensor, default_rank_tol
 
 if TYPE_CHECKING:  # sampling builds on problems, so it imports this module
@@ -39,7 +39,7 @@ def validate_design(design):
     """
     x = _check_design(design)
     xhalf = _to_half(x)
-    return x, xhalf, _factor(xhalf, l=x.shape[2])[1]
+    return x, xhalf, _factor(xhalf, p=x.shape[1], l=x.shape[2])[1]
 
 
 def _check_design(design) -> np.ndarray:
@@ -49,16 +49,29 @@ def _check_design(design) -> np.ndarray:
     return x
 
 
-def _factor(xhalf, *responses, l: int):
-    """R-only TSQR of [X | responses], the design's rank check and its Gram factors.
+def _check_responses(responses, shape) -> list:
+    n, p, l = shape
+    ys = [as_tensor(y, "response") for y in responses]
+    for y in ys:
+        if y.shape != (n, 1, l):
+            raise DimensionMismatch(
+                f"response shape {y.shape} does not match design {shape}; "
+                f"expected ({n}, 1, {l})"
+            )
+    return ys
 
-    R's leading p x p block R11 is the design's own R factor; the SVD
-    R11 = U S V^H gives the check of every slice against rank p and
-    F = V S^-1. Returns (r, gram_factors); with responses, R11^-1 R12 is
-    their exact fit.
+
+def _factor(*stacks, p: int, l: int):
+    """R-only TSQR of half stacks side by side, [X | responses], and the design's rank check.
+
+    The first p columns are the design's. R's leading p x p block R11 is the
+    design's own R factor; the SVD R11 = U S V^H gives the check of every
+    slice against rank p and F = V S^-1. Returns (r, gram_factors); with
+    responses, R11^-1 R12 is their exact fit. A single stack, such as a
+    joint [X | y] stack, is factored a block of rows at a time as it stands.
     """
-    n, p = xhalf.shape[1:]
-    r, s, vh = _qr_svd(_row_blocks(xhalf, *responses), p)
+    n = stacks[0].shape[1]
+    r, s, vh = _qr_svd(_row_blocks(*stacks), p)
     tol = default_rank_tol((n, p), float(s.max(initial=0.0)))
     smallest = s[:, p - 1]
     if (smallest <= tol).any():
@@ -71,21 +84,28 @@ class TlsProblem:
     """A validated overdetermined tensor least-squares instance, fitted when it is built.
 
     Requires n >= p and column rank p in every DFT slice of the design, so
-    the normal-equations inverse exists. The design's half-spectrum slice
-    stack (l//2 + 1, n, p) and its Gram factors are computed once and shared
-    across responses; the response is held as an (l//2 + 1, n, 1) stack.
-    Every problem, also a with_response copy, is built by _on_design: one
-    R-only TSQR of [X | y] whose leading block gives the rank check, the
-    Gram factors and R11, R11^-1 R12 the exact fit that solve_ols and the
-    conditional variance read, and the trailing block rho, the exact fit's
-    residual energy per slice. Every objective is read from R11, rho and the
-    fit, so neither the design nor its rows are touched again.
+    the normal-equations inverse exists. The constructor transforms the
+    design and the response into one joint (l//2 + 1, n, p + 1) half stack;
+    design_half (l//2 + 1, n, p) and response_half (l//2 + 1, n, 1) are
+    views of it, so the design's rows are strided, and every reader of
+    design_half takes them in place. The design's half stack and its Gram
+    factors are shared across responses. Every problem, also a
+    with_response copy, is fitted by _fitted: one R-only TSQR of [X | y]
+    whose leading block gives the rank check, the Gram factors and R11,
+    R11^-1 R12 the exact fit that solve_ols and the conditional variance
+    read, and the trailing block rho, the exact fit's residual energy per
+    slice. The constructor's TSQR factors row blocks of the joint stack as
+    they stand. Every objective is read from R11, rho and the fit, so
+    neither the design nor its rows are touched again.
     """
 
     def __init__(self, design, response):
         x = _check_design(design)
-        self.design, self.design_half = x, _to_half(x)
-        vars(self).update(vars(_on_design(self, [response])[0]))
+        (y,) = _check_responses([response], x.shape)
+        p = x.shape[1]
+        joint = _to_half(x, y)
+        self.design, self.design_half = x, joint[..., :p]
+        vars(self).update(vars(_fitted(self, [y], [joint[..., p:]], joint)[0]))
 
     def with_response(self, response) -> "TlsProblem":
         """Same design (validation, DFT and factors reused), different response, fitted at once."""
@@ -178,10 +198,6 @@ def _r_objectives(problems, bs) -> np.ndarray:
     return (rho + excess) @ _parseval_weights(l) / l
 
 
-# Stacks taller than this many rows are factored a block of rows at a time.
-_QR_BLOCK_ROWS = 2048
-
-
 def _row_blocks(*stacks):
     """Row blocks of the column-wise concatenation of `stacks`, _QR_BLOCK_ROWS rows each.
 
@@ -264,24 +280,28 @@ def _back_substitute(r, p: int) -> np.ndarray:
 def _on_design(prob, responses) -> list:
     """Problems on the design of `prob`, one per response, fitted by one R-only TSQR.
 
-    _factor of [X | Y_1 ... Y_k] checks the design again. Column j of R12
-    and of the trailing triangle R22 belong to response j: its fit is
-    R11^-1 R12[:, j] and its residual energy per slice, rho, the squared
-    norm of R22[:, j]. Each problem shares only the design state of `prob`:
-    its design and half stack, its Gram factors and R11 (taken from this R
-    when `prob` has none yet, as in the constructor) and its leverage rows
-    once computed. Nothing else of `prob` is carried over.
+    The design's half stack and the responses' are concatenated a block of
+    rows at a time; see _fitted.
     """
-    n, p, l = prob.shape
-    ys = [as_tensor(y, "response") for y in responses]
-    for y in ys:
-        if y.shape != (n, 1, l):
-            raise DimensionMismatch(
-                f"response shape {y.shape} does not match design {prob.shape}; "
-                f"expected ({n}, 1, {l})"
-            )
+    ys = _check_responses(responses, prob.shape)
     halves = [_to_half(y) for y in ys]
-    r, f = _factor(prob.design_half, *halves, l=l)
+    return _fitted(prob, ys, halves, prob.design_half, *halves)
+
+
+def _fitted(prob, ys, halves, *stacks) -> list:
+    """Problems on the design of `prob`, response j being ys[j] with half stack halves[j].
+
+    _factor of `stacks`, [X | Y_1 ... Y_k] side by side, checks the design
+    again. Column j of R12 and of the trailing triangle R22 belong to
+    response j: its fit is R11^-1 R12[:, j] and its residual energy per
+    slice, rho, the squared norm of R22[:, j]. Each problem shares only the
+    design state of `prob`: its design and half stack, its Gram factors and
+    R11 (taken from this R when `prob` has none yet, as in the constructor)
+    and its leverage rows once computed. Nothing else of `prob` is carried
+    over.
+    """
+    _, p, l = prob.shape
+    r, f = _factor(*stacks, p=p, l=l)
     fits = np.moveaxis(_back_substitute(r, p), -1, 0)[..., None]
     rhos = _row_energy(r[..., p:, p:].mT).T
     shared = ("design", "design_half", "gram_factors", "_r11", "leverage_rows")

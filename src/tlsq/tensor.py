@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import os
 import struct
+import weakref
 from typing import NamedTuple
 
 import numpy as np
@@ -28,15 +29,26 @@ BCIRC_MAX_ENTRIES = 4_000_000
 # Relative ceiling on the imaginary part an inverse tube DFT may discard.
 IMAG_RESIDUE_TOL = 1e-8
 
+# Tall stacks are transformed, and factored, this many rows at a time.
+_QR_BLOCK_ROWS = 2048
+
+# The read-only arrays read_tensor returned after its finiteness scan, by id.
+# An entry dies with its array, so any other array is scanned by as_tensor.
+_SCANNED = weakref.WeakValueDictionary()
+
 
 def as_tensor(x, name: str = "tensor") -> np.ndarray:
-    """Validate and return a tubal matrix as a float64 array of shape (n, p, l)."""
+    """Validate and return a tubal matrix as a float64 array of shape (n, p, l).
+
+    An array read_tensor returned was scanned for non-finite values when it
+    was read and cannot be written since, so it is not scanned again.
+    """
     arr = np.asarray(x, dtype=np.float64)
     if arr.ndim != 3:
         raise DimensionMismatch(f"{name} must be a 3-way array, got shape {arr.shape}")
     if min(arr.shape) < 1:
         raise DimensionMismatch(f"{name} has an empty axis: shape {arr.shape}")
-    if not np.isfinite(arr).all():
+    if _SCANNED.get(id(arr)) is not arr and not np.isfinite(arr).all():
         raise ValueError(f"{name} contains non-finite values")
     return arr
 
@@ -63,23 +75,36 @@ def _mirror_index(l: int) -> np.ndarray:
     return np.minimum(k, l - k)
 
 
-def _to_half(x) -> np.ndarray:
-    """The independent DFT slices of a real (n, p, l) tensor as an (l//2 + 1, n, p) half stack.
+def _to_half(*tensors) -> np.ndarray:
+    """The independent DFT slices of real (n, p_j, l) tensors, side by side in one half stack.
 
-    The transform writes straight into the C-contiguous stack, so no
-    transposed copy of the spectrum is made. A C-order input transforms
-    several times faster than an F-order one, which is why read_tensor
-    returns C order.
+    The stack is C-contiguous, (l//2 + 1, n, p_1 + p_2 + ...): one tensor
+    gives its (l//2 + 1, n, p) half stack, and a design and its response
+    give the joint [X | y] stack. Each tensor is transformed _QR_BLOCK_ROWS
+    rows at a time, and each block's spectrum is written transposed into
+    its rows of the stack. So any layout, C order, the F-order view
+    read_tensor returns or a strided view, is transformed without a
+    reordered copy of the whole tensor, and gives the same bits.
     """
-    n, p, l = np.shape(x)
-    out = np.empty((l // 2 + 1, n, p), dtype=np.complex128)
-    np.fft.rfft(x, axis=2, out=out.transpose(1, 2, 0))
+    n, _, l = tensors[0].shape
+    edges = np.cumsum([0] + [x.shape[1] for x in tensors])
+    out = np.empty((l // 2 + 1, n, edges[-1]), dtype=np.complex128)
+    for start in range(0, n, _QR_BLOCK_ROWS):
+        rows = slice(start, start + _QR_BLOCK_ROWS)
+        for x, a, b in zip(tensors, edges, edges[1:]):
+            out[:, rows, a:b] = np.fft.rfft(x[rows], axis=2).transpose(2, 0, 1)
     return out
 
 
 def _row_energy(stack) -> np.ndarray:
-    """Squared norm of every row of every slice of a half stack, as an (l//2 + 1, n) array."""
-    parts = np.ascontiguousarray(stack).view(np.float64)
+    """Squared norm of every row of every slice of a half stack, as an (l//2 + 1, n) array.
+
+    A stack whose rows are contiguous, such as the design columns of a joint
+    [X | y] stack, is read in place; any other is copied first.
+    """
+    if stack.strides[-1] != stack.itemsize:
+        stack = np.ascontiguousarray(stack)
+    parts = stack.view(np.float64)
     return np.einsum("hij,hij->hi", parts, parts)
 
 
@@ -326,10 +351,13 @@ def write_tensor(x, path) -> None:
 
 
 def read_tensor(path) -> np.ndarray:
-    """Read a tubal matrix from the .tt binary format as a C-order float64 (n, p, l) array.
+    """Read a tubal matrix from the .tt binary format as a read-only float64 (n, p, l) array.
 
-    The payload is read straight into one preallocated array, after its size
-    has been checked against the header, and reordered once to C order.
+    The payload is read straight into one preallocated (l, p, n) array,
+    after its size has been checked against the header, and scanned once
+    for non-finite values. The result is the F-order (n, p, l) view of that
+    array, not a copy; being read-only, it keeps the scan valid, so
+    as_tensor does not repeat it.
     """
     header = struct.calcsize("<4sIQQQ")
     with open(path, "rb") as fh:
@@ -349,7 +377,10 @@ def read_tensor(path) -> np.ndarray:
         data = np.empty((l, p, n), dtype="<f8")
         if fh.readinto(data) != size:
             raise FileFormatError(f"{path}: payload shorter than its {size} bytes")
+    data.flags.writeable = False
     try:
-        return as_tensor(np.ascontiguousarray(data.T, dtype=np.float64), name=str(path))
+        x = as_tensor(data.T, name=str(path))
     except ValueError as exc:
         raise FileFormatError(str(exc)) from exc
+    _SCANNED[id(x)] = x
+    return x

@@ -1,5 +1,7 @@
 """Exit-code contract and data formats of the command-line interface."""
 
+from pathlib import Path
+
 import numpy as np
 import pytest
 
@@ -140,6 +142,8 @@ class TestSingleFactorization:
             (["solve", "--method", "opt", "--tau", "20", "--seed", "3"], 1),
             (["variance", "--method", "lev", "--tau", "20", "--sigma2", "4.0"], 1),
             (["solve", "--method", "ols"], 1),
+            (["probs", "--method", "opt"], 1),
+            (["variance", "--method", "opt", "--tau", "20", "--sigma2", "4.0"], 1),
         ],
     )
     def test_tall_factorizations(self, problem_files, tmp_path, monkeypatch, capsys,
@@ -154,11 +158,84 @@ class TestSingleFactorization:
                 return _original(a, *args, **kwargs)
 
             monkeypatch.setattr(np.linalg, name, counting)
-        argv = command + ["--design", xp, "--response", yp]
-        if command[0] == "solve":
-            argv += ["--out", str(tmp_path / "b.tt")]
-        assert main(argv) == 0
+        assert main(command_argv(command, xp, yp, tmp_path)) == 0
         assert tall == ["qr"] * tall_calls
+
+
+def command_argv(command, xp, yp, tmp_path):
+    """`command` on the design xp and, unless it is probs, the response yp."""
+    argv = command + ["--design", str(xp)]
+    if command[0] != "probs":
+        argv += ["--response", str(yp)]
+    if command[0] == "solve":
+        argv += ["--out", str(tmp_path / "b.tt")]
+    return argv
+
+
+def poisoned_copy(src, dst, value):
+    """Copy a .tt file with its 8th stored value replaced by `value`."""
+    raw = bytearray(Path(src).read_bytes())
+    raw[32 + 8 * 7 : 32 + 8 * 8] = np.float64(value).tobytes()
+    Path(dst).write_bytes(bytes(raw))
+    return str(dst)
+
+
+COMMANDS = [
+    ["solve", "--method", "ols"],
+    ["solve", "--method", "opt", "--tau", "20", "--seed", "3"],
+    ["probs", "--method", "opt"],
+    ["variance", "--method", "lev", "--tau", "20", "--sigma2", "4.0"],
+]
+
+
+class TestOneScan:
+    """Each input file is scanned for non-finite values once, by the reader.
+
+    A non-finite value is a file error (exit 3) with the reader's message on
+    stderr; an array from memory is still scanned by the library.
+    """
+
+    @pytest.mark.parametrize("command", COMMANDS)
+    def test_each_input_scanned_once(self, problem_files, tmp_path, monkeypatch, capsys,
+                                     command):
+        x, y, xp, yp = problem_files
+        scanned = []
+
+        def counting(a, *args, _original=np.isfinite, **kwargs):
+            if np.shape(a) in (x.shape, y.shape):
+                scanned.append(np.shape(a))
+            return _original(a, *args, **kwargs)
+
+        monkeypatch.setattr(np, "isfinite", counting)
+        assert main(command_argv(command, xp, yp, tmp_path)) == 0
+        assert sorted(scanned) == sorted([x.shape] + [y.shape] * (command[0] != "probs"))
+
+    @pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf])
+    @pytest.mark.parametrize("command, poisoned", [
+        (COMMANDS[0], "response"), (COMMANDS[1], "response"), (COMMANDS[3], "response"),
+        (COMMANDS[2], "design"), (COMMANDS[3], "design"),
+    ])
+    def test_non_finite_file_is_io_error(self, problem_files, tmp_path, capsys,
+                                         command, poisoned, value):
+        _, _, xp, yp = problem_files
+        if poisoned == "design":
+            xp = poisoned_copy(xp, tmp_path / "bad.tt", value)
+        else:
+            yp = poisoned_copy(yp, tmp_path / "bad.tt", value)
+        with pytest.raises(tlsq.FileFormatError, match="non-finite") as info:
+            tlsq.read_tensor(tmp_path / "bad.tt")
+        assert main(command_argv(command, xp, yp, tmp_path)) == 3
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == f"error: {info.value}\n"
+
+    @pytest.mark.parametrize("poisoned", ["design", "response"])
+    def test_non_finite_array_from_memory_is_rejected(self, problem_files, poisoned):
+        x, y, _, _ = problem_files
+        x, y = x.copy(), y.copy()
+        (x if poisoned == "design" else y)[5, 0, 1] = np.nan
+        with pytest.raises(ValueError, match="non-finite"):
+            tlsq.TlsProblem(x, y)
 
 
 class TestFlagRanges:
@@ -183,12 +260,7 @@ class TestFlagRanges:
     def test_out_of_range_flag_is_usage_error(self, problem_files, tmp_path, capsys,
                                               command, flag):
         _, _, xp, yp = problem_files
-        argv = command + ["--design", xp]
-        if command[0] != "probs":
-            argv += ["--response", yp]
-        if command[0] == "solve":
-            argv += ["--out", str(tmp_path / "b.tt")]
-        assert main(argv) == 1
+        assert main(command_argv(command, xp, yp, tmp_path)) == 1
         captured = capsys.readouterr()
         assert captured.out == ""
         assert flag in captured.err

@@ -1,12 +1,15 @@
 """Solver equivalence against dense flattened least squares and path identities."""
 
+import os
+import tempfile
+
 import numpy as np
 import pytest
 from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 import tlsq
-from tlsq import experiments, sampling, solver
+from tlsq import experiments, sampling, solver, tensor
 from tlsq.errors import DimensionMismatch, RankDeficient, SketchRankDeficient
 from tlsq.tensor import _from_half, _to_half
 
@@ -556,6 +559,36 @@ class TestBlockedQr:
         x = np.repeat(rand((8, 2, 1), 4), 3, axis=2)
         with pytest.raises(RankDeficient, match="slice"):
             tlsq.TlsProblem(x, rand((8, 1, 3), 5))
+
+
+class TestProblemFromFile:
+    """A problem built from written-and-read .tt files equals the in-memory one bit for bit."""
+
+    @settings(max_examples=30, deadline=None)
+    @given(
+        p=st.integers(1, 4),
+        extra=st.integers(0, 20),
+        l=st.integers(1, 8),
+        block=st.integers(1, 8),
+        seed=st.integers(0, 2**16),
+    )
+    @example(p=3, extra=0, l=1, block=2, seed=0)
+    @example(p=2, extra=19, l=2, block=4, seed=1)
+    @example(p=4, extra=13, l=7, block=5, seed=2)
+    def test_read_problem_is_bit_equal(self, p, extra, l, block, seed):
+        n = p + extra
+        x, y, b = rand((n, p, l), seed), rand((n, 1, l), seed + 1), rand((p, 1, l), seed + 2)
+        with tempfile.TemporaryDirectory() as d, pytest.MonkeyPatch.context() as mp:
+            mp.setattr(tensor, "_QR_BLOCK_ROWS", block)
+            mp.setattr(solver, "_QR_BLOCK_ROWS", block)
+            xp, yp = os.path.join(d, "x.tt"), os.path.join(d, "y.tt")
+            tlsq.write_tensor(x, xp)
+            tlsq.write_tensor(y, yp)
+            read = tlsq.TlsProblem(tlsq.read_tensor(xp), tlsq.read_tensor(yp))
+            memory = tlsq.TlsProblem(x, y)
+        for name in ("_r11", "_ols_half", "_rho"):
+            assert getattr(read, name).tobytes() == getattr(memory, name).tobytes()
+        assert tlsq.objective(read, b) == tlsq.objective(memory, b)
 
 
 class TestMultiResponseFit:

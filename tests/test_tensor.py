@@ -8,6 +8,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import tlsq
+from tlsq import tensor
 from tlsq.cli import main
 from tlsq.errors import DimensionMismatch, FileFormatError, ImaginaryResidue
 from tlsq.tensor import _to_half
@@ -51,33 +52,45 @@ class TestFourier:
 
 
 class TestHalfStackLayout:
-    """_to_half writes the rfft straight into a C-contiguous (l//2 + 1, n, p) stack."""
+    """_to_half writes the rfft of each block of rows into a C-contiguous (l//2 + 1, n, p) stack.
+
+    Every input layout gives the same bits as the rfft of a C-order array,
+    also over several row blocks with a ragged last one, and a joint [X | y]
+    stack holds each tensor's own half stack.
+    """
 
     @settings(max_examples=80, deadline=None)
     @given(
-        n=st.integers(1, 7),
+        n=st.integers(1, 23),
         p=st.integers(1, 7),
         l=st.integers(1, 9),
         square=st.booleans(),
-        layout=st.sampled_from(["C", "F", "strided"]),
+        block=st.integers(1, 8),
         seed=st.integers(0, 2**16),
     )
-    @example(n=5, p=3, l=1, square=False, layout="C", seed=0)
-    @example(n=5, p=3, l=2, square=False, layout="F", seed=1)
-    @example(n=4, p=4, l=6, square=True, layout="strided", seed=2)
-    @example(n=6, p=2, l=7, square=False, layout="strided", seed=3)
-    def test_bit_identical_to_moved_rfft(self, n, p, l, square, layout, seed):
+    @example(n=1, p=1, l=1, square=False, block=1, seed=0)
+    @example(n=23, p=3, l=2, square=False, block=5, seed=1)
+    @example(n=4, p=4, l=6, square=True, block=3, seed=2)
+    @example(n=17, p=2, l=7, square=False, block=4, seed=3)
+    def test_bit_identical_to_moved_rfft(self, n, p, l, square, block, seed):
         if square:
             p = n
-        if layout == "strided":
-            x = rand((2 * n, p + 1, 2 * l), seed)[::2, 1:, ::2]
-        else:
-            x = np.asarray(rand((n, p, l), seed), order=layout)
+        x, y = rand((n, p, l), seed), rand((n, 1, l), seed + 1)
+        payload = np.ascontiguousarray(x.T).T  # the F-order view read_tensor returns
+        padded = np.zeros((2 * n, p + 1, 2 * l))
+        padded[::2, 1:, ::2] = x
         expected = np.ascontiguousarray(np.moveaxis(np.fft.rfft(x, axis=2), 2, 0))
-        half = _to_half(x)
-        assert half.shape == (l // 2 + 1, n, p)
-        assert half.flags.c_contiguous  # the replicate path gathers rows of it
-        assert half.tobytes() == expected.tobytes()
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(tensor, "_QR_BLOCK_ROWS", block)
+            for layout in (x, payload, padded[::2, 1:, ::2]):
+                half = _to_half(layout)
+                assert half.shape == (l // 2 + 1, n, p)
+                assert half.flags.c_contiguous  # the replicate path gathers rows of it
+                assert half.tobytes() == expected.tobytes()
+            joint = _to_half(payload, y)
+        assert joint.shape == (l // 2 + 1, n, p + 1) and joint.flags.c_contiguous
+        assert joint[..., :p].tobytes() == expected.tobytes()
+        assert joint[..., p:].tobytes() == _to_half(y).tobytes()
 
 
 class TestTProduct:
@@ -359,13 +372,16 @@ class TestTensorFile:
         with pytest.raises(FileFormatError, match="expected"):
             tlsq.read_tensor(path)
 
-    def test_reads_c_order_float64(self, tmp_path):
+    def test_reads_float64_view_of_payload(self, tmp_path):
         x = np.asfortranarray(rand((5, 3, 4), 39))
         path = tmp_path / "c.tt"
         tlsq.write_tensor(x, path)
         got = tlsq.read_tensor(path)
         assert got.shape == (5, 3, 4) and got.dtype == np.float64
-        assert got.flags.c_contiguous
+        # the (n, p, l) view of the one (l, p, n) array the payload was read into
+        assert got.base is not None and got.base.flags.owndata
+        assert got.base.shape == (4, 3, 5) and got.flags.f_contiguous
+        assert _to_half(got).tobytes() == _to_half(np.ascontiguousarray(x)).tobytes()
 
     @staticmethod
     def malformed_file(tmp_path, kind):
