@@ -28,14 +28,13 @@ from .errors import SketchRankDeficient
 from .sampling import (
     SamplingDistribution,
     _draw_plans,
-    draw_plan,
     leverage_probs,
     optimal_probs,
     shrinked_leverage_probs,
     uniform_probs,
 )
-from .solver import TlsProblem, _exact_solutions, _on_design, _solve_sketches, objective
-from .solver import validate_design
+from .solver import TlsProblem, _compress, _exact_solutions, _on_design, _solve_sketches
+from .solver import _with_objectives, objective, validate_design
 from .tensor import BCIRC_MAX_ENTRIES, as_tensor, bcirc, fold, unfold
 
 DESIGN_KINDS = ("mn", "t3", "t1")
@@ -138,6 +137,10 @@ class ExperimentConfig:
             )
         object.__setattr__(self, "taus", tuple(int(t) for t in self.taus))
         object.__setattr__(self, "methods", tuple(self.methods))
+        for name, values in (("methods", self.methods), ("taus", self.taus)):
+            for i, value in enumerate(values):
+                if value in values[:i]:
+                    raise ConfigError(f"{name} lists {value!r} more than once")
 
 
 @dataclass
@@ -337,15 +340,28 @@ def _matrix_distribution(prob: TlsProblem, kind: str) -> SamplingDistribution:
     raise ValueError(f"matrix baseline supports unif or lev, got {kind!r}")
 
 
-def _solve_matrix_subsample(a, rhs, plan, p, l) -> np.ndarray:
-    scaled = a[plan.indices] * plan.weights[:, None]
-    target = rhs[plan.indices] * plan.weights[:, None]
-    sol, _, rank, _ = np.linalg.lstsq(scaled, target, rcond=None)
-    if rank < p * l:
-        raise SketchRankDeficient(
-            f"matrix sketch has rank {rank} < {p * l}", slice_index=None
-        )
-    return fold(sol, p, l)
+def _solve_matrix_sketches(systems, problems, indices, weights) -> list:
+    """Solve one matrix-baseline sketch per plan, plan j on the flattened system of problems[j].
+
+    Plan j draws rows of systems[j], the problem's bcirc(X), and of its
+    unfolded response. Each plan is compressed to its unique rows
+    (_compress) and solved by one lstsq with the cutoff eps * max(tau, p*l):
+    lstsq's default cutoff on the uncompressed tau-row sketch. Returns
+    (b, objective) per plan, the objectives read by one _r_objectives call,
+    or a SketchRankDeficient for a sketch of rank below p*l.
+    """
+    n, p, l = problems[0].shape
+    taus, picked, scale, unique = _compress(indices, weights, n * l, p)
+    rconds = _EPS * np.maximum(taus, p * l)
+    fits, bs = [None] * len(problems), np.empty((len(problems), p, 1, l))
+    for j, (a, prob, rcond) in enumerate(zip(systems, problems, rconds)):
+        rows, w = picked[j, : unique[j]], scale[j, : unique[j], None]
+        sol, _, rank, _ = np.linalg.lstsq(a[rows] * w, unfold(prob.response)[rows] * w, rcond=rcond)
+        bs[j] = fold(sol, p, l)
+        if rank < p * l:
+            fits[j] = SketchRankDeficient(f"matrix sketch has rank {rank} < {p * l}")
+    kept = [j for j, fit in enumerate(fits) if fit is None]
+    return _with_objectives(problems, fits, kept, bs[kept])
 
 
 def _max_workers() -> int:
@@ -455,16 +471,14 @@ def _run_cells(cfg: ExperimentConfig, base, cells, timed: bool) -> list[MetricsR
     `base` is the shared design state, or None to draw one per replicate.
     The pool maps near-equal chunks of the replicates (_REPLICATE_CHUNK), so
     at most ceil(R / 8) tasks run at once. A chunk builds its replicates'
-    problems (_replicate_problems). It draws each tensor cell's plans, one
-    per replicate and each from its own stream key, in one _draw_plans call
-    and solves them as one batch, and then runs the matrix cells replicate
-    by replicate. When `timed`, a tensor cell's wall time in a replicate is
-    an equal share of its batch's draw and solve, a matrix cell's its own
-    draw and solve; otherwise it is NaN.
+    problems (_replicate_problems). It draws each cell's plans, one per
+    replicate and each from its own stream key, in one _draw_plans call and
+    solves them as one batch: a tensor cell by _solve_sketches, a matrix
+    cell by _solve_matrix_sketches. When `timed`, a cell's wall time in a
+    replicate is an equal share of its batch's draw and solve; otherwise it
+    is NaN.
     """
     clock = time.perf_counter if timed else lambda: math.nan
-    tensor_cells = [cell for cell in cells if not cell.matrix]
-    matrix_cells = [cell for cell in cells if cell.matrix]
 
     def worker(chunk):
         if base is None:
@@ -475,26 +489,19 @@ def _run_cells(cfg: ExperimentConfig, base, cells, timed: bool) -> list[MetricsR
             fitted = _replicate_problems(cfg, base, chunk)
         problems = [prob_b for prob_b, _ in fitted]
         outs = [{} for _ in chunk]
-        for cell in tensor_cells:
+        for cell in cells:
             start = clock()
             rngs = [_rng(cfg.seed, cell.stream, b, *cell.index) for b in chunk]
-            dists = [state.dists[cell.kind] for state in states]
-            fits = _solve_sketches(problems, *_draw_plans(dists, cell.draws, rngs))
+            dists = [(state.smls[1] if cell.matrix else state.dists)[cell.kind] for state in states]
+            plans = _draw_plans(dists, cell.draws, rngs)
+            if cell.matrix:
+                fits = _solve_matrix_sketches([s.smls[0] for s in states], problems, *plans)
+            else:
+                fits = _solve_sketches(problems, *plans)
             share = (clock() - start) * 1e3 / len(chunk)
             for out, fit in zip(outs, fits):
                 est = None if isinstance(fit, SketchRankDeficient) else fit
                 out[(cell.label, cell.tau)] = (est, share)
-        for state, b, prob_b, out in zip(states, chunk, problems, outs):
-            rhs = unfold(prob_b.response)
-            for cell in matrix_cells:
-                start = clock()
-                rng = _rng(cfg.seed, cell.stream, b, *cell.index)
-                plan = draw_plan(state.smls[1][cell.kind], cell.draws, rng)
-                try:
-                    est = _solve_matrix_subsample(state.smls[0], rhs, plan, cfg.p, cfg.l)
-                except SketchRankDeficient:
-                    est = None
-                out[(cell.label, cell.tau)] = (_fit_matrix(prob_b, est), (clock() - start) * 1e3)
         return [(prob_b, ols_b, out) for (prob_b, ols_b), out in zip(fitted, outs)]
 
     chunks = np.array_split(np.arange(cfg.replicates), -(-cfg.replicates // _REPLICATE_CHUNK))
@@ -573,11 +580,6 @@ def _replicate_problems(cfg: ExperimentConfig, state: _ReplicateState, replicate
     probs = [built[k] for k in keys]
     bs, objectives = _exact_solutions(probs)
     return [(pb, (coef, float(f))) for pb, coef, f in zip(probs, bs, objectives)]
-
-
-def _fit_matrix(prob: TlsProblem, b):
-    """(b, objective) of a matrix-baseline estimate, or None for a lost-rank sketch."""
-    return None if b is None else (b, objective(prob, b))
 
 
 def run_mls_comparison(cfg: ExperimentConfig) -> list[MetricsRow]:

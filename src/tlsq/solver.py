@@ -325,27 +325,19 @@ def solve_ols(prob: TlsProblem) -> TlsSolution:
     return TlsSolution(b=b, objective=float(f), method="ols")
 
 
-def _solve_sketches(problems, indices, weights) -> list:
-    """Solve the sketches of several plans in one batch, plan j on problems[j].
+def _compress(indices, weights, n: int, p: int):
+    """Each plan reduced to its unique rows, each scaled by sqrt of its summed squared weight.
 
-    Plan j draws rows indices[j] with weights weights[j], one entry per draw;
-    a (B, tau) array holds a batch of plans of one size. The checks of a
-    SamplingPlan and of the design's size run once for the whole batch.
-    With-replacement draws enter the least-squares problem only through the
-    summed squared weight of each drawn row, so every plan is first
-    compressed to its unique rows, each scaled by the square root of that
-    sum: exact for any plan, also for a row drawn with different weights.
-    The compressed sketches are padded with zero rows (which leave R
-    unchanged) to a common height, stacked as (B, l//2 + 1, rows, p + 1) and
-    factored by one R-only QR; _solve_factored checks the rank and solves
-    every triangle in one batch. Each plan gathers its rows from its own
-    problem. Returns one entry per plan: (b, objective), the objective read
-    from its problem's R factor by _r_objectives, or the plan's
-    SketchRankDeficient; the rank cutoff counts a plan's tau draws, not its
-    unique rows. Padding costs rows, so a batch should hold plans of similar
-    height, as the replicate driver's batches of one cell do.
+    Plan j draws rows indices[j] of an n-row system with weights weights[j],
+    one entry per draw; a (B, tau) array holds a batch of plans of one size.
+    Every plan needs tau >= p draws. With-replacement draws enter a
+    least-squares sketch only through S^T S, the summed squared weight of
+    each drawn row, so the compressed sketch is exact for any plan, also for
+    a row drawn with different weights. Returns (taus, picked, scale,
+    unique): plan j's unique rows and their scales are the first unique[j]
+    entries of picked[j] and scale[j], (B, rows) each, and zeros pad them
+    to rows = max(unique.max(), p).
     """
-    n, p, l = problems[0].shape
     taus = np.array([len(row) for row in indices])
     if len(weights) != taus.size or any(len(w) != t for w, t in zip(weights, taus)):
         raise ValueError("indices and weights must both have length tau")
@@ -358,27 +350,54 @@ def _solve_sketches(problems, indices, weights) -> list:
     if indices.min() < 0 or indices.max() >= n:
         raise ValueError("plan indices fall outside the design's rows")
     count = taus.size
-    keys = np.repeat(np.arange(count) * n, taus) + indices
-    energy = np.bincount(keys, weights=weights**2, minlength=count * n).reshape(count, n)
-    owner, rows = np.nonzero(energy)
+    # Sorted (plan, row) keys: memory in proportion to the draws, not to B * n.
+    keys, inverse = np.unique(np.repeat(np.arange(count) * n, taus) + indices, return_inverse=True)
+    owner, rows = np.divmod(keys, n)
     unique = np.bincount(owner, minlength=count)
     slot = np.arange(owner.size) - np.repeat(np.cumsum(unique) - unique, unique)
-    height = max(int(unique.max()), p)
-    picked = np.zeros((count, height), dtype=np.intp)
-    scale = np.zeros((count, height))
+    picked = np.zeros((count, max(int(unique.max()), p)), dtype=np.intp)
+    scale = np.zeros(picked.shape)
     picked[owner, slot] = rows
-    scale[owner, slot] = np.sqrt(energy[owner, rows])
-    m = np.empty((l // 2 + 1, count, height, p + 1), dtype=np.complex128)
+    scale[owner, slot] = np.sqrt(np.bincount(inverse, weights=weights**2))
+    return taus, picked, scale, unique
+
+
+def _solve_sketches(problems, indices, weights) -> list:
+    """Solve the sketches of several plans in one batch, plan j on problems[j].
+
+    Plan j draws rows indices[j] with weights weights[j] (see _compress).
+    The checks of a SamplingPlan and of the design's size run once for the
+    whole batch. Every plan is compressed to its unique rows (_compress),
+    padded with zero rows (which leave R unchanged) to a common height of at
+    least p, stacked as (B, l//2 + 1, rows, p + 1) and factored by one
+    R-only QR; _solve_factored checks the rank and solves every triangle in
+    one batch. Each plan gathers its rows from its own problem. Returns one
+    entry per plan: (b, objective), the objective read from its problem's R
+    factor by _r_objectives, or the plan's SketchRankDeficient; the rank
+    cutoff counts a plan's tau draws, not its unique rows. Padding costs
+    rows, so a batch should hold plans of similar height, as the replicate
+    driver's batches of one cell do.
+    """
+    n, p, l = problems[0].shape
+    taus, picked, scale, _ = _compress(indices, weights, n, p)
+    m = np.empty((l // 2 + 1, *picked.shape, p + 1), dtype=np.complex128)
     for j, pb in enumerate(problems):
         m[:, j, :, :p] = pb.design_half[:, picked[j]]
         m[:, j, :, p] = pb.response_half[:, picked[j], 0]
     m *= scale[:, :, None]
     ok, bhalf, fits = _solve_factored(_qr_svd(_row_blocks(m.swapaxes(0, 1))), p, taus, l)
-    kept = np.flatnonzero(ok)
-    if kept.size:
-        bs = _from_half(bhalf, l)
-        for k, b, f in zip(kept, bs, _r_objectives([problems[j] for j in kept], bs)):
-            fits[k] = (b, float(f))
+    return _with_objectives(problems, fits, np.flatnonzero(ok), _from_half(bhalf, l))
+
+
+def _with_objectives(problems, fits, kept, bs) -> list:
+    """`fits` with entry kept[i] set to (bs[i], its objective on problems[kept[i]]).
+
+    `bs` (len(kept), p, 1, l) holds the solutions of the plans that kept
+    their rank; one _r_objectives call reads all their objectives.
+    """
+    if len(kept):
+        for j, b, f in zip(kept, bs, _r_objectives([problems[j] for j in kept], bs)):
+            fits[j] = (b, float(f))
     return fits
 
 

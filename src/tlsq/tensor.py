@@ -380,7 +380,7 @@ def read_tensor(path) -> np.ndarray:
     data.flags.writeable = False
     try:
         x = as_tensor(data.T, name=str(path))
-    except ValueError as exc:
+    except (ValueError, DimensionMismatch) as exc:
         raise FileFormatError(str(exc)) from exc
     _SCANNED[id(x)] = x
     return x

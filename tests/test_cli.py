@@ -1,5 +1,6 @@
 """Exit-code contract and data formats of the command-line interface."""
 
+import struct
 from pathlib import Path
 
 import numpy as np
@@ -75,6 +76,18 @@ class TestSolve:
         code = main(["solve", "--design", str(junk), "--response", str(junk),
                      "--method", "ols", "--out", str(tmp_path / "o.tt")])
         assert code == 3
+
+    @pytest.mark.parametrize("shape", [(0, 4, 3), (80, 0, 3), (80, 4, 0)])
+    def test_empty_axis_in_header_is_io_error(self, problem_files, tmp_path, capsys, shape):
+        _, _, _, yp = problem_files
+        empty = tmp_path / "empty.tt"
+        empty.write_bytes(b"TTEN" + struct.pack("<IQQQ", 1, *shape))
+        code = main(["solve", "--design", str(empty), "--response", yp,
+                     "--method", "ols", "--out", str(tmp_path / "o.tt")])
+        assert code == 3
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert "empty axis" in captured.err and str(empty) in captured.err
 
     def test_missing_file_is_io_error(self, tmp_path):
         code = main(["solve", "--design", str(tmp_path / "absent.tt"),
@@ -297,7 +310,8 @@ class TestExperiment:
     @pytest.mark.parametrize(
         "override",
         [{"redraw_design": 5}, {"timing": 2}, {"p": 3}, {"n": 3},
-         {"l": 0}, {"l": -2}, {"sigma2": "inf"}, {"sigma2": "nan"}],
+         {"l": 0}, {"l": -2}, {"sigma2": "inf"}, {"sigma2": "nan"},
+         {"methods": "unif,unif"}, {"taus": "20,20"}, {"methods": "lev,unif,lev"}],
     )
     def test_invalid_config_value_is_usage_error(self, tmp_path, capsys, override):
         cfg = write_config(tmp_path, **override)

@@ -9,7 +9,7 @@ from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 import tlsq
-from tlsq import experiments, solver
+from tlsq import experiments, sampling, solver
 from tlsq.errors import SketchRankDeficient
 from tlsq.experiments import (
     ConfigError,
@@ -221,15 +221,27 @@ class TestRunExperiment:
             assert min(row.smrfv, row.smre, row.ssb, row.sv, row.smse) >= 0.0
 
 
+def matrix_oracle(a, rhs, plan, p, l):
+    """The baseline estimate of `plan`: lstsq on its uncompressed tau-row weighted sketch.
+
+    None when the sketch has rank below p*l under lstsq's default cutoff.
+    """
+    sketch = a[plan.indices] * plan.weights[:, None]
+    target = rhs[plan.indices] * plan.weights[:, None]
+    sol, _, rank, _ = np.linalg.lstsq(sketch, target, rcond=None)
+    return tlsq.fold(sol, p, l) if rank == p * l else None
+
+
 def per_cell_loop(cfg, compare=False):
-    """Reference reports from one solve_subsampled call per cell, on the same stream keys.
+    """Reference reports from one solve per cell, on the same stream keys.
 
     Replicate b's response is gen_response's draw from (seed, response
     stream, b), or from (seed, response stream) if conditional, and its exact
     fit is its own solve_ols.
     It draws the plan of tensor cell (i, j) from (seed, plan stream, b, i, j),
     i indexing the methods (the unif/lev kinds in compare mode) and j the
-    taus; matrix cells use the baseline streams.
+    taus, and solves it by solve_subsampled; matrix cells use the baseline
+    streams and matrix_oracle.
     """
     ex = experiments
     kinds = [m for m in cfg.methods if m in ("unif", "lev")]
@@ -261,11 +273,9 @@ def per_cell_loop(cfg, compare=False):
 
         def matrix_cell(label, tau, kind, draws, stream, index):
             plan = tlsq.draw_plan(state.smls[1][kind], draws, ex._rng(cfg.seed, stream, b, *index))
-            try:
-                est = ex._solve_matrix_subsample(state.smls[0], rhs, plan, cfg.p, cfg.l)
-            except SketchRankDeficient:
-                est = None
-            cells[(label, tau)] = (ex._fit_matrix(prob_b, est), math.nan)
+            est = matrix_oracle(state.smls[0], rhs, plan, cfg.p, cfg.l)
+            fit = None if est is None else (est, tlsq.objective(prob_b, est))
+            cells[(label, tau)] = (fit, math.nan)
 
         for i, method in enumerate(kinds if compare else cfg.methods):
             for j, tau in enumerate(cfg.taus):
@@ -401,6 +411,40 @@ class TestBatchedReplicateLoop:
             expected = 1 + chunks * (1 + cells)
         assert len(calls) == expected
 
+    @pytest.mark.parametrize("compare", [False, True])
+    def test_matrix_cells_run_as_batches(self, monkeypatch, compare):
+        """A matrix cell draws its chunk's plans in one batch and runs one lstsq per plan.
+
+        Every cell, tensor or matrix, makes one _draw_plans call per chunk,
+        and the driver never calls draw_plan. draw_plan is watched as a
+        driver attribute even where the driver does not import it, so an
+        import brought back is caught.
+        """
+        calls = {"lstsq": 0, "_draw_plans": 0, "draw_plan": 0}
+
+        def counting(name, original):
+            def wrapped(*args, **kwargs):
+                calls[name] += 1
+                return original(*args, **kwargs)
+
+            return wrapped
+
+        monkeypatch.setattr(np.linalg, "lstsq", counting("lstsq", np.linalg.lstsq))
+        monkeypatch.setattr(experiments, "_draw_plans",
+                            counting("_draw_plans", sampling._draw_plans))
+        for module in (tlsq, sampling, experiments):
+            monkeypatch.setattr(module, "draw_plan", counting("draw_plan", sampling.draw_plan),
+                                raising=False)
+        cfg = ExperimentConfig(seed=36, n=100, p=4, l=4, design="t3", replicates=19,
+                               taus=(12, 25), methods=("unif", "lev", "slev"),
+                               smls="l_times_tau", redraw_design=not compare)
+        rows = run_mls_comparison(cfg) if compare else run_experiment(cfg)
+        matrix = sum(r.method.startswith("smls") for r in rows)
+        chunks = math.ceil(cfg.replicates / experiments._REPLICATE_CHUNK)
+        assert matrix == (8 if compare else 4)
+        assert calls == {"lstsq": cfg.replicates * matrix, "_draw_plans": chunks * len(rows),
+                         "draw_plan": 0}
+
     def test_starved_config_counts_the_same_failures(self):
         cfg = ExperimentConfig(seed=33, n=12, p=10, l=2, design="mn", replicates=10,
                                taus=(10,), smls="same_tau")
@@ -416,11 +460,9 @@ class TestSmlsBaseline:
         prob = tlsq.TlsProblem(x, y)
         a = tlsq.bcirc(x)
         dense = np.linalg.lstsq(a, tlsq.unfold(y), rcond=None)[0]
-        from tlsq.experiments import _solve_matrix_subsample
-
-        plan = tlsq.SamplingPlan(tau=a.shape[0], indices=np.arange(a.shape[0]),
-                                 weights=np.ones(a.shape[0]))
-        folded = _solve_matrix_subsample(a, tlsq.unfold(y), plan, 4, 3)
+        rows = np.arange(a.shape[0])
+        ((folded, _),) = experiments._solve_matrix_sketches([a], [prob], rows[None],
+                                                            np.ones((1, rows.size)))
         exact = tlsq.solve_ols(prob).b
         assert np.abs(folded - tlsq.fold(dense, 4, 3)).max() <= 1e-12
         assert np.abs(folded - exact).max() <= 1e-10 * max(1.0, np.abs(exact).max())
@@ -449,6 +491,47 @@ class TestSmlsBaseline:
         dist = experiments._matrix_distribution(tlsq.TlsProblem(x, np.zeros((n, 1, l))), "lev")
         assert np.abs(dist.leverage - h).max() <= 1e-12
         assert np.abs(dist.probs - h / h.sum()).max() <= 1e-12
+
+    @settings(max_examples=80, deadline=None)
+    @given(
+        p=st.integers(2, 4),
+        l=st.integers(1, 4),
+        extra_rows=st.integers(0, 6),
+        plans=st.integers(1, 4),
+        excess=st.integers(-4, 12),
+        pool=st.integers(1, 30),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    # every draw from one row, each with its own weight
+    @example(p=2, l=1, extra_rows=0, plans=3, excess=2, pool=1, seed=0)
+    # starved: plan 2 of 4 has fewer unique rows than p*l
+    @example(p=3, l=3, extra_rows=4, plans=4, excess=6, pool=30, seed=0)
+    # tau < p*l: every plan loses rank
+    @example(p=4, l=2, extra_rows=1, plans=4, excess=-4, pool=30, seed=2)
+    def test_batch_matches_uncompressed_lstsq(self, p, l, extra_rows, plans, excess, pool, seed):
+        """Each plan's batch solution and rank loss are those of lstsq on its uncompressed sketch.
+
+        Plans draw from a pool of `pool` rows of bcirc(X), so small pools
+        repeat rows, each draw with its own weight, and leave some plans
+        with fewer unique rows than p*l.
+        """
+        n = p + extra_rows
+        rng = np.random.default_rng(seed)
+        x = gen_design("mn", n, p, l, seed=rng)
+        y = rng.standard_normal((n, 1, l))
+        prob = tlsq.TlsProblem(x, y)
+        a, rhs = tlsq.bcirc(x), tlsq.unfold(y)
+        tau = max(p, p * l + excess)
+        candidates = rng.choice(n * l, size=min(pool, n * l), replace=False)
+        indices = rng.choice(candidates, size=(plans, tau))
+        weights = rng.uniform(0.5, 2.0, size=(plans, tau))
+        fits = experiments._solve_matrix_sketches([a] * plans, [prob] * plans, indices, weights)
+        for fit, idx, w in zip(fits, indices, weights):
+            want = matrix_oracle(a, rhs, tlsq.SamplingPlan(tau=tau, indices=idx, weights=w), p, l)
+            assert isinstance(fit, SketchRankDeficient) == (want is None), (idx, w)
+            if want is not None:
+                assert np.abs(fit[0] - want).max() <= 1e-10 * np.abs(want).max()
+                assert abs(fit[1] - tlsq.objective(prob, fit[0])) <= 1e-12 * (y**2).sum()
 
     def test_comparison_rows(self):
         cfg = ExperimentConfig(seed=13, n=100, p=4, l=3, design="mn", replicates=4,
@@ -547,6 +630,18 @@ class TestConfig:
             ExperimentConfig(seed=0, design="exp")
         with pytest.raises(ConfigError):
             ExperimentConfig(seed=0, alpha=1.0)
+
+    @pytest.mark.parametrize(
+        "overrides, named",
+        [(dict(methods=("unif", "unif")), "methods lists 'unif'"),
+         (dict(methods=("lev", "unif", "lev")), "methods lists 'lev'"),
+         (dict(taus=(20, 20)), "taus lists 20"),
+         (dict(taus=(20, 40, 20.0)), "taus lists 20")],
+    )
+    def test_duplicate_methods_or_taus_rejected(self, overrides, named):
+        # A repeated entry would share one report row, keyed by (method, tau).
+        with pytest.raises(ConfigError, match=named):
+            ExperimentConfig(**{**dict(seed=3, n=60, p=4, l=3), **overrides})
 
     def test_coefficient_pattern_needs_p_at_least_4(self):
         with pytest.raises(ConfigError, match="p >= 4"):
