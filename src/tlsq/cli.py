@@ -16,6 +16,7 @@ import time
 from . import selfcheck
 from .errors import FileFormatError, TlsqError
 from .experiments import (
+    METHOD_KINDS,
     ConfigError,
     build_distribution,
     parse_config_file,
@@ -27,8 +28,6 @@ from .sampling import draw_plan, write_distribution_csv
 from .solver import TlsProblem, solve_ols, solve_subsampled
 from .stats import variance_report
 from .tensor import read_tensor, write_tensor
-
-METHODS = ("unif", "lev", "slev", "opt")
 
 
 class _UsageError(Exception):
@@ -55,7 +54,8 @@ file formats:
                 failures. TLSQ_THREADS caps replicate parallelism, as do
                 the ceil(replicates / 8) replicate chunks. A second thread
                 pays on compare-mls's matrix cells (one lstsq per sketch),
-                not on the tensor grid of experiment.
+                not on the tensor grid of experiment. A pool above one
+                thread wants one BLAS thread: OPENBLAS_NUM_THREADS=1.
 """
 
 
@@ -74,7 +74,7 @@ def _build_parser() -> _Parser:
     sp.add_argument(
         "--method",
         required=True,
-        choices=("ols",) + METHODS,
+        choices=("ols",) + METHOD_KINDS,
         help="exact solve or one of the subsampling distributions",
     )
     sp.add_argument("--alpha", type=float, default=0.9, help="shrinkage weight for slev")
@@ -85,7 +85,7 @@ def _build_parser() -> _Parser:
 
     sp = sub.add_parser("probs", help="emit sampling probabilities as CSV")
     sp.add_argument("--design", required=True)
-    sp.add_argument("--method", required=True, choices=METHODS)
+    sp.add_argument("--method", required=True, choices=METHOD_KINDS)
     sp.add_argument("--alpha", type=float, default=0.9)
     sp.set_defaults(func=_cmd_probs)
 
@@ -94,7 +94,7 @@ def _build_parser() -> _Parser:
     )
     sp.add_argument("--design", required=True)
     sp.add_argument("--response", required=True)
-    sp.add_argument("--method", required=True, choices=METHODS)
+    sp.add_argument("--method", required=True, choices=METHOD_KINDS)
     sp.add_argument("--alpha", type=float, default=0.9)
     sp.add_argument("--tau", type=int, required=True)
     sp.add_argument(
@@ -109,7 +109,7 @@ def _build_parser() -> _Parser:
     sp = sub.add_parser("experiment", help="run a replicated benchmark")
     sp.add_argument("--config", required=True, help="flat key=value config file")
     sp.add_argument("--out", required=True, help="CSV report path")
-    sp.set_defaults(func=_cmd_experiment)
+    sp.set_defaults(func=_cmd_report)
 
     sp = sub.add_parser(
         "compare-mls",
@@ -117,7 +117,7 @@ def _build_parser() -> _Parser:
     )
     sp.add_argument("--config", required=True)
     sp.add_argument("--out", required=True)
-    sp.set_defaults(func=_cmd_compare_mls)
+    sp.set_defaults(func=_cmd_report)
 
     sp = sub.add_parser("selfcheck", help="run the oracle equivalence suites")
     sp.set_defaults(func=_cmd_selfcheck)
@@ -184,15 +184,9 @@ def _cmd_variance(args) -> int:
     return 0
 
 
-def _cmd_experiment(args) -> int:
-    cfg = parse_config_file(args.config)
-    write_report(run_experiment(cfg), args.out)
-    return 0
-
-
-def _cmd_compare_mls(args) -> int:
-    cfg = parse_config_file(args.config)
-    write_report(run_mls_comparison(cfg), args.out)
+def _cmd_report(args) -> int:
+    run = run_experiment if args.command == "experiment" else run_mls_comparison
+    write_report(run(parse_config_file(args.config)), args.out)
     return 0
 
 

@@ -17,6 +17,7 @@ from __future__ import annotations
 
 import csv
 import math
+import numbers
 import os
 import time
 from concurrent.futures import ThreadPoolExecutor
@@ -33,12 +34,14 @@ from .sampling import (
     shrinked_leverage_probs,
     uniform_probs,
 )
-from .solver import TlsProblem, _compress, _exact_solutions, _on_design, _solve_sketches
-from .solver import _with_objectives, objective, validate_design
+from .solver import TlsProblem, _as_design, _compress, _exact_solutions, _on_design
+from .solver import _solve_sketches, _with_objectives, objective
 from .tensor import BCIRC_MAX_ENTRIES, as_tensor, bcirc, fold, unfold
 
 DESIGN_KINDS = ("mn", "t3", "t1")
 METHOD_KINDS = ("unif", "lev", "slev", "opt")
+# The methods the flattened matrix baseline runs (smls and compare-mls).
+MATRIX_KINDS = ("unif", "lev")
 SMLS_MODES = ("off", "same_tau", "l_times_tau")
 REPLICATE_MODES = ("unconditional", "conditional")
 
@@ -101,6 +104,9 @@ class ExperimentConfig:
     timing: bool = False
 
     def __post_init__(self):
+        for name in ("seed", "n", "p", "l", "replicates"):
+            object.__setattr__(self, name, _integral(name, getattr(self, name)))
+        object.__setattr__(self, "taus", tuple(_integral("taus", t) for t in self.taus))
         if self.design not in DESIGN_KINDS:
             raise ConfigError(f"design must be one of {DESIGN_KINDS}, got {self.design!r}")
         if self.smls not in SMLS_MODES:
@@ -129,18 +135,24 @@ class ExperimentConfig:
         if not 0.0 < self.alpha < 1.0:
             raise ConfigError(f"alpha must lie in (0, 1), got {self.alpha}")
         entries = self.n * self.l * self.p * self.l
-        baseline = self.smls != "off" and any(m in ("unif", "lev") for m in self.methods)
+        baseline = self.smls != "off" and any(m in MATRIX_KINDS for m in self.methods)
         if baseline and entries > BCIRC_MAX_ENTRIES:
             raise ConfigError(
                 f"the matrix baseline at n={self.n}, p={self.p}, l={self.l} needs a block-circulant"
                 f" embedding of n*l*p*l = {entries} entries, over the limit of {BCIRC_MAX_ENTRIES}"
             )
-        object.__setattr__(self, "taus", tuple(int(t) for t in self.taus))
         object.__setattr__(self, "methods", tuple(self.methods))
         for name, values in (("methods", self.methods), ("taus", self.taus)):
             for i, value in enumerate(values):
                 if value in values[:i]:
                     raise ConfigError(f"{name} lists {value!r} more than once")
+
+
+def _integral(name: str, value) -> int:
+    """`value` as an int; a float is accepted only when it is integral, such as 20.0."""
+    if not (isinstance(value, numbers.Real) and math.isfinite(value) and value == int(value)):
+        raise ConfigError(f"{name} must be an integer, got {value!r}")
+    return int(value)
 
 
 @dataclass
@@ -307,13 +319,12 @@ def compute_metrics(
 def build_distribution(x, method: str, alpha: float = 0.9) -> SamplingDistribution:
     """Construct one of the four named distributions for a TlsProblem or a design tensor.
 
-    A problem's cached factorization is reused; a design tensor is validated
-    and factored once, also for the uniform distribution, so every method
-    rejects a design that TlsProblem would reject.
+    A problem's _Design is reused; a design tensor is validated and factored
+    once, also for the uniform distribution, so every method rejects a
+    design that TlsProblem would reject.
     """
     if method == "unif":
-        design = x if isinstance(x, TlsProblem) else validate_design(x)[0]
-        return uniform_probs(design.shape[0])
+        return uniform_probs(_as_design(x).shape[0])
     if method == "lev":
         return leverage_probs(x)
     if method == "slev":
@@ -530,7 +541,7 @@ def run_experiment(cfg: ExperimentConfig) -> list[MetricsRow]:
         factor = cfg.l if cfg.smls == "l_times_tau" else 1
         cells += [
             _Cell(f"smls-{kind}", tau, kind, factor * tau, _STREAM_SMLS, (ki, ti), matrix=True)
-            for ki, kind in enumerate(sorted({m for m in cfg.methods if m in ("unif", "lev")}))
+            for ki, kind in enumerate(sorted({m for m in cfg.methods if m in MATRIX_KINDS}))
             for ti, tau in enumerate(cfg.taus)
         ]
     base = None if cfg.redraw_design else _prepare_state(cfg, _STREAM_DESIGN)
@@ -548,7 +559,7 @@ def _prepare_state(cfg: ExperimentConfig, stream, *key) -> _ReplicateState:
     response_key = _response_key(cfg, *(key or (0,)))
     prob = TlsProblem(x, _response(cfg, _signal(x), response_key))
     dists = {m: build_distribution(prob, m, cfg.alpha) for m in cfg.methods}
-    kinds = [m for m in cfg.methods if m in ("unif", "lev")] if cfg.smls != "off" else []
+    kinds = [m for m in cfg.methods if m in MATRIX_KINDS] if cfg.smls != "off" else []
     smls = (bcirc(x), {k: _matrix_distribution(prob, k) for k in kinds}) if kinds else None
     return _ReplicateState(prob=prob, key=response_key, dists=dists, smls=smls)
 
@@ -576,7 +587,8 @@ def _replicate_problems(cfg: ExperimentConfig, state: _ReplicateState, replicate
     built = {state.key: state.prob}
     if fresh:
         signal = _signal(state.prob.design)
-        built.update(zip(fresh, _on_design(state.prob, [_response(cfg, signal, k) for k in fresh])))
+        responses = [_response(cfg, signal, k) for k in fresh]
+        built.update(zip(fresh, _on_design(state.prob._design, responses)))
     probs = [built[k] for k in keys]
     bs, objectives = _exact_solutions(probs)
     return [(pb, (coef, float(f))) for pb, coef, f in zip(probs, bs, objectives)]
@@ -589,7 +601,7 @@ def run_mls_comparison(cfg: ExperimentConfig) -> list[MetricsRow]:
     kind ranges over the uniform/leverage entries of cfg.methods. All rows
     are keyed by the grid tau; the -ltau rows used l*tau matrix samples.
     """
-    kinds = [m for m in cfg.methods if m in ("unif", "lev")]
+    kinds = [m for m in cfg.methods if m in MATRIX_KINDS]
     if not kinds:
         raise ConfigError("the matrix comparison needs unif or lev among the methods")
     # The replaced config checks the baseline's size before anything is drawn.
@@ -613,20 +625,8 @@ def write_report(rows, path) -> None:
         writer = csv.writer(fh, lineterminator="\n")
         writer.writerow(REPORT_HEADER)
         for r in ordered:
-            writer.writerow(
-                [
-                    r.method,
-                    r.tau,
-                    f"{r.smrfv:.17g}",
-                    f"{r.smre:.17g}",
-                    f"{r.ssb:.17g}",
-                    f"{r.sv:.17g}",
-                    f"{r.smse:.17g}",
-                    f"{r.mean_ms:.17g}",
-                    r.replicates,
-                    r.failures,
-                ]
-            )
+            floats = [f"{v:.17g}" for v in (r.smrfv, r.smre, r.ssb, r.sv, r.smse, r.mean_ms)]
+            writer.writerow([r.method, r.tau, *floats, r.replicates, r.failures])
 
 
 def read_report(path) -> list[MetricsRow]:
@@ -637,22 +637,10 @@ def read_report(path) -> list[MetricsRow]:
         header = next(reader)
         if tuple(header) != REPORT_HEADER:
             raise ValueError(f"unexpected report header {header}")
-        for rec in reader:
-            rows.append(
-                MetricsRow(
-                    method=rec[0],
-                    tau=int(rec[1]),
-                    smrfv=float(rec[2]),
-                    smre=float(rec[3]),
-                    ssb=float(rec[4]),
-                    sv=float(rec[5]),
-                    smse=float(rec[6]),
-                    mean_ms=float(rec[7]),
-                    replicates=int(rec[8]),
-                    failures=int(rec[9]),
-                    smrfv_undefined=math.isnan(float(rec[2])),
-                )
-            )
+        for method, tau, smrfv, smre, ssb, sv, smse, mean_ms, replicates, failures in reader:
+            floats = [float(v) for v in (smrfv, smre, ssb, sv, smse, mean_ms)]
+            counts = int(replicates), int(failures)
+            rows.append(MetricsRow(method, int(tau), *floats, *counts, math.isnan(floats[0])))
     return rows
 
 

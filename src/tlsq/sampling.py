@@ -16,7 +16,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DegenerateDistribution
-from .solver import _design_factors
+from .solver import _as_design
 from .tensor import _parseval_weights, _row_energy, as_tensor
 
 PROB_SUM_TOL = 1e-12
@@ -97,12 +97,12 @@ def leverage_probs(design) -> SamplingDistribution:
     h_i is the slice-averaged squared norm of row i of X F, the design times
     its Gram factors (the left singular factor); the scores sum to p, so
     pi_i = h_i / p. `design` is a TlsProblem, whose factorization is reused,
-    or a design tensor, which is validated and factored once.
+    or a design tensor, which is validated and factored once. The scores
+    are the design's own, computed once per design.
     """
-    x, _, _, rows = _design_factors(design)
-    n, p, l = x.shape
-    leverage = (_parseval_weights(l) / l) @ rows
-    return SamplingDistribution(kind="lev", probs=leverage / p, leverage=leverage)
+    design = _as_design(design)
+    leverage = design.leverage
+    return SamplingDistribution(kind="lev", probs=leverage / design.shape[1], leverage=leverage)
 
 
 def shrinked_leverage_probs(design, alpha: float) -> SamplingDistribution:
@@ -126,8 +126,8 @@ def optimal_probs(design) -> SamplingDistribution:
     the caller must fall back to another distribution. Takes a TlsProblem or
     a design tensor, as leverage_probs does.
     """
-    x, xhalf, _, rows = _design_factors(design)
-    numerators, energy = _sandwich_numerators(xhalf, rows, x.shape[2])
+    design = _as_design(design)
+    numerators, energy = _sandwich_numerators(design)
     radicand = np.maximum(numerators, 0.0)
     radicand[radicand <= _RADICAND_REL_TOL * energy] = 0.0
     weights = np.sqrt(radicand)
@@ -137,19 +137,19 @@ def optimal_probs(design) -> SamplingDistribution:
             "all rows have unit leverage in every DFT slice; "
             "the optimal distribution is undefined"
         )
-    leverage = (_parseval_weights(x.shape[2]) / x.shape[2]) @ rows
-    return SamplingDistribution(kind="opt", probs=weights / total, leverage=leverage)
+    return SamplingDistribution(kind="opt", probs=weights / total, leverage=design.leverage)
 
 
-def _sandwich_numerators(xhalf, rows, l: int):
+def _sandwich_numerators(design):
     """Means over all l slices of (1 - h_i(k)) * ||x_i(k)||^2 and of ||x_i(k)||^2, (n,) each.
 
     The first is the sandwich middle trace's numerator, whose square root
-    optimal_probs follows; `rows` are the leverage rows h_i(k) of `xhalf`.
+    optimal_probs follows; h_i(k) are the leverage rows of the _Design.
     """
+    l = design.shape[2]
     w = _parseval_weights(l) / l
-    row_x = _row_energy(xhalf)
-    return w @ ((1.0 - rows) * row_x), w @ row_x
+    row_x = _row_energy(design.half)
+    return w @ ((1.0 - design.leverage_rows) * row_x), w @ row_x
 
 
 def coherence(u) -> float:

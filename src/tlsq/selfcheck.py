@@ -10,19 +10,18 @@ from __future__ import annotations
 import numpy as np
 
 from .sampling import (
+    draw_plan,
     leverage_probs,
     optimal_probs,
     shrinked_leverage_probs,
     uniform_probs,
 )
 from .solver import TlsProblem, solve_ols, solve_subsampled
-from .sampling import draw_plan
 from .tensor import (
     bcirc,
     bcirc_product,
     fold,
     fro_norm,
-    identity,
     t_pinv,
     t_product,
     t_transpose,

@@ -26,20 +26,19 @@ if TYPE_CHECKING:  # sampling builds on problems, so it imports this module
     from .sampling import SamplingPlan
 
 
-def validate_design(design):
+def validate_design(design) -> _Design:
     """Check n >= p and column rank p in every DFT slice, factoring the design once.
 
-    Takes an R-only QR of the half-spectrum (l//2 + 1, n, p) slice stack and
-    the SVD R = U S V^H of each p x p triangle. Returns (design, design_half,
-    gram_factors): the Gram factors F = V S^-1, an (l//2 + 1, p, p) stack,
-    give each slice's Gram inverse F F^H and leverage rows ||x_i F||^2.
-    Raises RankDeficient when any slice is short of rank p, naming the slice.
-    A TlsProblem factors [X | y] instead, which gives the same check and
-    factors from its leading p columns.
+    The one entry point for a bare design tensor. Takes an R-only QR of the
+    half-spectrum (l//2 + 1, n, p) slice stack and the SVD R = U S V^H of
+    each p x p triangle, and returns the design's _Design. Raises
+    RankDeficient when any slice is short of rank p, naming the slice. A
+    TlsProblem builds its _Design from its own factor of [X | y] instead,
+    which gives the same check and factors from its leading p columns.
     """
     x = _check_design(design)
     xhalf = _to_half(x)
-    return x, xhalf, _factor(xhalf, p=x.shape[1], l=x.shape[2])[1]
+    return _Design(x, xhalf, *_factor(xhalf, p=x.shape[1], l=x.shape[2]))
 
 
 def _check_design(design) -> np.ndarray:
@@ -80,23 +79,77 @@ def _factor(*stacks, p: int, l: int):
     return r, vh.conj().mT / s[:, None, :]
 
 
+@dataclass(frozen=True, eq=False)
+class _Design:
+    """A validated design and its slice factors, built once and shared by reference.
+
+    `tensor` is the (n, p, l) design and `half` its (l//2 + 1, n, p) half
+    stack, a view of the joint [X | y] stack when a TlsProblem built it.
+    `r11` is the design's R factor in each slice and `f` its Gram factors
+    F = V S^-1, from the SVD R11 = U S V^H: U = X F has orthonormal columns
+    in each slice, and F F^H is the Gram inverse. Every problem on the
+    design holds this one object, and the solver, sampling and stats read
+    it. The leverage rows and scores are computed on first use, once per
+    design.
+    """
+
+    tensor: np.ndarray
+    half: np.ndarray
+    r11: np.ndarray
+    f: np.ndarray
+
+    @property
+    def shape(self) -> tuple[int, int, int]:
+        return self.tensor.shape
+
+    def orthonormal_blocks(self, rows: int):
+        """(start, U[:, start : start + rows]) for each block of rows of U = X F.
+
+        U is formed a block at a time, so it is never held whole.
+        """
+        for start in range(0, self.half.shape[1], rows):
+            yield start, self.half[:, start : start + rows] @ self.f
+
+    @functools.cached_property
+    def leverage_rows(self) -> np.ndarray:
+        """Slice leverage rows ||u_i||^2, (l//2 + 1, n), each slice rescaled to its exact trace p.
+
+        S^-1 amplifies rounding, so the rows of U are orthonormal only to about
+        eps * kappa: at kappa = 2e7 a slice's rows sum to p only to 1e-10, while
+        each row stays accurate to a few 1e-10. Restoring the trace keeps the
+        probabilities built on the rows summing to one. Only the row energies
+        are kept, not U.
+        """
+        blocks = self.orthonormal_blocks(_QR_BLOCK_ROWS)
+        rows = np.concatenate([_row_energy(u) for _, u in blocks], axis=1)
+        rows *= self.shape[1] / rows.sum(axis=1, keepdims=True)
+        return rows
+
+    @functools.cached_property
+    def leverage(self) -> np.ndarray:
+        """Leverage scores h_i, (n,): the leverage rows averaged over all l slices; read-only."""
+        l = self.shape[2]
+        leverage = (_parseval_weights(l) / l) @ self.leverage_rows
+        leverage.flags.writeable = False  # distributions hand it out
+        return leverage
+
+
 class TlsProblem:
     """A validated overdetermined tensor least-squares instance, fitted when it is built.
 
     Requires n >= p and column rank p in every DFT slice of the design, so
     the normal-equations inverse exists. The constructor transforms the
-    design and the response into one joint (l//2 + 1, n, p + 1) half stack;
-    design_half (l//2 + 1, n, p) and response_half (l//2 + 1, n, 1) are
-    views of it, so the design's rows are strided, and every reader of
-    design_half takes them in place. The design's half stack and its Gram
-    factors are shared across responses. Every problem, also a
-    with_response copy, is fitted by _fitted: one R-only TSQR of [X | y]
-    whose leading block gives the rank check, the Gram factors and R11,
-    R11^-1 R12 the exact fit that solve_ols and the conditional variance
-    read, and the trailing block rho, the exact fit's residual energy per
-    slice. The constructor's TSQR factors row blocks of the joint stack as
-    they stand. Every objective is read from R11, rho and the fit, so
-    neither the design nor its rows are touched again.
+    design and the response into one joint (l//2 + 1, n, p + 1) half stack
+    and factors it once, an R-only TSQR of its row blocks as they stand.
+    The leading block gives the rank check, R11 and the Gram factors: with
+    the design and its half stack, a view of the joint stack, they make the
+    problem's _Design. with_response and _on_design hand that same object
+    to every new problem on the design. A problem keeps of its own only its
+    response and the response's half stack, its exact fit R11^-1 R12, which
+    solve_ols and the conditional variance read, and rho, the exact fit's
+    residual energy per slice, from the trailing block. Every objective is
+    read from R11, rho and the fit, so neither the design nor its rows are
+    touched again.
     """
 
     def __init__(self, design, response):
@@ -104,54 +157,31 @@ class TlsProblem:
         (y,) = _check_responses([response], x.shape)
         p = x.shape[1]
         joint = _to_half(x, y)
-        self.design, self.design_half = x, joint[..., :p]
-        vars(self).update(vars(_fitted(self, [y], [joint[..., p:]], joint)[0]))
+        r, f = _factor(joint, p=p, l=x.shape[2])
+        _fitted(_Design(x, joint[..., :p], r[..., :p, :p], f), [y], [joint[..., p:]], r, [self])
 
     def with_response(self, response) -> "TlsProblem":
         """Same design (validation, DFT and factors reused), different response, fitted at once."""
-        return _on_design(self, [response])[0]
+        return _on_design(self._design, [response])[0]
+
+    @property
+    def design(self) -> np.ndarray:
+        return self._design.tensor
 
     @property
     def shape(self) -> tuple[int, int, int]:
-        return self.design.shape
-
-    @functools.cached_property
-    def leverage_rows(self) -> np.ndarray:
-        """Slice leverage rows ||x_i F||^2, (l//2 + 1, n) real, computed on first use.
-
-        Only the row energies are kept, not the (l//2 + 1, n, p) product X F.
-        """
-        return _leverage_rows(self.design_half, self.gram_factors)
+        return self._design.shape
 
 
-def _leverage_rows(xhalf, f) -> np.ndarray:
-    """Row energies of X F per slice, each slice rescaled to its exact trace p.
+def _as_design(design) -> _Design:
+    """The _Design of a TlsProblem, or of a design tensor, which validate_design factors.
 
-    S^-1 amplifies rounding, so the rows of X F are orthonormal only to about
-    eps * kappa: at kappa = 2e7 a slice's rows sum to p only to 1e-10, while
-    each row stays accurate to a few 1e-10. Restoring the trace keeps the
-    probabilities built on the rows summing to one. X F is formed
-    _QR_BLOCK_ROWS rows at a time, so it is never held whole.
-    """
-    n = xhalf.shape[1]
-    rows = np.concatenate(
-        [_row_energy(xhalf[:, i : i + _QR_BLOCK_ROWS] @ f) for i in range(0, n, _QR_BLOCK_ROWS)],
-        axis=1,
-    )
-    rows *= xhalf.shape[2] / rows.sum(axis=1, keepdims=True)
-    return rows
-
-
-def _design_factors(design):
-    """(design, design_half, gram_factors, leverage_rows) of a problem or a design tensor.
-
-    A TlsProblem's factorization is reused; a design tensor is validated and
-    factored here.
+    The boundary of every function that takes either; a _Design is returned
+    as it is.
     """
     if isinstance(design, TlsProblem):
-        return design.design, design.design_half, design.gram_factors, design.leverage_rows
-    x, xhalf, f = validate_design(design)
-    return x, xhalf, f, _leverage_rows(xhalf, f)
+        return design._design
+    return design if isinstance(design, _Design) else validate_design(design)
 
 
 @dataclass(frozen=True, eq=False)
@@ -190,7 +220,7 @@ def _r_objectives(problems, bs) -> np.ndarray:
     taken from the normal equations R11^H R11. `bs` is (len(problems), p, 1, l).
     """
     r11, ols_half, rho = (
-        np.stack([getattr(pb, name) for pb in problems]) for name in ("_r11", "_ols_half", "_rho")
+        np.stack(a) for a in zip(*[(pb._design.r11, pb._ols_half, pb._rho) for pb in problems])
     )
     l = bs.shape[-1]
     d = r11 @ (np.moveaxis(np.fft.rfft(bs, axis=-1), -1, -3) - ols_half)
@@ -277,39 +307,35 @@ def _back_substitute(r, p: int) -> np.ndarray:
     return np.linalg.solve(r[..., :p, :p], r[..., :p, p:])
 
 
-def _on_design(prob, responses) -> list:
-    """Problems on the design of `prob`, one per response, fitted by one R-only TSQR.
+def _on_design(design: _Design, responses) -> list:
+    """Problems on `design`, one per response, each holding that same _Design.
 
-    The design's half stack and the responses' are concatenated a block of
-    rows at a time; see _fitted.
+    One R-only TSQR (_factor) of [X | Y_1 ... Y_k], the design's half stack
+    and the responses' side by side a block of rows at a time, checks the
+    design again and fits every response (_fitted). Its R11 and Gram factors
+    are dropped for the design's own.
     """
-    ys = _check_responses(responses, prob.shape)
+    ys = _check_responses(responses, design.shape)
     halves = [_to_half(y) for y in ys]
-    return _fitted(prob, ys, halves, prob.design_half, *halves)
+    _, p, l = design.shape
+    return _fitted(design, ys, halves, _factor(design.half, *halves, p=p, l=l)[0])
 
 
-def _fitted(prob, ys, halves, *stacks) -> list:
-    """Problems on the design of `prob`, response j being ys[j] with half stack halves[j].
+def _fitted(design: _Design, ys, halves, r, probs=None) -> list:
+    """Problems on `design`, response j being ys[j] with half stack halves[j].
 
-    _factor of `stacks`, [X | Y_1 ... Y_k] side by side, checks the design
-    again. Column j of R12 and of the trailing triangle R22 belong to
-    response j: its fit is R11^-1 R12[:, j] and its residual energy per
-    slice, rho, the squared norm of R22[:, j]. Each problem shares only the
-    design state of `prob`: its design and half stack, its Gram factors and
-    R11 (taken from this R when `prob` has none yet, as in the constructor)
-    and its leverage rows once computed. Nothing else of `prob` is carried
-    over.
+    `r` is the R factor of [X | Y_1 ... Y_k]. Column j of R12 and of the
+    trailing triangle R22 belong to response j: its fit is R11^-1 R12[:, j]
+    and its residual energy per slice, rho, the squared norm of R22[:, j].
+    New problems are made unless `probs` names the ones to fill, as the
+    constructor does with itself.
     """
-    _, p, l = prob.shape
-    r, f = _factor(*stacks, p=p, l=l)
+    p = design.shape[1]
     fits = np.moveaxis(_back_substitute(r, p), -1, 0)[..., None]
     rhos = _row_energy(r[..., p:, p:].mT).T
-    shared = ("design", "design_half", "gram_factors", "_r11", "leverage_rows")
-    design = {"gram_factors": f, "_r11": r[..., :p, :p]}
-    design.update((key, v) for key, v in vars(prob).items() if key in shared)
-    probs = [object.__new__(TlsProblem) for _ in ys]
+    probs = probs or [object.__new__(TlsProblem) for _ in ys]
     for pb, y, half, fit, rho in zip(probs, ys, halves, fits, rhos):
-        vars(pb).update(design, response=y, response_half=half, _ols_half=fit, _rho=rho)
+        pb._design, pb.response, pb.response_half, pb._ols_half, pb._rho = design, y, half, fit, rho
     return probs
 
 
@@ -382,7 +408,7 @@ def _solve_sketches(problems, indices, weights) -> list:
     taus, picked, scale, _ = _compress(indices, weights, n, p)
     m = np.empty((l // 2 + 1, *picked.shape, p + 1), dtype=np.complex128)
     for j, pb in enumerate(problems):
-        m[:, j, :, :p] = pb.design_half[:, picked[j]]
+        m[:, j, :, :p] = pb._design.half[:, picked[j]]
         m[:, j, :, p] = pb.response_half[:, picked[j], 0]
     m *= scale[:, :, None]
     ok, bhalf, fits = _solve_factored(_qr_svd(_row_blocks(m.swapaxes(0, 1))), p, taus, l)

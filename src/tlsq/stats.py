@@ -26,14 +26,14 @@ import numpy as np
 from .errors import DimensionMismatch, ZeroProbabilityRow
 from .sampling import SamplingDistribution, _sandwich_numerators
 from .tensor import _from_half, _row_energy, as_tensor
-from .solver import TlsProblem, _design_factors
+from .solver import TlsProblem, _as_design
 
 # Rows whose numerator is this far (relative) below the largest are treated
 # as exact zeros when paired with a zero sampling probability.
 _ZERO_ROW_TOL = 1e-10
 
-# The sandwich cores X^H diag(m) X are summed over blocks of this many rows,
-# so the weighted rows are never held for the whole design.
+# The sandwich cores U^H diag(m) U are summed over blocks of this many rows,
+# so neither U = X F nor its weighted rows are held for the whole design.
 _CORE_BLOCK_ROWS = 512
 
 
@@ -67,31 +67,26 @@ def trace_t(a) -> float:
     return float(np.trace(a[:, :, 0]))
 
 
-def _gram_inverses(f) -> np.ndarray:
-    """Inverse of the slice Gram matrices, F F^H = V S^-2 V^H, as an (l//2 + 1, p, p) stack.
+def _sandwich(design, middle) -> np.ndarray:
+    """Assemble F (U^H diag(middle_k) U) F^H per slice, U = X F, and transform back.
 
-    `f` holds the Gram factors F = V S^-1 of a design validated to full
-    slice rank (TlsProblem.gram_factors), so this is a true inverse and the
-    slice condition numbers are never squared.
-    """
-    return f @ f.conj().mT
-
-
-def _sandwich(xhalf, g, middle, l: int) -> np.ndarray:
-    """Assemble G * X^H diag(middle_k) X * G per slice and transform back.
-
-    `middle` is a real (l//2 + 1, n) array of nonnegative row weights per
-    slice, so every slice of the result is Hermitian positive semidefinite.
-    A batch of middles (k, l//2 + 1, n) gives a batch of k tensors: every
-    core comes from one stacked matmul per block of rows, (diag(m) X)^H X,
-    with one conjugate of the weighted rows.
+    `design` is a _Design and `middle` a real (l//2 + 1, n) array of
+    nonnegative row weights per slice, so every slice of the result is
+    Hermitian positive semidefinite. This is G X^H diag(middle_k) X G with
+    the Gram inverse G = F F^H, but its core is formed from the rows of U,
+    whose columns are orthonormal, and F is applied last, so the rounding
+    error grows like eps times the slice condition number, not its square.
+    U is formed a block of rows at a time. A batch of middles
+    (k, l//2 + 1, n) gives a batch of k tensors: every core comes from one
+    stacked matmul per block of rows, (diag(m) U)^H U, with one conjugate
+    of the weighted rows.
     """
     core = 0
-    for start in range(0, xhalf.shape[1], _CORE_BLOCK_ROWS):
-        rows = xhalf[:, start : start + _CORE_BLOCK_ROWS]
-        weighted = middle[..., start : start + _CORE_BLOCK_ROWS, None] * rows
-        core = core + np.conjugate(weighted, out=weighted).mT @ rows
-    return _from_half(g @ core @ g, l)
+    for start, u in design.orthonormal_blocks(_CORE_BLOCK_ROWS):
+        weighted = middle[..., start : start + _CORE_BLOCK_ROWS, None] * u
+        core = core + np.conjugate(weighted, out=weighted).mT @ u
+    f = design.f
+    return _from_half(f @ core @ f.conj().mT, design.shape[2])
 
 
 def _row_weights(numerators, probs, what: str) -> np.ndarray:
@@ -124,15 +119,14 @@ def conditional_variance(prob: TlsProblem, dist: SamplingDistribution, tau: int)
     The exact solution is the problem's own, R11^-1 R12 of the [X | y]
     factor made with the problem, so no tall factorization is run here.
     """
-    g = _gram_inverses(prob.gram_factors)
-    return _sandwich(prob.design_half, g, _conditional_middle(prob, dist, tau), prob.shape[2])
+    return _sandwich(prob._design, _conditional_middle(prob, dist, tau))
 
 
 def _conditional_middle(prob: TlsProblem, dist: SamplingDistribution, tau: int) -> np.ndarray:
     """Row weights (l//2 + 1, n) of the conditional sandwich: residual energy / (tau * pi_i)."""
     if tau < 1:
         raise ValueError("tau must be at least 1")
-    energy = _row_energy(prob.response_half - prob.design_half @ prob._ols_half)
+    energy = _row_energy(prob.response_half - prob._design.half @ prob._ols_half)
     return _row_weights(energy, dist.probs, "residual") / tau
 
 
@@ -140,12 +134,13 @@ def ols_variance(design, sigma2: float) -> np.ndarray:
     """Covariance of the exact estimator under i.i.d. noise: sigma^2 (X^T * X)^-1.
 
     `sigma2` is the tube variance, E[e * e^T] = sigma2 I; for i.i.d.
-    N(0, s^2) entries pass l * s^2 (see the module docstring).
+    N(0, s^2) entries pass l * s^2 (see the module docstring). The Gram
+    inverse is F F^H, from the design's Gram factors.
     """
     if not 0.0 < sigma2 < np.inf:
         raise ValueError(f"sigma2 must be positive and finite, got {sigma2}")
-    x, _, f, _ = _design_factors(design)
-    return _from_half(sigma2 * _gram_inverses(f), x.shape[2])
+    design = _as_design(design)
+    return _from_half(sigma2 * (design.f @ design.f.conj().mT), design.shape[2])
 
 
 def unconditional_variance(
@@ -161,20 +156,19 @@ def unconditional_variance(
     tube variance, E[e * e^T] = sigma2 I; for i.i.d. N(0, s^2) entries pass
     l * s^2 (see the module docstring).
     """
-    x, xhalf, f, rows = _design_factors(design)
-    l = x.shape[2]
-    g = _gram_inverses(f)
-    middle = _unconditional_middle(rows, dist, tau, sigma2)
-    return _from_half(sigma2 * g, l) + _sandwich(xhalf, g, middle, l)
+    design = _as_design(design)
+    middle = _unconditional_middle(design, dist, tau, sigma2)
+    return ols_variance(design, sigma2) + _sandwich(design, middle)
 
 
-def _unconditional_middle(rows, dist: SamplingDistribution, tau: int, sigma2: float):
+def _unconditional_middle(design, dist: SamplingDistribution, tau: int, sigma2: float):
     """Row weights (l//2 + 1, n) of the noise sandwich: sigma2 (1 - h_i(k)) / (tau * pi_i)."""
     if tau < 1:
         raise ValueError("tau must be at least 1")
     if not 0.0 < sigma2 < np.inf:
         raise ValueError(f"sigma2 must be positive and finite, got {sigma2}")
-    return _row_weights(1.0 - rows, dist.probs, "hat-matrix complement") * (sigma2 / tau)
+    complement = 1.0 - design.leverage_rows
+    return _row_weights(complement, dist.probs, "hat-matrix complement") * (sigma2 / tau)
 
 
 def sandwich_middle_trace(design, probs) -> float:
@@ -184,12 +178,12 @@ def sandwich_middle_trace(design, probs) -> float:
     quantity the optimal distribution provably minimizes over the simplex.
     Rows with zero probability must have a zero numerator.
     """
-    x, xhalf, _, rows = _design_factors(design)
+    design = _as_design(design)
     probs = np.asarray(probs, dtype=np.float64)
-    n, p, l = x.shape
+    n = design.shape[0]
     if probs.shape != (n,):
         raise DimensionMismatch(f"probabilities shape {probs.shape}; expected ({n},)")
-    numerators = _sandwich_numerators(xhalf, rows, l)[0]
+    numerators = _sandwich_numerators(design)[0]
     weighted = _row_weights(numerators[None, :], probs, "sandwich numerator")
     return float(weighted.sum())
 
@@ -207,13 +201,12 @@ def variance_report(
     share the design, so their sandwich cores come from one stacked pass
     over its rows, also when only the conditional term is asked for.
     """
-    l = prob.shape[2]
-    g = _gram_inverses(prob.gram_factors)
+    design = prob._design
     middles = [_conditional_middle(prob, dist, tau)]
     if sigma2 is not None:
-        middles.append(_unconditional_middle(prob.leverage_rows, dist, tau, sigma2))
-    cond, *penalty = _sandwich(prob.design_half, g, np.stack(middles), l)
-    uncond = None if sigma2 is None else _from_half(sigma2 * g, l) + penalty[0]
+        middles.append(_unconditional_middle(design, dist, tau, sigma2))
+    cond, *penalty = _sandwich(design, np.stack(middles))
+    uncond = None if sigma2 is None else ols_variance(design, sigma2) + penalty[0]
     return VarianceReport(
         kind=dist.kind,
         tau=tau,

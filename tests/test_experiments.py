@@ -643,6 +643,21 @@ class TestConfig:
         with pytest.raises(ConfigError, match=named):
             ExperimentConfig(**{**dict(seed=3, n=60, p=4, l=3), **overrides})
 
+    @pytest.mark.parametrize(
+        "field, value",
+        [("seed", 3.5), ("n", 60.5), ("p", 4.2), ("l", 2.5), ("replicates", 3.5),
+         ("taus", (20.7,)), ("taus", (20, 40.5)), ("n", float("nan")), ("seed", "3")],
+    )
+    def test_fractional_integer_field_rejected(self, field, value):
+        with pytest.raises(ConfigError, match=f"{field} must be an integer"):
+            ExperimentConfig(**{**dict(seed=3, n=60, p=4, l=3, taus=(20,)), field: value})
+
+    def test_integral_floats_accepted(self):
+        cfg = ExperimentConfig(seed=3.0, n=60.0, p=4.0, l=3.0, replicates=4.0, taus=(20.0, 40))
+        assert cfg == ExperimentConfig(seed=3, n=60, p=4, l=3, replicates=4, taus=(20, 40))
+        ints = (cfg.seed, cfg.n, cfg.p, cfg.l, cfg.replicates, *cfg.taus)
+        assert all(type(v) is int for v in ints)
+
     def test_coefficient_pattern_needs_p_at_least_4(self):
         with pytest.raises(ConfigError, match="p >= 4"):
             ExperimentConfig(seed=0, p=3, taus=(10,))

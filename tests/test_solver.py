@@ -1,5 +1,6 @@
 """Solver equivalence against dense flattened least squares and path identities."""
 
+import dataclasses
 import os
 import tempfile
 
@@ -47,25 +48,25 @@ class TestProblemValidation:
     def test_with_response_shares_design_state(self):
         prob = make_problem(seed=6)
         other = prob.with_response(rand((40, 1, 4), 7))
-        assert other.design_half is prob.design_half
+        assert other._design.half is prob._design.half
         assert not np.array_equal(other.response, prob.response)
 
     def test_with_response_shares_gram_factors_and_leverage(self):
         prob = make_problem(seed=6)
-        rows = prob.leverage_rows
+        rows = prob._design.leverage_rows
         other = prob.with_response(rand((40, 1, 4), 7))
-        assert other.gram_factors is prob.gram_factors
-        assert other.leverage_rows is rows is prob.leverage_rows
+        assert other._design.f is prob._design.f
+        assert other._design.leverage_rows is rows is prob._design.leverage_rows
 
     def test_gram_factors_invert_slice_grams(self):
-        prob = make_problem(seed=8)
-        xh, f = prob.design_half, prob.gram_factors
+        design = make_problem(seed=8)._design
+        xh, f = design.half, design.f
         assert f.shape == (3, 3, 3)
         gram = xh.conj().mT @ xh
         eye = np.broadcast_to(np.eye(3), gram.shape)
         assert np.abs(gram @ (f @ f.conj().mT) - eye).max() <= 1e-12
-        assert prob.leverage_rows.shape == (3, 40)
-        assert np.abs(prob.leverage_rows.sum(axis=1) - 3.0).max() <= 1e-12
+        assert design.leverage_rows.shape == (3, 40)
+        assert np.abs(design.leverage_rows.sum(axis=1) - 3.0).max() <= 1e-12
 
 
 class TestObjective:
@@ -539,15 +540,15 @@ class TestBlockedQr:
         x, y = rand((37, 3, 5), 70), rand((37, 1, 5), 71)
         one_prob = tlsq.TlsProblem(x, y)
         one = tlsq.solve_ols(one_prob)
-        m = np.concatenate((one_prob.design_half, one_prob.response_half), axis=2)
+        m = np.concatenate((one_prob._design.half, one_prob.response_half), axis=2)
         r_one = solver._qr_svd([m], 3)[0]
         monkeypatch.setattr(solver, "_QR_BLOCK_ROWS", block)
         prob = tlsq.TlsProblem(x, y)
-        r = solver._qr_svd(solver._row_blocks(prob.design_half, prob.response_half), 3)[0]
+        r = solver._qr_svd(solver._row_blocks(prob._design.half, prob.response_half), 3)[0]
         gram_one = r_one.conj().mT @ r_one
         assert np.abs(r.conj().mT @ r - gram_one).max() <= 1e-13 * np.abs(gram_one).max()
-        assert np.abs(prob.gram_factors @ prob.gram_factors.conj().mT
-                      - one_prob.gram_factors @ one_prob.gram_factors.conj().mT).max() <= 1e-12
+        f, f_one = prob._design.f, one_prob._design.f
+        assert np.abs(f @ f.conj().mT - f_one @ f_one.conj().mT).max() <= 1e-12
         blocked = tlsq.solve_ols(prob)
         assert np.abs(blocked.b - one.b).max() <= 1e-12 * max(1.0, np.abs(one.b).max())
         assert abs(blocked.objective - one.objective) <= 1e-12 * one.objective
@@ -586,7 +587,8 @@ class TestProblemFromFile:
             tlsq.write_tensor(y, yp)
             read = tlsq.TlsProblem(tlsq.read_tensor(xp), tlsq.read_tensor(yp))
             memory = tlsq.TlsProblem(x, y)
-        for name in ("_r11", "_ols_half", "_rho"):
+        assert read._design.r11.tobytes() == memory._design.r11.tobytes()
+        for name in ("_ols_half", "_rho"):
             assert getattr(read, name).tobytes() == getattr(memory, name).tobytes()
         assert tlsq.objective(read, b) == tlsq.objective(memory, b)
 
@@ -597,7 +599,7 @@ class TestMultiResponseFit:
     @staticmethod
     def assert_columns_match_solve_ols(x, ys, refs):
         prob = tlsq.TlsProblem(x, ys[0])
-        bs, objectives = solver._exact_solutions(solver._on_design(prob, ys))
+        bs, objectives = solver._exact_solutions(solver._on_design(prob._design, ys))
         assert bs.shape == (len(ys), x.shape[1], 1, x.shape[2])
         for y, b, obj, ref in zip(ys, bs, objectives, refs):
             assert np.abs(b - ref.b).max() <= 1e-12 * np.abs(ref.b).max()
@@ -627,11 +629,11 @@ class TestMultiResponseFit:
 
     def test_slice_rank_deficient_design_raises(self):
         x = np.repeat(rand((8, 2, 1), 96), 3, axis=2)  # every slice but the first is zero
-        # A TlsProblem rejects such a design, so the problem gets its half stack afterwards.
+        # A TlsProblem rejects such a design, so a valid one's _Design is given it afterwards.
         prob = tlsq.TlsProblem(rand((8, 2, 3), 99), rand((8, 1, 3), 97))
-        prob.design_half = _to_half(x)
+        design = dataclasses.replace(prob._design, tensor=x, half=_to_half(x))
         with pytest.raises(RankDeficient, match="slice 2 of 3"):
-            solver._on_design(prob, [rand((8, 1, 3), s) for s in (97, 98)])
+            solver._on_design(design, [rand((8, 1, 3), s) for s in (97, 98)])
 
 
 class TestBornFitted:
@@ -655,7 +657,7 @@ class TestBornFitted:
         if build == "with_response":
             prob = prob.with_response(y2)
         elif build == "on_design":
-            prob = solver._on_design(prob, [y1, y2])[1]
+            prob = solver._on_design(prob._design, [y1, y2])[1]
         calls = self.count_factorizations(monkeypatch)
         tlsq.solve_ols(prob)
         tlsq.objective(prob, rand((3, 1, 5), 123))
@@ -665,7 +667,7 @@ class TestBornFitted:
     def test_one_factorization_builds_every_response(self, monkeypatch):
         prob = make_problem(seed=124)
         calls = self.count_factorizations(monkeypatch)
-        probs = solver._on_design(prob, [rand((40, 1, 4), s) for s in (125, 126, 127)])
+        probs = solver._on_design(prob._design, [rand((40, 1, 4), s) for s in (125, 126, 127)])
         assert len(probs) == 3 and len(calls) == 1
         prob.with_response(rand((40, 1, 4), 128))
         assert len(calls) == 2
@@ -696,12 +698,12 @@ class TestWithResponseFit:
     def test_copy_carries_only_design_state(self):
         x, y1, y2 = rand((30, 3, 5), 113), rand((30, 1, 5), 114), rand((30, 1, 5), 115)
         prob = tlsq.TlsProblem(x, y1)
-        prob.leverage_rows
+        prob._design.leverage_rows
         prob.fitted_elsewhere = object()  # stands for any other state of the source
         other = prob.with_response(y2)
         assert not hasattr(other, "fitted_elsewhere")
-        for name in ("design", "design_half", "gram_factors", "_r11", "leverage_rows"):
-            assert vars(other)[name] is vars(prob)[name]
+        assert other._design is prob._design
+        assert set(vars(other)) == {"_design", "response", "response_half", "_ols_half", "_rho"}
 
     @pytest.mark.parametrize("mode", ["unconditional", "conditional"])
     def test_replicate_problems(self, mode):
@@ -712,6 +714,77 @@ class TestWithResponseFit:
         for prob_b, _ in ex._replicate_problems(cfg, state, range(cfg.replicates)):
             fresh = tlsq.TlsProblem(state.prob.design, prob_b.response)
             self.assert_same_fit(tlsq.solve_ols(prob_b), tlsq.solve_ols(fresh))
+
+
+class TestSharedDesign:
+    """Every problem on a design holds its one _Design, and the design state is computed once."""
+
+    def test_one_design_by_identity(self):
+        prob = make_problem(seed=130)
+        copy = prob.with_response(rand((40, 1, 4), 131))
+        fitted = solver._on_design(prob._design, [rand((40, 1, 4), s) for s in (132, 133)])
+        again = fitted[0].with_response(rand((40, 1, 4), 134))
+        for other in (copy, *fitted, again):
+            assert other._design is prob._design
+            assert other.design is prob.design
+
+    def test_one_leverage_computation_per_design(self, monkeypatch):
+        """Copies made before the first read share the leverage: X F is formed once."""
+        products = []
+
+        def counting(design, rows, _original=solver._Design.orthonormal_blocks):
+            for block in _original(design, rows):
+                products.append(rows)
+                yield block
+
+        monkeypatch.setattr(solver._Design, "orthonormal_blocks", counting)
+        prob = make_problem(seed=135)
+        copies = [prob.with_response(rand((40, 1, 4), 136)),
+                  *solver._on_design(prob._design, [rand((40, 1, 4), 137)])]
+        for q in (*copies, prob):
+            for method in ("lev", "slev", "opt"):
+                experiments.build_distribution(q, method)
+            tlsq.sandwich_middle_trace(q, np.full(40, 1 / 40))
+        assert len(products) == 1
+
+    @settings(max_examples=40, deadline=None)
+    @given(
+        p=st.integers(1, 4),
+        extra=st.one_of(st.just(0), st.integers(1, 20)),
+        l=st.sampled_from([1, 2, 5, 6]),
+        seed=st.integers(0, 2**16),
+    )
+    @example(p=3, extra=0, l=6, seed=0)
+    @example(p=1, extra=0, l=1, seed=1)
+    @example(p=4, extra=17, l=5, seed=2)
+    @example(p=2, extra=9, l=2, seed=3)
+    def test_problem_and_tensor_agree(self, p, extra, l, seed):
+        """Sampling and stats read the same design state from a problem and from its tensor."""
+        n = p + extra
+        rng = np.random.default_rng(seed)
+        x = rng.standard_normal((n, p, l))
+        x[:p, :, 0] += 4.0 * np.sqrt(l * p) * np.eye(p)  # every slice keeps a dominant block
+        prob = tlsq.TlsProblem(x, rng.standard_normal((n, 1, l)))
+        dist = tlsq.uniform_probs(n)
+
+        def close(got, want, scale):
+            assert np.abs(np.asarray(got) - np.asarray(want)).max() <= 1e-12 * scale
+
+        lev = [tlsq.leverage_probs(d).probs for d in (prob, x)]
+        close(*lev, lev[1].max())
+        ols = [tlsq.ols_variance(d, 1.5) for d in (prob, x)]
+        close(*ols, np.abs(ols[1]).max())
+        unc = [tlsq.unconditional_variance(d, dist, n, 1.5) for d in (prob, x)]
+        close(*unc, np.abs(unc[1]).max())
+        trace = [tlsq.sandwich_middle_trace(d, dist.probs) for d in (prob, x)]
+        close(*trace, n * (x**2).sum())
+        if extra:
+            opt = [tlsq.optimal_probs(d).probs for d in (prob, x)]
+            close(*opt, opt[1].max())
+        else:  # n = p: every row has leverage one
+            for d in (prob, x):
+                with pytest.raises(tlsq.DegenerateDistribution):
+                    tlsq.optimal_probs(d)
 
 
 class TestTauLowerBound:

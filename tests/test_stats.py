@@ -225,10 +225,10 @@ class TestUnconditionalVariance:
         assert trace_t(out) > trace_t(ols_variance(x, 1.0))
 
     def test_hat_complement_components_within_unit_interval(self):
-        from tlsq.solver import _design_factors
+        from tlsq.solver import validate_design
 
         x = rand((40, 3, 4), 19)
-        comp = 1.0 - _design_factors(x)[3]
+        comp = 1.0 - validate_design(x).leverage_rows
         assert comp.min() >= -1e-10
         assert comp.max() <= 1.0 + 1e-10
 
@@ -264,12 +264,8 @@ class TestUnconditionalVariance:
             calls[call]()
 
     def test_gram_inverse_matches_svd_route(self):
-        from tlsq.solver import validate_design
-        from tlsq.stats import _gram_inverses
-        from tlsq.tensor import _from_half
-
         x = rand((25, 3, 3), 27)
-        direct = _from_half(_gram_inverses(validate_design(x)[2]), 3)
+        direct = ols_variance(x, 1.0)
         svd = tlsq.thin_t_svd(x)
         sinv2 = tlsq.t_pinv(tlsq.t_product(svd.s, svd.s))
         via_svd = tlsq.t_product(tlsq.t_product(svd.v, sinv2), tlsq.t_transpose(svd.v))
@@ -303,32 +299,28 @@ class TestSpecializationIdentities:
     @pytest.mark.parametrize("design", ["random", "t3"])
     @pytest.mark.parametrize("kind", ["unif", "lev"])
     def test_conditional(self, design, kind):
-        from tlsq.stats import _gram_inverses, _sandwich
+        from tlsq.stats import _sandwich
         from tlsq.tensor import _row_energy, _to_half
 
         prob = self.problem(design)
         dist = tlsq.experiments.build_distribution(prob, kind)
         general = conditional_variance(prob, dist, self.tau)
-        xh = prob.design_half
+        xh = prob._design.half
         energy = _row_energy(prob.response_half - xh @ _to_half(tlsq.solve_ols(prob).b))
-        g = _gram_inverses(prob.gram_factors)
-        special = _sandwich(xh, g, self.special_middle(prob, kind, energy), prob.shape[2])
+        special = _sandwich(prob._design, self.special_middle(prob, kind, energy))
         self.check(general, special)
 
     @pytest.mark.parametrize("design", ["random", "t3"])
     @pytest.mark.parametrize("kind", ["unif", "lev"])
     def test_unconditional(self, design, kind):
-        from tlsq.stats import _gram_inverses, _sandwich
-        from tlsq.tensor import _from_half
+        from tlsq.stats import _sandwich
 
         prob = self.problem(design)
         dist = tlsq.experiments.build_distribution(prob, kind)
         general = unconditional_variance(prob, dist, self.tau, self.sigma2)
-        l = prob.shape[2]
-        g = _gram_inverses(prob.gram_factors)
-        comp = self.sigma2 * (1.0 - prob.leverage_rows)
-        special = _from_half(self.sigma2 * g, l) + _sandwich(
-            prob.design_half, g, self.special_middle(prob, kind, comp), l
+        comp = self.sigma2 * (1.0 - prob._design.leverage_rows)
+        special = ols_variance(prob, self.sigma2) + _sandwich(
+            prob._design, self.special_middle(prob, kind, comp)
         )
         self.check(general, special)
 
@@ -347,18 +339,18 @@ class TestIllConditionedDesign:
 
     def test_gram_inverse_matches_known_svd(self):
         from tlsq.solver import validate_design
-        from tlsq.stats import _gram_inverses
 
-        g = _gram_inverses(validate_design(self.x)[2])
+        f = validate_design(self.x).f
+        g = f @ f.conj().mT
         exact = (self.v / self.svals**2) @ self.v.conj().mT
         for k in range(g.shape[0]):
             scale = np.abs(exact[k]).max()
             assert np.abs(g[k] - exact[k]).max() <= 1e-6 * scale
 
     def test_hat_complements_match_known_svd(self):
-        from tlsq.solver import _design_factors
+        from tlsq.solver import validate_design
 
-        comp = 1.0 - _design_factors(self.x)[3]
+        comp = 1.0 - validate_design(self.x).leverage_rows
         exact = 1.0 - (np.abs(self.u) ** 2).sum(axis=2)
         assert np.abs(comp - exact).max() <= 1e-6
 
@@ -383,6 +375,22 @@ class TestIllConditionedDesign:
         exact = weights / weights.sum()
         got = tlsq.optimal_probs(self.x).probs
         assert np.abs(got - exact).max() <= 1e-6 * exact.max()
+
+    def test_unconditional_variance_matches_known_svd(self):
+        """The sandwich core is formed from U = X F, so its error grows like kappa, not kappa^2."""
+        from tlsq.tensor import _from_half
+
+        n, tau, sigma2 = 30, 20, 1.0
+        got = unconditional_variance(self.x, tlsq.uniform_probs(n), tau, sigma2)
+        f = self.v / self.svals  # V S^-1
+        middle = sigma2 * (1.0 - (np.abs(self.u) ** 2).sum(axis=2)) * n / tau
+        core = (self.u.conj().mT * middle[:, None, :]) @ self.u
+        penalty = _from_half(f @ core @ f.conj().mT, self.l)
+        exact = _from_half(sigma2 * f @ f.conj().mT, self.l) + penalty
+        assert np.abs(got - exact).max() <= 1e-6 * np.abs(exact).max()
+        got_penalty = got - ols_variance(self.x, sigma2)
+        assert np.abs(got_penalty - penalty).max() <= 1e-6 * np.abs(penalty).max()
+        assert abs(trace_t(got) - trace_t(exact)) <= 1e-6 * trace_t(exact)
 
 
 class TestZeroProbabilityPolicy:
