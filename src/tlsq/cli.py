@@ -47,15 +47,15 @@ file formats:
                 float64 LE values, slice-major with the row index fastest.
   config files  flat key=value lines ('#' comments): n, p, l, design
                 (mn|t3|t1), sigma2, replicates, taus=150,300,..., methods=
-                unif,lev,slev,opt, alpha, seed (required), smls (off|
+                unif,lev,slev,opt, alpha, seed (required, >= 0), smls (off|
                 same_tau|l_times_tau), mode (unconditional|conditional),
                 redraw_design (0|1), timing (0|1).
   reports       CSV: method,tau,smrfv,smre,ssb,sv,smse,mean_ms,replicates,
-                failures. TLSQ_THREADS caps replicate parallelism, as do
-                the ceil(replicates / 8) replicate chunks. A second thread
-                pays on compare-mls's matrix cells (one lstsq per sketch),
-                not on the tensor grid of experiment. A pool above one
-                thread wants one BLAS thread: OPENBLAS_NUM_THREADS=1.
+                failures. TLSQ_THREADS, a positive integer, caps replicate
+                parallelism, as do the ceil(replicates / 8) chunks. A
+                second thread pays on compare-mls's matrix cells (one lstsq
+                per sketch), not on experiment's tensor grid. A pool above
+                one thread wants one BLAS thread: OPENBLAS_NUM_THREADS=1.
 """
 
 

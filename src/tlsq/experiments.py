@@ -21,7 +21,7 @@ import numbers
 import os
 import time
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -35,7 +35,7 @@ from .sampling import (
     uniform_probs,
 )
 from .solver import TlsProblem, _as_design, _compress, _exact_solutions, _on_design
-from .solver import _solve_sketches, _with_objectives, objective
+from .solver import _solve_sketches, _with_objectives
 from .tensor import BCIRC_MAX_ENTRIES, as_tensor, bcirc, fold, unfold
 
 DESIGN_KINDS = ("mn", "t3", "t1")
@@ -107,6 +107,8 @@ class ExperimentConfig:
         for name in ("seed", "n", "p", "l", "replicates"):
             object.__setattr__(self, name, _integral(name, getattr(self, name)))
         object.__setattr__(self, "taus", tuple(_integral("taus", t) for t in self.taus))
+        if self.seed < 0:
+            raise ConfigError(f"seed must be a non-negative integer, got {self.seed}")
         if self.design not in DESIGN_KINDS:
             raise ConfigError(f"design must be one of {DESIGN_KINDS}, got {self.design!r}")
         if self.smls not in SMLS_MODES:
@@ -169,7 +171,6 @@ class MetricsRow:
     mean_ms: float
     replicates: int
     failures: int
-    smrfv_undefined: bool = field(default=False, compare=False)
 
 
 def _rng(master_seed, *key) -> np.random.Generator:
@@ -241,79 +242,60 @@ def _add_noise(signal, seed, sigma2: float) -> np.ndarray:
     return signal + rng.normal(0.0, math.sqrt(sigma2), size=signal.shape)
 
 
-def _as_list(value, count, what):
-    if isinstance(value, (list, tuple)):
-        if len(value) != count:
-            raise ValueError(f"{what}: expected {count} entries, got {len(value)}")
-        return list(value)
-    return [value] * count
-
-
 def compute_metrics(
     estimates,
-    reference_ols,
-    reference_truth,
-    prob,
+    exact,
+    truth,
+    problems,
     *,
+    objectives,
+    exact_objectives,
     method: str = "",
     tau: int = 0,
     wall_times=(),
     failures: int = 0,
-    objectives=None,
-    ols_objectives=None,
 ) -> MetricsRow:
     """Aggregate one cell's replicate estimates into the five metrics.
 
-    `reference_ols`, `prob` and `ols_objectives` may be single objects
-    (fixed-response mode) or per-replicate sequences aligned with
-    `estimates`. `objectives` and `ols_objectives` are the residual
-    objectives of the estimates and of the exact solutions; when given they
-    are used as they are, otherwise they are computed. When the exact
-    solution fits the data perfectly the relative function value is
-    undefined and reported as NaN with `smrfv_undefined` set. A fit counts as
-    perfect when its objective is at most _PERFECT_FIT_FACTOR * eps^2 *
-    ||Y||_F^2, i.e. its residual norm is at most 100 * eps * ||Y||_F: the
-    rounding noise a consistent system leaves, which is not an exact zero.
+    Entry j of every sequence belongs to replicate j: `estimates[j]` and
+    `exact[j]` are its estimate and exact solution, `problems[j]` its
+    problem, and `objectives[j]` and `exact_objectives[j]` the residual
+    objectives of the two on it. The solutions stack to (R, p, 1, l)
+    arrays, and `truth` is (p, 1, l). With fewer than two estimates the
+    metrics are NaN and the row keeps its counts. When an exact solution
+    fits its data perfectly the relative function value is undefined and
+    SMRFV is NaN. A fit counts as perfect when its objective is at most
+    _PERFECT_FIT_FACTOR * eps^2 * ||Y||_F^2, i.e. its residual norm is at
+    most 100 * eps * ||Y||_F: the rounding noise a consistent system leaves,
+    which is not an exact zero.
     """
-    ests = [as_tensor(b, "estimate") for b in estimates]
-    count = len(ests)
+    truth = as_tensor(truth, "truth")
+    stack, ols, f_est, f_ols = (
+        np.asarray(a, dtype=np.float64) for a in (estimates, exact, objectives, exact_objectives)
+    )
+    count = len(stack)
+    if stack.shape != (count, *truth.shape) or ols.shape != stack.shape:
+        raise ValueError(f"estimates {stack.shape} and exact {ols.shape} must stack to (R, p, 1, l)")
+    if f_est.shape != (count,) or f_ols.shape != (count,) or len(problems) != count:
+        raise ValueError(f"problems and objectives must have one entry per estimate ({count})")
+    if not all(np.isfinite(a).all() for a in (stack, ols, f_est, f_ols)):
+        raise ValueError("estimates, exact solutions and objectives must be finite")
+    mean_ms = float(np.mean(wall_times)) if len(wall_times) else math.nan
+    row = MetricsRow(method, int(tau), *[math.nan] * 5, mean_ms, count, int(failures))
     if count < 2:
-        raise ValueError("need at least two estimates to aggregate")
-    ols_list = [as_tensor(b, "reference") for b in _as_list(reference_ols, count, "reference_ols")]
-    prob_list = _as_list(prob, count, "prob")
-    truth = as_tensor(reference_truth, "truth")
-    if objectives is None:
-        objectives = [objective(pb, b) for pb, b in zip(prob_list, ests)]
-    if ols_objectives is None:
-        ols_objectives = [objective(pb, b) for pb, b in zip(prob_list, ols_list)]
-    f_est = np.asarray(_as_list(objectives, count, "objectives"), dtype=np.float64)
-    f_ols = np.asarray(_as_list(ols_objectives, count, "ols_objectives"), dtype=np.float64)
-    y_energy = np.array([float(np.vdot(pb.response, pb.response)) for pb in prob_list])
-    undefined = bool((f_ols <= _PERFECT_FIT_FACTOR * _EPS**2 * y_energy).any())
-
-    stack = np.stack(ests)
-    ols = np.stack(ols_list)
+        return row
+    y_energy = np.array([float(np.vdot(pb.response, pb.response)) for pb in problems])
+    if not (f_ols <= _PERFECT_FIT_FACTOR * _EPS**2 * y_energy).any():
+        row.smrfv = float((np.abs(f_est - f_ols) / f_ols).mean())
     denom = (ols**2).sum(axis=(1, 2, 3))
     rel_e = np.full(count, np.nan)
     np.divide(((stack - ols) ** 2).sum(axis=(1, 2, 3)), denom, out=rel_e, where=denom != 0)
+    row.smre = float(rel_e.mean())
     mean_est = stack.mean(axis=0)
-    ssb = float(((mean_est - truth) ** 2).sum())
-    sv = float(((stack - mean_est) ** 2).sum(axis=(1, 2, 3)).mean())
-    smse = float(((stack - truth) ** 2).sum(axis=(1, 2, 3)).mean())
-    wall = np.asarray(list(wall_times), dtype=np.float64)
-    return MetricsRow(
-        method=method,
-        tau=int(tau),
-        smrfv=float("nan") if undefined else float((np.abs(f_est - f_ols) / f_ols).mean()),
-        smre=float(rel_e.mean()),
-        ssb=ssb,
-        sv=sv,
-        smse=smse,
-        mean_ms=float(wall.mean()) if wall.size else float("nan"),
-        replicates=count,
-        failures=int(failures),
-        smrfv_undefined=undefined,
-    )
+    row.ssb = float(((mean_est - truth) ** 2).sum())
+    row.sv = float(((stack - mean_est) ** 2).sum(axis=(1, 2, 3)).mean())
+    row.smse = float(((stack - truth) ** 2).sum(axis=(1, 2, 3)).mean())
+    return row
 
 
 def build_distribution(x, method: str, alpha: float = 0.9) -> SamplingDistribution:
@@ -376,13 +358,14 @@ def _solve_matrix_sketches(systems, problems, indices, weights) -> list:
 
 
 def _max_workers() -> int:
-    raw = os.environ.get("TLSQ_THREADS", "").strip()
-    if not raw:
-        return 1
+    raw = os.environ.get("TLSQ_THREADS", "").strip() or "1"
     try:
-        return max(1, int(raw))
+        workers = int(raw)
     except ValueError:
-        raise ConfigError(f"TLSQ_THREADS must be an integer, got {raw!r}") from None
+        workers = 0
+    if workers < 1:
+        raise ConfigError(f"TLSQ_THREADS must be a positive integer, got {raw!r}")
+    return workers
 
 
 def _map_chunks(worker, chunks):
@@ -401,61 +384,37 @@ class _ReplicateState:
     smls: tuple | None  # (a, {kind: dist}) when the baseline is on
 
 
-def _aggregate(results, truth) -> list[MetricsRow]:
-    """Collapse per-replicate cell outputs into sorted MetricsRow records."""
+def _aggregate(parts, cells, truth) -> list[MetricsRow]:
+    """One MetricsRow per cell from the chunks' outputs, sorted by method and tau.
+
+    Each part is one chunk's (problems, exact solutions, exact objectives,
+    batches), in replicate order, where batches[c] is cell c's (fits, share):
+    its fit per replicate and each replicate's share of its wall time. A
+    cell's fits are concatenated over the chunks, its SketchRankDeficient
+    plans are counted as failures and masked out, and one compute_metrics
+    call aggregates the rest.
+    """
+    problems, exact, exact_objectives, batches = zip(*parts)
+    problems = [pb for chunk in problems for pb in chunk]
+    exact, exact_objectives = np.concatenate(exact), np.concatenate(exact_objectives)
     rows = []
-    cell_keys = sorted({key for _, _, cells in results for key in cells})
-    for method, tau in cell_keys:
-        ests, objs, ols_refs, ols_objs, probs, walls = [], [], [], [], [], []
-        failures = 0
-        for prob_b, (ols_b, ols_obj), cells in results:
-            est, wall = cells[(method, tau)]
-            walls.append(wall)
-            if est is None:
-                failures += 1
-                continue
-            ests.append(est[0])
-            objs.append(est[1])
-            ols_refs.append(ols_b)
-            ols_objs.append(ols_obj)
-            probs.append(prob_b)
-        if len(ests) < 2:
-            rows.append(_starved_row(method, tau, len(ests), failures, walls))
-            continue
-        rows.append(
-            compute_metrics(
-                ests,
-                ols_refs,
-                truth,
-                probs,
-                method=method,
-                tau=tau,
-                wall_times=walls,
-                failures=failures,
-                objectives=objs,
-                ols_objectives=ols_objs,
-            )
+    for c, cell in enumerate(cells):
+        fits = [fit for chunk in batches for fit in chunk[c][0]]
+        kept = [j for j, fit in enumerate(fits) if not isinstance(fit, SketchRankDeficient)]
+        row = compute_metrics(
+            np.reshape([fits[j][0] for j in kept], (len(kept), *truth.shape)),
+            exact[kept],
+            truth,
+            [problems[j] for j in kept],
+            objectives=[fits[j][1] for j in kept],
+            exact_objectives=exact_objectives[kept],
+            method=cell.label,
+            tau=cell.tau,
+            wall_times=[chunk[c][1] for chunk in batches for _ in chunk[c][0]],
+            failures=len(fits) - len(kept),
         )
-    rows.sort(key=lambda r: (r.method, r.tau))
-    return rows
-
-
-def _starved_row(method, tau, replicates, failures, walls) -> MetricsRow:
-    """A cell with fewer than two successful sketches: its counts, with NaN metrics."""
-    nan = float("nan")
-    return MetricsRow(
-        method=method,
-        tau=int(tau),
-        smrfv=nan,
-        smre=nan,
-        ssb=nan,
-        sv=nan,
-        smse=nan,
-        mean_ms=float(np.mean(walls)),
-        replicates=replicates,
-        failures=failures,
-        smrfv_undefined=True,
-    )
+        rows.append(row)
+    return sorted(rows, key=lambda r: (r.method, r.tau))
 
 
 @dataclass(frozen=True)
@@ -482,42 +441,38 @@ def _run_cells(cfg: ExperimentConfig, base, cells, timed: bool) -> list[MetricsR
     `base` is the shared design state, or None to draw one per replicate.
     The pool maps near-equal chunks of the replicates (_REPLICATE_CHUNK), so
     at most ceil(R / 8) tasks run at once. A chunk builds its replicates'
-    problems (_replicate_problems). It draws each cell's plans, one per
-    replicate and each from its own stream key, in one _draw_plans call and
-    solves them as one batch: a tensor cell by _solve_sketches, a matrix
+    problems (_replicate_problems) and reads their exact solutions and
+    objectives in one _exact_solutions call. It draws each cell's plans, one
+    per replicate and each from its own stream key, in one _draw_plans call
+    and solves them as one batch: a tensor cell by _solve_sketches, a matrix
     cell by _solve_matrix_sketches. When `timed`, a cell's wall time in a
     replicate is an equal share of its batch's draw and solve; otherwise it
-    is NaN.
+    is NaN. _aggregate turns the chunks' outputs into the rows.
     """
     clock = time.perf_counter if timed else lambda: math.nan
 
     def worker(chunk):
         if base is None:
             states = [_prepare_state(cfg, _STREAM_DESIGN, b) for b in chunk]
-            fitted = [_replicate_problems(cfg, state, [b])[0] for state, b in zip(states, chunk)]
+            problems = [_replicate_problems(cfg, state, [b])[0] for state, b in zip(states, chunk)]
         else:
             states = [base] * len(chunk)
-            fitted = _replicate_problems(cfg, base, chunk)
-        problems = [prob_b for prob_b, _ in fitted]
-        outs = [{} for _ in chunk]
+            problems = _replicate_problems(cfg, base, chunk)
+        fits = []
         for cell in cells:
             start = clock()
             rngs = [_rng(cfg.seed, cell.stream, b, *cell.index) for b in chunk]
             dists = [(state.smls[1] if cell.matrix else state.dists)[cell.kind] for state in states]
             plans = _draw_plans(dists, cell.draws, rngs)
             if cell.matrix:
-                fits = _solve_matrix_sketches([s.smls[0] for s in states], problems, *plans)
+                cell_fits = _solve_matrix_sketches([s.smls[0] for s in states], problems, *plans)
             else:
-                fits = _solve_sketches(problems, *plans)
-            share = (clock() - start) * 1e3 / len(chunk)
-            for out, fit in zip(outs, fits):
-                est = None if isinstance(fit, SketchRankDeficient) else fit
-                out[(cell.label, cell.tau)] = (est, share)
-        return [(prob_b, ols_b, out) for (prob_b, ols_b), out in zip(fitted, outs)]
+                cell_fits = _solve_sketches(problems, *plans)
+            fits.append((cell_fits, (clock() - start) * 1e3 / len(chunk)))
+        return (problems, *_exact_solutions(problems), fits)
 
     chunks = np.array_split(np.arange(cfg.replicates), -(-cfg.replicates // _REPLICATE_CHUNK))
-    results = [result for part in _map_chunks(worker, chunks) for result in part]
-    return _aggregate(results, true_coefficients(cfg.p, cfg.l))
+    return _aggregate(_map_chunks(worker, chunks), cells, true_coefficients(cfg.p, cfg.l))
 
 
 def run_experiment(cfg: ExperimentConfig) -> list[MetricsRow]:
@@ -575,12 +530,11 @@ def _response(cfg: ExperimentConfig, signal, key) -> np.ndarray:
 
 
 def _replicate_problems(cfg: ExperimentConfig, state: _ReplicateState, replicates) -> list:
-    """(problem, exact (b, objective)) of each listed replicate on the state's design.
+    """The problem of each listed replicate on the state's design.
 
     Replicates that share a response key share one problem. The state's
     problem serves its own key; the responses of the other keys are drawn
-    and fitted by one _on_design factorization. The exact solutions are read
-    from the problems' fits.
+    and fitted by one _on_design factorization.
     """
     keys = [_response_key(cfg, b) for b in replicates]
     fresh = list(dict.fromkeys(k for k in keys if k != state.key))
@@ -589,9 +543,7 @@ def _replicate_problems(cfg: ExperimentConfig, state: _ReplicateState, replicate
         signal = _signal(state.prob.design)
         responses = [_response(cfg, signal, k) for k in fresh]
         built.update(zip(fresh, _on_design(state.prob._design, responses)))
-    probs = [built[k] for k in keys]
-    bs, objectives = _exact_solutions(probs)
-    return [(pb, (coef, float(f))) for pb, coef, f in zip(probs, bs, objectives)]
+    return [built[k] for k in keys]
 
 
 def run_mls_comparison(cfg: ExperimentConfig) -> list[MetricsRow]:
@@ -639,8 +591,7 @@ def read_report(path) -> list[MetricsRow]:
             raise ValueError(f"unexpected report header {header}")
         for method, tau, smrfv, smre, ssb, sv, smse, mean_ms, replicates, failures in reader:
             floats = [float(v) for v in (smrfv, smre, ssb, sv, smse, mean_ms)]
-            counts = int(replicates), int(failures)
-            rows.append(MetricsRow(method, int(tau), *floats, *counts, math.isnan(floats[0])))
+            rows.append(MetricsRow(method, int(tau), *floats, int(replicates), int(failures)))
     return rows
 
 

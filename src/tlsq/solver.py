@@ -70,7 +70,8 @@ def _factor(*stacks, p: int, l: int):
     joint [X | y] stack, is factored a block of rows at a time as it stands.
     """
     n = stacks[0].shape[1]
-    r, s, vh = _qr_svd(_row_blocks(*stacks), p)
+    r = _qr_svd(_row_blocks(*stacks))
+    _, s, vh = np.linalg.svd(r[..., :p, :p])
     tol = default_rank_tol((n, p), float(s.max(initial=0.0)))
     smallest = s[:, p - 1]
     if (smallest <= tol).any():
@@ -239,21 +240,16 @@ def _row_blocks(*stacks):
         yield part[0] if len(part) == 1 else np.concatenate(part, axis=-1)
 
 
-def _qr_svd(blocks, p=None):
-    """R-only QR of a stack given as row blocks, and with `p` the SVD of R's leading p x p block.
+def _qr_svd(blocks):
+    """R-only QR of a stack given as row blocks (TSQR).
 
-    Returns r, or (r, s, vh) with `p`. Each block is factored on its own and
-    the stacked R factors once more (TSQR), which gives the R of the whole
-    stack; a stack of one block is factored once. The SVD acts on p x p
-    triangles, so the tall slices are factored once and normal equations are
+    Each block is factored on its own and the stacked R factors once more,
+    which gives the R of the whole stack; a stack of one block is factored
+    once. So the tall slices are factored once and normal equations are
     never formed.
     """
     rs = [np.linalg.qr(block, mode="r") for block in blocks]
-    r = rs[0] if len(rs) == 1 else np.linalg.qr(np.concatenate(rs, axis=-2), mode="r")
-    if p is None:
-        return r
-    _, s, vh = np.linalg.svd(r[..., :p, :p])
-    return r, s, vh
+    return rs[0] if len(rs) == 1 else np.linalg.qr(np.concatenate(rs, axis=-2), mode="r")
 
 
 def _solve_factored(r, p: int, rows, l: int):

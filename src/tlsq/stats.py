@@ -28,8 +28,8 @@ from .sampling import SamplingDistribution, _sandwich_numerators
 from .tensor import _from_half, _row_energy, as_tensor
 from .solver import TlsProblem, _as_design
 
-# Rows whose numerator is this far (relative) below the largest are treated
-# as exact zeros when paired with a zero sampling probability.
+# Rows whose numerator is this far below the caller's reference scale are
+# treated as exact zeros when paired with a zero sampling probability.
 _ZERO_ROW_TOL = 1e-10
 
 # The sandwich cores U^H diag(m) U are summed over blocks of this many rows,
@@ -89,17 +89,19 @@ def _sandwich(design, middle) -> np.ndarray:
     return _from_half(f @ core @ f.conj().mT, design.shape[2])
 
 
-def _row_weights(numerators, probs, what: str) -> np.ndarray:
+def _row_weights(numerators, probs, what: str, scale: float) -> np.ndarray:
     """Divide per-row numerators (slices x rows) by probabilities, policing zero-probability rows.
 
     A zero-probability row is only legal when its numerator is zero to
-    rounding; then the row contributes nothing. Otherwise the first-order
-    formulas are meaningless and ZeroProbabilityRow is raised.
+    rounding, at most _ZERO_ROW_TOL * `scale`; then the row contributes
+    nothing. `scale` is the size the numerators take on this data, which
+    the caller knows, so the check does not depend on the data's units.
+    Otherwise the first-order formulas are meaningless and
+    ZeroProbabilityRow is raised.
     """
-    scale = float(np.abs(numerators).max(initial=0.0))
     zero = probs <= 0.0
     if zero.any():
-        live = np.abs(numerators[:, zero]).max(axis=0) > _ZERO_ROW_TOL * max(1.0, scale)
+        live = np.abs(numerators[:, zero]).max(axis=0) > _ZERO_ROW_TOL * scale
         if live.any():
             i = int(np.flatnonzero(zero)[np.argmax(live)]) + 1
             raise ZeroProbabilityRow(
@@ -127,7 +129,8 @@ def _conditional_middle(prob: TlsProblem, dist: SamplingDistribution, tau: int) 
     if tau < 1:
         raise ValueError("tau must be at least 1")
     energy = _row_energy(prob.response_half - prob._design.half @ prob._ols_half)
-    return _row_weights(energy, dist.probs, "residual") / tau
+    scale = float(_row_energy(prob.response_half).max())
+    return _row_weights(energy, dist.probs, "residual", scale) / tau
 
 
 def ols_variance(design, sigma2: float) -> np.ndarray:
@@ -168,7 +171,7 @@ def _unconditional_middle(design, dist: SamplingDistribution, tau: int, sigma2: 
     if not 0.0 < sigma2 < np.inf:
         raise ValueError(f"sigma2 must be positive and finite, got {sigma2}")
     complement = 1.0 - design.leverage_rows
-    return _row_weights(complement, dist.probs, "hat-matrix complement") * (sigma2 / tau)
+    return _row_weights(complement, dist.probs, "hat-matrix complement", 1.0) * (sigma2 / tau)
 
 
 def sandwich_middle_trace(design, probs) -> float:
@@ -183,8 +186,8 @@ def sandwich_middle_trace(design, probs) -> float:
     n = design.shape[0]
     if probs.shape != (n,):
         raise DimensionMismatch(f"probabilities shape {probs.shape}; expected ({n},)")
-    numerators = _sandwich_numerators(design)[0]
-    weighted = _row_weights(numerators[None, :], probs, "sandwich numerator")
+    numerators, row_energy = _sandwich_numerators(design)
+    weighted = _row_weights(numerators[None, :], probs, "sandwich numerator", row_energy.max())
     return float(weighted.sum())
 
 

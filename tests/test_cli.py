@@ -311,15 +311,18 @@ class TestExperiment:
         "override",
         [{"redraw_design": 5}, {"timing": 2}, {"p": 3}, {"n": 3},
          {"l": 0}, {"l": -2}, {"sigma2": "inf"}, {"sigma2": "nan"},
-         {"methods": "unif,unif"}, {"taus": "20,20"}, {"methods": "lev,unif,lev"}],
+         {"methods": "unif,unif"}, {"taus": "20,20"}, {"methods": "lev,unif,lev"},
+         {"seed": -1}],
     )
     def test_invalid_config_value_is_usage_error(self, tmp_path, capsys, override):
         cfg = write_config(tmp_path, **override)
         assert main(["experiment", "--config", cfg, "--out", str(tmp_path / "r.csv")]) == 1
-        assert "error" in capsys.readouterr().err
+        err = capsys.readouterr().err
+        assert "error" in err and next(iter(override)) in err
 
-    def test_non_integer_thread_count_is_usage_error(self, tmp_path, capsys, monkeypatch):
-        monkeypatch.setenv("TLSQ_THREADS", "two")
+    @pytest.mark.parametrize("threads", ["two", "0", "-3"])
+    def test_non_integer_thread_count_is_usage_error(self, tmp_path, capsys, monkeypatch, threads):
+        monkeypatch.setenv("TLSQ_THREADS", threads)
         cfg = write_config(tmp_path, replicates=2, taus="12")
         assert main(["experiment", "--config", cfg, "--out", str(tmp_path / "r.csv")]) == 1
         assert "TLSQ_THREADS" in capsys.readouterr().err

@@ -81,13 +81,26 @@ class TestGenerators:
             gen_response(gen_design("mn", 10, 3, 2, seed=7), seed=8)
 
 
+def metrics(ests, exact, truth, problems, **kwargs):
+    """compute_metrics on aligned per-replicate lists, objectives read on each replicate's problem."""
+    return compute_metrics(
+        ests,
+        exact,
+        truth,
+        problems,
+        objectives=[tlsq.objective(pb, b) for pb, b in zip(problems, ests)],
+        exact_objectives=[tlsq.objective(pb, b) for pb, b in zip(problems, exact)],
+        **kwargs,
+    )
+
+
 class TestComputeMetrics:
     def test_estimates_at_truth(self):
         x = gen_design("mn", 30, 4, 2, seed=9)
         y, b0 = gen_response(x, seed=10)
         prob = tlsq.TlsProblem(x, y)
         ols = tlsq.solve_ols(prob).b
-        row = compute_metrics([b0, b0, b0], ols, b0, prob)
+        row = metrics([b0, b0, b0], [ols] * 3, b0, [prob] * 3)
         assert row.ssb == 0.0 and row.sv == 0.0 and row.smse == 0.0
 
     def test_estimates_at_exact_solution(self):
@@ -95,7 +108,7 @@ class TestComputeMetrics:
         y, b0 = gen_response(x, seed=12)
         prob = tlsq.TlsProblem(x, y)
         ols = tlsq.solve_ols(prob).b
-        row = compute_metrics([ols, ols], ols, b0, prob)
+        row = metrics([ols, ols], [ols] * 2, b0, [prob] * 2)
         assert row.smrfv == 0.0 and row.smre == 0.0
 
     def test_hand_example(self):
@@ -106,7 +119,7 @@ class TestComputeMetrics:
         truth = np.zeros((1, 1, 1))
         b1 = np.full((1, 1, 1), 1.0)
         b2 = np.full((1, 1, 1), 3.0)
-        row = compute_metrics([b1, b2], ols, truth, prob)
+        row = metrics([b1, b2], [ols] * 2, truth, [prob] * 2)
         assert row.ssb == pytest.approx(4.0, abs=1e-12)
         assert row.sv == pytest.approx(1.0, abs=1e-12)
         assert row.smse == pytest.approx(5.0, abs=1e-12)
@@ -118,23 +131,25 @@ class TestComputeMetrics:
         prob = tlsq.TlsProblem(x, y)
         ols = tlsq.solve_ols(prob).b
         ests = [ols + 0.3 * rng.standard_normal(ols.shape) for _ in range(25)]
-        row = compute_metrics(ests, ols, b0, prob)
+        row = metrics(ests, [ols] * 25, b0, [prob] * 25)
         assert abs(row.smse - (row.ssb + row.sv)) <= 1e-8 * max(1.0, row.smse)
 
     def test_consistent_system_flags_undefined_smrfv(self):
         x = gen_design("mn", 30, 4, 2, seed=16)
         y, b0 = gen_response(x, seed=17, sigma2=0.0)
         prob = tlsq.TlsProblem(x, y)
-        row = compute_metrics([b0, b0], b0, b0, prob)
-        assert row.smrfv_undefined
+        row = metrics([b0, b0], [b0, b0], b0, [prob] * 2)
         assert np.isnan(row.smrfv)
 
-    def test_requires_two_estimates(self):
+    def test_fewer_than_two_estimates_give_nan_row(self):
         x = gen_design("mn", 30, 4, 2, seed=18)
         y, b0 = gen_response(x, seed=19)
         prob = tlsq.TlsProblem(x, y)
-        with pytest.raises(ValueError, match="two"):
-            compute_metrics([b0], b0, b0, prob)
+        row = metrics([b0], [b0], b0, [prob], method="lev", tau=12, failures=3,
+                      wall_times=[1.0, 2.0, 3.0, 4.0])
+        assert (row.method, row.tau, row.replicates, row.failures, row.mean_ms) == (
+            "lev", 12, 1, 3, 2.5)
+        assert all(math.isnan(v) for v in (row.smrfv, row.smre, row.ssb, row.sv, row.smse))
 
     def test_per_replicate_references(self):
         x = gen_design("mn", 30, 4, 2, seed=20)
@@ -147,8 +162,83 @@ class TestComputeMetrics:
             probs.append(pb)
             ols_refs.append(sol)
             ests.append(sol)
-        row = compute_metrics(ests, ols_refs, b0, probs)
+        row = metrics(ests, ols_refs, b0, probs)
         assert row.smrfv == 0.0 and row.smre == 0.0
+
+    @settings(max_examples=60, deadline=None)
+    @given(
+        count=st.integers(0, 6),
+        p=st.integers(1, 4),
+        extra_rows=st.sampled_from([0, 1, 9]),
+        l=st.sampled_from([1, 2, 5, 6]),
+        consistent=st.booleans(),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    @example(count=3, p=3, extra_rows=9, l=5, consistent=True, seed=0)
+    @example(count=3, p=3, extra_rows=9, l=6, consistent=False, seed=1)
+    @example(count=4, p=2, extra_rows=0, l=2, consistent=False, seed=2)
+    @example(count=1, p=4, extra_rows=1, l=1, consistent=False, seed=3)
+    def test_matches_direct_formulas(self, count, p, extra_rows, l, consistent, seed):
+        """Every metric against its numpy formula on aligned stacks; n = p systems are consistent.
+
+        Replicate j has its own response on one design, noisy or X * B_j,
+        and its estimate is the exact solution plus unit noise.
+        """
+        rng = np.random.default_rng(seed)
+        n = p + extra_rows
+        x = rng.standard_normal((n, p, l))
+        base = tlsq.TlsProblem(x, rng.standard_normal((n, 1, l)))
+        problems = [
+            base.with_response(tlsq.t_product(x, rng.standard_normal((p, 1, l))) if consistent
+                               else rng.standard_normal((n, 1, l)))
+            for _ in range(count)
+        ]
+        sols = [tlsq.solve_ols(pb) for pb in problems]
+        exact = np.reshape([sol.b for sol in sols], (count, p, 1, l))
+        f_exact = np.array([sol.objective for sol in sols])
+        ests = exact + rng.standard_normal(exact.shape)
+        f = np.array([tlsq.objective(pb, b) for pb, b in zip(problems, ests)])
+        truth = rng.standard_normal((p, 1, l))
+        row = compute_metrics(ests, exact, truth, problems, objectives=f, exact_objectives=f_exact,
+                              method="m", tau=7, failures=2)
+        assert (row.method, row.tau, row.replicates, row.failures) == ("m", 7, count, 2)
+        got = np.array([row.smrfv, row.smre, row.ssb, row.sv, row.smse])
+        if count < 2:
+            assert np.isnan(got).all()
+        else:
+            def energy(a):
+                return (a**2).sum(axis=(1, 2, 3))
+
+            mean = ests.mean(axis=0)
+            y_energy = np.array([(pb.response**2).sum() for pb in problems])
+            perfect = (f_exact <= 1e4 * np.finfo(float).eps ** 2 * y_energy).any()
+            if not consistent and extra_rows:
+                assert not perfect
+            smrfv = np.nan if perfect else (np.abs(f - f_exact) / f_exact).mean()
+            want = np.array([smrfv, (energy(ests - exact) / energy(exact)).mean(),
+                             ((mean - truth) ** 2).sum(), energy(ests - mean).mean(),
+                             energy(ests - truth).mean()])
+            assert np.array_equal(np.isnan(got), np.isnan(want))
+            assert np.allclose(got, want, rtol=1e-12, atol=0.0, equal_nan=True)
+            assert abs(row.smse - (row.ssb + row.sv)) <= 1e-12 * row.smse
+        extra = np.zeros((1, p, 1, l))
+        aligned = dict(objectives=f, exact_objectives=f_exact)
+        for args, kwargs in [
+            ((ests, np.concatenate([exact, extra]), truth, problems), aligned),
+            ((ests, exact, truth, [*problems, base]), aligned),
+            ((ests, exact, truth, problems), dict(aligned, objectives=np.append(f, 1.0))),
+            ((ests, exact, truth, problems), dict(aligned, exact_objectives=np.append(f_exact, 0))),
+        ]:
+            with pytest.raises(ValueError, match="per estimate|stack"):
+                compute_metrics(*args, **kwargs)
+        if count:
+            bad = ests.copy()
+            bad[-1, 0, 0, 0] = np.nan
+            with pytest.raises(ValueError, match="finite"):
+                compute_metrics(bad, exact, truth, problems, **aligned)
+            with pytest.raises(ValueError, match="finite"):
+                compute_metrics(ests, exact, truth, problems,
+                                **dict(aligned, exact_objectives=np.full(count, np.inf)))
 
 
 class TestClosedFormSignal:
@@ -241,7 +331,8 @@ def per_cell_loop(cfg, compare=False):
     It draws the plan of tensor cell (i, j) from (seed, plan stream, b, i, j),
     i indexing the methods (the unif/lev kinds in compare mode) and j the
     taus, and solves it by solve_subsampled; matrix cells use the baseline
-    streams and matrix_oracle.
+    streams and matrix_oracle. Each cell's row is one compute_metrics call
+    on the replicates whose sketch kept its rank.
     """
     ex = experiments
     kinds = [m for m in cfg.methods if m in ("unif", "lev")]
@@ -250,6 +341,7 @@ def per_cell_loop(cfg, compare=False):
                                  ex._STREAM_DESIGN)
     else:
         base = None if cfg.redraw_design else ex._prepare_state(cfg, ex._STREAM_DESIGN)
+    cells = {}  # (label, tau) -> [(fit or None, problem, exact solve) per replicate]
 
     def replicate(b):
         state = base if base is not None else ex._prepare_state(cfg, ex._STREAM_DESIGN, b)
@@ -258,24 +350,23 @@ def per_cell_loop(cfg, compare=False):
                             cfg.sigma2)
         prob_b = state.prob.with_response(y)
         ols = tlsq.solve_ols(prob_b)
-        ols_b = (ols.b, ols.objective)
         rhs = tlsq.unfold(prob_b.response)
-        cells = {}
 
         def tensor_cell(label, tau, kind, index):
             plan = tlsq.draw_plan(state.dists[kind], tau,
                                   ex._rng(cfg.seed, ex._STREAM_PLAN, b, *index))
             try:
                 sol = tlsq.solve_subsampled(prob_b, plan)
-                cells[(label, tau)] = ((sol.b, sol.objective), math.nan)
+                fit = (sol.b, sol.objective)
             except SketchRankDeficient:
-                cells[(label, tau)] = (None, math.nan)
+                fit = None
+            cells.setdefault((label, tau), []).append((fit, prob_b, ols))
 
         def matrix_cell(label, tau, kind, draws, stream, index):
             plan = tlsq.draw_plan(state.smls[1][kind], draws, ex._rng(cfg.seed, stream, b, *index))
             est = matrix_oracle(state.smls[0], rhs, plan, cfg.p, cfg.l)
             fit = None if est is None else (est, tlsq.objective(prob_b, est))
-            cells[(label, tau)] = (fit, math.nan)
+            cells.setdefault((label, tau), []).append((fit, prob_b, ols))
 
         for i, method in enumerate(kinds if compare else cfg.methods):
             for j, tau in enumerate(cfg.taus):
@@ -291,10 +382,25 @@ def per_cell_loop(cfg, compare=False):
             for i, kind in enumerate(sorted(state.smls[1])):
                 for j, tau in enumerate(cfg.taus):
                     matrix_cell(f"smls-{kind}", tau, kind, factor * tau, ex._STREAM_SMLS, (i, j))
-        return prob_b, ols_b, cells
 
-    results = [replicate(b) for b in range(cfg.replicates)]
-    return ex._aggregate(results, true_coefficients(cfg.p, cfg.l))
+    for b in range(cfg.replicates):
+        replicate(b)
+    truth = true_coefficients(cfg.p, cfg.l)
+    rows = []
+    for (label, tau), entries in cells.items():
+        kept = [(fit, pb, ols) for fit, pb, ols in entries if fit is not None]
+        rows.append(compute_metrics(
+            np.reshape([fit[0] for fit, _, _ in kept], (len(kept), *truth.shape)),
+            np.reshape([ols.b for _, _, ols in kept], (len(kept), *truth.shape)),
+            truth,
+            [pb for _, pb, _ in kept],
+            objectives=[fit[1] for fit, _, _ in kept],
+            exact_objectives=[ols.objective for _, _, ols in kept],
+            method=label,
+            tau=tau,
+            failures=len(entries) - len(kept),
+        ))
+    return sorted(rows, key=lambda r: (r.method, r.tau))
 
 
 def assert_reports_match(rows, expected, rtol=1e-12):
@@ -344,9 +450,10 @@ class TestBatchedReplicateLoop:
             cfg = ExperimentConfig(seed=34, n=60, p=4, l=5, design="t3",
                                    replicates=ex._REPLICATE_CHUNK + 3, taus=(20,), mode=mode)
             state = ex._prepare_state(cfg, ex._STREAM_DESIGN)
-            fitted = ex._replicate_problems(cfg, state, range(cfg.replicates))
-            assert len(fitted) == cfg.replicates
-            for b, (prob_b, (ols_b, ols_obj)) in enumerate(fitted):
+            problems = ex._replicate_problems(cfg, state, range(cfg.replicates))
+            assert len(problems) == cfg.replicates
+            fitted = zip(problems, *solver._exact_solutions(problems))
+            for b, (prob_b, ols_b, ols_obj) in enumerate(fitted):
                 key = () if mode == "conditional" else (b,)
                 y, _ = gen_response(state.prob.design,
                                     ex._rng(cfg.seed, ex._STREAM_RESPONSE, *key), cfg.sigma2)
@@ -630,6 +737,8 @@ class TestConfig:
             ExperimentConfig(seed=0, design="exp")
         with pytest.raises(ConfigError):
             ExperimentConfig(seed=0, alpha=1.0)
+        with pytest.raises(ConfigError, match="seed must be a non-negative integer"):
+            ExperimentConfig(seed=-1)
 
     @pytest.mark.parametrize(
         "overrides, named",

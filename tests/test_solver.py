@@ -541,10 +541,10 @@ class TestBlockedQr:
         one_prob = tlsq.TlsProblem(x, y)
         one = tlsq.solve_ols(one_prob)
         m = np.concatenate((one_prob._design.half, one_prob.response_half), axis=2)
-        r_one = solver._qr_svd([m], 3)[0]
+        r_one = solver._qr_svd([m])
         monkeypatch.setattr(solver, "_QR_BLOCK_ROWS", block)
         prob = tlsq.TlsProblem(x, y)
-        r = solver._qr_svd(solver._row_blocks(prob._design.half, prob.response_half), 3)[0]
+        r = solver._qr_svd(solver._row_blocks(prob._design.half, prob.response_half))
         gram_one = r_one.conj().mT @ r_one
         assert np.abs(r.conj().mT @ r - gram_one).max() <= 1e-13 * np.abs(gram_one).max()
         f, f_one = prob._design.f, one_prob._design.f
@@ -711,7 +711,7 @@ class TestWithResponseFit:
         cfg = tlsq.ExperimentConfig(seed=36, n=50, p=4, l=4, design="t3", replicates=3,
                                     taus=(20,), mode=mode)
         state = ex._prepare_state(cfg, ex._STREAM_DESIGN)
-        for prob_b, _ in ex._replicate_problems(cfg, state, range(cfg.replicates)):
+        for prob_b in ex._replicate_problems(cfg, state, range(cfg.replicates)):
             fresh = tlsq.TlsProblem(state.prob.design, prob_b.response)
             self.assert_same_fit(tlsq.solve_ols(prob_b), tlsq.solve_ols(fresh))
 

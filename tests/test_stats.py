@@ -419,6 +419,38 @@ class TestZeroProbabilityPolicy:
             unconditional_variance(x, dist, tau=10, sigma2=1.0)
 
 
+    @staticmethod
+    def zero_row_problem(scale, consistent=False):
+        """n=30, p=3, l=4 data times `scale`; design row 8 is zero, so lev and opt skip it."""
+        x = rand((30, 3, 4), 32)
+        x[7] = 0.0
+        y = tlsq.t_product(x, rand((3, 1, 4), 33)) if consistent else rand((30, 1, 4), 34)
+        return tlsq.TlsProblem(x * scale, y * scale)
+
+    @pytest.mark.parametrize("scale", [1.0, 1e-6, 1e6])
+    def test_residual_on_zero_probability_row_rejected_at_any_scale(self, scale):
+        prob = self.zero_row_problem(scale)
+        dist = tlsq.leverage_probs(prob)
+        assert dist.probs[7] == 0.0
+        with pytest.raises(ZeroProbabilityRow, match="row 8 .* residual"):
+            conditional_variance(prob, dist, tau=12)
+
+    @pytest.mark.parametrize("scale", [1.0, 1e-6, 1e6])
+    def test_sandwich_numerator_on_zero_probability_row_rejected_at_any_scale(self, scale):
+        probs = np.full(30, 1.0 / 29)
+        probs[7] = 0.0
+        with pytest.raises(ZeroProbabilityRow, match="row 8 .* sandwich numerator"):
+            sandwich_middle_trace(rand((30, 3, 4), 35) * scale, probs)
+
+    @pytest.mark.parametrize("scale", [1.0, 1e-6, 1e6])
+    @pytest.mark.parametrize("method", ["unif", "lev", "opt"])
+    def test_consistent_system_tolerated_at_any_scale(self, scale, method):
+        prob = self.zero_row_problem(scale, consistent=True)
+        dist = {"unif": tlsq.uniform_probs(30), "lev": tlsq.leverage_probs(prob),
+                "opt": tlsq.optimal_probs(prob)}[method]
+        assert abs(trace_t(conditional_variance(prob, dist, tau=12))) <= 1e-20
+
+
 class TestMiddleTrace:
     def test_matches_direct_summation(self):
         x = rand((20, 3, 3), 30)
