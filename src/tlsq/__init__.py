@@ -20,7 +20,6 @@ from .tensor import (
     extremal_singular_values,
     f_diag,
     fold,
-    fourier_singular_values,
     fro_norm,
     from_fourier,
     identity,
@@ -29,7 +28,6 @@ from .tensor import (
     t_product,
     t_transpose,
     thin_t_svd,
-    tubal_rank,
     unfold,
     write_tensor,
 )

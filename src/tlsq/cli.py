@@ -49,7 +49,8 @@ file formats:
                 (mn|t3|t1), sigma2, replicates, taus=150,300,..., methods=
                 unif,lev,slev,opt, alpha, seed (required, >= 0), smls (off|
                 same_tau|l_times_tau), mode (unconditional|conditional),
-                redraw_design (0|1), timing (0|1).
+                redraw_design (0|1), timing (0|1; compare-mls always times
+                its cells and ignores it).
   reports       CSV: method,tau,smrfv,smre,ssb,sv,smse,mean_ms,replicates,
                 failures. TLSQ_THREADS, a positive integer, caps replicate
                 parallelism, as do the ceil(replicates / 8) chunks. A

@@ -36,7 +36,7 @@ from .sampling import (
 )
 from .solver import TlsProblem, _as_design, _compress, _exact_solutions, _on_design
 from .solver import _solve_sketches, _with_objectives
-from .tensor import BCIRC_MAX_ENTRIES, as_tensor, bcirc, fold, unfold
+from .tensor import as_tensor, fold
 
 DESIGN_KINDS = ("mn", "t3", "t1")
 METHOD_KINDS = ("unif", "lev", "slev", "opt")
@@ -136,13 +136,6 @@ class ExperimentConfig:
             raise ConfigError(f"unknown methods {bad}; choose from {METHOD_KINDS}")
         if not 0.0 < self.alpha < 1.0:
             raise ConfigError(f"alpha must lie in (0, 1), got {self.alpha}")
-        entries = self.n * self.l * self.p * self.l
-        baseline = self.smls != "off" and any(m in MATRIX_KINDS for m in self.methods)
-        if baseline and entries > BCIRC_MAX_ENTRIES:
-            raise ConfigError(
-                f"the matrix baseline at n={self.n}, p={self.p}, l={self.l} needs a block-circulant"
-                f" embedding of n*l*p*l = {entries} entries, over the limit of {BCIRC_MAX_ENTRIES}"
-            )
         object.__setattr__(self, "methods", tuple(self.methods))
         for name, values in (("methods", self.methods), ("taus", self.taus)):
             for i, value in enumerate(values):
@@ -333,11 +326,25 @@ def _matrix_distribution(prob: TlsProblem, kind: str) -> SamplingDistribution:
     raise ValueError(f"matrix baseline supports unif or lev, got {kind!r}")
 
 
-def _solve_matrix_sketches(systems, problems, indices, weights) -> list:
+def _bcirc_rows(x) -> np.ndarray:
+    """The rows of bcirc(x) as a read-only (n, l, p*l) view: entry [i, r] is row r*n + i.
+
+    Row (r, i) of bcirc(x) is x[i, :, (r - c) % l] over the block columns c,
+    which is one contiguous p*l window of row i of the tube-reversed design
+    laid out twice, tube position before column. So the view reads 2*n*p*l
+    floats, not the embedding's n*p*l^2.
+    """
+    n, p, l = x.shape
+    doubled = np.concatenate([x.transpose(0, 2, 1)[:, ::-1]] * 2, axis=1).reshape(n, 2 * l * p)
+    return np.lib.stride_tricks.sliding_window_view(doubled, p * l, axis=1)[:, : l * p : p][:, ::-1]
+
+
+def _solve_matrix_sketches(views, problems, indices, weights) -> list:
     """Solve one matrix-baseline sketch per plan, plan j on the flattened system of problems[j].
 
-    Plan j draws rows of systems[j], the problem's bcirc(X), and of its
-    unfolded response. Each plan is compressed to its unique rows
+    Plan j draws rows (r, i) = divmod(row, n) of the problem's bcirc(X),
+    gathered from views[j], its _bcirc_rows, and of its unfolded response,
+    gathered as response[i, :, r]. Each plan is compressed to its unique rows
     (_compress) and solved by one lstsq with the cutoff eps * max(tau, p*l):
     lstsq's default cutoff on the uncompressed tau-row sketch. Returns
     (b, objective) per plan, the objectives read by one _r_objectives call,
@@ -347,9 +354,9 @@ def _solve_matrix_sketches(systems, problems, indices, weights) -> list:
     taus, picked, scale, unique = _compress(indices, weights, n * l, p)
     rconds = _EPS * np.maximum(taus, p * l)
     fits, bs = [None] * len(problems), np.empty((len(problems), p, 1, l))
-    for j, (a, prob, rcond) in enumerate(zip(systems, problems, rconds)):
-        rows, w = picked[j, : unique[j]], scale[j, : unique[j], None]
-        sol, _, rank, _ = np.linalg.lstsq(a[rows] * w, unfold(prob.response)[rows] * w, rcond=rcond)
+    for j, (view, prob, rcond) in enumerate(zip(views, problems, rconds)):
+        (r, i), w = np.divmod(picked[j, : unique[j]], n), scale[j, : unique[j], None]
+        sol, _, rank, _ = np.linalg.lstsq(view[i, r] * w, prob.response[i, :, r] * w, rcond=rcond)
         bs[j] = fold(sol, p, l)
         if rank < p * l:
             fits[j] = SketchRankDeficient(f"matrix sketch has rank {rank} < {p * l}")
@@ -381,7 +388,7 @@ class _ReplicateState:
     prob: TlsProblem  # carries the response of stream key `key` (_response_key)
     key: tuple
     dists: dict
-    smls: tuple | None  # (a, {kind: dist}) when the baseline is on
+    smls: tuple | None  # (_bcirc_rows of the design, {kind: dist}) when the baseline is on
 
 
 def _aggregate(parts, cells, truth) -> list[MetricsRow]:
@@ -422,8 +429,8 @@ class _Cell:
     """One report cell: per replicate b, `draws` rows from distribution `kind`.
 
     The plan's random stream is (seed, stream, b, *index). A matrix cell is
-    solved on the flattened block-circulant system, every other cell by the
-    tensor solver.
+    solved on the flattened block-circulant system, its rows read from the
+    design (_bcirc_rows), every other cell by the tensor solver.
     """
 
     label: str
@@ -440,9 +447,10 @@ def _run_cells(cfg: ExperimentConfig, base, cells, timed: bool) -> list[MetricsR
 
     `base` is the shared design state, or None to draw one per replicate.
     The pool maps near-equal chunks of the replicates (_REPLICATE_CHUNK), so
-    at most ceil(R / 8) tasks run at once. A chunk builds its replicates'
-    problems (_replicate_problems) and reads their exact solutions and
-    objectives in one _exact_solutions call. It draws each cell's plans, one
+    at most ceil(R / 8) tasks run at once. A chunk takes its replicates'
+    problems, each redrawn design's own problem or the shared design's
+    _replicate_problems, and reads their exact solutions and objectives in
+    one _exact_solutions call. It draws each cell's plans, one
     per replicate and each from its own stream key, in one _draw_plans call
     and solves them as one batch: a tensor cell by _solve_sketches, a matrix
     cell by _solve_matrix_sketches. When `timed`, a cell's wall time in a
@@ -454,7 +462,7 @@ def _run_cells(cfg: ExperimentConfig, base, cells, timed: bool) -> list[MetricsR
     def worker(chunk):
         if base is None:
             states = [_prepare_state(cfg, _STREAM_DESIGN, b) for b in chunk]
-            problems = [_replicate_problems(cfg, state, [b])[0] for state, b in zip(states, chunk)]
+            problems = [state.prob for state in states]
         else:
             states = [base] * len(chunk)
             problems = _replicate_problems(cfg, base, chunk)
@@ -515,7 +523,7 @@ def _prepare_state(cfg: ExperimentConfig, stream, *key) -> _ReplicateState:
     prob = TlsProblem(x, _response(cfg, _signal(x), response_key))
     dists = {m: build_distribution(prob, m, cfg.alpha) for m in cfg.methods}
     kinds = [m for m in cfg.methods if m in MATRIX_KINDS] if cfg.smls != "off" else []
-    smls = (bcirc(x), {k: _matrix_distribution(prob, k) for k in kinds}) if kinds else None
+    smls = (_bcirc_rows(x), {k: _matrix_distribution(prob, k) for k in kinds}) if kinds else None
     return _ReplicateState(prob=prob, key=response_key, dists=dists, smls=smls)
 
 
@@ -556,7 +564,6 @@ def run_mls_comparison(cfg: ExperimentConfig) -> list[MetricsRow]:
     kinds = [m for m in cfg.methods if m in MATRIX_KINDS]
     if not kinds:
         raise ConfigError("the matrix comparison needs unif or lev among the methods")
-    # The replaced config checks the baseline's size before anything is drawn.
     base_cfg = replace(cfg, smls="same_tau", methods=tuple(kinds))
     cells = []
     for ki, kind in enumerate(kinds):

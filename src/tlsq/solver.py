@@ -70,7 +70,7 @@ def _factor(*stacks, p: int, l: int):
     joint [X | y] stack, is factored a block of rows at a time as it stands.
     """
     n = stacks[0].shape[1]
-    r = _qr_svd(_row_blocks(*stacks))
+    r = _tsqr_r(_row_blocks(*stacks))
     _, s, vh = np.linalg.svd(r[..., :p, :p])
     tol = default_rank_tol((n, p), float(s.max(initial=0.0)))
     smallest = s[:, p - 1]
@@ -240,7 +240,7 @@ def _row_blocks(*stacks):
         yield part[0] if len(part) == 1 else np.concatenate(part, axis=-1)
 
 
-def _qr_svd(blocks):
+def _tsqr_r(blocks):
     """R-only QR of a stack given as row blocks (TSQR).
 
     Each block is factored on its own and the stacked R factors once more,
@@ -407,7 +407,7 @@ def _solve_sketches(problems, indices, weights) -> list:
         m[:, j, :, :p] = pb._design.half[:, picked[j]]
         m[:, j, :, p] = pb.response_half[:, picked[j], 0]
     m *= scale[:, :, None]
-    ok, bhalf, fits = _solve_factored(_qr_svd(_row_blocks(m.swapaxes(0, 1))), p, taus, l)
+    ok, bhalf, fits = _solve_factored(_tsqr_r(_row_blocks(m.swapaxes(0, 1))), p, taus, l)
     return _with_objectives(problems, fits, np.flatnonzero(ok), _from_half(bhalf, l))
 
 

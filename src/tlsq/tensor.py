@@ -4,8 +4,10 @@ A tubal matrix is a real order-3 array of shape (n, p, l): an n-by-p matrix
 whose entries are length-l tubes. Multiplication is defined through the
 block-circulant embedding of the tubes and is computed slice-wise in the DFT
 domain along the third axis. All operations here are pure functions on
-float64 arrays; the brute-force block-circulant routines exist as a testing
-oracle only.
+float64 arrays. The tubal rank is thin_t_svd(x, tol).rank. The dense
+block-circulant routines are brute-force testing oracles only: no run path
+forms the embedding, and the replicate driver reads the matrix baseline's
+rows of bcirc(X) straight from X.
 """
 
 from __future__ import annotations
@@ -204,17 +206,6 @@ def fro_norm(x) -> float:
     return float(np.linalg.norm(as_tensor(x)))
 
 
-def fourier_singular_values(x) -> np.ndarray:
-    """Per-slice singular values of the DFT slices, as a (min(n, p), l) array.
-
-    Column k holds the nonincreasing singular values of slice k; mirrored
-    slices share values with their conjugates, so only half are computed.
-    """
-    x = as_tensor(x)
-    sv = np.linalg.svd(_to_half(x), compute_uv=False).T
-    return sv[:, _mirror_index(x.shape[2])]
-
-
 def default_rank_tol(shape, smax: float) -> float:
     """Default threshold below which a singular value counts as zero."""
     n, p = shape[0], shape[1]
@@ -262,11 +253,6 @@ def thin_t_svd(x, tol: float | None = None) -> ThinTSVD:
     )
 
 
-def tubal_rank(x, tol: float | None = None) -> int:
-    """Number of singular tubes whose largest slice value exceeds `tol`: thin_t_svd's rank."""
-    return thin_t_svd(x, tol).rank
-
-
 def t_pinv(x) -> np.ndarray:
     """Moore-Penrose inverse, taken slice-wise in the DFT domain."""
     x = as_tensor(x)
@@ -277,10 +263,11 @@ def extremal_singular_values(x) -> tuple[float, float, float]:
     """(smallest, largest, condition number) over all DFT-slice singular values.
 
     These coincide with the extremal singular values of the dense
-    block-circulant embedding. The condition number is inf when the smallest
-    value is zero.
+    block-circulant embedding. Mirrored slices share their values, so only
+    the half stack is decomposed. The condition number is inf when the
+    smallest value is zero.
     """
-    sv = fourier_singular_values(x)
+    sv = np.linalg.svd(_to_half(as_tensor(x)), compute_uv=False)
     smin = float(sv.min())
     smax = float(sv.max())
     kappa = smax / smin if smin > 0.0 else float("inf")

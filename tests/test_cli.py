@@ -338,13 +338,20 @@ class TestExperiment:
         "command, overrides",
         [("compare-mls", {}), ("experiment", {"smls": "same_tau"})],
     )
-    def test_oversized_baseline_is_usage_error(self, tmp_path, capsys, command, overrides):
-        cfg = write_config(tmp_path, n=2000, p=20, l=16, taus="400", methods="unif,lev",
-                           seed=1, **overrides)
-        assert main([command, "--config", cfg, "--out", str(tmp_path / "r.csv")]) == 1
-        err = capsys.readouterr().err
-        assert "n=2000, p=20, l=16" in err and "10240000" in err and "4000000" in err
-        assert not (tmp_path / "r.csv").exists()
+    def test_baseline_over_the_embedding_limit_runs(self, tmp_path, command, overrides):
+        """A baseline whose bcirc(X) would pass the oracle's size limit runs and reports."""
+        cfg = write_config(tmp_path, n=1000, p=10, l=21, taus="30", replicates=2, **overrides)
+        assert 1000 * 21 * 10 * 21 > tlsq.tensor.BCIRC_MAX_ENTRIES
+        out = tmp_path / "r.csv"
+        assert main([command, "--config", cfg, "--out", str(out)]) == 0
+        rows = tlsq.read_report(out)
+        expected = {
+            "compare-mls": {"stls-unif", "smls-unif-tau", "smls-unif-ltau",
+                            "stls-lev", "smls-lev-tau", "smls-lev-ltau"},
+            "experiment": {"unif", "lev", "smls-unif", "smls-lev"},
+        }[command]
+        assert {r.method for r in rows} == expected
+        assert all(r.tau == 30 and r.replicates + r.failures == 2 for r in rows)
 
     def test_starved_cell_is_reported_not_fatal(self, tmp_path, capsys):
         # tau = p on a 12-row design: most sketches lose rank in some slice

@@ -331,8 +331,8 @@ def per_cell_loop(cfg, compare=False):
     It draws the plan of tensor cell (i, j) from (seed, plan stream, b, i, j),
     i indexing the methods (the unif/lev kinds in compare mode) and j the
     taus, and solves it by solve_subsampled; matrix cells use the baseline
-    streams and matrix_oracle. Each cell's row is one compute_metrics call
-    on the replicates whose sketch kept its rank.
+    streams and matrix_oracle on the design's own bcirc(X). Each cell's row
+    is one compute_metrics call on the replicates whose sketch kept its rank.
     """
     ex = experiments
     kinds = [m for m in cfg.methods if m in ("unif", "lev")]
@@ -350,7 +350,7 @@ def per_cell_loop(cfg, compare=False):
                             cfg.sigma2)
         prob_b = state.prob.with_response(y)
         ols = tlsq.solve_ols(prob_b)
-        rhs = tlsq.unfold(prob_b.response)
+        a, rhs = tlsq.bcirc(state.prob.design), tlsq.unfold(prob_b.response)
 
         def tensor_cell(label, tau, kind, index):
             plan = tlsq.draw_plan(state.dists[kind], tau,
@@ -364,7 +364,7 @@ def per_cell_loop(cfg, compare=False):
 
         def matrix_cell(label, tau, kind, draws, stream, index):
             plan = tlsq.draw_plan(state.smls[1][kind], draws, ex._rng(cfg.seed, stream, b, *index))
-            est = matrix_oracle(state.smls[0], rhs, plan, cfg.p, cfg.l)
+            est = matrix_oracle(a, rhs, plan, cfg.p, cfg.l)
             fit = None if est is None else (est, tlsq.objective(prob_b, est))
             cells.setdefault((label, tau), []).append((fit, prob_b, ols))
 
@@ -499,11 +499,11 @@ class TestBatchedReplicateLoop:
         """
         calls = []
 
-        def counting(*args, _original=solver._qr_svd, **kwargs):
+        def counting(*args, _original=solver._tsqr_r, **kwargs):
             calls.append(1)
             return _original(*args, **kwargs)
 
-        monkeypatch.setattr(solver, "_qr_svd", counting)
+        monkeypatch.setattr(solver, "_tsqr_r", counting)
         cfg = ExperimentConfig(seed=37, n=150, p=4, l=3, design="t3", replicates=19,
                                taus=(8, 30), smls="same_tau", mode=mode, redraw_design=redraw)
         rows = run_experiment(cfg)
@@ -561,6 +561,38 @@ class TestBatchedReplicateLoop:
 
 
 class TestSmlsBaseline:
+    @settings(max_examples=60, deadline=None)
+    @given(
+        p=st.integers(1, 4),
+        extra_rows=st.integers(0, 4),
+        l=st.integers(1, 7),
+        from_file=st.booleans(),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    @example(p=3, extra_rows=2, l=1, from_file=False, seed=0)
+    @example(p=2, extra_rows=3, l=2, from_file=True, seed=1)
+    @example(p=4, extra_rows=0, l=5, from_file=False, seed=2)
+    @example(p=3, extra_rows=0, l=6, from_file=True, seed=3)
+    def test_bcirc_rows_are_the_embedding_rows(self, tmp_path_factory, p, extra_rows, l,
+                                               from_file, seed):
+        """Entry [i, r] of _bcirc_rows(X) is row r*n + i of bcirc(X), and y[i, :, r] of unfold(y).
+
+        The design is a C-order array or read_tensor's F-order view.
+        """
+        n = p + extra_rows
+        rng = np.random.default_rng(seed)
+        x, y = rng.standard_normal((n, p, l)), rng.standard_normal((n, 1, l))
+        if from_file:
+            path = tmp_path_factory.mktemp("rows")
+            tlsq.write_tensor(x, path / "x.tt")
+            tlsq.write_tensor(y, path / "y.tt")
+            x, y = tlsq.read_tensor(path / "x.tt"), tlsq.read_tensor(path / "y.tt")
+        view = experiments._bcirc_rows(x)
+        assert view.shape == (n, l, p * l) and not view.flags.writeable
+        r, i = np.divmod(np.arange(n * l), n)
+        assert np.array_equal(view[i, r], tlsq.bcirc(x))
+        assert np.array_equal(y[i, :, r], tlsq.unfold(y))
+
     def test_all_rows_equals_exact_solution(self):
         x = gen_design("mn", 40, 4, 3, seed=8)
         y, _ = gen_response(x, seed=9)
@@ -568,8 +600,8 @@ class TestSmlsBaseline:
         a = tlsq.bcirc(x)
         dense = np.linalg.lstsq(a, tlsq.unfold(y), rcond=None)[0]
         rows = np.arange(a.shape[0])
-        ((folded, _),) = experiments._solve_matrix_sketches([a], [prob], rows[None],
-                                                            np.ones((1, rows.size)))
+        ((folded, _),) = experiments._solve_matrix_sketches(
+            [experiments._bcirc_rows(x)], [prob], rows[None], np.ones((1, rows.size)))
         exact = tlsq.solve_ols(prob).b
         assert np.abs(folded - tlsq.fold(dense, 4, 3)).max() <= 1e-12
         assert np.abs(folded - exact).max() <= 1e-10 * max(1.0, np.abs(exact).max())
@@ -632,7 +664,8 @@ class TestSmlsBaseline:
         candidates = rng.choice(n * l, size=min(pool, n * l), replace=False)
         indices = rng.choice(candidates, size=(plans, tau))
         weights = rng.uniform(0.5, 2.0, size=(plans, tau))
-        fits = experiments._solve_matrix_sketches([a] * plans, [prob] * plans, indices, weights)
+        fits = experiments._solve_matrix_sketches([experiments._bcirc_rows(x)] * plans,
+                                                  [prob] * plans, indices, weights)
         for fit, idx, w in zip(fits, indices, weights):
             want = matrix_oracle(a, rhs, tlsq.SamplingPlan(tau=tau, indices=idx, weights=w), p, l)
             assert isinstance(fit, SketchRankDeficient) == (want is None), (idx, w)
@@ -771,13 +804,11 @@ class TestConfig:
         with pytest.raises(ConfigError, match="p >= 4"):
             ExperimentConfig(seed=0, p=3, taus=(10,))
 
-    def test_oversized_baseline_rejected(self):
-        sizes = dict(seed=1, n=2000, p=20, l=16, taus=(400,))
-        with pytest.raises(ConfigError, match=r"n=2000, p=20, l=16 .* limit of 4000000"):
-            ExperimentConfig(**sizes, methods=("unif", "lev"), smls="same_tau")
-        # Without unif or lev among the methods no baseline cell runs.
-        ExperimentConfig(**sizes, methods=("slev", "opt"), smls="same_tau")
-        ExperimentConfig(**sizes, methods=("unif", "lev"), smls="off")
+    def test_baseline_has_no_size_limit(self):
+        """The baseline reads its rows from X, so no embedding size bounds a config."""
+        cfg = ExperimentConfig(seed=1, n=2000, p=20, l=16, taus=(400,), methods=("unif", "lev"),
+                               smls="same_tau")
+        assert cfg.n * cfg.l * cfg.p * cfg.l > tlsq.tensor.BCIRC_MAX_ENTRIES
 
     def test_design_must_be_overdetermined(self):
         with pytest.raises(ConfigError, match="n >= p"):

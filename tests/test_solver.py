@@ -494,7 +494,7 @@ class TestRankScreen:
             x[:, :p] = np.einsum("ipk,pq->iqk", x[:, :p], shrink)
             w = rng.uniform(0.5, 2.0, (taus[j], 1, 1))
             m[j, :, : taus[j]] = _to_half(x[rng.integers(0, n, taus[j])] * w)
-        r = solver._qr_svd([m])
+        r = solver._tsqr_r([m])
         ok, bhalf, fits = solver._solve_factored(r, p, taus, l)
         expected_ok, expected_fits = svd_rank_rule(r, p, taus, l)
         assert np.array_equal(ok, expected_ok)
@@ -541,10 +541,10 @@ class TestBlockedQr:
         one_prob = tlsq.TlsProblem(x, y)
         one = tlsq.solve_ols(one_prob)
         m = np.concatenate((one_prob._design.half, one_prob.response_half), axis=2)
-        r_one = solver._qr_svd([m])
+        r_one = solver._tsqr_r([m])
         monkeypatch.setattr(solver, "_QR_BLOCK_ROWS", block)
         prob = tlsq.TlsProblem(x, y)
-        r = solver._qr_svd(solver._row_blocks(prob._design.half, prob.response_half))
+        r = solver._tsqr_r(solver._row_blocks(prob._design.half, prob.response_half))
         gram_one = r_one.conj().mT @ r_one
         assert np.abs(r.conj().mT @ r - gram_one).max() <= 1e-13 * np.abs(gram_one).max()
         f, f_one = prob._design.f, one_prob._design.f
@@ -643,11 +643,11 @@ class TestBornFitted:
     def count_factorizations(monkeypatch):
         calls = []
 
-        def counting(*args, _original=solver._qr_svd, **kwargs):
+        def counting(*args, _original=solver._tsqr_r, **kwargs):
             calls.append(1)
             return _original(*args, **kwargs)
 
-        monkeypatch.setattr(solver, "_qr_svd", counting)
+        monkeypatch.setattr(solver, "_tsqr_r", counting)
         return calls
 
     @pytest.mark.parametrize("build", ["constructor", "with_response", "on_design"])
