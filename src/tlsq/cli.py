@@ -49,8 +49,10 @@ file formats:
                 (mn|t3|t1), sigma2, replicates, taus=150,300,..., methods=
                 unif,lev,slev,opt, alpha, seed (required, >= 0), smls (off|
                 same_tau|l_times_tau), mode (unconditional|conditional),
-                redraw_design (0|1), timing (0|1; compare-mls always times
-                its cells and ignores it).
+                redraw_design (0|1), timing (0|1). compare-mls reads the
+                same file and honours redraw_design, but ignores smls and
+                timing (it always times its cells) and runs only the unif
+                and lev methods.
   reports       CSV: method,tau,smrfv,smre,ssb,sv,smse,mean_ms,replicates,
                 failures. TLSQ_THREADS, a positive integer, caps replicate
                 parallelism, as do the ceil(replicates / 8) chunks. A
@@ -146,20 +148,13 @@ def _cmd_solve(args) -> int:
         _check(args, "--seed", args.seed >= 0, "nonnegative")
         _check_alpha(args)
     prob = TlsProblem(x, read_tensor(args.response))
-    if args.method == "ols":
-        start = time.perf_counter()
-        sol = solve_ols(prob)
-        wall_ms = (time.perf_counter() - start) * 1e3
-        tau_field = ""
-    else:
-        dist = build_distribution(prob, args.method, args.alpha)
-        start = time.perf_counter()
-        plan = draw_plan(dist, args.tau, args.seed)
-        sol = solve_subsampled(prob, plan)
-        wall_ms = (time.perf_counter() - start) * 1e3
-        tau_field = str(args.tau)
+    ols = args.method == "ols"
+    dist = None if ols else build_distribution(prob, args.method, args.alpha)
+    start = time.perf_counter()  # the plan draw, if any, and the solve
+    sol = solve_ols(prob) if ols else solve_subsampled(prob, draw_plan(dist, args.tau, args.seed))
+    wall_ms = (time.perf_counter() - start) * 1e3
     write_tensor(sol.b, args.out)
-    print(f"{args.method},{tau_field},{sol.objective:.17g},{wall_ms:.6g}")
+    print(f"{args.method},{'' if ols else args.tau},{sol.objective:.17g},{wall_ms:.6g}")
     return 0
 
 

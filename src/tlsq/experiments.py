@@ -35,8 +35,8 @@ from .sampling import (
     uniform_probs,
 )
 from .solver import TlsProblem, _as_design, _compress, _exact_solutions, _on_design
-from .solver import _solve_sketches, _with_objectives
-from .tensor import as_tensor, fold
+from .solver import _r_objectives, _solve_sketches
+from .tensor import _to_half, as_tensor, fold
 
 DESIGN_KINDS = ("mn", "t3", "t1")
 METHOD_KINDS = ("unif", "lev", "slev", "opt")
@@ -347,8 +347,10 @@ def _solve_matrix_sketches(views, problems, indices, weights) -> list:
     gathered as response[i, :, r]. Each plan is compressed to its unique rows
     (_compress) and solved by one lstsq with the cutoff eps * max(tau, p*l):
     lstsq's default cutoff on the uncompressed tau-row sketch. Returns
-    (b, objective) per plan, the objectives read by one _r_objectives call,
-    or a SketchRankDeficient for a sketch of rank below p*l.
+    (b, objective) per plan, or a SketchRankDeficient for a sketch of rank
+    below p*l. lstsq's coefficients are spatial, so the kept ones are
+    transformed forward once, together (_to_half), and one _r_objectives
+    call reads their objectives.
     """
     n, p, l = problems[0].shape
     taus, picked, scale, unique = _compress(indices, weights, n * l, p)
@@ -361,7 +363,11 @@ def _solve_matrix_sketches(views, problems, indices, weights) -> list:
         if rank < p * l:
             fits[j] = SketchRankDeficient(f"matrix sketch has rank {rank} < {p * l}")
     kept = [j for j, fit in enumerate(fits) if fit is None]
-    return _with_objectives(problems, fits, kept, bs[kept])
+    if kept:
+        bhalf = _to_half(bs[kept].reshape(-1, 1, l)).reshape(-1, len(kept), p, 1).swapaxes(0, 1)
+        for j, f in zip(kept, _r_objectives([problems[j] for j in kept], bhalf)):
+            fits[j] = (bs[j], float(f))
+    return fits
 
 
 def _max_workers() -> int:
@@ -442,22 +448,25 @@ class _Cell:
     matrix: bool = False
 
 
-def _run_cells(cfg: ExperimentConfig, base, cells, timed: bool) -> list[MetricsRow]:
+def _run_cells(cfg: ExperimentConfig, cells) -> list[MetricsRow]:
     """Run every cell in every replicate and aggregate one MetricsRow per cell.
 
-    `base` is the shared design state, or None to draw one per replicate.
-    The pool maps near-equal chunks of the replicates (_REPLICATE_CHUNK), so
-    at most ceil(R / 8) tasks run at once. A chunk takes its replicates'
-    problems, each redrawn design's own problem or the shared design's
+    The design is drawn once and shared, or per replicate under
+    `redraw_design`; cfg's methods and smls decide the distributions each
+    design state builds, so they must cover every cell's kind. The pool
+    maps near-equal chunks of the replicates (_REPLICATE_CHUNK), so at most
+    ceil(R / 8) tasks run at once. A chunk takes its replicates' problems,
+    each redrawn design's own problem or the shared design's
     _replicate_problems, and reads their exact solutions and objectives in
-    one _exact_solutions call. It draws each cell's plans, one
-    per replicate and each from its own stream key, in one _draw_plans call
-    and solves them as one batch: a tensor cell by _solve_sketches, a matrix
-    cell by _solve_matrix_sketches. When `timed`, a cell's wall time in a
-    replicate is an equal share of its batch's draw and solve; otherwise it
-    is NaN. _aggregate turns the chunks' outputs into the rows.
+    one _exact_solutions call. It draws each cell's plans, one per
+    replicate and each from its own stream key, in one _draw_plans call and
+    solves them as one batch: a tensor cell by _solve_sketches, a matrix
+    cell by _solve_matrix_sketches. With `timing` on, a cell's wall time in
+    a replicate is an equal share of its batch's draw and solve; otherwise
+    it is NaN. _aggregate turns the chunks' outputs into the rows.
     """
-    clock = time.perf_counter if timed else lambda: math.nan
+    clock = time.perf_counter if cfg.timing else lambda: math.nan
+    base = None if cfg.redraw_design else _prepare_state(cfg, _STREAM_DESIGN)
 
     def worker(chunk):
         if base is None:
@@ -507,8 +516,7 @@ def run_experiment(cfg: ExperimentConfig) -> list[MetricsRow]:
             for ki, kind in enumerate(sorted({m for m in cfg.methods if m in MATRIX_KINDS}))
             for ti, tau in enumerate(cfg.taus)
         ]
-    base = None if cfg.redraw_design else _prepare_state(cfg, _STREAM_DESIGN)
-    return _run_cells(cfg, base, cells, cfg.timing)
+    return _run_cells(cfg, cells)
 
 
 def _prepare_state(cfg: ExperimentConfig, stream, *key) -> _ReplicateState:
@@ -560,11 +568,13 @@ def run_mls_comparison(cfg: ExperimentConfig) -> list[MetricsRow]:
     Methods named stls-<kind>, smls-<kind>-tau, and smls-<kind>-ltau, where
     kind ranges over the uniform/leverage entries of cfg.methods. All rows
     are keyed by the grid tau; the -ltau rows used l*tau matrix samples.
+    The config's smls and timing are ignored: every cell is timed. The
+    design is shared, or redrawn per replicate under `redraw_design`.
     """
     kinds = [m for m in cfg.methods if m in MATRIX_KINDS]
     if not kinds:
         raise ConfigError("the matrix comparison needs unif or lev among the methods")
-    base_cfg = replace(cfg, smls="same_tau", methods=tuple(kinds))
+    base_cfg = replace(cfg, smls="same_tau", methods=tuple(kinds), timing=True)
     cells = []
     for ki, kind in enumerate(kinds):
         for ti, tau in enumerate(cfg.taus):
@@ -573,8 +583,7 @@ def run_mls_comparison(cfg: ExperimentConfig) -> list[MetricsRow]:
                 _Cell(f"smls-{kind}-tau", tau, kind, tau, _STREAM_SMLS, (ki, ti), True),
                 _Cell(f"smls-{kind}-ltau", tau, kind, cfg.l * tau, _STREAM_SMLS + 1, (ki, ti), True),
             ]
-    state = _prepare_state(base_cfg, _STREAM_DESIGN)
-    return _run_cells(cfg, state, cells, timed=True)
+    return _run_cells(base_cfg, cells)
 
 
 def write_report(rows, path) -> None:

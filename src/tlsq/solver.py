@@ -200,17 +200,20 @@ def objective(prob: TlsProblem, b) -> float:
 
     By Parseval the spatial squared norm is the slice-summed norm over l,
     where each slice that is not self-conjugate stands for itself and its
-    mirror; see _r_objectives for how each slice's norm is read from R.
+    mirror; see _r_objectives for how each slice's norm is read from R. The
+    spatial `b` is transformed once (_to_half). A solver's objective is read
+    from the half spectrum of its own solve instead, so it agrees with this
+    value to rounding, not bit for bit.
     """
     b = as_tensor(b, "solution")
     n, p, l = prob.shape
     if b.shape != (p, 1, l):
         raise DimensionMismatch(f"solution shape {b.shape}; expected ({p}, 1, {l})")
-    return float(_r_objectives([prob], b[None])[0])
+    return float(_r_objectives([prob], _to_half(b)[None])[0])
 
 
-def _r_objectives(problems, bs) -> np.ndarray:
-    """sum_k w_k (rho_k + ||R11_k (b_k - bols_k)||^2) / l of solution bs[j] on problems[j].
+def _r_objectives(problems, bhalf) -> np.ndarray:
+    """sum_k w_k (rho_k + ||R11_k (b_k - bols_k)||^2) / l of solution j on problems[j].
 
     [X | y] = Q [[R11, R12], [0, R22]] gives ||y - X b||^2 = ||R22||^2 +
     ||R11 b - R12||^2 in each slice, and R12 = R11 bols, so the objective
@@ -218,13 +221,15 @@ def _r_objectives(problems, bs) -> np.ndarray:
     backward error, about eps ||[X | y]|| per slice, not that of a residual
     over the rows. Near the exact fit the relative error grows to about eps
     times the slice condition number, not its square as with an exact fit
-    taken from the normal equations R11^H R11. `bs` is (len(problems), p, 1, l).
+    taken from the normal equations R11^H R11. `bhalf` holds the solutions'
+    half spectra, (len(problems), l//2 + 1, p, 1), as the triangular solves
+    leave them, so no solution is transformed here.
     """
     r11, ols_half, rho = (
         np.stack(a) for a in zip(*[(pb._design.r11, pb._ols_half, pb._rho) for pb in problems])
     )
-    l = bs.shape[-1]
-    d = r11 @ (np.moveaxis(np.fft.rfft(bs, axis=-1), -1, -3) - ols_half)
+    l = problems[0].shape[2]
+    d = r11 @ (bhalf - ols_half)
     excess = (d.real**2 + d.imag**2).sum(axis=(-2, -1))
     return (rho + excess) @ _parseval_weights(l) / l
 
@@ -335,10 +340,22 @@ def _fitted(design: _Design, ys, halves, r, probs=None) -> list:
     return probs
 
 
+def _finish(problems, bhalf):
+    """Solutions (k, p, 1, l) and objectives (k,) from half spectra bhalf (k, l//2 + 1, p, 1).
+
+    Solution j solves problems[j]. One inverse transform (_from_half, which
+    checks each solution's imaginary residue) gives the solutions, and one
+    _r_objectives call reads their objectives from the same half spectra.
+    """
+    return _from_half(bhalf, problems[0].shape[2]), _r_objectives(problems, bhalf)
+
+
 def _exact_solutions(problems):
-    """Exact solutions (k, p, 1, l) of the problems and their objectives (k,), read from their fits."""
-    bs = _from_half(np.stack([pb._ols_half for pb in problems]), problems[0].shape[2])
-    return bs, _r_objectives(problems, bs)
+    """Exact solutions (k, p, 1, l) of the problems and their objectives (k,), read from their fits.
+
+    _finish of the fits themselves: each objective is exactly the weighted sum of its rho.
+    """
+    return _finish(problems, np.stack([pb._ols_half for pb in problems]))
 
 
 def solve_ols(prob: TlsProblem) -> TlsSolution:
@@ -394,11 +411,11 @@ def _solve_sketches(problems, indices, weights) -> list:
     least p, stacked as (B, l//2 + 1, rows, p + 1) and factored by one
     R-only QR; _solve_factored checks the rank and solves every triangle in
     one batch. Each plan gathers its rows from its own problem. Returns one
-    entry per plan: (b, objective), the objective read from its problem's R
-    factor by _r_objectives, or the plan's SketchRankDeficient; the rank
-    cutoff counts a plan's tau draws, not its unique rows. Padding costs
-    rows, so a batch should hold plans of similar height, as the replicate
-    driver's batches of one cell do.
+    entry per plan: (b, objective), both made by _finish from the solve's
+    half spectrum, or the plan's SketchRankDeficient; the rank cutoff counts
+    a plan's tau draws, not its unique rows. Padding costs rows, so a batch
+    should hold plans of similar height, as the replicate driver's batches
+    of one cell do.
     """
     n, p, l = problems[0].shape
     taus, picked, scale, _ = _compress(indices, weights, n, p)
@@ -408,17 +425,9 @@ def _solve_sketches(problems, indices, weights) -> list:
         m[:, j, :, p] = pb.response_half[:, picked[j], 0]
     m *= scale[:, :, None]
     ok, bhalf, fits = _solve_factored(_tsqr_r(_row_blocks(m.swapaxes(0, 1))), p, taus, l)
-    return _with_objectives(problems, fits, np.flatnonzero(ok), _from_half(bhalf, l))
-
-
-def _with_objectives(problems, fits, kept, bs) -> list:
-    """`fits` with entry kept[i] set to (bs[i], its objective on problems[kept[i]]).
-
-    `bs` (len(kept), p, 1, l) holds the solutions of the plans that kept
-    their rank; one _r_objectives call reads all their objectives.
-    """
+    kept = np.flatnonzero(ok)
     if len(kept):
-        for j, b, f in zip(kept, bs, _r_objectives([problems[j] for j in kept], bs)):
+        for j, b, f in zip(kept, *_finish([problems[j] for j in kept], bhalf)):
             fits[j] = (b, float(f))
     return fits
 
@@ -430,7 +439,9 @@ def solve_subsampled(prob: TlsProblem, plan: SamplingPlan) -> TlsSolution:
     plan.weights[t]. The plan is solved as a batch of one by
     _solve_sketches: from an R-only QR of its compressed [A | y] stack and
     a solve with each triangle, never from the normal equations, which
-    would square the slice condition numbers.
+    would square the slice condition numbers. The objective is read from
+    the solution's half spectrum, as the solve leaves it, so it matches
+    objective(prob, sol.b) to rounding, not bit for bit.
     """
     (fit,) = _solve_sketches([prob], [plan.indices], [plan.weights])
     if isinstance(fit, SketchRankDeficient):

@@ -296,11 +296,14 @@ class TestRunExperiment:
         assert run_experiment(cfg)[0].mean_ms > 0.0
 
     def test_redraw_design_changes_results(self):
+        """Both report commands honour redraw_design: every row of either report moves."""
         base = dict(seed=7, n=80, p=4, l=2, design="mn", replicates=4,
                     taus=(16,), methods=("unif",), mode="unconditional")
-        fixed = run_experiment(ExperimentConfig(**base))
-        redrawn = run_experiment(ExperimentConfig(**base, redraw_design=True))
-        assert fixed[0].smse != redrawn[0].smse
+        for run in (run_experiment, run_mls_comparison):
+            fixed = run(ExperimentConfig(**base))
+            redrawn = run(ExperimentConfig(**base, redraw_design=True))
+            assert [r.method for r in fixed] == [r.method for r in redrawn]
+            assert all(a.smse != b.smse for a, b in zip(fixed, redrawn)), run.__name__
 
     def test_bias_variance_identity_on_every_row(self):
         cfg = ExperimentConfig(seed=8, n=150, p=4, l=3, design="t3", replicates=25,
@@ -327,7 +330,8 @@ def per_cell_loop(cfg, compare=False):
 
     Replicate b's response is gen_response's draw from (seed, response
     stream, b), or from (seed, response stream) if conditional, and its exact
-    fit is its own solve_ols.
+    fit is its own solve_ols. Its design is the shared one, or its own under
+    redraw_design, in both modes.
     It draws the plan of tensor cell (i, j) from (seed, plan stream, b, i, j),
     i indexing the methods (the unif/lev kinds in compare mode) and j the
     taus, and solves it by solve_subsampled; matrix cells use the baseline
@@ -336,15 +340,12 @@ def per_cell_loop(cfg, compare=False):
     """
     ex = experiments
     kinds = [m for m in cfg.methods if m in ("unif", "lev")]
-    if compare:
-        base = ex._prepare_state(replace(cfg, smls="same_tau", methods=tuple(kinds)),
-                                 ex._STREAM_DESIGN)
-    else:
-        base = None if cfg.redraw_design else ex._prepare_state(cfg, ex._STREAM_DESIGN)
+    state_cfg = replace(cfg, smls="same_tau", methods=tuple(kinds)) if compare else cfg
+    base = None if cfg.redraw_design else ex._prepare_state(state_cfg, ex._STREAM_DESIGN)
     cells = {}  # (label, tau) -> [(fit or None, problem, exact solve) per replicate]
 
     def replicate(b):
-        state = base if base is not None else ex._prepare_state(cfg, ex._STREAM_DESIGN, b)
+        state = base if base is not None else ex._prepare_state(state_cfg, ex._STREAM_DESIGN, b)
         key = () if cfg.mode == "conditional" else (b,)
         y, _ = gen_response(state.prob.design, ex._rng(cfg.seed, ex._STREAM_RESPONSE, *key),
                             cfg.sigma2)
@@ -438,10 +439,18 @@ class TestBatchedReplicateLoop:
                                   **overrides})
         assert_reports_match(run_experiment(cfg), per_cell_loop(cfg))
 
-    @pytest.mark.parametrize("mode", ["unconditional", "conditional"])
-    def test_comparison_matches_per_cell_loop(self, mode):
+    @pytest.mark.parametrize(
+        "mode, redraw",
+        [
+            pytest.param("unconditional", False, id="unconditional"),
+            pytest.param("conditional", False, id="conditional"),
+            pytest.param("unconditional", True, id="unconditional-redraw"),
+        ],
+    )
+    def test_comparison_matches_per_cell_loop(self, mode, redraw):
         cfg = ExperimentConfig(seed=32, n=100, p=4, l=4, design="mn", replicates=5,
-                               taus=(12, 25), methods=("lev", "unif"), mode=mode)
+                               taus=(12, 25), methods=("lev", "unif"), mode=mode,
+                               redraw_design=redraw)
         assert_reports_match(run_mls_comparison(cfg), per_cell_loop(cfg, compare=True))
 
     def test_replicate_responses_are_gen_response_draws(self):
@@ -485,17 +494,25 @@ class TestBatchedReplicateLoop:
         run_experiment(cfg)
         assert calls == []
 
-    @pytest.mark.parametrize("redraw", [False, True])
+    @pytest.mark.parametrize(
+        "compare, redraw",
+        [
+            pytest.param(False, False, id="False"),
+            pytest.param(False, True, id="True"),
+            pytest.param(True, True, id="compare-mls-True"),
+        ],
+    )
     @pytest.mark.parametrize("mode", experiments.REPLICATE_MODES)
-    def test_factorizations_per_run(self, monkeypatch, redraw, mode):
-        """One factorization builds a design's problem; one solves a cell's batch.
+    def test_factorizations_per_run(self, monkeypatch, compare, redraw, mode):
+        """One factorization builds a design's problem; one solves a tensor cell's batch.
 
         A shared design's problem carries replicate 0's response, and each
         chunk fits the responses it does not yet hold by one more
         factorization; in conditional mode that one response serves every
         chunk. Under redraw_design every replicate's design is factored once,
-        with its response, while each cell batch still spans the chunk.
-        Matrix cells, exact solutions and objectives factor nothing.
+        with its response, while each cell batch still spans the chunk; so
+        also in compare-mls. Matrix cells, exact solutions and objectives
+        factor nothing.
         """
         calls = []
 
@@ -506,10 +523,14 @@ class TestBatchedReplicateLoop:
         monkeypatch.setattr(solver, "_tsqr_r", counting)
         cfg = ExperimentConfig(seed=37, n=150, p=4, l=3, design="t3", replicates=19,
                                taus=(8, 30), smls="same_tau", mode=mode, redraw_design=redraw)
-        rows = run_experiment(cfg)
+        rows = (run_mls_comparison if compare else run_experiment)(cfg)
         chunks = math.ceil(cfg.replicates / experiments._REPLICATE_CHUNK)
-        cells = len(cfg.methods) * len(cfg.taus)
-        assert len(rows) == cells + 2 * len(cfg.taus)
+        if compare:  # one tensor and two matrix cells per unif/lev kind and tau
+            cells = 2 * len(cfg.taus)
+            assert len(rows) == 3 * cells
+        else:
+            cells = len(cfg.methods) * len(cfg.taus)
+            assert len(rows) == cells + 2 * len(cfg.taus)
         if redraw:
             expected = cfg.replicates + chunks * cells
         elif mode == "conditional":
@@ -671,7 +692,8 @@ class TestSmlsBaseline:
             assert isinstance(fit, SketchRankDeficient) == (want is None), (idx, w)
             if want is not None:
                 assert np.abs(fit[0] - want).max() <= 1e-10 * np.abs(want).max()
-                assert abs(fit[1] - tlsq.objective(prob, fit[0])) <= 1e-12 * (y**2).sum()
+                # lstsq's coefficients take the same forward DFT as objective's argument.
+                assert fit[1] == tlsq.objective(prob, fit[0])
 
     def test_comparison_rows(self):
         cfg = ExperimentConfig(seed=13, n=100, p=4, l=3, design="mn", replicates=4,

@@ -245,6 +245,20 @@ def flattened_lstsq(x, y):
     return tlsq.fold(sol, x.shape[1], x.shape[2]), np.linalg.cond(a)
 
 
+def assert_objective_is_the_residual(prob, sol):
+    """sol.objective is the dense bcirc residual of sol.b, and objective(prob, sol.b) to rounding.
+
+    The solver reads the objective from its solution's half spectrum and
+    objective transforms the spatial sol.b again, so the two agree to rounding.
+    An exact fit with n = p leaves only rounding, hence the floor.
+    """
+    x, y = prob.design, prob.response
+    dense = float(((tlsq.bcirc(x) @ tlsq.unfold(sol.b) - tlsq.unfold(y)) ** 2).sum())
+    assert abs(sol.objective - dense) <= 1e-10 * max(1.0, dense)
+    again = tlsq.objective(prob, sol.b)
+    assert abs(sol.objective - again) <= 1e-12 * again + 1e-24 * (y**2).sum()
+
+
 edge_shapes = dict(
     p=st.integers(1, 4),
     extra_rows=st.integers(0, 4),
@@ -267,8 +281,10 @@ class TestEdgeShapesAgainstOracle:
         y = rng.standard_normal((p + extra_rows, 1, l))
         dense, kappa = flattened_lstsq(x, y)
         assume(kappa < 1e3)
-        sol = tlsq.solve_ols(tlsq.TlsProblem(x, y))
+        prob = tlsq.TlsProblem(x, y)
+        sol = tlsq.solve_ols(prob)
         assert np.abs(sol.b - dense).max() <= 1e-9 * max(1.0, np.abs(dense).max())
+        assert_objective_is_the_residual(prob, sol)
 
     @settings(max_examples=60, deadline=None)
     @given(**edge_shapes, extra_tau=st.integers(0, 4))
@@ -287,8 +303,10 @@ class TestEdgeShapesAgainstOracle:
         w = plan.weights[:, None, None]
         dense, kappa = flattened_lstsq(x[plan.indices] * w, y[plan.indices] * w)
         assume(kappa < 1e3)
-        sol = tlsq.solve_subsampled(tlsq.TlsProblem(x, y), plan)
+        prob = tlsq.TlsProblem(x, y)
+        sol = tlsq.solve_subsampled(prob, plan)
         assert np.abs(sol.b - dense).max() <= 1e-9 * max(1.0, np.abs(dense).max())
+        assert_objective_is_the_residual(prob, sol)
 
     @settings(max_examples=60, deadline=None)
     @given(**edge_shapes)
@@ -394,8 +412,10 @@ class TestDuplicateCompression:
         w = plan.weights[:, None, None]
         dense, kappa = flattened_lstsq(x[plan.indices] * w, y[plan.indices] * w)
         assume(kappa < 1e3)
-        sol = tlsq.solve_subsampled(tlsq.TlsProblem(x, y), plan)
+        prob = tlsq.TlsProblem(x, y)
+        sol = tlsq.solve_subsampled(prob, plan)
         assert np.abs(sol.b - dense).max() <= 1e-9 * max(1.0, np.abs(dense).max())
+        assert_objective_is_the_residual(prob, sol)
 
     @pytest.mark.parametrize("l", [1, 2, 5, 6])
     def test_fewer_than_p_unique_rows_fails_like_uncompressed(self, l):
@@ -530,6 +550,31 @@ class TestRankScreen:
         assert isinstance(refits[3], SketchRankDeficient)
         for j in (0, 1, 2, 4, 5, 6, 7):
             assert np.array_equal(refits[j][0], fits[j][0]) and refits[j][1] == fits[j][1]
+
+
+class TestOneSpectrumPerSolution:
+    """A batch keeps its solutions in the half spectrum until they leave the solver."""
+
+    @pytest.mark.parametrize("l", [1, 2, 5, 6])
+    def test_batch_runs_one_inverse_and_no_forward_dft(self, monkeypatch, l):
+        """Solutions come from one irfft and their objectives from the same half spectra."""
+        prob = make_problem(n=50, p=3, l=l, seed=80)
+        problems = solver._on_design(prob._design, [rand((50, 1, l), 81 + j) for j in range(8)])
+        rng = np.random.default_rng(82)
+        indices, weights = rng.integers(0, 50, size=(8, 20)), rng.uniform(0.5, 2.0, (8, 20))
+        counts = {"rfft": 0, "irfft": 0}
+        for name in counts:
+            def counting(*args, _original=getattr(np.fft, name), _name=name, **kwargs):
+                counts[_name] += 1
+                return _original(*args, **kwargs)
+
+            monkeypatch.setattr(np.fft, name, counting)
+        fits = solver._solve_sketches(problems, indices, weights)
+        assert not any(isinstance(fit, SketchRankDeficient) for fit in fits)
+        assert counts == {"rfft": 0, "irfft": 1}
+        counts.update(rfft=0, irfft=0)
+        solver._exact_solutions(problems)
+        assert counts == {"rfft": 0, "irfft": 1}
 
 
 class TestBlockedQr:
