@@ -59,6 +59,9 @@ file formats:
                 second thread pays on compare-mls's matrix cells (one lstsq
                 per sketch), not on experiment's tensor grid. A pool above
                 one thread wants one BLAS thread: OPENBLAS_NUM_THREADS=1.
+
+exit codes: 0 success, 1 usage error, 2 numerical failure or a run too large
+for memory (such as a huge --tau or replicates), 3 I/O failure.
 """
 
 
@@ -201,7 +204,7 @@ def main(argv=None) -> int:
     except (FileFormatError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 3
-    except (TlsqError, ValueError, ArithmeticError) as exc:
+    except (TlsqError, ValueError, ArithmeticError, MemoryError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

@@ -21,7 +21,7 @@ import numbers
 import os
 import time
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, fields, replace
 
 import numpy as np
 
@@ -44,19 +44,6 @@ METHOD_KINDS = ("unif", "lev", "slev", "opt")
 MATRIX_KINDS = ("unif", "lev")
 SMLS_MODES = ("off", "same_tau", "l_times_tau")
 REPLICATE_MODES = ("unconditional", "conditional")
-
-REPORT_HEADER = (
-    "method",
-    "tau",
-    "smrfv",
-    "smre",
-    "ssb",
-    "sv",
-    "smse",
-    "mean_ms",
-    "replicates",
-    "failures",
-)
 
 # Stream labels for deriving independent RNG states from the master seed.
 _STREAM_DESIGN = 0
@@ -109,12 +96,11 @@ class ExperimentConfig:
         object.__setattr__(self, "taus", tuple(_integral("taus", t) for t in self.taus))
         if self.seed < 0:
             raise ConfigError(f"seed must be a non-negative integer, got {self.seed}")
-        if self.design not in DESIGN_KINDS:
-            raise ConfigError(f"design must be one of {DESIGN_KINDS}, got {self.design!r}")
-        if self.smls not in SMLS_MODES:
-            raise ConfigError(f"smls must be one of {SMLS_MODES}, got {self.smls!r}")
-        if self.mode not in REPLICATE_MODES:
-            raise ConfigError(f"mode must be one of {REPLICATE_MODES}, got {self.mode!r}")
+        choices = {"design": DESIGN_KINDS, "smls": SMLS_MODES, "mode": REPLICATE_MODES}
+        for name, allowed in choices.items():
+            value = getattr(self, name)
+            if value not in allowed:
+                raise ConfigError(f"{name} must be one of {allowed}, got {value!r}")
         if self.p < 4:
             raise ConfigError(f"the coefficient pattern needs p >= 4, got p={self.p}")
         if self.n < self.p:
@@ -164,6 +150,12 @@ class MetricsRow:
     mean_ms: float
     replicates: int
     failures: int
+
+
+REPORT_HEADER = tuple(f.name for f in fields(MetricsRow))
+# Each report column's format spec, by its declared type: 17 significant
+# digits for a float column, so a numpy scalar prints like a Python float.
+_REPORT_SPECS = {f.name: ".17g" if f.type == "float" else "" for f in fields(MetricsRow)}
 
 
 def _rng(master_seed, *key) -> np.random.Generator:
@@ -593,8 +585,7 @@ def write_report(rows, path) -> None:
         writer = csv.writer(fh, lineterminator="\n")
         writer.writerow(REPORT_HEADER)
         for r in ordered:
-            floats = [f"{v:.17g}" for v in (r.smrfv, r.smre, r.ssb, r.sv, r.smse, r.mean_ms)]
-            writer.writerow([r.method, r.tau, *floats, r.replicates, r.failures])
+            writer.writerow(format(getattr(r, name), spec) for name, spec in _REPORT_SPECS.items())
 
 
 def read_report(path) -> list[MetricsRow]:

@@ -39,116 +39,96 @@ def _rand_dims(rng, max_side=6, max_tubes=8):
     return n, p, l
 
 
-def _suite_t_product(rng, cases=20):
-    passed = 0
-    for _ in range(cases):
-        n, p, l = _rand_dims(rng)
-        r = int(rng.integers(1, 7))
-        x = rng.standard_normal((n, p, l))
-        y = rng.standard_normal((p, r, l))
-        if np.abs(t_product(x, y) - bcirc_product(x, y)).max() <= 1e-10:
-            passed += 1
-    return passed, cases
+def _case_t_product(rng) -> bool:
+    n, p, l = _rand_dims(rng)
+    r = int(rng.integers(1, 7))
+    x = rng.standard_normal((n, p, l))
+    y = rng.standard_normal((p, r, l))
+    return np.abs(t_product(x, y) - bcirc_product(x, y)).max() <= 1e-10
 
 
-def _suite_transpose(rng, cases=20):
-    passed = 0
-    for _ in range(cases):
-        n, p, l = _rand_dims(rng)
-        x = rng.standard_normal((n, p, l))
-        ok = np.array_equal(t_transpose(t_transpose(x)), x)
-        ok &= np.abs(bcirc(t_transpose(x)) - bcirc(x).T).max() == 0.0
-        xh = np.fft.fft(x, axis=2)
-        parseval = abs((np.abs(xh) ** 2).sum() / l - fro_norm(x) ** 2)
-        ok &= parseval <= 1e-10 * max(1.0, fro_norm(x) ** 2)
-        passed += bool(ok)
-    return passed, cases
+def _case_transpose(rng) -> bool:
+    n, p, l = _rand_dims(rng)
+    x = rng.standard_normal((n, p, l))
+    ok = np.array_equal(t_transpose(t_transpose(x)), x)
+    ok &= np.abs(bcirc(t_transpose(x)) - bcirc(x).T).max() == 0.0
+    xh = np.fft.fft(x, axis=2)
+    parseval = abs((np.abs(xh) ** 2).sum() / l - fro_norm(x) ** 2)
+    ok &= parseval <= 1e-10 * max(1.0, fro_norm(x) ** 2)
+    return ok
 
 
-def _suite_tsvd(rng, cases=10):
-    passed = 0
-    for _ in range(cases):
-        n, p, l = _rand_dims(rng)
-        x = rng.standard_normal((n, p, l))
-        svd = thin_t_svd(x)
-        recon = t_product(t_product(svd.u, svd.s), t_transpose(svd.v))
-        ok = fro_norm(recon - x) <= 1e-8 * max(1.0, fro_norm(x))
-        dense = np.linalg.svd(bcirc(x), compute_uv=False)
-        mine = np.sort(svd.slice_singular_values.ravel())[::-1]
-        dense = dense[: mine.size]
-        ok &= np.abs(np.sort(mine) - np.sort(dense)).max() <= 1e-8 * max(1.0, dense.max(initial=0.0))
-        passed += bool(ok)
-    return passed, cases
+def _case_tsvd(rng) -> bool:
+    n, p, l = _rand_dims(rng)
+    x = rng.standard_normal((n, p, l))
+    svd = thin_t_svd(x)
+    recon = t_product(t_product(svd.u, svd.s), t_transpose(svd.v))
+    ok = fro_norm(recon - x) <= 1e-8 * max(1.0, fro_norm(x))
+    dense = np.linalg.svd(bcirc(x), compute_uv=False)
+    mine = np.sort(svd.slice_singular_values.ravel())[::-1]
+    dense = dense[: mine.size]
+    ok &= np.abs(np.sort(mine) - np.sort(dense)).max() <= 1e-8 * max(1.0, dense.max(initial=0.0))
+    return ok
 
 
-def _suite_pinv(rng, cases=10):
-    passed = 0
-    for _ in range(cases):
-        n, p, l = _rand_dims(rng)
-        x = rng.standard_normal((n, p, l))
-        y = t_pinv(x)
-        ok = np.abs(t_product(t_product(x, y), x) - x).max() <= 1e-8
-        ok &= np.abs(t_product(t_product(y, x), y) - y).max() <= 1e-8
-        xy = t_product(x, y)
-        yx = t_product(y, x)
-        ok &= np.abs(t_transpose(xy) - xy).max() <= 1e-8
-        ok &= np.abs(t_transpose(yx) - yx).max() <= 1e-8
-        passed += bool(ok)
-    return passed, cases
+def _case_pinv(rng) -> bool:
+    n, p, l = _rand_dims(rng)
+    x = rng.standard_normal((n, p, l))
+    y = t_pinv(x)
+    ok = np.abs(t_product(t_product(x, y), x) - x).max() <= 1e-8
+    ok &= np.abs(t_product(t_product(y, x), y) - y).max() <= 1e-8
+    xy = t_product(x, y)
+    yx = t_product(y, x)
+    ok &= np.abs(t_transpose(xy) - xy).max() <= 1e-8
+    ok &= np.abs(t_transpose(yx) - yx).max() <= 1e-8
+    return ok
 
 
-def _suite_solver(rng, cases=5):
-    passed = 0
-    for _ in range(cases):
-        n, p, l = 40, 3, 4
-        x = rng.standard_normal((n, p, l))
-        y = rng.standard_normal((n, 1, l))
-        prob = TlsProblem(x, y)
-        sol = solve_ols(prob)
-        dense = np.linalg.lstsq(bcirc(x), unfold(y), rcond=None)[0]
-        ok = np.abs(sol.b - fold(dense, p, l)).max() <= 1e-8 * max(1.0, np.abs(dense).max())
-        plan = draw_plan(uniform_probs(n), 4 * p, seed=int(rng.integers(2**32)))
-        fast = solve_subsampled(prob, plan)
-        sketch_x = x[plan.indices] * plan.weights[:, None, None]
-        sketch_y = y[plan.indices] * plan.weights[:, None, None]
-        spatial = solve_ols(TlsProblem(sketch_x, sketch_y))
-        ok &= np.abs(fast.b - spatial.b).max() <= 1e-10 * max(1.0, np.abs(fast.b).max())
-        passed += bool(ok)
-    return passed, cases
+def _case_solver(rng) -> bool:
+    n, p, l = 40, 3, 4
+    x = rng.standard_normal((n, p, l))
+    y = rng.standard_normal((n, 1, l))
+    prob = TlsProblem(x, y)
+    sol = solve_ols(prob)
+    dense = np.linalg.lstsq(bcirc(x), unfold(y), rcond=None)[0]
+    ok = np.abs(sol.b - fold(dense, p, l)).max() <= 1e-8 * max(1.0, np.abs(dense).max())
+    plan = draw_plan(uniform_probs(n), 4 * p, seed=int(rng.integers(2**32)))
+    fast = solve_subsampled(prob, plan)
+    sketch_x = x[plan.indices] * plan.weights[:, None, None]
+    sketch_y = y[plan.indices] * plan.weights[:, None, None]
+    spatial = solve_ols(TlsProblem(sketch_x, sketch_y))
+    ok &= np.abs(fast.b - spatial.b).max() <= 1e-10 * max(1.0, np.abs(fast.b).max())
+    return ok
 
 
-def _suite_distributions(rng, cases=5):
-    passed = 0
-    for _ in range(cases):
-        n, p, l = 25, 3, 4
-        x = rng.standard_normal((n, p, l))
-        lev = leverage_probs(x)
-        ok = abs(lev.leverage.sum() - p) <= 1e-10
-        for dist in (uniform_probs(n), lev, shrinked_leverage_probs(x, 0.9), optimal_probs(x)):
-            ok &= abs(dist.probs.sum() - 1.0) <= 1e-12
-        passed += bool(ok)
-    return passed, cases
+def _case_distributions(rng) -> bool:
+    n, p, l = 25, 3, 4
+    x = rng.standard_normal((n, p, l))
+    lev = leverage_probs(x)
+    ok = abs(lev.leverage.sum() - p) <= 1e-10
+    for dist in (uniform_probs(n), lev, shrinked_leverage_probs(x, 0.9), optimal_probs(x)):
+        ok &= abs(dist.probs.sum() - 1.0) <= 1e-12
+    return ok
 
 
+# (name, one random case, number of cases); each suite draws its cases from
+# its own generator seeded with _SEED.
 SUITES = (
-    ("t-product vs block-circulant", _suite_t_product),
-    ("transpose and Parseval", _suite_transpose),
-    ("thin tubal SVD", _suite_tsvd),
-    ("pseudoinverse identities", _suite_pinv),
-    ("solver equivalence", _suite_solver),
-    ("sampling distributions", _suite_distributions),
+    ("t-product vs block-circulant", _case_t_product, 20),
+    ("transpose and Parseval", _case_transpose, 20),
+    ("thin tubal SVD", _case_tsvd, 10),
+    ("pseudoinverse identities", _case_pinv, 10),
+    ("solver equivalence", _case_solver, 5),
+    ("sampling distributions", _case_distributions, 5),
 )
 
 
-def run(out=None) -> bool:
-    """Run every suite; print per-suite pass counts; True when all pass."""
-    import sys
-
-    out = out or sys.stdout
+def run(out) -> bool:
+    """Run every suite; print per-suite pass counts to `out`; True when all pass."""
     all_ok = True
-    for name, suite in SUITES:
+    for name, case, cases in SUITES:
         rng = np.random.default_rng(_SEED)
-        passed, total = suite(rng)
-        print(f"{name}: {passed}/{total} passed", file=out)
-        all_ok &= passed == total
+        passed = sum(bool(case(rng)) for _ in range(cases))
+        print(f"{name}: {passed}/{cases} passed", file=out)
+        all_ok &= passed == cases
     return all_ok

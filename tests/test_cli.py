@@ -7,6 +7,7 @@ import numpy as np
 import pytest
 
 import tlsq
+from tlsq import selfcheck
 from tlsq.cli import main
 
 
@@ -94,6 +95,25 @@ class TestSolve:
                      "--response", str(tmp_path / "absent.tt"),
                      "--method", "ols", "--out", str(tmp_path / "o.tt")])
         assert code == 3
+
+
+class TestTooLargeForMemory:
+    # 10**17 draws or replicates ask numpy for 8e17 bytes, beyond a 48-bit
+    # address space, so the allocation fails under any overcommit setting.
+    @pytest.mark.parametrize("command", ["solve", "experiment"])
+    def test_exits_2_with_one_error_line(self, problem_files, tmp_path, capsys, command):
+        _, _, xp, yp = problem_files
+        huge = 10**17
+        if command == "solve":
+            argv = ["solve", "--design", xp, "--response", yp, "--method", "unif",
+                    "--tau", str(huge), "--seed", "1", "--out", str(tmp_path / "b.tt")]
+        else:
+            cfg = write_config(tmp_path, replicates=huge, taus="12")
+            argv = ["experiment", "--config", cfg, "--out", str(tmp_path / "r.csv")]
+        assert main(argv) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error:") and err.count("\n") == 1
+        assert "Traceback" not in err
 
 
 class TestUsage:
@@ -369,8 +389,27 @@ class TestExperiment:
             assert all(np.isnan(v) for v in (r.smrfv, r.smre, r.ssb, r.sv, r.smse))
 
 
+SELFCHECK_LINES = [
+    "t-product vs block-circulant: 20/20 passed",
+    "transpose and Parseval: 20/20 passed",
+    "thin tubal SVD: 10/10 passed",
+    "pseudoinverse identities: 10/10 passed",
+    "solver equivalence: 5/5 passed",
+    "sampling distributions: 5/5 passed",
+]
+
+
 class TestSelfcheck:
     def test_passes_and_prints_counts(self, capsys):
         assert main(["selfcheck"]) == 0
-        out = capsys.readouterr().out
-        assert out.count("passed") == 6
+        assert capsys.readouterr().out.splitlines() == SELFCHECK_LINES
+
+    def test_failing_suite_exits_2_and_still_prints_every_line(self, capsys, monkeypatch):
+        suites = list(selfcheck.SUITES)
+        name, _, cases = suites[2]
+        suites[2] = (name, lambda rng: False, cases)
+        monkeypatch.setattr(selfcheck, "SUITES", tuple(suites))
+        assert main(["selfcheck"]) == 2
+        expected = list(SELFCHECK_LINES)
+        expected[2] = f"{name}: 0/{cases} passed"
+        assert capsys.readouterr().out.splitlines() == expected

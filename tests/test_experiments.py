@@ -14,6 +14,7 @@ from tlsq.errors import SketchRankDeficient
 from tlsq.experiments import (
     ConfigError,
     ExperimentConfig,
+    MetricsRow,
     compute_metrics,
     covariance_matrix,
     gen_design,
@@ -731,6 +732,25 @@ class TestReportIo:
         path = tmp_path / "empty.csv"
         write_report([], path)
         assert path.read_text() == "method,tau,smrfv,smre,ssb,sv,smse,mean_ms,replicates,failures\n"
+
+    def test_golden_bytes(self, tmp_path):
+        # Floats that shortest repr would shorten, a NaN, a signed zero, a
+        # subnormal and numpy scalars, each in its declared column format.
+        rows = [
+            MetricsRow("unif", np.int64(300), 0.1, np.float32(0.1), 1 / 3, 1e-300,
+                       np.float64(2.5e10), math.nan, np.int64(25), 0),
+            MetricsRow("lev", 150, 0.3, -0.0, 1e16, 5e-324, np.float32(3.0), 12.5, 24,
+                       np.int64(1)),
+        ]
+        path = tmp_path / "golden.csv"
+        write_report(rows, path)
+        assert path.read_bytes() == (
+            b"method,tau,smrfv,smre,ssb,sv,smse,mean_ms,replicates,failures\n"
+            b"lev,150,0.29999999999999999,-0,10000000000000000,4.9406564584124654e-324,"
+            b"3,12.5,24,1\n"
+            b"unif,300,0.10000000000000001,0.10000000149011612,0.33333333333333331,1e-300,"
+            b"25000000000,nan,25,0\n"
+        )
 
     def test_single_cell_two_lines(self, tmp_path):
         rows = self.make_rows()[:1]
