@@ -301,21 +301,23 @@ def build_distribution(x, method: str, alpha: float = 0.9) -> SamplingDistributi
     raise ValueError(f"unknown method {method!r}")
 
 
-def _matrix_distribution(prob: TlsProblem, kind: str) -> SamplingDistribution:
-    """Row distribution over the n*l rows of the problem's flattened block-circulant system.
+def _cell_distribution(prob: TlsProblem, kind: str, matrix: bool, alpha: float):
+    """Distribution `kind` of a report cell: over the problem's n rows, or its n*l matrix rows.
 
-    The unitary DFT block-diagonalises bcirc(X) (Kilmer & Martin 2011), so row
-    (r, i) of bcirc(X) has the tensor's slice-averaged leverage h_i in every
-    block row r: `lev` tiles the problem's leverage l times, with no SVD of
-    the embedding.
+    A tensor cell's is build_distribution's. A matrix cell samples the rows
+    of the problem's flattened block-circulant system, unif or lev
+    (MATRIX_KINDS). The unitary DFT block-diagonalises bcirc(X) (Kilmer &
+    Martin 2011), so row (r, i) of bcirc(X) has the tensor's slice-averaged
+    leverage h_i in every block row r: `lev` tiles the problem's leverage l
+    times, with no SVD of the embedding.
     """
+    if not matrix:
+        return build_distribution(prob, kind, alpha)
     n, _, l = prob.shape
     if kind == "unif":
         return uniform_probs(n * l)
-    if kind == "lev":
-        lev = leverage_probs(prob)
-        return replace(lev, probs=np.tile(lev.probs / l, l), leverage=np.tile(lev.leverage, l))
-    raise ValueError(f"matrix baseline supports unif or lev, got {kind!r}")
+    lev = leverage_probs(prob)
+    return replace(lev, probs=np.tile(lev.probs / l, l), leverage=np.tile(lev.leverage, l))
 
 
 def _bcirc_rows(x) -> np.ndarray:
@@ -331,7 +333,7 @@ def _bcirc_rows(x) -> np.ndarray:
     return np.lib.stride_tricks.sliding_window_view(doubled, p * l, axis=1)[:, : l * p : p][:, ::-1]
 
 
-def _solve_matrix_sketches(views, problems, indices, weights) -> list:
+def _solve_matrix_sketches(views, problems, indices, weights):
     """Solve one matrix-baseline sketch per plan, plan j on the flattened system of problems[j].
 
     Plan j draws rows (r, i) = divmod(row, n) of the problem's bcirc(X),
@@ -339,27 +341,26 @@ def _solve_matrix_sketches(views, problems, indices, weights) -> list:
     gathered as response[i, :, r]. Each plan is compressed to its unique rows
     (_compress) and solved by one lstsq with the cutoff eps * max(tau, p*l):
     lstsq's default cutoff on the uncompressed tau-row sketch. Returns
-    (b, objective) per plan, or a SketchRankDeficient for a sketch of rank
-    below p*l. lstsq's coefficients are spatial, so the kept ones are
-    transformed forward once, together (_to_half), and one _r_objectives
-    call reads their objectives.
+    _solve_sketches' stacks (ok, bs, objectives, errors), where a plan
+    loses its rank when its sketch's rank is below p*l. lstsq's
+    coefficients are spatial, so the kept ones are transformed forward
+    once, together (_to_half), and one _r_objectives call reads their
+    objectives.
     """
     n, p, l = problems[0].shape
     taus, picked, scale, unique = _compress(indices, weights, n * l, p)
     rconds = _EPS * np.maximum(taus, p * l)
-    fits, bs = [None] * len(problems), np.empty((len(problems), p, 1, l))
+    bs, errors = np.empty((len(problems), p, 1, l)), [None] * len(problems)
     for j, (view, prob, rcond) in enumerate(zip(views, problems, rconds)):
         (r, i), w = np.divmod(picked[j, : unique[j]], n), scale[j, : unique[j], None]
         sol, _, rank, _ = np.linalg.lstsq(view[i, r] * w, prob.response[i, :, r] * w, rcond=rcond)
         bs[j] = fold(sol, p, l)
         if rank < p * l:
-            fits[j] = SketchRankDeficient(f"matrix sketch has rank {rank} < {p * l}")
-    kept = [j for j, fit in enumerate(fits) if fit is None]
-    if kept:
-        bhalf = _to_half(bs[kept].reshape(-1, 1, l)).reshape(-1, len(kept), p, 1).swapaxes(0, 1)
-        for j, f in zip(kept, _r_objectives([problems[j] for j in kept], bhalf)):
-            fits[j] = (bs[j], float(f))
-    return fits
+            errors[j] = SketchRankDeficient(f"matrix sketch has rank {rank} < {p * l}")
+    ok = np.array([error is None for error in errors])
+    bhalf = _to_half(bs[ok].reshape(-1, 1, l)).reshape(l // 2 + 1, -1, p, 1).swapaxes(0, 1)
+    kept = [pb for pb, keep in zip(problems, ok) if keep]
+    return ok, bs[ok], _r_objectives(kept, bhalf), errors
 
 
 def _max_workers() -> int:
@@ -383,40 +384,39 @@ def _map_chunks(worker, chunks):
 
 @dataclass
 class _ReplicateState:
-    prob: TlsProblem  # carries the response of stream key `key` (_response_key)
-    key: tuple
-    dists: dict
-    smls: tuple | None  # (_bcirc_rows of the design, {kind: dist}) when the baseline is on
+    prob: TlsProblem  # carries the response of its design's first replicate (_prepare_state)
+    dists: dict  # (kind, matrix) -> _cell_distribution, for every cell
+    rows: np.ndarray | None  # _bcirc_rows of the design when some cell is a matrix cell
 
 
 def _aggregate(parts, cells, truth) -> list[MetricsRow]:
     """One MetricsRow per cell from the chunks' outputs, sorted by method and tau.
 
     Each part is one chunk's (problems, exact solutions, exact objectives,
-    batches), in replicate order, where batches[c] is cell c's (fits, share):
-    its fit per replicate and each replicate's share of its wall time. A
-    cell's fits are concatenated over the chunks, its SketchRankDeficient
-    plans are counted as failures and masked out, and one compute_metrics
-    call aggregates the rest.
+    batches), in replicate order, where batches[c] is cell c's (ok, bs,
+    objectives, wall times): the stacks its solver returned and each
+    replicate's share of the batch's wall time. A cell's stacks are
+    concatenated over the chunks, its plans that lost rank are counted as
+    failures and masked out, and one compute_metrics call aggregates the
+    rest.
     """
     problems, exact, exact_objectives, batches = zip(*parts)
     problems = [pb for chunk in problems for pb in chunk]
     exact, exact_objectives = np.concatenate(exact), np.concatenate(exact_objectives)
     rows = []
     for c, cell in enumerate(cells):
-        fits = [fit for chunk in batches for fit in chunk[c][0]]
-        kept = [j for j, fit in enumerate(fits) if not isinstance(fit, SketchRankDeficient)]
+        ok, bs, objectives, wall_times = map(np.concatenate, zip(*(chunk[c] for chunk in batches)))
         row = compute_metrics(
-            np.reshape([fits[j][0] for j in kept], (len(kept), *truth.shape)),
-            exact[kept],
+            bs,
+            exact[ok],
             truth,
-            [problems[j] for j in kept],
-            objectives=[fits[j][1] for j in kept],
-            exact_objectives=exact_objectives[kept],
+            [pb for pb, keep in zip(problems, ok) if keep],
+            objectives=objectives,
+            exact_objectives=exact_objectives[ok],
             method=cell.label,
             tau=cell.tau,
-            wall_times=[chunk[c][1] for chunk in batches for _ in chunk[c][0]],
-            failures=len(fits) - len(kept),
+            wall_times=wall_times,
+            failures=np.count_nonzero(~ok),
         )
         rows.append(row)
     return sorted(rows, key=lambda r: (r.method, r.tau))
@@ -443,42 +443,43 @@ class _Cell:
 def _run_cells(cfg: ExperimentConfig, cells) -> list[MetricsRow]:
     """Run every cell in every replicate and aggregate one MetricsRow per cell.
 
-    The design is drawn once and shared, or per replicate under
-    `redraw_design`; cfg's methods and smls decide the distributions each
-    design state builds, so they must cover every cell's kind. The pool
-    maps near-equal chunks of the replicates (_REPLICATE_CHUNK), so at most
+    The cells are the run's only description: each design state builds the
+    distributions they name (_prepare_state). The design is drawn once and
+    shared, or per replicate under `redraw_design`. The pool maps
+    near-equal chunks of the replicates (_REPLICATE_CHUNK), so at most
     ceil(R / 8) tasks run at once. A chunk takes its replicates' problems,
     each redrawn design's own problem or the shared design's
     _replicate_problems, and reads their exact solutions and objectives in
     one _exact_solutions call. It draws each cell's plans, one per
     replicate and each from its own stream key, in one _draw_plans call and
     solves them as one batch: a tensor cell by _solve_sketches, a matrix
-    cell by _solve_matrix_sketches. With `timing` on, a cell's wall time in
+    cell by _solve_matrix_sketches, both of which return the stacks
+    (ok, bs, objectives, errors). With `timing` on, a cell's wall time in
     a replicate is an equal share of its batch's draw and solve; otherwise
-    it is NaN. _aggregate turns the chunks' outputs into the rows.
+    it is NaN. _aggregate concatenates the chunks' stacks into the rows.
     """
     clock = time.perf_counter if cfg.timing else lambda: math.nan
-    base = None if cfg.redraw_design else _prepare_state(cfg, _STREAM_DESIGN)
+    base = None if cfg.redraw_design else _prepare_state(cfg, cells, _STREAM_DESIGN)
 
     def worker(chunk):
         if base is None:
-            states = [_prepare_state(cfg, _STREAM_DESIGN, b) for b in chunk]
+            states = [_prepare_state(cfg, cells, _STREAM_DESIGN, b) for b in chunk]
             problems = [state.prob for state in states]
         else:
             states = [base] * len(chunk)
             problems = _replicate_problems(cfg, base, chunk)
-        fits = []
+        batches = []
         for cell in cells:
             start = clock()
             rngs = [_rng(cfg.seed, cell.stream, b, *cell.index) for b in chunk]
-            dists = [(state.smls[1] if cell.matrix else state.dists)[cell.kind] for state in states]
-            plans = _draw_plans(dists, cell.draws, rngs)
+            plans = _draw_plans([s.dists[cell.kind, cell.matrix] for s in states], cell.draws, rngs)
             if cell.matrix:
-                cell_fits = _solve_matrix_sketches([s.smls[0] for s in states], problems, *plans)
+                batch = _solve_matrix_sketches([s.rows for s in states], problems, *plans)
             else:
-                cell_fits = _solve_sketches(problems, *plans)
-            fits.append((cell_fits, (clock() - start) * 1e3 / len(chunk)))
-        return (problems, *_exact_solutions(problems), fits)
+                batch = _solve_sketches(problems, *plans)
+            share = (clock() - start) * 1e3 / len(chunk)
+            batches.append((*batch[:3], np.full(len(chunk), share)))
+        return (problems, *_exact_solutions(problems), batches)
 
     chunks = np.array_split(np.arange(cfg.replicates), -(-cfg.replicates // _REPLICATE_CHUNK))
     return _aggregate(_map_chunks(worker, chunks), cells, true_coefficients(cfg.p, cfg.l))
@@ -511,20 +512,22 @@ def run_experiment(cfg: ExperimentConfig) -> list[MetricsRow]:
     return _run_cells(cfg, cells)
 
 
-def _prepare_state(cfg: ExperimentConfig, stream, *key) -> _ReplicateState:
-    """The design drawn from stream (seed, stream, *key), its problem and distributions.
+def _prepare_state(cfg: ExperimentConfig, cells, stream, *key) -> _ReplicateState:
+    """The design drawn from stream (seed, stream, *key), its problem and the cells' distributions.
 
     Key (b,) draws replicate b's own design under redraw_design, key () the
     shared one. The problem carries the response that the design's first
-    replicate reads: replicate b's, or replicate 0's on the shared design.
+    replicate reads: replicate b's, or replicate 0's on the shared design,
+    whose key is _response_key(cfg, 0). It builds exactly the distributions
+    the cells name, one per (kind, matrix), and the design's _bcirc_rows
+    only when some cell is a matrix cell.
     """
     x = gen_design(cfg.design, cfg.n, cfg.p, cfg.l, _rng(cfg.seed, stream, *key))
-    response_key = _response_key(cfg, *(key or (0,)))
-    prob = TlsProblem(x, _response(cfg, _signal(x), response_key))
-    dists = {m: build_distribution(prob, m, cfg.alpha) for m in cfg.methods}
-    kinds = [m for m in cfg.methods if m in MATRIX_KINDS] if cfg.smls != "off" else []
-    smls = (_bcirc_rows(x), {k: _matrix_distribution(prob, k) for k in kinds}) if kinds else None
-    return _ReplicateState(prob=prob, key=response_key, dists=dists, smls=smls)
+    prob = TlsProblem(x, _response(cfg, _signal(x), _response_key(cfg, *(key or (0,)))))
+    named = dict.fromkeys((cell.kind, cell.matrix) for cell in cells)
+    dists = {k: _cell_distribution(prob, *k, cfg.alpha) for k in named}
+    rows = _bcirc_rows(x) if any(cell.matrix for cell in cells) else None
+    return _ReplicateState(prob=prob, dists=dists, rows=rows)
 
 
 def _response_key(cfg: ExperimentConfig, b) -> tuple:
@@ -541,12 +544,12 @@ def _replicate_problems(cfg: ExperimentConfig, state: _ReplicateState, replicate
     """The problem of each listed replicate on the state's design.
 
     Replicates that share a response key share one problem. The state's
-    problem serves its own key; the responses of the other keys are drawn
-    and fitted by one _on_design factorization.
+    problem serves replicate 0's key; the responses of the other keys are
+    drawn and fitted by one _on_design factorization.
     """
-    keys = [_response_key(cfg, b) for b in replicates]
-    fresh = list(dict.fromkeys(k for k in keys if k != state.key))
-    built = {state.key: state.prob}
+    keys, own = [_response_key(cfg, b) for b in replicates], _response_key(cfg, 0)
+    fresh = list(dict.fromkeys(k for k in keys if k != own))
+    built = {own: state.prob}
     if fresh:
         signal = _signal(state.prob.design)
         responses = [_response(cfg, signal, k) for k in fresh]
@@ -560,13 +563,13 @@ def run_mls_comparison(cfg: ExperimentConfig) -> list[MetricsRow]:
     Methods named stls-<kind>, smls-<kind>-tau, and smls-<kind>-ltau, where
     kind ranges over the uniform/leverage entries of cfg.methods. All rows
     are keyed by the grid tau; the -ltau rows used l*tau matrix samples.
-    The config's smls and timing are ignored: every cell is timed. The
-    design is shared, or redrawn per replicate under `redraw_design`.
+    The cells name every distribution the run builds, so the config's smls
+    is ignored; so is its timing: every cell is timed. The design is
+    shared, or redrawn per replicate under `redraw_design`.
     """
     kinds = [m for m in cfg.methods if m in MATRIX_KINDS]
     if not kinds:
         raise ConfigError("the matrix comparison needs unif or lev among the methods")
-    base_cfg = replace(cfg, smls="same_tau", methods=tuple(kinds), timing=True)
     cells = []
     for ki, kind in enumerate(kinds):
         for ti, tau in enumerate(cfg.taus):
@@ -575,7 +578,7 @@ def run_mls_comparison(cfg: ExperimentConfig) -> list[MetricsRow]:
                 _Cell(f"smls-{kind}-tau", tau, kind, tau, _STREAM_SMLS, (ki, ti), True),
                 _Cell(f"smls-{kind}-ltau", tau, kind, cfg.l * tau, _STREAM_SMLS + 1, (ki, ti), True),
             ]
-    return _run_cells(base_cfg, cells)
+    return _run_cells(replace(cfg, timing=True), cells)
 
 
 def write_report(rows, path) -> None:
@@ -589,17 +592,18 @@ def write_report(rows, path) -> None:
 
 
 def read_report(path) -> list[MetricsRow]:
-    """Parse a report written by write_report; floats round-trip exactly."""
-    rows = []
+    """Parse a report written by write_report; floats round-trip exactly.
+
+    Each column is parsed by its MetricsRow field type. A foreign header, or
+    a row with a missing or an extra column, raises ValueError.
+    """
+    parsers = [_PARSERS[f.type] for f in fields(MetricsRow)]
     with open(path, newline="") as fh:
         reader = csv.reader(fh)
         header = next(reader)
         if tuple(header) != REPORT_HEADER:
             raise ValueError(f"unexpected report header {header}")
-        for method, tau, smrfv, smre, ssb, sv, smse, mean_ms, replicates, failures in reader:
-            floats = [float(v) for v in (smrfv, smre, ssb, sv, smse, mean_ms)]
-            rows.append(MetricsRow(method, int(tau), *floats, int(replicates), int(failures)))
-    return rows
+        return [MetricsRow(*(f(v) for f, v in zip(parsers, row, strict=True))) for row in reader]
 
 
 def _parse_flag(s: str) -> bool:
@@ -608,22 +612,16 @@ def _parse_flag(s: str) -> bool:
     return s == "1"
 
 
-_CONFIG_PARSERS = {
-    "n": int,
-    "p": int,
-    "l": int,
-    "design": str,
-    "sigma2": float,
-    "replicates": int,
-    "taus": lambda s: tuple(int(v) for v in s.split(",") if v.strip()),
-    "methods": lambda s: tuple(v.strip() for v in s.split(",") if v.strip()),
-    "alpha": float,
-    "seed": int,
-    "smls": str,
-    "mode": str,
-    "redraw_design": _parse_flag,
-    "timing": _parse_flag,
+# One parser per declared field type, for config values and report columns.
+_PARSERS = {
+    "int": int,
+    "float": float,
+    "str": str,
+    "bool": _parse_flag,
+    "tuple[int, ...]": lambda s: tuple(int(v) for v in s.split(",") if v.strip()),
+    "tuple[str, ...]": lambda s: tuple(v.strip() for v in s.split(",") if v.strip()),
 }
+_CONFIG_PARSERS = {f.name: _PARSERS[f.type] for f in fields(ExperimentConfig)}
 
 
 def parse_config_file(path) -> ExperimentConfig:

@@ -223,8 +223,11 @@ def _r_objectives(problems, bhalf) -> np.ndarray:
     times the slice condition number, not its square as with an exact fit
     taken from the normal equations R11^H R11. `bhalf` holds the solutions'
     half spectra, (len(problems), l//2 + 1, p, 1), as the triangular solves
-    leave them, so no solution is transformed here.
+    leave them, so no solution is transformed here. An empty batch has no
+    objectives.
     """
+    if not problems:
+        return np.zeros(0)
     r11, ols_half, rho = (
         np.stack(a) for a in zip(*[(pb._design.r11, pb._ols_half, pb._rho) for pb in problems])
     )
@@ -269,11 +272,12 @@ def _solve_factored(r, p: int, rows, l: int):
     2-norm condition number is at most that Frobenius product, and no SVD
     is taken. Otherwise (a singular pivot, a non-finite or a larger bound)
     the singular values of every R11 decide, and the stacks of full rank
-    are solved again. Returns (ok, bhalf, fits): `ok` masks the stacks of
+    are solved again. Returns (ok, bhalf, errors): `ok` masks the stacks of
     full rank, `bhalf` holds their half-spectrum solutions,
-    (count(ok), l//2 + 1, p, k), and `fits` has one entry per stack, a
+    (count(ok), l//2 + 1, p, k), and `errors` has one entry per stack, a
     SketchRankDeficient naming the first short slice (1-based) of a stack
-    that lost rank and None otherwise.
+    that lost rank and None otherwise. The sketch solvers keep this mask
+    and error list in the batch they return.
     """
     cutoff = np.finfo(np.float64).eps * np.maximum(np.asarray(rows), p)
     r11 = r[..., :p, :p]
@@ -290,15 +294,15 @@ def _solve_factored(r, p: int, rows, l: int):
     tol = cutoff[:, None] * s[..., 0]
     short = s[..., p - 1] <= tol
     ok = ~short.any(axis=1)
-    fits = [None] * len(ok)
+    errors = [None] * len(ok)
     for k in np.flatnonzero(~ok):
         j = int(np.argmax(short[k]))
         rank = int(np.count_nonzero(s[k, j] > tol[k, j]))
-        fits[k] = SketchRankDeficient(
+        errors[k] = SketchRankDeficient(
             f"sketched design has rank {rank} < {p} in DFT slice {j + 1} of {l}",
             slice_index=j + 1,
         )
-    return ok, _back_substitute(r[ok], p), fits
+    return ok, _back_substitute(r[ok], p), errors
 
 
 def _back_substitute(r, p: int) -> np.ndarray:
@@ -340,22 +344,16 @@ def _fitted(design: _Design, ys, halves, r, probs=None) -> list:
     return probs
 
 
-def _finish(problems, bhalf):
-    """Solutions (k, p, 1, l) and objectives (k,) from half spectra bhalf (k, l//2 + 1, p, 1).
-
-    Solution j solves problems[j]. One inverse transform (_from_half, which
-    checks each solution's imaginary residue) gives the solutions, and one
-    _r_objectives call reads their objectives from the same half spectra.
-    """
-    return _from_half(bhalf, problems[0].shape[2]), _r_objectives(problems, bhalf)
-
-
 def _exact_solutions(problems):
     """Exact solutions (k, p, 1, l) of the problems and their objectives (k,), read from their fits.
 
-    _finish of the fits themselves: each objective is exactly the weighted sum of its rho.
+    Solution j solves problems[j]. One inverse transform (_from_half, which
+    checks each solution's imaginary residue) gives the solutions, and one
+    _r_objectives call reads their objectives from the same half spectra:
+    each objective is exactly the weighted sum of its rho.
     """
-    return _finish(problems, np.stack([pb._ols_half for pb in problems]))
+    bhalf = np.stack([pb._ols_half for pb in problems])
+    return _from_half(bhalf, problems[0].shape[2]), _r_objectives(problems, bhalf)
 
 
 def solve_ols(prob: TlsProblem) -> TlsSolution:
@@ -401,7 +399,7 @@ def _compress(indices, weights, n: int, p: int):
     return taus, picked, scale, unique
 
 
-def _solve_sketches(problems, indices, weights) -> list:
+def _solve_sketches(problems, indices, weights):
     """Solve the sketches of several plans in one batch, plan j on problems[j].
 
     Plan j draws rows indices[j] with weights weights[j] (see _compress).
@@ -410,10 +408,13 @@ def _solve_sketches(problems, indices, weights) -> list:
     padded with zero rows (which leave R unchanged) to a common height of at
     least p, stacked as (B, l//2 + 1, rows, p + 1) and factored by one
     R-only QR; _solve_factored checks the rank and solves every triangle in
-    one batch. Each plan gathers its rows from its own problem. Returns one
-    entry per plan: (b, objective), both made by _finish from the solve's
-    half spectrum, or the plan's SketchRankDeficient; the rank cutoff counts
-    a plan's tau draws, not its unique rows. Padding costs rows, so a batch
+    one batch. Each plan gathers its rows from its own problem. Returns the
+    stacks (ok, bs, objectives, errors): `ok` masks the plans that kept
+    their rank, `bs` (count(ok), p, 1, l) and `objectives` (count(ok),) are
+    theirs, made by one inverse transform (_from_half) and one
+    _r_objectives call from the solve's half spectra, and `errors` holds
+    each plan's SketchRankDeficient or None. The rank cutoff counts a
+    plan's tau draws, not its unique rows. Padding costs rows, so a batch
     should hold plans of similar height, as the replicate driver's batches
     of one cell do.
     """
@@ -424,12 +425,9 @@ def _solve_sketches(problems, indices, weights) -> list:
         m[:, j, :, :p] = pb._design.half[:, picked[j]]
         m[:, j, :, p] = pb.response_half[:, picked[j], 0]
     m *= scale[:, :, None]
-    ok, bhalf, fits = _solve_factored(_tsqr_r(_row_blocks(m.swapaxes(0, 1))), p, taus, l)
-    kept = np.flatnonzero(ok)
-    if len(kept):
-        for j, b, f in zip(kept, *_finish([problems[j] for j in kept], bhalf)):
-            fits[j] = (b, float(f))
-    return fits
+    ok, bhalf, errors = _solve_factored(_tsqr_r(_row_blocks(m.swapaxes(0, 1))), p, taus, l)
+    kept = [pb for pb, keep in zip(problems, ok) if keep]
+    return ok, _from_half(bhalf, l), _r_objectives(kept, bhalf), errors
 
 
 def solve_subsampled(prob: TlsProblem, plan: SamplingPlan) -> TlsSolution:
@@ -443,10 +441,10 @@ def solve_subsampled(prob: TlsProblem, plan: SamplingPlan) -> TlsSolution:
     the solution's half spectrum, as the solve leaves it, so it matches
     objective(prob, sol.b) to rounding, not bit for bit.
     """
-    (fit,) = _solve_sketches([prob], [plan.indices], [plan.weights])
-    if isinstance(fit, SketchRankDeficient):
-        raise fit
-    return TlsSolution(b=fit[0], objective=fit[1], method="subsampled", plan=plan)
+    ok, bs, objectives, errors = _solve_sketches([prob], [plan.indices], [plan.weights])
+    if not ok[0]:
+        raise errors[0]
+    return TlsSolution(b=bs[0], objective=float(objectives[0]), method="subsampled", plan=plan)
 
 
 def tau_lower_bound(p: int, l: int, beta: float, eps: float) -> int:

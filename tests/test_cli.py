@@ -328,17 +328,32 @@ class TestExperiment:
         assert main(["experiment", "--config", cfg, "--out", str(tmp_path / "r.csv")]) == 1
 
     @pytest.mark.parametrize(
-        "override",
-        [{"redraw_design": 5}, {"timing": 2}, {"p": 3}, {"n": 3},
-         {"l": 0}, {"l": -2}, {"sigma2": "inf"}, {"sigma2": "nan"},
-         {"methods": "unif,unif"}, {"taus": "20,20"}, {"methods": "lev,unif,lev"},
-         {"seed": -1}],
+        "command, override, fragment",
+        # each of these messages names its key
+        [("experiment", override, next(iter(override))) for override in (
+            {"redraw_design": 5}, {"timing": 2}, {"p": 3}, {"n": 3},
+            {"l": 0}, {"l": -2}, {"sigma2": "inf"}, {"sigma2": "nan"},
+            {"methods": "unif,unif"}, {"taus": "20,20"}, {"methods": "lev,unif,lev"},
+            {"seed": -1})]
+        + [
+            ("experiment", {"taus": ""}, "at least one tau is required"),
+            ("experiment", {"methods": ""}, "at least one method is required"),
+            # the newline ends the mode line and starts one with no '='
+            ("experiment", {"mode": "conditional\nreplicates 8"}, "expected key=value"),
+            ("compare-mls", {"methods": "slev,opt"}, "needs unif or lev among the methods"),
+        ],
+        ids=[f"override{i}" for i in range(12)]
+        + ["empty-taus", "empty-methods", "line-without-equals", "compare-mls-slev-opt"],
     )
-    def test_invalid_config_value_is_usage_error(self, tmp_path, capsys, override):
+    def test_invalid_config_value_is_usage_error(self, tmp_path, capsys, command, override,
+                                                 fragment):
         cfg = write_config(tmp_path, **override)
-        assert main(["experiment", "--config", cfg, "--out", str(tmp_path / "r.csv")]) == 1
+        out = tmp_path / "r.csv"
+        assert main([command, "--config", cfg, "--out", str(out)]) == 1
         err = capsys.readouterr().err
-        assert "error" in err and next(iter(override)) in err
+        assert "error" in err and fragment in err
+        assert err.startswith("error: ") and err.count("\n") == 1
+        assert not out.exists()
 
     @pytest.mark.parametrize("threads", ["two", "0", "-3"])
     def test_non_integer_thread_count_is_usage_error(self, tmp_path, capsys, monkeypatch, threads):

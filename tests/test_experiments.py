@@ -1,7 +1,6 @@
 """Data generators, metric definitions, harness determinism, and report I/O."""
 
 import math
-from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -329,34 +328,42 @@ def matrix_oracle(a, rhs, plan, p, l):
 def per_cell_loop(cfg, compare=False):
     """Reference reports from one solve per cell, on the same stream keys.
 
-    Replicate b's response is gen_response's draw from (seed, response
-    stream, b), or from (seed, response stream) if conditional, and its exact
-    fit is its own solve_ols. Its design is the shared one, or its own under
-    redraw_design, in both modes.
-    It draws the plan of tensor cell (i, j) from (seed, plan stream, b, i, j),
-    i indexing the methods (the unif/lev kinds in compare mode) and j the
-    taus, and solves it by solve_subsampled; matrix cells use the baseline
-    streams and matrix_oracle on the design's own bcirc(X). Each cell's row
-    is one compute_metrics call on the replicates whose sketch kept its rank.
+    Replicate b's design is gen_design's draw from (seed, design stream), or
+    from (seed, design stream, b) under redraw_design, in both modes. Its
+    response is gen_response's draw from (seed, response stream, b), or
+    from (seed, response stream) if conditional, and its exact fit is its
+    own solve_ols. It draws the plan of tensor cell (i, j) from (seed, plan
+    stream, b, i, j), i indexing the methods (the unif/lev kinds in compare
+    mode) and j the taus, from build_distribution on the design, and solves
+    it by solve_subsampled. Matrix cells use the baseline streams, draw
+    from a distribution over the rows of the design's own bcirc(X), uniform
+    or its leverage (leverage_probs of the embedding as an l = 1 tensor),
+    and solve by matrix_oracle. Each cell's row is one compute_metrics call
+    on the replicates whose sketch kept its rank.
     """
     ex = experiments
     kinds = [m for m in cfg.methods if m in ("unif", "lev")]
-    state_cfg = replace(cfg, smls="same_tau", methods=tuple(kinds)) if compare else cfg
-    base = None if cfg.redraw_design else ex._prepare_state(state_cfg, ex._STREAM_DESIGN)
+
+    def design(*key):
+        x = gen_design(cfg.design, cfg.n, cfg.p, cfg.l, ex._rng(cfg.seed, ex._STREAM_DESIGN, *key))
+        a = tlsq.bcirc(x)
+        dists = {m: ex.build_distribution(x, m, cfg.alpha) for m in cfg.methods}
+        matrix = {"unif": tlsq.uniform_probs(len(a)), "lev": tlsq.leverage_probs(a[:, :, None])}
+        return x, a, dists, matrix
+
+    base = None if cfg.redraw_design else design()
     cells = {}  # (label, tau) -> [(fit or None, problem, exact solve) per replicate]
 
     def replicate(b):
-        state = base if base is not None else ex._prepare_state(state_cfg, ex._STREAM_DESIGN, b)
+        x, a, dists, matrix_dists = base if base is not None else design(b)
         key = () if cfg.mode == "conditional" else (b,)
-        y, _ = gen_response(state.prob.design, ex._rng(cfg.seed, ex._STREAM_RESPONSE, *key),
-                            cfg.sigma2)
-        prob_b = state.prob.with_response(y)
+        y, _ = gen_response(x, ex._rng(cfg.seed, ex._STREAM_RESPONSE, *key), cfg.sigma2)
+        prob_b = tlsq.TlsProblem(x, y)
         ols = tlsq.solve_ols(prob_b)
-        a, rhs = tlsq.bcirc(state.prob.design), tlsq.unfold(prob_b.response)
+        rhs = tlsq.unfold(prob_b.response)
 
         def tensor_cell(label, tau, kind, index):
-            plan = tlsq.draw_plan(state.dists[kind], tau,
-                                  ex._rng(cfg.seed, ex._STREAM_PLAN, b, *index))
+            plan = tlsq.draw_plan(dists[kind], tau, ex._rng(cfg.seed, ex._STREAM_PLAN, b, *index))
             try:
                 sol = tlsq.solve_subsampled(prob_b, plan)
                 fit = (sol.b, sol.objective)
@@ -365,7 +372,7 @@ def per_cell_loop(cfg, compare=False):
             cells.setdefault((label, tau), []).append((fit, prob_b, ols))
 
         def matrix_cell(label, tau, kind, draws, stream, index):
-            plan = tlsq.draw_plan(state.smls[1][kind], draws, ex._rng(cfg.seed, stream, b, *index))
+            plan = tlsq.draw_plan(matrix_dists[kind], draws, ex._rng(cfg.seed, stream, b, *index))
             est = matrix_oracle(a, rhs, plan, cfg.p, cfg.l)
             fit = None if est is None else (est, tlsq.objective(prob_b, est))
             cells.setdefault((label, tau), []).append((fit, prob_b, ols))
@@ -379,9 +386,9 @@ def per_cell_loop(cfg, compare=False):
                                 ex._STREAM_SMLS + 1, (i, j))
                 else:
                     tensor_cell(method, tau, method, (i, j))
-        if not compare and state.smls is not None:
+        if not compare and cfg.smls != "off":
             factor = cfg.l if cfg.smls == "l_times_tau" else 1
-            for i, kind in enumerate(sorted(state.smls[1])):
+            for i, kind in enumerate(sorted(kinds)):
                 for j, tau in enumerate(cfg.taus):
                     matrix_cell(f"smls-{kind}", tau, kind, factor * tau, ex._STREAM_SMLS, (i, j))
 
@@ -459,7 +466,7 @@ class TestBatchedReplicateLoop:
         for mode in ex.REPLICATE_MODES:
             cfg = ExperimentConfig(seed=34, n=60, p=4, l=5, design="t3",
                                    replicates=ex._REPLICATE_CHUNK + 3, taus=(20,), mode=mode)
-            state = ex._prepare_state(cfg, ex._STREAM_DESIGN)
+            state = ex._prepare_state(cfg, [], ex._STREAM_DESIGN)
             problems = ex._replicate_problems(cfg, state, range(cfg.replicates))
             assert len(problems) == cfg.replicates
             fitted = zip(problems, *solver._exact_solutions(problems))
@@ -622,7 +629,7 @@ class TestSmlsBaseline:
         a = tlsq.bcirc(x)
         dense = np.linalg.lstsq(a, tlsq.unfold(y), rcond=None)[0]
         rows = np.arange(a.shape[0])
-        ((folded, _),) = experiments._solve_matrix_sketches(
+        _, (folded,), _, _ = experiments._solve_matrix_sketches(
             [experiments._bcirc_rows(x)], [prob], rows[None], np.ones((1, rows.size)))
         exact = tlsq.solve_ols(prob).b
         assert np.abs(folded - tlsq.fold(dense, 4, 3)).max() <= 1e-12
@@ -649,7 +656,8 @@ class TestSmlsBaseline:
         # Both sides are accurate to about eps * kappa.
         assume(np.linalg.cond(a) < 1e4)
         h = (np.linalg.svd(a, full_matrices=False)[0] ** 2).sum(axis=1)
-        dist = experiments._matrix_distribution(tlsq.TlsProblem(x, np.zeros((n, 1, l))), "lev")
+        prob = tlsq.TlsProblem(x, np.zeros((n, 1, l)))
+        dist = experiments._cell_distribution(prob, "lev", True, 0.9)
         assert np.abs(dist.leverage - h).max() <= 1e-12
         assert np.abs(dist.probs - h / h.sum()).max() <= 1e-12
 
@@ -686,15 +694,19 @@ class TestSmlsBaseline:
         candidates = rng.choice(n * l, size=min(pool, n * l), replace=False)
         indices = rng.choice(candidates, size=(plans, tau))
         weights = rng.uniform(0.5, 2.0, size=(plans, tau))
-        fits = experiments._solve_matrix_sketches([experiments._bcirc_rows(x)] * plans,
-                                                  [prob] * plans, indices, weights)
-        for fit, idx, w in zip(fits, indices, weights):
+        ok, bs, objectives, errors = experiments._solve_matrix_sketches(
+            [experiments._bcirc_rows(x)] * plans, [prob] * plans, indices, weights)
+        assert len(bs) == len(objectives) == np.count_nonzero(ok)
+        kept = iter(zip(bs, objectives))
+        for keep, error, idx, w in zip(ok, errors, indices, weights):
             want = matrix_oracle(a, rhs, tlsq.SamplingPlan(tau=tau, indices=idx, weights=w), p, l)
-            assert isinstance(fit, SketchRankDeficient) == (want is None), (idx, w)
+            assert isinstance(error, SketchRankDeficient) == (want is None), (idx, w)
+            assert keep == (error is None)
             if want is not None:
-                assert np.abs(fit[0] - want).max() <= 1e-10 * np.abs(want).max()
+                b, objective = next(kept)
+                assert np.abs(b - want).max() <= 1e-10 * np.abs(want).max()
                 # lstsq's coefficients take the same forward DFT as objective's argument.
-                assert fit[1] == tlsq.objective(prob, fit[0])
+                assert objective == tlsq.objective(prob, b)
 
     def test_comparison_rows(self):
         cfg = ExperimentConfig(seed=13, n=100, p=4, l=3, design="mn", replicates=4,
@@ -757,6 +769,22 @@ class TestReportIo:
         path = tmp_path / "one.csv"
         write_report(rows, path)
         assert len(path.read_text().strip().splitlines()) == 2
+
+    @pytest.mark.parametrize(
+        "lines",
+        [
+            pytest.param(["method,tau,smrfv"], id="foreign-header"),
+            pytest.param(["unif,300,1,2,3,4,5,nan,25"], id="missing-column"),
+            pytest.param(["unif,300,1,2,3,4,5,nan,25,0,7"], id="extra-column"),
+        ],
+    )
+    def test_malformed_report_raises(self, tmp_path, lines):
+        path = tmp_path / "bad.csv"
+        header = ",".join(experiments.REPORT_HEADER)
+        body = lines if lines[0].startswith("method,") else [header, *lines]
+        path.write_text("".join(f"{line}\n" for line in body))
+        with pytest.raises(ValueError):
+            read_report(path)
 
     def test_rows_sorted_deterministically(self, tmp_path):
         rows = self.make_rows()

@@ -252,14 +252,15 @@ class TestBatchDraw:
     def test_driver_grid(self, redraw, mode):
         cfg = ex.ExperimentConfig(seed=29, n=40, p=4, l=3, design="t1", replicates=5, taus=(4, 9),
                                   mode=mode, redraw_design=redraw)
-        states = [ex._prepare_state(cfg, ex._STREAM_DESIGN, *((b,) if redraw else ()))
+        cells = [ex._Cell(method, tau, method, tau, ex._STREAM_PLAN, (mi, ti))
+                 for mi, method in enumerate(cfg.methods) for ti, tau in enumerate(cfg.taus)]
+        states = [ex._prepare_state(cfg, cells, ex._STREAM_DESIGN, *((b,) if redraw else ()))
                   for b in range(cfg.replicates)]
-        for mi, method in enumerate(cfg.methods):
-            for ti, tau in enumerate(cfg.taus):
-                dists = [state.dists[method] for state in states]
-                self.assert_rows_match(
-                    dists, tau, lambda b: ex._rng(cfg.seed, ex._STREAM_PLAN, b, mi, ti)
-                )
+        for cell in cells:
+            dists = [state.dists[cell.kind, cell.matrix] for state in states]
+            self.assert_rows_match(
+                dists, cell.draws, lambda b: ex._rng(cfg.seed, cell.stream, b, *cell.index)
+            )
 
     @pytest.mark.parametrize("tau", [1, 2, 40])
     def test_zero_probability_rows_and_short_plans(self, tau):

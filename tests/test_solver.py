@@ -443,21 +443,24 @@ class TestDuplicateCompression:
         rng = np.random.default_rng(60)
         prob = make_problem(n=40, p=3, l=4, seed=61)
         plans = [repeated_plan(rng, 40, u, r) for u, r in ((20, 5), (3, 12), (2, 13), (9, 6))]
-        fits = solver._solve_sketches(
+        ok, bs, objectives, errors = solver._solve_sketches(
             [prob] * len(plans), [plan.indices for plan in plans], [plan.weights for plan in plans]
         )
-        for plan, fit in zip(plans, fits):
+        assert len(bs) == len(objectives) == np.count_nonzero(ok)
+        kept = iter(zip(bs, objectives))
+        for plan, keep, error in zip(plans, ok, errors):
+            assert keep == (error is None)
             try:
                 single = tlsq.solve_subsampled(prob, plan)
             except SketchRankDeficient as err:
-                assert isinstance(fit, SketchRankDeficient)
-                assert fit.slice_index == err.slice_index and str(fit) == str(err)
+                assert isinstance(error, SketchRankDeficient)
+                assert error.slice_index == err.slice_index and str(error) == str(err)
                 continue
-            b, obj = fit
+            b, obj = next(kept)
             assert np.abs(b - single.b).max() <= 1e-12 * max(1.0, np.abs(single.b).max())
             assert abs(obj - single.objective) <= 1e-12 * single.objective
-        assert isinstance(fits[2], SketchRankDeficient)
-        assert not isinstance(fits[0], SketchRankDeficient)
+        assert isinstance(errors[2], SketchRankDeficient)
+        assert not isinstance(errors[0], SketchRankDeficient)
 
 
 def svd_rank_rule(r, p, rows, l):
@@ -541,15 +544,17 @@ class TestRankScreen:
         rngs = [np.random.default_rng(s) for s in range(8)]
         indices, weights = sampling._draw_plans([dist] * 8, 300, rngs)
         calls = self.count_svd(monkeypatch)
-        fits = solver._solve_sketches([prob] * 8, indices, weights)
+        _, bs, objectives, errors = solver._solve_sketches([prob] * 8, indices, weights)
         assert calls == []
-        assert not any(isinstance(fit, SketchRankDeficient) for fit in fits)
+        assert not any(isinstance(error, SketchRankDeficient) for error in errors)
         indices[3] = np.resize(indices[3, :9], 300)
-        refits = solver._solve_sketches([prob] * 8, indices, weights)
+        ok, rebs, reobjectives, reerrors = solver._solve_sketches([prob] * 8, indices, weights)
         assert len(calls) == 1
-        assert isinstance(refits[3], SketchRankDeficient)
-        for j in (0, 1, 2, 4, 5, 6, 7):
-            assert np.array_equal(refits[j][0], fits[j][0]) and refits[j][1] == fits[j][1]
+        assert isinstance(reerrors[3], SketchRankDeficient)
+        # the kept plans are 0, 1, 2, 4, 5, 6 and 7, in that order
+        assert ok.tolist() == [True] * 3 + [False] + [True] * 4
+        for k, j in enumerate((0, 1, 2, 4, 5, 6, 7)):
+            assert np.array_equal(rebs[k], bs[j]) and reobjectives[k] == objectives[j]
 
 
 class TestOneSpectrumPerSolution:
@@ -569,8 +574,8 @@ class TestOneSpectrumPerSolution:
                 return _original(*args, **kwargs)
 
             monkeypatch.setattr(np.fft, name, counting)
-        fits = solver._solve_sketches(problems, indices, weights)
-        assert not any(isinstance(fit, SketchRankDeficient) for fit in fits)
+        ok, _, _, errors = solver._solve_sketches(problems, indices, weights)
+        assert ok.all() and not any(isinstance(error, SketchRankDeficient) for error in errors)
         assert counts == {"rfft": 0, "irfft": 1}
         counts.update(rfft=0, irfft=0)
         solver._exact_solutions(problems)
@@ -755,7 +760,7 @@ class TestWithResponseFit:
         ex = experiments
         cfg = tlsq.ExperimentConfig(seed=36, n=50, p=4, l=4, design="t3", replicates=3,
                                     taus=(20,), mode=mode)
-        state = ex._prepare_state(cfg, ex._STREAM_DESIGN)
+        state = ex._prepare_state(cfg, [], ex._STREAM_DESIGN)
         for prob_b in ex._replicate_problems(cfg, state, range(cfg.replicates)):
             fresh = tlsq.TlsProblem(state.prob.design, prob_b.response)
             self.assert_same_fit(tlsq.solve_ols(prob_b), tlsq.solve_ols(fresh))

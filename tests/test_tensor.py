@@ -51,6 +51,36 @@ class TestFourier:
             assert np.abs(blocks[:, :, k] - np.conj(blocks[:, :, l - k])).max() <= 1e-12
 
 
+class TestHalfStackInverse:
+    def test_self_conjugate_residue_is_checked_per_tensor(self):
+        """_from_half holds each tensor of a batch to IMAG_RESIDUE_TOL of its own magnitude.
+
+        A residue on the unit-scale tensor's slice l/2 raises even next to a
+        larger one that the 1e6-scale tensor tolerates, and a residue at
+        rounding level passes. The inverse drops what it checks, so a batch
+        that passes gives the clean batch's bits.
+        """
+        l = 6
+        x = np.stack([1e6 * rand((5, 3, l), 5), rand((5, 3, l), 6)])
+        half = np.stack([_to_half(t) for t in x])
+        clean = tensor._from_half(half, l)
+        assert np.abs(clean - x).max() <= 1e-9
+
+        def with_residue(large, small, k=l // 2):
+            blocks = half.copy()
+            blocks[0, k, 0, 0] += large * 1j
+            blocks[1, k, 2, 1] += small * 1j
+            return blocks
+
+        for large, small in ((1e-4, 0.0), (1e-4, 1e-12), (0.0, 1e-12)):
+            assert np.array_equal(tensor._from_half(with_residue(large, small), l), clean)
+        for k in (0, l // 2):
+            with pytest.raises(ImaginaryResidue, match="imaginary residue"):
+                tensor._from_half(with_residue(1e-4, 1e-5, k), l)
+        with pytest.raises(ImaginaryResidue):
+            tensor._from_half(with_residue(1.0, 0.0), l)
+
+
 class TestHalfStackLayout:
     """_to_half writes the rfft of each block of rows into a C-contiguous (l//2 + 1, n, p) stack.
 
