@@ -34,8 +34,8 @@ from .sampling import (
     shrinked_leverage_probs,
     uniform_probs,
 )
-from .solver import TlsProblem, _as_design, _compress, _exact_solutions, _on_design
-from .solver import _r_objectives, _solve_sketches
+from .solver import TlsProblem, _as_design, _compress, _exact_solutions, _factor_sketches
+from .solver import _finish_sketches, _on_design, _r_objectives
 from .tensor import _to_half, as_tensor, fold
 
 DESIGN_KINDS = ("mn", "t3", "t1")
@@ -53,10 +53,12 @@ _STREAM_SMLS = 3
 
 # The replicates run in ceil(R / _REPLICATE_CHUNK) near-equal chunks, one
 # pool task each, so at most that many threads work at once. A chunk fits its
-# responses on one design by one factorization of [X | Y] and solves each
-# tensor cell as one batch of one plan per replicate. The chunk bounds the
-# memory those stacks take. It depends on R alone, so reports do not depend
-# on the thread count.
+# responses on one design by one factorization of [X | Y], factors each
+# tensor cell as one batch of one plan per replicate and finishes all its
+# tensor cells' R factors in one stack. The chunk bounds the memory its
+# problems and stacks take; it returns numbers only, so a worker holds one
+# chunk's problems at a time. It depends on R alone, so reports do not
+# depend on the thread count.
 _REPLICATE_CHUNK = 8
 
 _EPS = np.finfo(np.float64).eps
@@ -252,16 +254,28 @@ def compute_metrics(
     SMRFV is NaN. A fit counts as perfect when its objective is at most
     _PERFECT_FIT_FACTOR * eps^2 * ||Y||_F^2, i.e. its residual norm is at
     most 100 * eps * ||Y||_F: the rounding noise a consistent system leaves,
-    which is not an exact zero.
+    which is not an exact zero. Of a problem only ||Y||_F^2 is read; the
+    replicate driver passes those energies to the same core (_metrics)
+    without the problems.
     """
+    energies = [float(np.vdot(pb.response, pb.response)) for pb in problems]
+    return _metrics(estimates, exact, truth, energies, objectives, exact_objectives,
+                    method, tau, wall_times, failures)
+
+
+def _metrics(
+    estimates, exact, truth, energies, objectives, exact_objectives, method, tau, wall_times, failures
+) -> MetricsRow:
+    """compute_metrics with each problem given by its response energy ||Y||_F^2, energies[j]."""
     truth = as_tensor(truth, "truth")
-    stack, ols, f_est, f_ols = (
-        np.asarray(a, dtype=np.float64) for a in (estimates, exact, objectives, exact_objectives)
+    stack, ols, f_est, f_ols, y_energy = (
+        np.asarray(a, dtype=np.float64)
+        for a in (estimates, exact, objectives, exact_objectives, energies)
     )
     count = len(stack)
     if stack.shape != (count, *truth.shape) or ols.shape != stack.shape:
         raise ValueError(f"estimates {stack.shape} and exact {ols.shape} must stack to (R, p, 1, l)")
-    if f_est.shape != (count,) or f_ols.shape != (count,) or len(problems) != count:
+    if any(a.shape != (count,) for a in (f_est, f_ols, y_energy)):
         raise ValueError(f"problems and objectives must have one entry per estimate ({count})")
     if not all(np.isfinite(a).all() for a in (stack, ols, f_est, f_ols)):
         raise ValueError("estimates, exact solutions and objectives must be finite")
@@ -269,7 +283,6 @@ def compute_metrics(
     row = MetricsRow(method, int(tau), *[math.nan] * 5, mean_ms, count, int(failures))
     if count < 2:
         return row
-    y_energy = np.array([float(np.vdot(pb.response, pb.response)) for pb in problems])
     if not (f_ols <= _PERFECT_FIT_FACTOR * _EPS**2 * y_energy).any():
         row.smrfv = float((np.abs(f_est - f_ols) / f_ols).mean())
     denom = (ols**2).sum(axis=(1, 2, 3))
@@ -392,33 +405,22 @@ class _ReplicateState:
 def _aggregate(parts, cells, truth) -> list[MetricsRow]:
     """One MetricsRow per cell from the chunks' outputs, sorted by method and tau.
 
-    Each part is one chunk's (problems, exact solutions, exact objectives,
-    batches), in replicate order, where batches[c] is cell c's (ok, bs,
-    objectives, wall times): the stacks its solver returned and each
-    replicate's share of the batch's wall time. A cell's stacks are
-    concatenated over the chunks, its plans that lost rank are counted as
-    failures and masked out, and one compute_metrics call aggregates the
-    rest.
+    Each part is one chunk's (response energies ||Y||_F^2, exact solutions,
+    exact objectives, batches), in replicate order, where batches[c] is cell
+    c's (ok, bs, objectives, wall times): the stacks its solver returned and
+    each replicate's share of the chunk's wall time. A part holds numbers
+    only, no problem, so a finished chunk's problems are freed at once. A
+    cell's stacks are concatenated over the chunks, its plans that lost
+    rank are counted as failures and masked out, and one call of the
+    metrics core (_metrics, which compute_metrics also reaches) aggregates
+    the rest.
     """
-    problems, exact, exact_objectives, batches = zip(*parts)
-    problems = [pb for chunk in problems for pb in chunk]
-    exact, exact_objectives = np.concatenate(exact), np.concatenate(exact_objectives)
+    energies, exact, exact_objectives = map(np.concatenate, zip(*(part[:3] for part in parts)))
     rows = []
     for c, cell in enumerate(cells):
-        ok, bs, objectives, wall_times = map(np.concatenate, zip(*(chunk[c] for chunk in batches)))
-        row = compute_metrics(
-            bs,
-            exact[ok],
-            truth,
-            [pb for pb, keep in zip(problems, ok) if keep],
-            objectives=objectives,
-            exact_objectives=exact_objectives[ok],
-            method=cell.label,
-            tau=cell.tau,
-            wall_times=wall_times,
-            failures=np.count_nonzero(~ok),
-        )
-        rows.append(row)
+        ok, bs, objectives, wall_times = map(np.concatenate, zip(*(part[3][c] for part in parts)))
+        rows.append(_metrics(bs, exact[ok], truth, energies[ok], objectives, exact_objectives[ok],
+                             cell.label, cell.tau, wall_times, np.count_nonzero(~ok)))
     return sorted(rows, key=lambda r: (r.method, r.tau))
 
 
@@ -451,15 +453,22 @@ def _run_cells(cfg: ExperimentConfig, cells) -> list[MetricsRow]:
     each redrawn design's own problem or the shared design's
     _replicate_problems, and reads their exact solutions and objectives in
     one _exact_solutions call. It draws each cell's plans, one per
-    replicate and each from its own stream key, in one _draw_plans call and
-    solves them as one batch: a tensor cell by _solve_sketches, a matrix
-    cell by _solve_matrix_sketches, both of which return the stacks
-    (ok, bs, objectives, errors). With `timing` on, a cell's wall time in
-    a replicate is an equal share of its batch's draw and solve; otherwise
-    it is NaN. _aggregate concatenates the chunks' stacks into the rows.
+    replicate and each from its own stream key, in one _draw_plans call. A
+    matrix cell solves them as one batch by _solve_matrix_sketches. A
+    tensor cell factors them as one batch (_factor_sketches) into the
+    chunk's one stack of R factors, and after the cell loop one
+    _finish_sketches call solves the whole stack; its stacks (ok, bs,
+    objectives, errors) are split back per cell. With `timing` on, a cell's
+    wall time in a replicate is an equal share of its batch's draw and
+    solve, where a tensor cell's solve is its factorization and an equal
+    share of the chunk's finish; otherwise it is NaN. A chunk returns
+    numbers only: its problems' response energies, their exact solutions
+    and objectives, and each cell's stacks, which _aggregate concatenates
+    into the rows. So a worker holds at most one chunk's problems.
     """
     clock = time.perf_counter if cfg.timing else lambda: math.nan
     base = None if cfg.redraw_design else _prepare_state(cfg, cells, _STREAM_DESIGN)
+    tensor = [c for c, cell in enumerate(cells) if not cell.matrix]
 
     def worker(chunk):
         if base is None:
@@ -468,18 +477,31 @@ def _run_cells(cfg: ExperimentConfig, cells) -> list[MetricsRow]:
         else:
             states = [base] * len(chunk)
             problems = _replicate_problems(cfg, base, chunk)
-        batches = []
-        for cell in cells:
+        size = len(chunk)
+        r = np.empty((len(tensor) * size, cfg.l // 2 + 1, cfg.p + 1, cfg.p + 1), dtype=np.complex128)
+        taus, batches, seconds = np.empty(len(r), dtype=np.intp), [], []
+        for c, cell in enumerate(cells):
             start = clock()
             rngs = [_rng(cfg.seed, cell.stream, b, *cell.index) for b in chunk]
             plans = _draw_plans([s.dists[cell.kind, cell.matrix] for s in states], cell.draws, rngs)
             if cell.matrix:
-                batch = _solve_matrix_sketches([s.rows for s in states], problems, *plans)
+                batches.append(_solve_matrix_sketches([s.rows for s in states], problems, *plans)[:3])
             else:
-                batch = _solve_sketches(problems, *plans)
-            share = (clock() - start) * 1e3 / len(chunk)
-            batches.append((*batch[:3], np.full(len(chunk), share)))
-        return (problems, *_exact_solutions(problems), batches)
+                first = tensor.index(c) * size
+                rows = slice(first, first + size)
+                taus[rows], r[rows] = _factor_sketches(problems, *plans)
+                batches.append(None)
+            seconds.append(clock() - start)
+        start = clock()  # every run has a tensor cell
+        ok, bs, objectives, _ = _finish_sketches(problems * len(tensor), r, taus)
+        share = (clock() - start) / len(tensor)
+        oks = ok.reshape(len(tensor), size)
+        cuts = np.cumsum(oks.sum(axis=1))[:-1]
+        for c, *batch in zip(tensor, oks, np.split(bs, cuts), np.split(objectives, cuts)):
+            batches[c], seconds[c] = batch, seconds[c] + share
+        energies = [float(np.vdot(pb.response, pb.response)) for pb in problems]
+        out = [(*batch, np.full(size, t * 1e3 / size)) for batch, t in zip(batches, seconds)]
+        return (energies, *_exact_solutions(problems), out)
 
     chunks = np.array_split(np.arange(cfg.replicates), -(-cfg.replicates // _REPLICATE_CHUNK))
     return _aggregate(_map_chunks(worker, chunks), cells, true_coefficients(cfg.p, cfg.l))

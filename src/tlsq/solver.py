@@ -267,42 +267,47 @@ def _solve_factored(r, p: int, rows, l: int):
     of rows stack j stands for. A slice whose singular values fall to
     lstsq's default cutoff eps * max(rows, p) * s_max has lost rank. One
     solve with R11 and [R12 | I] gives the solutions R11^-1 R12 and R11^-1.
-    If ||R11||_F ||R11^-1||_F eps max(rows, p) <= 1/2 in every slice of
-    every stack, each slice passes the cutoff by a factor of 2, since the
-    2-norm condition number is at most that Frobenius product, and no SVD
-    is taken. Otherwise (a singular pivot, a non-finite or a larger bound)
-    the singular values of every R11 decide, and the stacks of full rank
-    are solved again. Returns (ok, bhalf, errors): `ok` masks the stacks of
-    full rank, `bhalf` holds their half-spectrum solutions,
-    (count(ok), l//2 + 1, p, k), and `errors` has one entry per stack, a
-    SketchRankDeficient naming the first short slice (1-based) of a stack
-    that lost rank and None otherwise. The sketch solvers keep this mask
-    and error list in the batch they return.
+    A stack with ||R11||_F ||R11^-1||_F eps max(rows, p) <= 1/2 in every
+    slice passes the cutoff by a factor of 2 in each, since the 2-norm
+    condition number is at most that Frobenius product, and keeps that
+    solution. Only the stacks this screen rejects (a zero pivot, a
+    non-finite or a larger bound) have their singular values taken, and
+    those of full rank are solved again. So one short plan costs the SVD of
+    its own stack, not of the batch. Returns (ok, bhalf, errors): `ok`
+    masks the stacks of full rank, `bhalf` holds their half-spectrum
+    solutions, (count(ok), l//2 + 1, p, k), and `errors` has one entry per
+    stack, a SketchRankDeficient naming the first short slice (1-based) of
+    a stack that lost rank and None otherwise. The sketch solvers keep this
+    mask and error list in the batch they return.
     """
     cutoff = np.finfo(np.float64).eps * np.maximum(np.asarray(rows), p)
     r11 = r[..., :p, :p]
-    eye = np.broadcast_to(np.eye(p, dtype=r.dtype), r11.shape)
-    try:
-        sol = np.linalg.solve(r11, np.concatenate([r[..., :p, p:], eye], axis=-1))
-    except np.linalg.LinAlgError:
-        pass  # a zero pivot: the singular values decide
-    else:
-        bound = np.linalg.norm(r11, axis=(-2, -1)) * np.linalg.norm(sol[..., -p:], axis=(-2, -1))
-        if (bound * cutoff[:, None] <= 0.5).all():
-            return np.ones(len(cutoff), dtype=bool), sol[..., :-p], [None] * len(cutoff)
-    s = np.linalg.svd(r11, compute_uv=False)
-    tol = cutoff[:, None] * s[..., 0]
-    short = s[..., p - 1] <= tol
-    ok = ~short.any(axis=1)
-    errors = [None] * len(ok)
-    for k in np.flatnonzero(~ok):
-        j = int(np.argmax(short[k]))
-        rank = int(np.count_nonzero(s[k, j] > tol[k, j]))
-        errors[k] = SketchRankDeficient(
-            f"sketched design has rank {rank} < {p} in DFT slice {j + 1} of {l}",
-            slice_index=j + 1,
-        )
-    return ok, _back_substitute(r[ok], p), errors
+    # R11 is upper triangular, so LU swaps no rows and fails exactly on a zero
+    # diagonal entry; such a stack solves with I in its place and is rejected.
+    singular = (np.diagonal(r11, axis1=-2, axis2=-1) == 0).any(axis=(1, 2))
+    eye = np.eye(p, dtype=r.dtype)
+    safe = np.where(singular[:, None, None, None], eye, r11) if singular.any() else r11
+    rhs = np.concatenate([r[..., :p, p:], np.broadcast_to(eye, r11.shape)], axis=-1)
+    sol = np.linalg.solve(safe, rhs)
+    bound = np.linalg.norm(r11, axis=(-2, -1)) * np.linalg.norm(sol[..., -p:], axis=(-2, -1))
+    ok = (bound * cutoff[:, None] <= 0.5).all(axis=1) & ~singular
+    bhalf, errors, rejected = sol[..., :-p], [None] * len(ok), np.flatnonzero(~ok)
+    if rejected.size:
+        s = np.linalg.svd(r11[rejected], compute_uv=False)
+        tol = cutoff[rejected, None] * s[..., 0]
+        short = s[..., p - 1] <= tol
+        for k, short_k, s_k, tol_k in zip(rejected, short, s, tol):
+            if short_k.any():
+                j = int(np.argmax(short_k))
+                rank = int(np.count_nonzero(s_k[j] > tol_k[j]))
+                errors[k] = SketchRankDeficient(
+                    f"sketched design has rank {rank} < {p} in DFT slice {j + 1} of {l}",
+                    slice_index=j + 1,
+                )
+        rescued = rejected[~short.any(axis=1)]
+        ok[rescued] = True
+        bhalf[rescued] = _back_substitute(r[rescued], p)
+    return ok, bhalf[ok], errors
 
 
 def _back_substitute(r, p: int) -> np.ndarray:
@@ -403,20 +408,29 @@ def _solve_sketches(problems, indices, weights):
     """Solve the sketches of several plans in one batch, plan j on problems[j].
 
     Plan j draws rows indices[j] with weights weights[j] (see _compress).
+    The batch is factored (_factor_sketches) and finished
+    (_finish_sketches) in a row, so it returns the stacks (ok, bs,
+    objectives, errors): `ok` masks the plans that kept their rank, `bs`
+    (count(ok), p, 1, l) and `objectives` (count(ok),) are theirs, and
+    `errors` holds each plan's SketchRankDeficient or None. The replicate
+    driver calls the two halves itself, so that one finish serves the
+    factors of several batches.
+    """
+    taus, r = _factor_sketches(problems, indices, weights)
+    return _finish_sketches(problems, r, taus)
+
+
+def _factor_sketches(problems, indices, weights):
+    """The R factors (B, l//2 + 1, p + 1, p + 1) of a batch's sketches, and each plan's tau draws.
+
     The checks of a SamplingPlan and of the design's size run once for the
     whole batch. Every plan is compressed to its unique rows (_compress),
     padded with zero rows (which leave R unchanged) to a common height of at
     least p, stacked as (B, l//2 + 1, rows, p + 1) and factored by one
-    R-only QR; _solve_factored checks the rank and solves every triangle in
-    one batch. Each plan gathers its rows from its own problem. Returns the
-    stacks (ok, bs, objectives, errors): `ok` masks the plans that kept
-    their rank, `bs` (count(ok), p, 1, l) and `objectives` (count(ok),) are
-    theirs, made by one inverse transform (_from_half) and one
-    _r_objectives call from the solve's half spectra, and `errors` holds
-    each plan's SketchRankDeficient or None. The rank cutoff counts a
-    plan's tau draws, not its unique rows. Padding costs rows, so a batch
-    should hold plans of similar height, as the replicate driver's batches
-    of one cell do.
+    R-only QR. Each plan gathers its rows from its own problem. A batch of
+    height p gets a zero last row of R, so that the factors of batches of
+    any height stack. Padding costs rows, so a batch should hold plans of
+    similar height, as the replicate driver's batches of one cell do.
     """
     n, p, l = problems[0].shape
     taus, picked, scale, _ = _compress(indices, weights, n, p)
@@ -425,7 +439,25 @@ def _solve_sketches(problems, indices, weights):
         m[:, j, :, :p] = pb._design.half[:, picked[j]]
         m[:, j, :, p] = pb.response_half[:, picked[j], 0]
     m *= scale[:, :, None]
-    ok, bhalf, errors = _solve_factored(_tsqr_r(_row_blocks(m.swapaxes(0, 1))), p, taus, l)
+    r = _tsqr_r(_row_blocks(m.swapaxes(0, 1)))
+    if r.shape[-2] == p:
+        r = np.concatenate([r, np.zeros_like(r[..., :1, :])], axis=-2)
+    return taus, r
+
+
+def _finish_sketches(problems, r, taus):
+    """Rank-check and solve factored sketches, plan j on problems[j], in one batch.
+
+    `r` stacks the plans' R factors as _factor_sketches leaves them, from
+    one batch or several, and taus[j] counts plan j's draws, which the rank
+    cutoff counts, not its unique rows. _solve_factored checks the rank and
+    solves every triangle; one inverse transform (_from_half) and one
+    _r_objectives call make the kept plans' solutions and objectives from
+    the solve's half spectra. Returns _solve_sketches' stacks (ok, bs,
+    objectives, errors).
+    """
+    _, p, l = problems[0].shape
+    ok, bhalf, errors = _solve_factored(r, p, taus, l)
     kept = [pb for pb, keep in zip(problems, ok) if keep]
     return ok, _from_half(bhalf, l), _r_objectives(kept, bhalf), errors
 

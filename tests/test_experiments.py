@@ -1,6 +1,7 @@
 """Data generators, metric definitions, harness determinism, and report I/O."""
 
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -295,6 +296,16 @@ class TestRunExperiment:
                                taus=(12,), methods=("unif",), mode="conditional", timing=True)
         assert run_experiment(cfg)[0].mean_ms > 0.0
 
+    def test_timing_fills_every_cell(self):
+        """Tensor cells, whose finish is shared per chunk, and matrix cells alike are timed."""
+        cfg = ExperimentConfig(seed=6, n=80, p=4, l=3, design="t3", replicates=11,
+                               taus=(12, 24), methods=("unif", "lev", "slev"),
+                               smls="same_tau", timing=True)
+        rows = run_experiment(cfg)
+        assert {r.method for r in rows} == {"unif", "lev", "slev", "smls-unif", "smls-lev"}
+        for r in rows:
+            assert math.isfinite(r.mean_ms) and r.mean_ms > 0.0, r
+
     def test_redraw_design_changes_results(self):
         """Both report commands honour redraw_design: every row of either report moves."""
         base = dict(seed=7, n=80, p=4, l=2, design="mn", replicates=4,
@@ -587,6 +598,38 @@ class TestBatchedReplicateLoop:
         rows = run_experiment(cfg)
         assert_reports_match(rows, per_cell_loop(cfg))
         assert sum(r.failures for r in rows) > 0
+
+    def test_chunks_return_numbers_and_memory_stays_flat(self, monkeypatch):
+        """A redrawn-design run's traced peak memory does not grow with R.
+
+        Each chunk hands _aggregate numbers, not its problems, so a worker
+        holds at most one chunk's designs and problems at a time: 64
+        replicates peak no higher than 16 do, give or take a quarter.
+        """
+        held = []
+
+        def inspecting(parts, *args, _original=experiments._aggregate):
+            def walk(value):
+                if isinstance(value, (tuple, list)):
+                    return any(walk(v) for v in value)
+                return isinstance(value, (tlsq.TlsProblem, solver._Design))
+
+            held.extend(walk(part) for part in parts)
+            return _original(parts, *args)
+
+        monkeypatch.setattr(experiments, "_aggregate", inspecting)
+        peaks = {}
+        for replicates in (16, 64):
+            cfg = ExperimentConfig(seed=38, n=400, p=4, l=4, design="t3", replicates=replicates,
+                                   taus=(20,), methods=("unif", "lev"), redraw_design=True)
+            tracemalloc.start()
+            try:
+                run_experiment(cfg)
+                peaks[replicates] = tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+        assert held and not any(held)
+        assert peaks[64] <= 1.25 * peaks[16], peaks
 
 
 class TestSmlsBaseline:

@@ -3,6 +3,7 @@
 import dataclasses
 import os
 import tempfile
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -555,6 +556,67 @@ class TestRankScreen:
         assert ok.tolist() == [True] * 3 + [False] + [True] * 4
         for k, j in enumerate((0, 1, 2, 4, 5, 6, 7)):
             assert np.array_equal(rebs[k], bs[j]) and reobjectives[k] == objectives[j]
+
+
+class TestOneFinishForSeveralBatches:
+    """One _finish_sketches call over several factored batches acts as each batch's own solve."""
+
+    @settings(max_examples=60, deadline=None)
+    @given(
+        p=st.integers(1, 4),
+        l=st.sampled_from([1, 2, 5, 6]),
+        extra_rows=st.integers(0, 5),
+        seed=st.integers(0, 2**32 - 1),
+        cells=st.lists(st.tuples(st.integers(0, 12), st.booleans()), min_size=2, max_size=4),
+    )
+    @example(p=3, l=5, extra_rows=0, seed=0, cells=[(0, False), (0, True), (9, False)])
+    @example(p=4, l=2, extra_rows=0, seed=1, cells=[(0, True), (0, False)])
+    @example(p=2, l=6, extra_rows=3, seed=2, cells=[(5, True), (0, False), (12, True)])
+    @example(p=4, l=1, extra_rows=2, seed=3, cells=[(1, False), (7, False)])
+    def test_matches_each_batch_solve(self, p, l, extra_rows, seed, cells):
+        """Cells of tau = p + extra_tau draws on n = p + extra_rows rows, three plans each, one on
+        each of three designs. A cell may hold a short plan (fewer than p distinct rows) in the
+        middle. Every plan's mask, error, solution and objective bits match its cell's own
+        _solve_sketches call, and the singular values are taken of the short plans' stacks only."""
+        rng = np.random.default_rng(seed)
+        n = p + extra_rows
+        problems = [make_problem(n=n, p=p, l=l, seed=int(s)) for s in rng.integers(0, 2**31, 3)]
+        batches, short = [], []
+        for extra_tau, has_short in cells:
+            tau = p + extra_tau
+            indices = [rng.permutation(np.resize(rng.permutation(n), tau)) for _ in problems]
+            if has_short and p > 1:
+                indices[1] = rng.integers(0, p - 1, tau)
+            short += [False, has_short and p > 1, False]
+            batches.append((indices, [rng.uniform(0.5, 2.0, tau) for _ in problems]))
+        factored = [solver._factor_sketches(problems, *batch) for batch in batches]
+        for _, r in factored:
+            assert r.shape == (3, l // 2 + 1, p + 1, p + 1)
+        svd_stacks = []
+
+        def counting(a, *args, _original=np.linalg.svd, **kwargs):
+            svd_stacks.append(len(a))
+            return _original(a, *args, **kwargs)
+
+        with mock.patch.object(np.linalg, "svd", counting):
+            ok, bs, objectives, errors = solver._finish_sketches(
+                problems * len(cells),
+                np.concatenate([r for _, r in factored]),
+                np.concatenate([taus for taus, _ in factored]),
+            )
+        assert svd_stacks == ([sum(short)] if any(short) else [])
+        own = [solver._solve_sketches(problems, *batch) for batch in batches]
+        assert np.array_equal(ok, np.concatenate([o[0] for o in own]))
+        assert ok.tolist() == [not s for s in short]
+        assert np.array_equal(bs, np.concatenate([o[1] for o in own]))
+        assert np.array_equal(objectives, np.concatenate([o[2] for o in own]))
+        want = [e for o in own for e in o[3]]
+        for error, expected, is_short in zip(errors, want, short):
+            assert isinstance(error, SketchRankDeficient) == is_short
+            if is_short:
+                assert (str(error), error.slice_index) == (str(expected), expected.slice_index)
+            else:
+                assert expected is None
 
 
 class TestOneSpectrumPerSolution:
