@@ -28,13 +28,13 @@ import numpy as np
 from .errors import SketchRankDeficient
 from .sampling import (
     SamplingDistribution,
-    _draw_plans,
+    _draw_compressed,
     leverage_probs,
     optimal_probs,
     shrinked_leverage_probs,
     uniform_probs,
 )
-from .solver import TlsProblem, _as_design, _compress, _exact_solutions, _factor_sketches
+from .solver import TlsProblem, _as_design, _exact_solutions, _factor_sketches
 from .solver import _finish_sketches, _on_design, _r_objectives
 from .tensor import _to_half, as_tensor, fold
 
@@ -346,14 +346,16 @@ def _bcirc_rows(x) -> np.ndarray:
     return np.lib.stride_tricks.sliding_window_view(doubled, p * l, axis=1)[:, : l * p : p][:, ::-1]
 
 
-def _solve_matrix_sketches(views, problems, indices, weights):
+def _solve_matrix_sketches(views, problems, taus, picked, scale, unique):
     """Solve one matrix-baseline sketch per plan, plan j on the flattened system of problems[j].
 
-    Plan j draws rows (r, i) = divmod(row, n) of the problem's bcirc(X),
-    gathered from views[j], its _bcirc_rows, and of its unfolded response,
-    gathered as response[i, :, r]. Each plan is compressed to its unique rows
-    (_compress) and solved by one lstsq with the cutoff eps * max(tau, p*l):
-    lstsq's default cutoff on the uncompressed tau-row sketch. Returns
+    The plans come compressed over the n*l rows, as _compress returns them:
+    plan j's unique rows picked[j, :unique[j]] are rows (r, i) =
+    divmod(row, n) of the problem's bcirc(X), gathered from views[j], its
+    _bcirc_rows, and of its unfolded response, gathered as
+    response[i, :, r], each scaled by its scale. Each plan is solved by one
+    lstsq with the cutoff eps * max(tau, p*l): lstsq's default cutoff on
+    the uncompressed tau-row sketch. Returns
     _solve_sketches' stacks (ok, bs, objectives, errors), where a plan
     loses its rank when its sketch's rank is below p*l. lstsq's
     coefficients are spatial, so the kept ones are transformed forward
@@ -361,7 +363,6 @@ def _solve_matrix_sketches(views, problems, indices, weights):
     objectives.
     """
     n, p, l = problems[0].shape
-    taus, picked, scale, unique = _compress(indices, weights, n * l, p)
     rconds = _EPS * np.maximum(taus, p * l)
     bs, errors = np.empty((len(problems), p, 1, l)), [None] * len(problems)
     for j, (view, prob, rcond) in enumerate(zip(views, problems, rconds)):
@@ -453,7 +454,9 @@ def _run_cells(cfg: ExperimentConfig, cells) -> list[MetricsRow]:
     each redrawn design's own problem or the shared design's
     _replicate_problems, and reads their exact solutions and objectives in
     one _exact_solutions call. It draws each cell's plans, one per
-    replicate and each from its own stream key, in one _draw_plans call. A
+    replicate and each from its own stream key, in one _draw_compressed
+    call, which sorts each plan's uniforms and so draws it already
+    compressed to its unique rows, with no sort of the (plan, row) keys. A
     matrix cell solves them as one batch by _solve_matrix_sketches. A
     tensor cell factors them as one batch (_factor_sketches) into the
     chunk's one stack of R factors, and after the cell loop one
@@ -483,13 +486,14 @@ def _run_cells(cfg: ExperimentConfig, cells) -> list[MetricsRow]:
         for c, cell in enumerate(cells):
             start = clock()
             rngs = [_rng(cfg.seed, cell.stream, b, *cell.index) for b in chunk]
-            plans = _draw_plans([s.dists[cell.kind, cell.matrix] for s in states], cell.draws, rngs)
+            dists = [s.dists[cell.kind, cell.matrix] for s in states]
+            system_rows = cfg.n * cfg.l if cell.matrix else cfg.n
+            plans = _draw_compressed(dists, cell.draws, rngs, system_rows, cfg.p)
             if cell.matrix:
                 batches.append(_solve_matrix_sketches([s.rows for s in states], problems, *plans)[:3])
             else:
-                first = tensor.index(c) * size
-                rows = slice(first, first + size)
-                taus[rows], r[rows] = _factor_sketches(problems, *plans)
+                rows = slice(tensor.index(c) * size, (tensor.index(c) + 1) * size)
+                taus[rows], r[rows] = _factor_sketches(problems, *plans[:3])
                 batches.append(None)
             seconds.append(clock() - start)
         start = clock()  # every run has a tensor cell

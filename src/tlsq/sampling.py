@@ -16,7 +16,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DegenerateDistribution
-from .solver import _as_design
+from .solver import _as_design, _compress_sorted, _plan_keys
 from .tensor import _parseval_weights, _row_energy, as_tensor
 
 PROB_SUM_TOL = 1e-12
@@ -180,20 +180,49 @@ def draw_plan(dist: SamplingDistribution, tau: int, seed) -> SamplingPlan:
 def _draw_plans(dists, tau: int, rngs) -> tuple[np.ndarray, np.ndarray]:
     """Indices and weights, (B, tau) each, of one plan per Generator, plan j from dists[j].
 
-    Row j of the uniforms is rngs[j].random(tau), so a plan depends on its
-    own Generator alone. They are mapped to rows by inverse-CDF binary
-    search over each distribution's positive-probability rows (cached on
-    the distribution), so a zero-probability row can never be selected: one
-    searchsorted per distinct distribution, one in all for a batch on a
-    shared design. Weight t is 1/sqrt(tau * pi_{i_t}).
+    Row j of the uniforms is rngs[j].random(tau) (_uniforms), so a plan
+    depends on its own Generator alone, and the draws keep the order of the
+    uniforms (_rows_and_weights). draw_plan is a batch of one.
     """
+    return _rows_and_weights(dists, tau, _uniforms(tau, rngs))
+
+
+def _draw_compressed(dists, tau: int, rngs, n: int, p: int):
+    """The plans of _draw_plans, drawn already compressed: _compress's (taus, picked, scale, unique).
+
+    Each plan's uniforms are sorted before they are mapped to rows, so its
+    rows come out ascending with the same multiset of draws, and its unique
+    rows are the runs of equal rows (_compress_sorted). The outputs equal
+    _compress(*_draw_plans(dists, tau, rngs), n, p) bit for bit, with the
+    same checks, but need no sort of the (plan, row) keys. The replicate
+    driver draws every cell batch this way.
+    """
+    uniforms = np.sort(_uniforms(tau, rngs), axis=1)
+    indices, weights = (a.ravel() for a in _rows_and_weights(dists, tau, uniforms))
+    taus = np.full(len(rngs), tau)
+    return _compress_sorted(taus, _plan_keys(taus, indices, weights, n, p), weights, n, p)
+
+
+def _uniforms(tau: int, rngs) -> np.ndarray:
+    """(B, tau) uniforms on [0, 1), row j being rngs[j].random(tau)."""
     if tau < 1:
         raise ValueError("tau must be at least 1")
     uniforms = np.empty((len(rngs), tau))
     for row, rng in zip(uniforms, rngs):
         rng.random(out=row)
-    indices = np.empty(uniforms.shape, dtype=np.intp)
-    probs = np.empty(uniforms.shape)
+    return uniforms
+
+
+def _rows_and_weights(dists, tau: int, uniforms) -> tuple[np.ndarray, np.ndarray]:
+    """Row j of `uniforms` mapped to rows of dists[j], and the draws' weights, (B, tau) each.
+
+    The uniforms are mapped by inverse-CDF binary search over each
+    distribution's positive-probability rows (cached on the distribution),
+    so a zero-probability row can never be selected: one searchsorted per
+    distinct distribution, one in all for a batch on a shared design.
+    Weight t is 1/sqrt(tau * pi_{i_t}).
+    """
+    indices, probs = np.empty(uniforms.shape, dtype=np.intp), np.empty(uniforms.shape)
     for dist in {id(d): d for d in dists}.values():
         rows = [j for j, d in enumerate(dists) if d is dist]
         support, cum = dist._inverse_cdf

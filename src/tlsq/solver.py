@@ -38,7 +38,7 @@ def validate_design(design) -> _Design:
     """
     x = _check_design(design)
     xhalf = _to_half(x)
-    return _Design(x, xhalf, *_factor(xhalf, p=x.shape[1], l=x.shape[2]))
+    return _checked_design(x, xhalf, _tsqr_r(_row_blocks(xhalf)))
 
 
 def _check_design(design) -> np.ndarray:
@@ -60,24 +60,25 @@ def _check_responses(responses, shape) -> list:
     return ys
 
 
-def _factor(*stacks, p: int, l: int):
-    """R-only TSQR of half stacks side by side, [X | responses], and the design's rank check.
+def _checked_design(x, half, r) -> _Design:
+    """The _Design of design x, whose half stack `half` has the R factor r[..., :p, :p].
 
-    The first p columns are the design's. R's leading p x p block R11 is the
-    design's own R factor; the SVD R11 = U S V^H gives the check of every
-    slice against rank p and F = V S^-1. Returns (r, gram_factors); with
-    responses, R11^-1 R12 is their exact fit. A single stack, such as a
-    joint [X | y] stack, is factored a block of rows at a time as it stands.
+    `r` is the R-only TSQR of the half stack, or of [X | y] as the TlsProblem
+    constructor factors it, whose leading p x p block R11 is the design's
+    own R factor. The SVD R11 = U S V^H of each slice checks it against
+    rank p and gives the Gram factors F = V S^-1. Only validate_design and
+    the constructor run this check: every problem on an existing _Design
+    reuses it.
     """
-    n = stacks[0].shape[1]
-    r = _tsqr_r(_row_blocks(*stacks))
-    _, s, vh = np.linalg.svd(r[..., :p, :p])
+    n, p, l = x.shape
+    r11 = r[..., :p, :p]
+    _, s, vh = np.linalg.svd(r11)
     tol = default_rank_tol((n, p), float(s.max(initial=0.0)))
     smallest = s[:, p - 1]
     if (smallest <= tol).any():
         k_bad = int(np.argmin(smallest)) + 1
         raise RankDeficient(f"design does not have rank {p} in DFT slice {k_bad} of {l}")
-    return r, vh.conj().mT / s[:, None, :]
+    return _Design(x, half, r11, vh.conj().mT / s[:, None, :])
 
 
 @dataclass(frozen=True, eq=False)
@@ -158,8 +159,8 @@ class TlsProblem:
         (y,) = _check_responses([response], x.shape)
         p = x.shape[1]
         joint = _to_half(x, y)
-        r, f = _factor(joint, p=p, l=x.shape[2])
-        _fitted(_Design(x, joint[..., :p], r[..., :p, :p], f), [y], [joint[..., p:]], r, [self])
+        r = _tsqr_r(_row_blocks(joint))
+        _fitted(_checked_design(x, joint[..., :p], r), [y], [joint[..., p:]], r, [self])
 
     def with_response(self, response) -> "TlsProblem":
         """Same design (validation, DFT and factors reused), different response, fitted at once."""
@@ -320,15 +321,14 @@ def _back_substitute(r, p: int) -> np.ndarray:
 def _on_design(design: _Design, responses) -> list:
     """Problems on `design`, one per response, each holding that same _Design.
 
-    One R-only TSQR (_factor) of [X | Y_1 ... Y_k], the design's half stack
-    and the responses' side by side a block of rows at a time, checks the
-    design again and fits every response (_fitted). Its R11 and Gram factors
-    are dropped for the design's own.
+    One R-only TSQR of [X | Y_1 ... Y_k], the design's half stack and the
+    responses' side by side a block of rows at a time, fits every response
+    (_fitted). The design is already validated, so its rank is not checked
+    again.
     """
     ys = _check_responses(responses, design.shape)
     halves = [_to_half(y) for y in ys]
-    _, p, l = design.shape
-    return _fitted(design, ys, halves, _factor(design.half, *halves, p=p, l=l)[0])
+    return _fitted(design, ys, halves, _tsqr_r(_row_blocks(design.half, *halves)))
 
 
 def _fitted(design: _Design, ys, halves, r, probs=None) -> list:
@@ -375,7 +375,9 @@ def _compress(indices, weights, n: int, p: int):
     Every plan needs tau >= p draws. With-replacement draws enter a
     least-squares sketch only through S^T S, the summed squared weight of
     each drawn row, so the compressed sketch is exact for any plan, also for
-    a row drawn with different weights. Returns (taus, picked, scale,
+    a row drawn with different weights. The plans' (plan, row) keys are put
+    in order by a stable sort, which keeps each row's draws in input order,
+    and read as runs (_compress_sorted). Returns (taus, picked, scale,
     unique): plan j's unique rows and their scales are the first unique[j]
     entries of picked[j] and scale[j], (B, rows) each, and zeros pad them
     to rows = max(unique.max(), p).
@@ -384,31 +386,56 @@ def _compress(indices, weights, n: int, p: int):
     if len(weights) != taus.size or any(len(w) != t for w, t in zip(weights, taus)):
         raise ValueError("indices and weights must both have length tau")
     weights = np.concatenate(weights)
+    keys = _plan_keys(taus, np.concatenate(indices), weights, n, p)
+    order = np.argsort(keys, kind="stable")
+    return _compress_sorted(taus, keys[order], weights[order], n, p)
+
+
+def _plan_keys(taus, indices, weights, n: int, p: int) -> np.ndarray:
+    """The flat keys plan * n + row of a batch's draws, once the draws pass the batch's checks.
+
+    `indices` and `weights` are the plans' draws laid end to end, taus[j]
+    of them for plan j. Weights must be positive and finite, as a
+    SamplingPlan's are, every plan needs tau >= p and every row must fall
+    in the n-row system.
+    """
     if not np.isfinite(weights).all() or (weights <= 0).any():
         raise ValueError("weights must be positive and finite")
     if (taus < p).any():
         raise ValueError(f"plan has tau={taus[taus < p][0]} < p={p}")
-    indices = np.concatenate(indices)
     if indices.min() < 0 or indices.max() >= n:
         raise ValueError("plan indices fall outside the design's rows")
+    return np.repeat(np.arange(taus.size) * n, taus) + indices
+
+
+def _compress_sorted(taus, keys, weights, n: int, p: int):
+    """_compress's (taus, picked, scale, unique) of a batch given by its sorted draws.
+
+    `keys` holds every draw's key plan * n + row in ascending order, and
+    weights[t] is draw t's weight. A plan's unique rows are its runs of
+    equal keys, and a run's scale is the square root of its squared
+    weights summed in the order given. So a stable sort of the keys, which
+    keeps each row's draws in input order, gives the sums of a bincount
+    over the unsorted draws bit for bit. Memory grows with the draws, not
+    with B * n.
+    """
     count = taus.size
-    # Sorted (plan, row) keys: memory in proportion to the draws, not to B * n.
-    keys, inverse = np.unique(np.repeat(np.arange(count) * n, taus) + indices, return_inverse=True)
-    owner, rows = np.divmod(keys, n)
+    first = np.concatenate(([True], keys[1:] != keys[:-1]))
+    owner, rows = np.divmod(keys[first], n)
     unique = np.bincount(owner, minlength=count)
     slot = np.arange(owner.size) - np.repeat(np.cumsum(unique) - unique, unique)
     picked = np.zeros((count, max(int(unique.max()), p)), dtype=np.intp)
     scale = np.zeros(picked.shape)
     picked[owner, slot] = rows
-    scale[owner, slot] = np.sqrt(np.bincount(inverse, weights=weights**2))
+    scale[owner, slot] = np.sqrt(np.bincount(np.cumsum(first) - 1, weights=weights**2))
     return taus, picked, scale, unique
 
 
 def _solve_sketches(problems, indices, weights):
     """Solve the sketches of several plans in one batch, plan j on problems[j].
 
-    Plan j draws rows indices[j] with weights weights[j] (see _compress).
-    The batch is factored (_factor_sketches) and finished
+    Plan j draws rows indices[j] with weights weights[j]. The batch is
+    compressed (_compress), factored (_factor_sketches) and finished
     (_finish_sketches) in a row, so it returns the stacks (ok, bs,
     objectives, errors): `ok` masks the plans that kept their rank, `bs`
     (count(ok), p, 1, l) and `objectives` (count(ok),) are theirs, and
@@ -416,24 +443,24 @@ def _solve_sketches(problems, indices, weights):
     driver calls the two halves itself, so that one finish serves the
     factors of several batches.
     """
-    taus, r = _factor_sketches(problems, indices, weights)
+    n, p, _ = problems[0].shape
+    taus, r = _factor_sketches(problems, *_compress(indices, weights, n, p)[:3])
     return _finish_sketches(problems, r, taus)
 
 
-def _factor_sketches(problems, indices, weights):
+def _factor_sketches(problems, taus, picked, scale):
     """The R factors (B, l//2 + 1, p + 1, p + 1) of a batch's sketches, and each plan's tau draws.
 
-    The checks of a SamplingPlan and of the design's size run once for the
-    whole batch. Every plan is compressed to its unique rows (_compress),
-    padded with zero rows (which leave R unchanged) to a common height of at
-    least p, stacked as (B, l//2 + 1, rows, p + 1) and factored by one
+    The plans come compressed, as _compress returns them (taus, picked,
+    scale): plan j's unique rows picked[j], scaled by scale[j], padded with
+    zero rows (which leave R unchanged) to a common height of at least p.
+    They are stacked as (B, l//2 + 1, rows, p + 1) and factored by one
     R-only QR. Each plan gathers its rows from its own problem. A batch of
     height p gets a zero last row of R, so that the factors of batches of
     any height stack. Padding costs rows, so a batch should hold plans of
     similar height, as the replicate driver's batches of one cell do.
     """
-    n, p, l = problems[0].shape
-    taus, picked, scale, _ = _compress(indices, weights, n, p)
+    _, p, l = problems[0].shape
     m = np.empty((l // 2 + 1, *picked.shape, p + 1), dtype=np.complex128)
     for j, pb in enumerate(problems):
         m[:, j, :, :p] = pb._design.half[:, picked[j]]

@@ -558,16 +558,41 @@ class TestBatchedReplicateLoop:
             expected = 1 + chunks * (1 + cells)
         assert len(calls) == expected
 
+    def test_shared_design_is_not_checked_again(self, monkeypatch):
+        """A shared design's replicate problems are fitted with no SVD: its rank was checked when
+        its first problem was built, and _on_design reuses its factors."""
+        inside, svds, fits = [], [], []
+
+        def on_design(*args, _original=solver._on_design):
+            inside.append(1)
+            try:
+                return _original(*args)
+            finally:
+                fits.append(inside.pop())
+
+        def svd(*args, _original=np.linalg.svd, **kwargs):
+            svds.append(bool(inside))
+            return _original(*args, **kwargs)
+
+        monkeypatch.setattr(experiments, "_on_design", on_design)
+        monkeypatch.setattr(np.linalg, "svd", svd)
+        cfg = ExperimentConfig(seed=39, n=60, p=4, l=3, design="t3", replicates=19, taus=(12,),
+                               methods=("lev",))
+        run_experiment(cfg)
+        assert len(fits) == 3  # one per chunk past replicate 0's own problem
+        assert svds.count(True) == 0 and svds.count(False) == 1  # the design's own check
+
     @pytest.mark.parametrize("compare", [False, True])
     def test_matrix_cells_run_as_batches(self, monkeypatch, compare):
         """A matrix cell draws its chunk's plans in one batch and runs one lstsq per plan.
 
-        Every cell, tensor or matrix, makes one _draw_plans call per chunk,
-        and the driver never calls draw_plan. draw_plan is watched as a
-        driver attribute even where the driver does not import it, so an
-        import brought back is caught.
+        Every cell, tensor or matrix, makes one _draw_compressed call per
+        chunk, and the driver never calls draw_plan or _draw_plans, which
+        draw in draw order. Both are watched as driver attributes even where
+        the driver does not import them, so an import brought back is
+        caught.
         """
-        calls = {"lstsq": 0, "_draw_plans": 0, "draw_plan": 0}
+        calls = {"lstsq": 0, "_draw_compressed": 0, "_draw_plans": 0, "draw_plan": 0}
 
         def counting(name, original):
             def wrapped(*args, **kwargs):
@@ -577,8 +602,10 @@ class TestBatchedReplicateLoop:
             return wrapped
 
         monkeypatch.setattr(np.linalg, "lstsq", counting("lstsq", np.linalg.lstsq))
+        monkeypatch.setattr(experiments, "_draw_compressed",
+                            counting("_draw_compressed", sampling._draw_compressed))
         monkeypatch.setattr(experiments, "_draw_plans",
-                            counting("_draw_plans", sampling._draw_plans))
+                            counting("_draw_plans", sampling._draw_plans), raising=False)
         for module in (tlsq, sampling, experiments):
             monkeypatch.setattr(module, "draw_plan", counting("draw_plan", sampling.draw_plan),
                                 raising=False)
@@ -589,8 +616,8 @@ class TestBatchedReplicateLoop:
         matrix = sum(r.method.startswith("smls") for r in rows)
         chunks = math.ceil(cfg.replicates / experiments._REPLICATE_CHUNK)
         assert matrix == (8 if compare else 4)
-        assert calls == {"lstsq": cfg.replicates * matrix, "_draw_plans": chunks * len(rows),
-                         "draw_plan": 0}
+        assert calls == {"lstsq": cfg.replicates * matrix, "_draw_compressed": chunks * len(rows),
+                         "_draw_plans": 0, "draw_plan": 0}
 
     def test_starved_config_counts_the_same_failures(self):
         cfg = ExperimentConfig(seed=33, n=12, p=10, l=2, design="mn", replicates=10,
@@ -673,7 +700,8 @@ class TestSmlsBaseline:
         dense = np.linalg.lstsq(a, tlsq.unfold(y), rcond=None)[0]
         rows = np.arange(a.shape[0])
         _, (folded,), _, _ = experiments._solve_matrix_sketches(
-            [experiments._bcirc_rows(x)], [prob], rows[None], np.ones((1, rows.size)))
+            [experiments._bcirc_rows(x)], [prob],
+            *solver._compress(rows[None], np.ones((1, rows.size)), rows.size, 4))
         exact = tlsq.solve_ols(prob).b
         assert np.abs(folded - tlsq.fold(dense, 4, 3)).max() <= 1e-12
         assert np.abs(folded - exact).max() <= 1e-10 * max(1.0, np.abs(exact).max())
@@ -738,7 +766,8 @@ class TestSmlsBaseline:
         indices = rng.choice(candidates, size=(plans, tau))
         weights = rng.uniform(0.5, 2.0, size=(plans, tau))
         ok, bs, objectives, errors = experiments._solve_matrix_sketches(
-            [experiments._bcirc_rows(x)] * plans, [prob] * plans, indices, weights)
+            [experiments._bcirc_rows(x)] * plans, [prob] * plans,
+            *solver._compress(indices, weights, n * l, p))
         assert len(bs) == len(objectives) == np.count_nonzero(ok)
         kept = iter(zip(bs, objectives))
         for keep, error, idx, w in zip(ok, errors, indices, weights):

@@ -5,6 +5,8 @@ import io
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 import tlsq
 from tlsq import experiments as ex
@@ -304,6 +306,83 @@ class TestBatchDraw:
         with pytest.raises(ValueError) as err:
             solver._solve_sketches([prob] * 3, indices, weights)
         assert str(err.value) == expected
+
+
+class TestCompressedDraw:
+    """_draw_compressed is _compress(*_draw_plans(...)) bit for bit in all four outputs."""
+
+    @settings(max_examples=100, deadline=None)
+    @given(
+        p=st.integers(1, 4),
+        l=st.sampled_from([1, 2, 5, 6]),
+        extra_rows=st.integers(0, 8),
+        extra_tau=st.sampled_from([0, 1, 5, 40, 300]),
+        matrix=st.booleans(),
+        plans=st.lists(
+            st.tuples(st.integers(0, 2), st.sampled_from(["unif", "lev", "slev", "opt", "point"])),
+            min_size=1,
+            max_size=5,
+        ),
+        seed=st.integers(0, 2**31 - 1),
+    )
+    # l = 1 and tau = p, with zero-probability rows and a plan of one unique row
+    @example(p=1, l=1, extra_rows=0, extra_tau=0, matrix=False,
+             plans=[(2, "opt"), (0, "point"), (1, "lev"), (2, "opt")], seed=0)
+    @example(p=4, l=6, extra_rows=8, extra_tau=300, matrix=True,
+             plans=[(0, "lev"), (1, "unif"), (2, "point"), (0, "lev")], seed=1)
+    @example(p=3, l=5, extra_rows=2, extra_tau=40, matrix=False,
+             plans=[(0, "slev"), (2, "opt"), (0, "slev"), (1, "unif"), (2, "opt")], seed=2)
+    def test_matches_compressed_draw_order(self, p, l, extra_rows, extra_tau, matrix, plans, seed):
+        """Plan j draws tau = p + extra_tau rows from a distribution on one of three designs of
+        n = p + 3 + extra_rows rows, as a batch on a redrawn design does: two random ones and
+        zero_row_opt_design, whose opt distribution has zero-probability rows. A point mass
+        makes a plan of one unique row. A matrix cell draws unif or lev over the n*l rows of
+        the flattened system, as _cell_distribution builds them."""
+        n = p + 3 + extra_rows
+        designs = [rand((n, p, l), seed), rand((n, p, l), seed + 1),
+                   zero_row_opt_design(n, 3, l, seed + 2)]
+        rows = n * l if matrix else n
+        built = {}
+        for k, kind in plans:
+            if (k, kind) in built:
+                continue
+            if kind == "point":
+                probs = np.zeros(rows)
+                probs[np.random.default_rng(seed + k).integers(rows)] = 1.0
+                built[k, kind] = tlsq.SamplingDistribution(kind="custom", probs=probs)
+            elif matrix:
+                prob = tlsq.TlsProblem(designs[k], np.zeros((n, 1, l)))
+                built[k, kind] = ex._cell_distribution(prob, kind, True, 0.9)
+            else:
+                built[k, kind] = ex.build_distribution(designs[k], kind)
+        dists = [built[plan] for plan in plans]
+        if (2, "opt") in built and not matrix:
+            assert (built[2, "opt"].probs[:2] == 0).all()
+        tau = p + extra_tau
+
+        def streams():
+            return [np.random.default_rng([seed, j]) for j in range(len(plans))]
+
+        got = sampling._draw_compressed(dists, tau, streams(), rows, p)
+        want = solver._compress(*sampling._draw_plans(dists, tau, streams()), rows, p)
+        for a, b in zip(got, want, strict=True):
+            assert a.dtype == b.dtype and a.shape == b.shape and a.tobytes() == b.tobytes()
+        one_row = [j for j, (_, kind) in enumerate(plans) if kind == "point"]
+        assert (got[3][one_row] == 1).all()
+
+    @pytest.mark.parametrize("fault", ["out_of_range", "short_tau", "tau_domain"])
+    def test_rejects_what_compress_rejects(self, fault):
+        dist = tlsq.uniform_probs(30)
+        n, tau = {"out_of_range": (20, 12), "short_tau": (30, 2), "tau_domain": (30, 0)}[fault]
+
+        def streams():
+            return [np.random.default_rng(s) for s in (42, 43)]
+
+        with pytest.raises(ValueError) as want:
+            solver._compress(*sampling._draw_plans([dist] * 2, tau, streams()), n, 3)
+        with pytest.raises(ValueError) as got:
+            sampling._draw_compressed([dist] * 2, tau, streams(), n, 3)
+        assert str(got.value) == str(want.value)
 
 
 class TestProblemInput:

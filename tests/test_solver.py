@@ -1,6 +1,5 @@
 """Solver equivalence against dense flattened least squares and path identities."""
 
-import dataclasses
 import os
 import tempfile
 from unittest import mock
@@ -395,8 +394,45 @@ def repeated_plan(rng, n, unique, repeats):
     )
 
 
+def unique_compress(indices, weights, n, p):
+    """Oracle for _compress: np.unique of the (plan, row) keys, and each key's squared weights
+    summed by a bincount over its inverse, in the order of the draws."""
+    taus = np.array([len(row) for row in indices])
+    count = taus.size
+    keys, inverse = np.unique(np.repeat(np.arange(count) * n, taus) + np.concatenate(indices),
+                              return_inverse=True)
+    owner, rows = np.divmod(keys, n)
+    unique = np.bincount(owner, minlength=count)
+    slot = np.arange(owner.size) - np.repeat(np.cumsum(unique) - unique, unique)
+    picked = np.zeros((count, max(int(unique.max()), p)), dtype=np.intp)
+    scale = np.zeros(picked.shape)
+    picked[owner, slot] = rows
+    scale[owner, slot] = np.sqrt(np.bincount(inverse, weights=np.concatenate(weights) ** 2))
+    return taus, picked, scale, unique
+
+
 class TestDuplicateCompression:
     """A plan is solved on its unique rows, each scaled by its summed squared weight."""
+
+    @settings(max_examples=150, deadline=None)
+    @given(
+        n=st.integers(1, 12),
+        p=st.integers(1, 4),
+        plans=st.lists(st.tuples(st.integers(0, 200), st.integers(1, 12)), min_size=1, max_size=5),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    @example(n=1, p=1, plans=[(3, 1)], seed=0)
+    @example(n=12, p=4, plans=[(0, 12), (200, 1), (5, 2), (0, 3)], seed=1)
+    @example(n=5, p=3, plans=[(150, 2), (90, 5)], seed=2)
+    def test_stable_sort_matches_unique_oracle(self, n, p, plans, seed):
+        """Ragged plans of tau = p + extra draws from pools of `pool` rows; the weights span six
+        decades, so each run's sum depends on the order of its draws."""
+        rng = np.random.default_rng(seed)
+        indices = [rng.choice(rng.permutation(n)[:pool], p + extra) for extra, pool in plans]
+        weights = [10.0 ** rng.uniform(-3.0, 3.0, idx.size) for idx in indices]
+        got, want = solver._compress(indices, weights, n, p), unique_compress(indices, weights, n, p)
+        for a, b in zip(got, want, strict=True):
+            assert a.dtype == b.dtype and a.shape == b.shape and a.tobytes() == b.tobytes()
 
     @settings(max_examples=60, deadline=None)
     @given(**edge_shapes, repeats=st.integers(1, 8))
@@ -589,7 +625,8 @@ class TestOneFinishForSeveralBatches:
                 indices[1] = rng.integers(0, p - 1, tau)
             short += [False, has_short and p > 1, False]
             batches.append((indices, [rng.uniform(0.5, 2.0, tau) for _ in problems]))
-        factored = [solver._factor_sketches(problems, *batch) for batch in batches]
+        factored = [solver._factor_sketches(problems, *solver._compress(*batch, n, p)[:3])
+                    for batch in batches]
         for _, r in factored:
             assert r.shape == (3, l // 2 + 1, p + 1, p + 1)
         svd_stacks = []
@@ -739,13 +776,25 @@ class TestMultiResponseFit:
         monkeypatch.setattr(solver, "_QR_BLOCK_ROWS", block)
         self.assert_columns_match_solve_ols(x, ys, refs)
 
-    def test_slice_rank_deficient_design_raises(self):
+    def test_slice_rank_deficient_design_is_rejected_at_validation(self, monkeypatch):
+        """The design's rank is checked where its _Design is built, by validate_design or a
+        TlsProblem; _on_design fits on a validated _Design and takes no SVD."""
         x = np.repeat(rand((8, 2, 1), 96), 3, axis=2)  # every slice but the first is zero
-        # A TlsProblem rejects such a design, so a valid one's _Design is given it afterwards.
-        prob = tlsq.TlsProblem(rand((8, 2, 3), 99), rand((8, 1, 3), 97))
-        design = dataclasses.replace(prob._design, tensor=x, half=_to_half(x))
         with pytest.raises(RankDeficient, match="slice 2 of 3"):
-            solver._on_design(design, [rand((8, 1, 3), s) for s in (97, 98)])
+            solver.validate_design(x)
+        with pytest.raises(RankDeficient, match="slice 2 of 3"):
+            tlsq.TlsProblem(x, rand((8, 1, 3), 97))
+        prob = tlsq.TlsProblem(rand((8, 2, 3), 99), rand((8, 1, 3), 97))
+
+        def no_svd(*args, **kwargs):
+            raise AssertionError("_on_design took an SVD")
+
+        monkeypatch.setattr(np.linalg, "svd", no_svd)
+        ys = [rand((8, 1, 3), s) for s in (97, 98)]
+        bs, _ = solver._exact_solutions(solver._on_design(prob._design, ys))
+        for y, b in zip(ys, bs):
+            ref = tlsq.solve_ols(prob.with_response(y)).b
+            assert np.abs(b - ref).max() <= 1e-12 * np.abs(ref).max()
 
 
 class TestBornFitted:
