@@ -17,7 +17,6 @@ from .tensor import (
     as_tensor,
     bcirc,
     bcirc_product,
-    extremal_singular_values,
     f_diag,
     fold,
     fro_norm,

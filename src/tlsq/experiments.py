@@ -29,6 +29,7 @@ from .errors import SketchRankDeficient
 from .sampling import (
     SamplingDistribution,
     _draw_compressed,
+    _require_seed,
     leverage_probs,
     optimal_probs,
     shrinked_leverage_probs,
@@ -36,7 +37,7 @@ from .sampling import (
 )
 from .solver import TlsProblem, _as_design, _exact_solutions, _factor_sketches
 from .solver import _finish_sketches, _on_design, _r_objectives
-from .tensor import _to_half, as_tensor, fold
+from .tensor import _rank_cutoff, _to_half, as_tensor, fold
 
 DESIGN_KINDS = ("mn", "t3", "t1")
 METHOD_KINDS = ("unif", "lev", "slev", "opt")
@@ -175,8 +176,9 @@ def gen_design(kind: str, n: int, p: int, l: int, seed) -> np.ndarray:
 
     "mn" is normal with mean one; "t3" and "t1" are multivariate t with 3 and
     1 degrees of freedom (location zero), built as a correlated normal draw
-    divided by an independent sqrt(chi2_nu / nu) per row.
+    divided by an independent sqrt(chi2_nu / nu) per row. A seed is required.
     """
+    _require_seed("gen_design", seed)
     if kind not in DESIGN_KINDS:
         raise ValueError(f"unknown design kind {kind!r}")
     if p < 2:
@@ -206,7 +208,9 @@ def gen_response(x, seed, sigma2: float = 9.0) -> tuple[np.ndarray, np.ndarray]:
 
     Every tube of B0 is constant, v_j at each position, so the signal has a
     closed form: row i of X * B0 is sum_j v_j sum_k x_ij(k) at every position.
+    A seed is required.
     """
+    _require_seed("gen_response", seed)
     x = as_tensor(x, "design")
     _, p, l = x.shape
     if not 0.0 <= sigma2 < math.inf:
@@ -233,7 +237,7 @@ def compute_metrics(
     estimates,
     exact,
     truth,
-    problems,
+    energies,
     *,
     objectives,
     exact_objectives,
@@ -245,28 +249,18 @@ def compute_metrics(
     """Aggregate one cell's replicate estimates into the five metrics.
 
     Entry j of every sequence belongs to replicate j: `estimates[j]` and
-    `exact[j]` are its estimate and exact solution, `problems[j]` its
-    problem, and `objectives[j]` and `exact_objectives[j]` the residual
-    objectives of the two on it. The solutions stack to (R, p, 1, l)
-    arrays, and `truth` is (p, 1, l). With fewer than two estimates the
-    metrics are NaN and the row keeps its counts. When an exact solution
-    fits its data perfectly the relative function value is undefined and
-    SMRFV is NaN. A fit counts as perfect when its objective is at most
-    _PERFECT_FIT_FACTOR * eps^2 * ||Y||_F^2, i.e. its residual norm is at
-    most 100 * eps * ||Y||_F: the rounding noise a consistent system leaves,
-    which is not an exact zero. Of a problem only ||Y||_F^2 is read; the
-    replicate driver passes those energies to the same core (_metrics)
-    without the problems.
+    `exact[j]` are its estimate and exact solution, `energies[j]` its
+    response energy ||Y||_F^2, and `objectives[j]` and `exact_objectives[j]`
+    the residual objectives of the two on its problem. The solutions stack
+    to (R, p, 1, l) arrays, and `truth` is (p, 1, l). With fewer than two
+    estimates the metrics are NaN and the row keeps its counts. When an
+    exact solution fits its data perfectly the relative function value is
+    undefined and SMRFV is NaN. A fit counts as perfect when its objective
+    is at most _PERFECT_FIT_FACTOR * eps^2 * ||Y||_F^2, i.e. its residual
+    norm is at most 100 * eps * ||Y||_F: the rounding noise a consistent
+    system leaves, which is not an exact zero. The replicate driver calls
+    this once per cell.
     """
-    energies = [float(np.vdot(pb.response, pb.response)) for pb in problems]
-    return _metrics(estimates, exact, truth, energies, objectives, exact_objectives,
-                    method, tau, wall_times, failures)
-
-
-def _metrics(
-    estimates, exact, truth, energies, objectives, exact_objectives, method, tau, wall_times, failures
-) -> MetricsRow:
-    """compute_metrics with each problem given by its response energy ||Y||_F^2, energies[j]."""
     truth = as_tensor(truth, "truth")
     stack, ols, f_est, f_ols, y_energy = (
         np.asarray(a, dtype=np.float64)
@@ -276,7 +270,7 @@ def _metrics(
     if stack.shape != (count, *truth.shape) or ols.shape != stack.shape:
         raise ValueError(f"estimates {stack.shape} and exact {ols.shape} must stack to (R, p, 1, l)")
     if any(a.shape != (count,) for a in (f_est, f_ols, y_energy)):
-        raise ValueError(f"problems and objectives must have one entry per estimate ({count})")
+        raise ValueError(f"energies and objectives must have one entry per estimate ({count})")
     if not all(np.isfinite(a).all() for a in (stack, ols, f_est, f_ols)):
         raise ValueError("estimates, exact solutions and objectives must be finite")
     mean_ms = float(np.mean(wall_times)) if len(wall_times) else math.nan
@@ -363,7 +357,7 @@ def _solve_matrix_sketches(views, problems, taus, picked, scale, unique):
     objectives.
     """
     n, p, l = problems[0].shape
-    rconds = _EPS * np.maximum(taus, p * l)
+    rconds = _rank_cutoff(taus, p * l)
     bs, errors = np.empty((len(problems), p, 1, l)), [None] * len(problems)
     for j, (view, prob, rcond) in enumerate(zip(views, problems, rconds)):
         (r, i), w = np.divmod(picked[j, : unique[j]], n), scale[j, : unique[j], None]
@@ -412,16 +406,16 @@ def _aggregate(parts, cells, truth) -> list[MetricsRow]:
     each replicate's share of the chunk's wall time. A part holds numbers
     only, no problem, so a finished chunk's problems are freed at once. A
     cell's stacks are concatenated over the chunks, its plans that lost
-    rank are counted as failures and masked out, and one call of the
-    metrics core (_metrics, which compute_metrics also reaches) aggregates
-    the rest.
+    rank are counted as failures and masked out, and one compute_metrics
+    call aggregates the rest.
     """
     energies, exact, exact_objectives = map(np.concatenate, zip(*(part[:3] for part in parts)))
     rows = []
     for c, cell in enumerate(cells):
         ok, bs, objectives, wall_times = map(np.concatenate, zip(*(part[3][c] for part in parts)))
-        rows.append(_metrics(bs, exact[ok], truth, energies[ok], objectives, exact_objectives[ok],
-                             cell.label, cell.tau, wall_times, np.count_nonzero(~ok)))
+        rows.append(compute_metrics(bs, exact[ok], truth, energies[ok], objectives=objectives,
+                                    exact_objectives=exact_objectives[ok], method=cell.label,
+                                    tau=cell.tau, wall_times=wall_times, failures=(~ok).sum()))
     return sorted(rows, key=lambda r: (r.method, r.tau))
 
 
@@ -620,14 +614,15 @@ def write_report(rows, path) -> None:
 def read_report(path) -> list[MetricsRow]:
     """Parse a report written by write_report; floats round-trip exactly.
 
-    Each column is parsed by its MetricsRow field type. A foreign header, or
-    a row with a missing or an extra column, raises ValueError.
+    Each column is parsed by its MetricsRow field type. An empty file, a
+    foreign header, or a row with a missing or an extra column, raises
+    ValueError.
     """
     parsers = [_PARSERS[f.type] for f in fields(MetricsRow)]
     with open(path, newline="") as fh:
         reader = csv.reader(fh)
-        header = next(reader)
-        if tuple(header) != REPORT_HEADER:
+        header = next(reader, None)
+        if header is None or tuple(header) != REPORT_HEADER:
             raise ValueError(f"unexpected report header {header}")
         return [MetricsRow(*(f(v) for f, v in zip(parsers, row, strict=True))) for row in reader]
 
@@ -651,25 +646,29 @@ _CONFIG_PARSERS = {f.name: _PARSERS[f.type] for f in fields(ExperimentConfig)}
 
 
 def parse_config_file(path) -> ExperimentConfig:
-    """Parse a flat key=value config file; '#' starts a comment, seed is mandatory."""
+    """Parse a flat key=value UTF-8 config file; '#' starts a comment, seed is mandatory."""
+    try:
+        with open(path, encoding="utf-8") as fh:
+            lines = fh.readlines()
+    except UnicodeDecodeError as exc:
+        raise ConfigError(f"{path}: not UTF-8 text ({exc.reason} at byte {exc.start})") from exc
     values = {}
-    with open(path) as fh:
-        for lineno, raw in enumerate(fh, start=1):
-            line = raw.split("#", 1)[0].strip()
-            if not line:
-                continue
-            if "=" not in line:
-                raise ConfigError(f"{path}:{lineno}: expected key=value, got {line!r}")
-            key, _, val = line.partition("=")
-            key, val = key.strip(), val.strip()
-            if key not in _CONFIG_PARSERS:
-                raise ConfigError(f"{path}:{lineno}: unknown key {key!r}")
-            if key in values:
-                raise ConfigError(f"{path}:{lineno}: duplicate key {key!r}")
-            try:
-                values[key] = _CONFIG_PARSERS[key](val)
-            except ValueError as exc:
-                raise ConfigError(f"{path}:{lineno}: bad value for {key!r}: {exc}") from exc
+    for lineno, raw in enumerate(lines, start=1):
+        line = raw.split("#", 1)[0].strip()
+        if not line:
+            continue
+        if "=" not in line:
+            raise ConfigError(f"{path}:{lineno}: expected key=value, got {line!r}")
+        key, _, val = line.partition("=")
+        key, val = key.strip(), val.strip()
+        if key not in _CONFIG_PARSERS:
+            raise ConfigError(f"{path}:{lineno}: unknown key {key!r}")
+        if key in values:
+            raise ConfigError(f"{path}:{lineno}: duplicate key {key!r}")
+        try:
+            values[key] = _CONFIG_PARSERS[key](val)
+        except ValueError as exc:
+            raise ConfigError(f"{path}:{lineno}: bad value for {key!r}: {exc}") from exc
     if "seed" not in values:
         raise ConfigError(f"{path}: a seed is required; randomness is never wall-clock seeded")
     return ExperimentConfig(**values)

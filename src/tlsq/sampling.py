@@ -17,7 +17,7 @@ import numpy as np
 
 from .errors import DegenerateDistribution
 from .solver import _as_design, _compress_sorted, _plan_keys
-from .tensor import _parseval_weights, _row_energy, as_tensor
+from .tensor import _parseval_weights, _row_energy
 
 PROB_SUM_TOL = 1e-12
 
@@ -152,16 +152,17 @@ def _sandwich_numerators(design):
     return w @ ((1.0 - design.leverage_rows) * row_x), w @ row_x
 
 
-def coherence(u) -> float:
-    """mu coherence of a partially orthogonal tubal matrix: (n*l/p) * max row score."""
-    u = as_tensor(u, "orthonormal factor")
-    n, p, l = u.shape
-    mu = float(n * l / p * (u**2).sum(axis=(1, 2)).max())
-    if mu < l * (1.0 - 1e-9):
-        raise ValueError(
-            f"coherence {mu} below its lower bound {l}; input is not partially orthogonal"
-        )
-    return mu
+def coherence(design) -> float:
+    """mu coherence of a design: (n*l/p) * max_i h_i, from its leverage scores h_i.
+
+    h_i is the squared norm of row i of the thin t-SVD factor U, summed over
+    its columns and tube entries, so this is the coherence of U, at least l.
+    Takes a TlsProblem or a design tensor, as leverage_probs does, and reads
+    the leverage the design holds.
+    """
+    design = _as_design(design)
+    n, p, l = design.shape
+    return float(n * l / p * design.leverage.max())
 
 
 def draw_plan(dist: SamplingDistribution, tau: int, seed) -> SamplingPlan:
@@ -171,10 +172,15 @@ def draw_plan(dist: SamplingDistribution, tau: int, seed) -> SamplingPlan:
     makes of `seed`. A seed is required: a plan is never drawn from
     operating-system entropy.
     """
-    if seed is None:
-        raise ValueError("draw_plan needs a seed; None would draw from OS entropy")
+    _require_seed("draw_plan", seed)
     (indices,), (weights,) = _draw_plans([dist], tau, [np.random.default_rng(seed)])
     return SamplingPlan(tau=tau, indices=indices, weights=weights, seed=seed)
+
+
+def _require_seed(name: str, seed) -> None:
+    """Refuse a None seed: every random path is drawn from an explicit seed."""
+    if seed is None:
+        raise ValueError(f"{name} needs a seed; None would draw from OS entropy")
 
 
 def _draw_plans(dists, tau: int, rngs) -> tuple[np.ndarray, np.ndarray]:

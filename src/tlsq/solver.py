@@ -20,7 +20,7 @@ import numpy as np
 
 from .errors import DimensionMismatch, RankDeficient, SketchRankDeficient
 from .tensor import _QR_BLOCK_ROWS, _from_half, _parseval_weights, _row_energy, _to_half
-from .tensor import as_tensor, default_rank_tol
+from .tensor import _rank_cutoff, as_tensor, default_rank_tol
 
 if TYPE_CHECKING:  # sampling builds on problems, so it imports this module
     from .sampling import SamplingPlan
@@ -281,7 +281,7 @@ def _solve_factored(r, p: int, rows, l: int):
     a stack that lost rank and None otherwise. The sketch solvers keep this
     mask and error list in the batch they return.
     """
-    cutoff = np.finfo(np.float64).eps * np.maximum(np.asarray(rows), p)
+    cutoff = _rank_cutoff(rows, p)
     r11 = r[..., :p, :p]
     # R11 is upper triangular, so LU swaps no rows and fails exactly on a zero
     # diagonal entry; such a stack solves with I in its place and is rejected.

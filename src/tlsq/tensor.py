@@ -42,9 +42,13 @@ _SCANNED = weakref.WeakValueDictionary()
 def as_tensor(x, name: str = "tensor") -> np.ndarray:
     """Validate and return a tubal matrix as a float64 array of shape (n, p, l).
 
-    An array read_tensor returned was scanned for non-finite values when it
-    was read and cannot be written since, so it is not scanned again.
+    A complex input raises ValueError rather than being cast, which would
+    keep only its real part. An array read_tensor returned was scanned for
+    non-finite values when it was read and cannot be written since, so it
+    is not scanned again.
     """
+    if np.iscomplexobj(x):
+        raise ValueError(f"{name} is complex; a tubal matrix is real")
     arr = np.asarray(x, dtype=np.float64)
     if arr.ndim != 3:
         raise DimensionMismatch(f"{name} must be a 3-way array, got shape {arr.shape}")
@@ -206,10 +210,14 @@ def fro_norm(x) -> float:
     return float(np.linalg.norm(as_tensor(x)))
 
 
+def _rank_cutoff(rows, cols):
+    """eps * max(rows, cols), elementwise: lstsq's default relative singular-value cutoff."""
+    return np.finfo(np.float64).eps * np.maximum(rows, cols)
+
+
 def default_rank_tol(shape, smax: float) -> float:
-    """Default threshold below which a singular value counts as zero."""
-    n, p = shape[0], shape[1]
-    return np.finfo(np.float64).eps * max(n, p) * smax
+    """Default threshold below which a singular value counts as zero: _rank_cutoff * smax."""
+    return _rank_cutoff(shape[0], shape[1]) * smax
 
 
 class ThinTSVD(NamedTuple):
@@ -257,21 +265,6 @@ def t_pinv(x) -> np.ndarray:
     """Moore-Penrose inverse, taken slice-wise in the DFT domain."""
     x = as_tensor(x)
     return _from_half(np.linalg.pinv(_to_half(x)), x.shape[2])
-
-
-def extremal_singular_values(x) -> tuple[float, float, float]:
-    """(smallest, largest, condition number) over all DFT-slice singular values.
-
-    These coincide with the extremal singular values of the dense
-    block-circulant embedding. Mirrored slices share their values, so only
-    the half stack is decomposed. The condition number is inf when the
-    smallest value is zero.
-    """
-    sv = np.linalg.svd(_to_half(as_tensor(x)), compute_uv=False)
-    smin = float(sv.min())
-    smax = float(sv.max())
-    kappa = smax / smin if smin > 0.0 else float("inf")
-    return smin, smax, kappa
 
 
 # -- block-circulant oracle (testing only) ----------------------------------

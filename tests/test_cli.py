@@ -327,6 +327,14 @@ class TestExperiment:
         cfg = write_config(tmp_path, bogus="1")
         assert main(["experiment", "--config", cfg, "--out", str(tmp_path / "r.csv")]) == 1
 
+    def test_config_that_is_not_utf8_is_usage_error(self, tmp_path, capsys):
+        cfg, out = tmp_path / "cfg.txt", tmp_path / "r.csv"
+        cfg.write_bytes(b"seed=1\nn=\xff\n")
+        assert main(["experiment", "--config", str(cfg), "--out", str(out)]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: {cfg}: not UTF-8") and err.count("\n") == 1
+        assert not out.exists()
+
     @pytest.mark.parametrize(
         "command, override, fragment",
         # each of these messages names its key

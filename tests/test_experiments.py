@@ -81,6 +81,19 @@ class TestGenerators:
         with pytest.raises(ValueError, match="p >= 4"):
             gen_response(gen_design("mn", 10, 3, 2, seed=7), seed=8)
 
+    def test_design_needs_a_seed(self):
+        with pytest.raises(ValueError, match="gen_design needs a seed"):
+            gen_design("mn", 10, 4, 2, seed=None)
+
+    def test_response_needs_a_seed(self):
+        with pytest.raises(ValueError, match="gen_response needs a seed"):
+            gen_response(gen_design("mn", 10, 4, 2, seed=7), None)
+
+
+def energies(problems):
+    """Each problem's response energy ||Y||_F^2, as compute_metrics takes it."""
+    return [float(np.vdot(pb.response, pb.response)) for pb in problems]
+
 
 def metrics(ests, exact, truth, problems, **kwargs):
     """compute_metrics on aligned per-replicate lists, objectives read on each replicate's problem."""
@@ -88,7 +101,7 @@ def metrics(ests, exact, truth, problems, **kwargs):
         ests,
         exact,
         truth,
-        problems,
+        energies(problems),
         objectives=[tlsq.objective(pb, b) for pb, b in zip(problems, ests)],
         exact_objectives=[tlsq.objective(pb, b) for pb, b in zip(problems, exact)],
         **kwargs,
@@ -200,8 +213,8 @@ class TestComputeMetrics:
         ests = exact + rng.standard_normal(exact.shape)
         f = np.array([tlsq.objective(pb, b) for pb, b in zip(problems, ests)])
         truth = rng.standard_normal((p, 1, l))
-        row = compute_metrics(ests, exact, truth, problems, objectives=f, exact_objectives=f_exact,
-                              method="m", tau=7, failures=2)
+        row = compute_metrics(ests, exact, truth, energies(problems), objectives=f,
+                              exact_objectives=f_exact, method="m", tau=7, failures=2)
         assert (row.method, row.tau, row.replicates, row.failures) == ("m", 7, count, 2)
         got = np.array([row.smrfv, row.smre, row.ssb, row.sv, row.smse])
         if count < 2:
@@ -224,11 +237,12 @@ class TestComputeMetrics:
             assert abs(row.smse - (row.ssb + row.sv)) <= 1e-12 * row.smse
         extra = np.zeros((1, p, 1, l))
         aligned = dict(objectives=f, exact_objectives=f_exact)
+        ys = energies(problems)
         for args, kwargs in [
-            ((ests, np.concatenate([exact, extra]), truth, problems), aligned),
-            ((ests, exact, truth, [*problems, base]), aligned),
-            ((ests, exact, truth, problems), dict(aligned, objectives=np.append(f, 1.0))),
-            ((ests, exact, truth, problems), dict(aligned, exact_objectives=np.append(f_exact, 0))),
+            ((ests, np.concatenate([exact, extra]), truth, ys), aligned),
+            ((ests, exact, truth, energies([*problems, base])), aligned),
+            ((ests, exact, truth, ys), dict(aligned, objectives=np.append(f, 1.0))),
+            ((ests, exact, truth, ys), dict(aligned, exact_objectives=np.append(f_exact, 0))),
         ]:
             with pytest.raises(ValueError, match="per estimate|stack"):
                 compute_metrics(*args, **kwargs)
@@ -236,9 +250,9 @@ class TestComputeMetrics:
             bad = ests.copy()
             bad[-1, 0, 0, 0] = np.nan
             with pytest.raises(ValueError, match="finite"):
-                compute_metrics(bad, exact, truth, problems, **aligned)
+                compute_metrics(bad, exact, truth, ys, **aligned)
             with pytest.raises(ValueError, match="finite"):
-                compute_metrics(ests, exact, truth, problems,
+                compute_metrics(ests, exact, truth, ys,
                                 **dict(aligned, exact_objectives=np.full(count, np.inf)))
 
 
@@ -413,7 +427,7 @@ def per_cell_loop(cfg, compare=False):
             np.reshape([fit[0] for fit, _, _ in kept], (len(kept), *truth.shape)),
             np.reshape([ols.b for _, _, ols in kept], (len(kept), *truth.shape)),
             truth,
-            [pb for _, pb, _ in kept],
+            energies([pb for _, pb, _ in kept]),
             objectives=[fit[1] for fit, _, _ in kept],
             exact_objectives=[ols.objective for _, _, ols in kept],
             method=label,
@@ -512,6 +526,29 @@ class TestBatchedReplicateLoop:
                                taus=(12,), mode=mode, redraw_design=redraw)
         run_experiment(cfg)
         assert calls == []
+
+    @pytest.mark.parametrize("compare", [False, True])
+    def test_one_compute_metrics_call_per_cell(self, monkeypatch, compare):
+        """The driver aggregates each cell by one call of the module's compute_metrics.
+
+        Over two chunks of replicates, every report row is one call, looked
+        up as the module attribute, so a wrapper installed there (as
+        perfbench's tracer installs one) sees all of the aggregation.
+        """
+        calls = []
+
+        def counting(*args, _original=experiments.compute_metrics, **kwargs):
+            row = _original(*args, **kwargs)
+            calls.append((row.method, row.tau))
+            return row
+
+        monkeypatch.setattr(experiments, "compute_metrics", counting)
+        cfg = ExperimentConfig(seed=36, n=60, p=4, l=3, design="t3", taus=(12, 20),
+                               replicates=experiments._REPLICATE_CHUNK + 3,
+                               methods=("unif", "lev"), smls="same_tau")
+        rows = (run_mls_comparison if compare else run_experiment)(cfg)
+        assert len(rows) == (12 if compare else 8)
+        assert sorted(calls) == [(r.method, r.tau) for r in rows]
 
     @pytest.mark.parametrize(
         "compare, redraw",
@@ -848,12 +885,13 @@ class TestReportIo:
             pytest.param(["method,tau,smrfv"], id="foreign-header"),
             pytest.param(["unif,300,1,2,3,4,5,nan,25"], id="missing-column"),
             pytest.param(["unif,300,1,2,3,4,5,nan,25,0,7"], id="extra-column"),
+            pytest.param([], id="empty-file"),
         ],
     )
     def test_malformed_report_raises(self, tmp_path, lines):
         path = tmp_path / "bad.csv"
         header = ",".join(experiments.REPORT_HEADER)
-        body = lines if lines[0].startswith("method,") else [header, *lines]
+        body = lines if not lines or lines[0].startswith("method,") else [header, *lines]
         path.write_text("".join(f"{line}\n" for line in body))
         with pytest.raises(ValueError):
             read_report(path)

@@ -5,7 +5,7 @@ import io
 
 import numpy as np
 import pytest
-from hypothesis import example, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 import tlsq
@@ -166,9 +166,37 @@ class TestCoherence:
         direct = 20 * 3 / 2 * (u**2).sum(axis=(1, 2)).max()
         assert abs(tlsq.coherence(u) - direct) <= 1e-12
 
-    def test_non_orthonormal_input_rejected(self):
-        with pytest.raises(ValueError, match="orthogonal"):
-            tlsq.coherence(0.01 * rand((6, 2, 2), 13))
+    @settings(max_examples=60, deadline=None)
+    @given(
+        p=st.integers(1, 4),
+        extra_rows=st.sampled_from([0, 1, 7]),
+        l=st.sampled_from([1, 2, 5, 6]),
+        problem=st.booleans(),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    @example(p=3, extra_rows=0, l=1, problem=False, seed=0)
+    @example(p=2, extra_rows=7, l=2, problem=True, seed=1)
+    @example(p=4, extra_rows=1, l=5, problem=True, seed=2)
+    @example(p=1, extra_rows=7, l=6, problem=False, seed=3)
+    def test_equals_coherence_of_t_svd_factor(self, p, extra_rows, l, problem, seed):
+        """coherence(x) = coherence(U) = n*l/p * max_i sum_jk u_ijk^2 for x's thin t-SVD factor U.
+
+        x is given bare or as a TlsProblem on it, and U, an orthonormal
+        design, is given bare. The leverage of x is accurate to about eps
+        times its slice condition number, so ill-conditioned draws are left
+        out. At n = p every row has leverage one and the coherence is l.
+        """
+        rng = np.random.default_rng(seed)
+        n = p + extra_rows
+        x = rng.standard_normal((n, p, l))
+        assume(np.linalg.cond(np.fft.fft(x, axis=2).transpose(2, 0, 1)).max() < 1e3)
+        u = tlsq.thin_t_svd(x).u
+        direct = n * l / p * (u**2).sum(axis=(1, 2)).max()
+        given_x = tlsq.TlsProblem(x, rng.standard_normal((n, 1, l))) if problem else x
+        for mu in (tlsq.coherence(given_x), tlsq.coherence(u)):
+            assert abs(mu - direct) <= 1e-12 * direct
+        if n == p:
+            assert abs(direct - l) <= 1e-12 * l
 
 
 class TestDrawPlan:

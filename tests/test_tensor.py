@@ -347,14 +347,23 @@ class TestPinv:
         assert np.abs(tlsq.t_pinv(tlsq.t_pinv(x)) - x).max() <= 1e-8
 
 
+def extremal_singular_values(x):
+    """(smallest, largest, condition number) of a full-rank tensor's DFT-slice singular values."""
+    sv = tlsq.thin_t_svd(x).slice_singular_values
+    assert sv.shape == (x.shape[1], x.shape[2])
+    return sv.min(), sv.max(), sv.max() / sv.min()
+
+
 class TestExtremalSingularValues:
+    """The extremes of thin_t_svd's slice singular values are those of the embedding bcirc(x)."""
+
     def test_identity(self):
-        assert tlsq.extremal_singular_values(tlsq.identity(3, 4)) == (1.0, 1.0, 1.0)
+        assert extremal_singular_values(tlsq.identity(3, 4)) == (1.0, 1.0, 1.0)
 
     def test_single_tube(self):
         x = rand((4, 2, 1), 33)
         sv = np.linalg.svd(x[:, :, 0], compute_uv=False)
-        smin, smax, kappa = tlsq.extremal_singular_values(x)
+        smin, smax, kappa = extremal_singular_values(x)
         assert abs(smin - sv.min()) <= 1e-12
         assert abs(smax - sv.max()) <= 1e-12
         assert abs(kappa - sv.max() / sv.min()) <= 1e-9
@@ -362,12 +371,27 @@ class TestExtremalSingularValues:
     def test_matches_dense_oracle(self):
         x = rand((4, 2, 3), 34)
         dense = np.linalg.svd(tlsq.bcirc(x), compute_uv=False)
-        smin, smax, _ = tlsq.extremal_singular_values(x)
+        smin, smax, _ = extremal_singular_values(x)
         assert abs(smin - dense.min()) <= 1e-10
         assert abs(smax - dense.max()) <= 1e-10
 
-    def test_singular_tensor_has_infinite_condition(self):
-        assert tlsq.extremal_singular_values(np.zeros((2, 2, 2)))[2] == float("inf")
+
+class TestComplexInput:
+    """A complex array is refused by name, not cast to its real part."""
+
+    def test_t_product_rejects_complex_operand(self):
+        x, y = rand((5, 2, 3), 36), rand((2, 1, 3), 37)
+        with pytest.raises(ValueError, match="left operand is complex"):
+            tlsq.t_product(x + 1j * x, y)
+        with pytest.raises(ValueError, match="right operand is complex"):
+            tlsq.t_product(x, y.astype(complex))
+
+    def test_problem_rejects_complex_design_and_response(self):
+        x, y = rand((5, 2, 3), 38), rand((5, 1, 3), 39)
+        with pytest.raises(ValueError, match="design is complex"):
+            tlsq.TlsProblem(x + 1j * x, y)
+        with pytest.raises(ValueError, match="response is complex"):
+            tlsq.TlsProblem(x, y + 1j * y)
 
 
 class TestTensorFile:
