@@ -55,11 +55,11 @@ _STREAM_SMLS = 3
 # The replicates run in ceil(R / _REPLICATE_CHUNK) near-equal chunks, one
 # pool task each, so at most that many threads work at once. A chunk fits its
 # responses on one design by one factorization of [X | Y], factors each
-# tensor cell as one batch of one plan per replicate and finishes all its
-# tensor cells' R factors in one stack. The chunk bounds the memory its
-# problems and stacks take; it returns numbers only, so a worker holds one
-# chunk's problems at a time. It depends on R alone, so reports do not
-# depend on the thread count.
+# tensor cell as one batch of one plan per replicate from one reused sketch
+# workspace and finishes all its tensor cells' R factors in one stack. The
+# chunk bounds the memory its problems and stacks take; it returns numbers
+# only, so a worker holds one chunk's problems at a time. It depends on R
+# alone, so reports do not depend on the thread count.
 _REPLICATE_CHUNK = 8
 
 _EPS = np.finfo(np.float64).eps
@@ -450,22 +450,26 @@ def _run_cells(cfg: ExperimentConfig, cells) -> list[MetricsRow]:
     one _exact_solutions call. It draws each cell's plans, one per
     replicate and each from its own stream key, in one _draw_compressed
     call, which sorts each plan's uniforms and so draws it already
-    compressed to its unique rows, with no sort of the (plan, row) keys. A
-    matrix cell solves them as one batch by _solve_matrix_sketches. A
-    tensor cell factors them as one batch (_factor_sketches) into the
-    chunk's one stack of R factors, and after the cell loop one
+    compressed to its unique rows, with no sort of the (plan, row) keys.
+    The tensor cells run first. Once their plans are drawn, the chunk takes
+    one flat complex workspace sized for the tallest of their batches, and
+    each tensor cell factors its plans as one batch (_factor_sketches) from
+    a (B, l//2 + 1, p + 1, rows) view of it, column-major per slice, into
+    the chunk's one stack of R factors. The workspace is dropped, and one
     _finish_sketches call solves the whole stack; its stacks (ok, bs,
-    objectives, errors) are split back per cell. With `timing` on, a cell's
-    wall time in a replicate is an equal share of its batch's draw and
-    solve, where a tensor cell's solve is its factorization and an equal
-    share of the chunk's finish; otherwise it is NaN. A chunk returns
+    objectives, errors) are split back per cell. Then each matrix cell
+    solves its plans as one batch by _solve_matrix_sketches, so the
+    workspace is never held beside the baseline's sketches. With `timing`
+    on, a cell's wall time in a replicate is an equal share of its batch's
+    draw and solve, where a tensor cell's solve is its factorization and an
+    equal share of the chunk's finish; otherwise it is NaN. A chunk returns
     numbers only: its problems' response energies, their exact solutions
     and objectives, and each cell's stacks, which _aggregate concatenates
     into the rows. So a worker holds at most one chunk's problems.
     """
     clock = time.perf_counter if cfg.timing else lambda: math.nan
     base = None if cfg.redraw_design else _prepare_state(cfg, cells, _STREAM_DESIGN)
-    tensor = [c for c, cell in enumerate(cells) if not cell.matrix]
+    tensor, matrix = ([c for c, cell in enumerate(cells) if cell.matrix == m] for m in (False, True))
 
     def worker(chunk):
         if base is None:
@@ -474,22 +478,27 @@ def _run_cells(cfg: ExperimentConfig, cells) -> list[MetricsRow]:
         else:
             states = [base] * len(chunk)
             problems = _replicate_problems(cfg, base, chunk)
-        size = len(chunk)
-        r = np.empty((len(tensor) * size, cfg.l // 2 + 1, cfg.p + 1, cfg.p + 1), dtype=np.complex128)
-        taus, batches, seconds = np.empty(len(r), dtype=np.intp), [], []
-        for c, cell in enumerate(cells):
-            start = clock()
+
+        def draw(cell):
             rngs = [_rng(cfg.seed, cell.stream, b, *cell.index) for b in chunk]
             dists = [s.dists[cell.kind, cell.matrix] for s in states]
             system_rows = cfg.n * cfg.l if cell.matrix else cfg.n
-            plans = _draw_compressed(dists, cell.draws, rngs, system_rows, cfg.p)
-            if cell.matrix:
-                batches.append(_solve_matrix_sketches([s.rows for s in states], problems, *plans)[:3])
-            else:
-                rows = slice(tensor.index(c) * size, (tensor.index(c) + 1) * size)
-                taus[rows], r[rows] = _factor_sketches(problems, *plans[:3])
-                batches.append(None)
-            seconds.append(clock() - start)
+            return _draw_compressed(dists, cell.draws, rngs, system_rows, cfg.p)
+
+        def timed(c, step, *args):  # step(*args), its wall time added to cell c's
+            start = clock()
+            out = step(*args)
+            seconds[c] += clock() - start
+            return out
+
+        size, batches, seconds = len(chunk), [None] * len(cells), [0.0] * len(cells)
+        r = np.empty((len(tensor), size, cfg.l // 2 + 1, cfg.p + 1, cfg.p + 1), dtype=np.complex128)
+        plans = [timed(c, draw, cells[c]) for c in tensor]
+        work = np.empty(r[0, 0, ..., 0].size * max(plan[1].size for plan in plans), np.complex128)
+        for k, (c, plan) in enumerate(zip(tensor, plans)):
+            r[k] = timed(c, _factor_sketches, problems, *plan[:3], work)[1]
+        taus, r = np.concatenate([plan[0] for plan in plans]), r.reshape(-1, *r.shape[2:])
+        del work, plans  # the matrix cells run without them
         start = clock()  # every run has a tensor cell
         ok, bs, objectives, _ = _finish_sketches(problems * len(tensor), r, taus)
         share = (clock() - start) / len(tensor)
@@ -497,8 +506,11 @@ def _run_cells(cfg: ExperimentConfig, cells) -> list[MetricsRow]:
         cuts = np.cumsum(oks.sum(axis=1))[:-1]
         for c, *batch in zip(tensor, oks, np.split(bs, cuts), np.split(objectives, cuts)):
             batches[c], seconds[c] = batch, seconds[c] + share
+        for c in matrix:
+            plan = timed(c, draw, cells[c])
+            batches[c] = timed(c, _solve_matrix_sketches, [s.rows for s in states], problems, *plan)
         energies = [float(np.vdot(pb.response, pb.response)) for pb in problems]
-        out = [(*batch, np.full(size, t * 1e3 / size)) for batch, t in zip(batches, seconds)]
+        out = [(*batch[:3], np.full(size, t * 1e3 / size)) for batch, t in zip(batches, seconds)]
         return (energies, *_exact_solutions(problems), out)
 
     chunks = np.array_split(np.arange(cfg.replicates), -(-cfg.replicates // _REPLICATE_CHUNK))
@@ -646,9 +658,12 @@ _CONFIG_PARSERS = {f.name: _PARSERS[f.type] for f in fields(ExperimentConfig)}
 
 
 def parse_config_file(path) -> ExperimentConfig:
-    """Parse a flat key=value UTF-8 config file; '#' starts a comment, seed is mandatory."""
+    """Parse a flat key=value UTF-8 config file; '#' starts a comment, seed is mandatory.
+
+    A leading byte-order mark, as some editors write one, is skipped.
+    """
     try:
-        with open(path, encoding="utf-8") as fh:
+        with open(path, encoding="utf-8-sig") as fh:
             lines = fh.readlines()
     except UnicodeDecodeError as exc:
         raise ConfigError(f"{path}: not UTF-8 text ({exc.reason} at byte {exc.start})") from exc

@@ -448,25 +448,31 @@ def _solve_sketches(problems, indices, weights):
     return _finish_sketches(problems, r, taus)
 
 
-def _factor_sketches(problems, taus, picked, scale):
+def _factor_sketches(problems, taus, picked, scale, work=None):
     """The R factors (B, l//2 + 1, p + 1, p + 1) of a batch's sketches, and each plan's tau draws.
 
     The plans come compressed, as _compress returns them (taus, picked,
     scale): plan j's unique rows picked[j], scaled by scale[j], padded with
     zero rows (which leave R unchanged) to a common height of at least p.
-    They are stacked as (B, l//2 + 1, rows, p + 1) and factored by one
-    R-only QR. Each plan gathers its rows from its own problem. A batch of
+    Each plan gathers its rows from its own problem, scaled on the way, into
+    a (B, l//2 + 1, p + 1, rows) stack, whose .mT is factored by one R-only
+    QR: each slice's sketch is column-major, so the QR's copy and LAPACK's
+    layout read it contiguously. The stack is a view of the flat complex
+    buffer `work` when one is given (the replicate driver reuses one across
+    a chunk's batches, so a batch allocates no stack of its own), and every
+    entry of the view is written, so nothing of an earlier batch is read.
+    Without `work` the stack is allocated in the same layout. A batch of
     height p gets a zero last row of R, so that the factors of batches of
     any height stack. Padding costs rows, so a batch should hold plans of
     similar height, as the replicate driver's batches of one cell do.
     """
     _, p, l = problems[0].shape
-    m = np.empty((l // 2 + 1, *picked.shape, p + 1), dtype=np.complex128)
+    shape = (len(problems), l // 2 + 1, p + 1, picked.shape[1])
+    m = np.empty(shape, np.complex128) if work is None else work[: math.prod(shape)].reshape(shape)
     for j, pb in enumerate(problems):
-        m[:, j, :, :p] = pb._design.half[:, picked[j]]
-        m[:, j, :, p] = pb.response_half[:, picked[j], 0]
-    m *= scale[:, :, None]
-    r = _tsqr_r(_row_blocks(m.swapaxes(0, 1)))
+        np.multiply(pb._design.half[:, picked[j]].mT, scale[j], out=m[j, :, :p])
+        np.multiply(pb.response_half[:, picked[j], 0], scale[j], out=m[j, :, p])
+    r = _tsqr_r(_row_blocks(m.mT))
     if r.shape[-2] == p:
         r = np.concatenate([r, np.zeros_like(r[..., :1, :])], axis=-2)
     return taus, r

@@ -327,6 +327,15 @@ class TestExperiment:
         cfg = write_config(tmp_path, bogus="1")
         assert main(["experiment", "--config", cfg, "--out", str(tmp_path / "r.csv")]) == 1
 
+    def test_config_with_byte_order_mark_runs_as_plain(self, tmp_path):
+        plain = Path(write_config(tmp_path))
+        bom = tmp_path / "bom.txt"
+        bom.write_bytes(b"\xef\xbb\xbf" + plain.read_bytes())
+        outs = tmp_path / "plain.csv", tmp_path / "bom.csv"
+        for cfg, out in zip((plain, bom), outs):
+            assert main(["experiment", "--config", str(cfg), "--out", str(out)]) == 0
+        assert outs[0].read_bytes() == outs[1].read_bytes()
+
     def test_config_that_is_not_utf8_is_usage_error(self, tmp_path, capsys):
         cfg, out = tmp_path / "cfg.txt", tmp_path / "r.csv"
         cfg.write_bytes(b"seed=1\nn=\xff\n")

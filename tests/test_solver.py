@@ -656,6 +656,40 @@ class TestOneFinishForSeveralBatches:
                 assert expected is None
 
 
+class TestSketchWorkspace:
+    """_factor_sketches into a reused workspace gives the bits of its own fresh stack."""
+
+    @settings(max_examples=60, deadline=None)
+    @given(**edge_shapes, extra_taus=st.lists(st.integers(0, 12), min_size=2, max_size=5))
+    @example(p=3, extra_rows=0, l=1, seed=0, extra_taus=[0, 4, 0])
+    @example(p=2, extra_rows=3, l=2, seed=1, extra_taus=[5, 12, 0])
+    @example(p=4, extra_rows=2, l=5, seed=2, extra_taus=[1, 9, 3])
+    @example(p=1, extra_rows=4, l=6, seed=3, extra_taus=[12, 0])
+    def test_reused_workspace_matches_fresh_stack(self, p, extra_rows, l, seed, extra_taus):
+        """Batches of tau = p + extra_tau draws on n = p + extra_rows rows, three plans each on
+        three designs, run in order of rising and then falling tau through one workspace that
+        starts as NaN. A tau = p batch of repeated rows is padded with zero rows to height p."""
+        rng = np.random.default_rng(seed)
+        n = p + extra_rows
+        problems = [make_problem(n=n, p=p, l=l, seed=int(s)) for s in rng.integers(0, 2**31, 3)]
+        half = len(extra_taus) // 2
+        taus = sorted(p + t for t in extra_taus[:half]) + sorted(
+            (p + t for t in extra_taus[half:]), reverse=True)
+        batches = []
+        for tau in taus:
+            indices = [rng.integers(0, n, tau) for _ in problems]
+            batches.append(solver._compress(
+                indices, [rng.uniform(0.5, 2.0, tau) for _ in problems], n, p)[:3])
+        heights = [batch[1].shape[1] for batch in batches]
+        work = np.full(3 * (l // 2 + 1) * (p + 1) * max(heights), np.nan, dtype=np.complex128)
+        for batch in batches:
+            taus_fresh, fresh = solver._factor_sketches(problems, *batch)
+            taus_reused, reused = solver._factor_sketches(problems, *batch, work)
+            assert np.array_equal(taus_reused, taus_fresh)
+            assert np.array_equal(reused, fresh)
+            assert reused.shape == (3, l // 2 + 1, p + 1, p + 1)
+
+
 class TestOneSpectrumPerSolution:
     """A batch keeps its solutions in the half spectrum until they leave the solver."""
 
