@@ -255,9 +255,13 @@ def _tsqr_r(blocks):
     Each block is factored on its own and the stacked R factors once more,
     which gives the R of the whole stack; a stack of one block is factored
     once. So the tall slices are factored once and normal equations are
-    never formed.
+    never formed. A block of a batch of sketches, (B, slices, rows, cols),
+    is factored one plan at a time: numpy's QR copies its input, and a copy
+    of one plan's slices is reused from the heap, where a copy of the whole
+    batch takes fresh pages. The bits are those of one call on the block.
     """
-    rs = [np.linalg.qr(block, mode="r") for block in blocks]
+    rs = [np.stack([np.linalg.qr(x, mode="r") for x in b]) if b.ndim == 4 else np.linalg.qr(b, mode="r")
+          for b in blocks]
     return rs[0] if len(rs) == 1 else np.linalg.qr(np.concatenate(rs, axis=-2), mode="r")
 
 
@@ -455,12 +459,13 @@ def _factor_sketches(problems, taus, picked, scale, work=None):
     scale): plan j's unique rows picked[j], scaled by scale[j], padded with
     zero rows (which leave R unchanged) to a common height of at least p.
     Each plan gathers its rows from its own problem, scaled on the way, into
-    a (B, l//2 + 1, p + 1, rows) stack, whose .mT is factored by one R-only
-    QR: each slice's sketch is column-major, so the QR's copy and LAPACK's
-    layout read it contiguously. The stack is a view of the flat complex
-    buffer `work` when one is given (the replicate driver reuses one across
-    a chunk's batches, so a batch allocates no stack of its own), and every
-    entry of the view is written, so nothing of an earlier batch is read.
+    a (B, l//2 + 1, p + 1, rows) stack, whose .mT one _tsqr_r call factors,
+    one plan at a time: each slice's sketch is column-major, so the QR's
+    copy and LAPACK's layout read it contiguously. The stack is a view of
+    the flat complex buffer `work` when one is given (the replicate driver
+    reuses one across a chunk's batches, so a batch allocates no stack of
+    its own), and every entry of the view is written, so nothing of an
+    earlier batch is read.
     Without `work` the stack is allocated in the same layout. A batch of
     height p gets a zero last row of R, so that the factors of batches of
     any height stack. Padding costs rows, so a batch should hold plans of
@@ -473,9 +478,7 @@ def _factor_sketches(problems, taus, picked, scale, work=None):
         np.multiply(pb._design.half[:, picked[j]].mT, scale[j], out=m[j, :, :p])
         np.multiply(pb.response_half[:, picked[j], 0], scale[j], out=m[j, :, p])
     r = _tsqr_r(_row_blocks(m.mT))
-    if r.shape[-2] == p:
-        r = np.concatenate([r, np.zeros_like(r[..., :1, :])], axis=-2)
-    return taus, r
+    return taus, np.concatenate([r, np.zeros_like(r[..., :1, :])], axis=-2) if r.shape[-2] == p else r
 
 
 def _finish_sketches(problems, r, taus):

@@ -657,18 +657,35 @@ class TestOneFinishForSeveralBatches:
 
 
 class TestSketchWorkspace:
-    """_factor_sketches into a reused workspace gives the bits of its own fresh stack."""
+    """_factor_sketches into a reused workspace gives the bits of its own fresh stack, and of a
+    row-major stack scaled after the gather."""
+
+    @staticmethod
+    def row_major_r(problems, picked, scale, block):
+        """R of the stack as the parent built it: row-major, scaled after the gather, and every
+        block of `block` rows factored by one stacked QR."""
+        _, p, l = problems[0].shape
+        m = np.empty((l // 2 + 1, *picked.shape, p + 1), dtype=np.complex128)
+        for j, pb in enumerate(problems):
+            m[:, j, :, :p] = pb._design.half[:, picked[j]]
+            m[:, j, :, p] = pb.response_half[:, picked[j], 0]
+        m *= scale[:, :, None]
+        m = m.swapaxes(0, 1)
+        rs = [np.linalg.qr(m[..., s : s + block, :], mode="r") for s in range(0, m.shape[-2], block)]
+        return rs[0] if len(rs) == 1 else np.linalg.qr(np.concatenate(rs, axis=-2), mode="r")
 
     @settings(max_examples=60, deadline=None)
-    @given(**edge_shapes, extra_taus=st.lists(st.integers(0, 12), min_size=2, max_size=5))
-    @example(p=3, extra_rows=0, l=1, seed=0, extra_taus=[0, 4, 0])
-    @example(p=2, extra_rows=3, l=2, seed=1, extra_taus=[5, 12, 0])
-    @example(p=4, extra_rows=2, l=5, seed=2, extra_taus=[1, 9, 3])
-    @example(p=1, extra_rows=4, l=6, seed=3, extra_taus=[12, 0])
-    def test_reused_workspace_matches_fresh_stack(self, p, extra_rows, l, seed, extra_taus):
+    @given(**edge_shapes, extra_taus=st.lists(st.integers(0, 12), min_size=2, max_size=5),
+           block=st.integers(1, 8))
+    @example(p=3, extra_rows=0, l=1, seed=0, extra_taus=[0, 4, 0], block=8)
+    @example(p=2, extra_rows=3, l=2, seed=1, extra_taus=[5, 12, 0], block=2)
+    @example(p=4, extra_rows=2, l=5, seed=2, extra_taus=[1, 9, 3], block=3)
+    @example(p=1, extra_rows=4, l=6, seed=3, extra_taus=[12, 0], block=1)
+    def test_reused_workspace_matches_fresh_stack(self, p, extra_rows, l, seed, extra_taus, block):
         """Batches of tau = p + extra_tau draws on n = p + extra_rows rows, three plans each on
         three designs, run in order of rising and then falling tau through one workspace that
-        starts as NaN. A tau = p batch of repeated rows is padded with zero rows to height p."""
+        starts as NaN, and factored in row blocks of `block` rows. A tau = p batch of repeated
+        rows is padded with zero rows to height p and gets a zero last row of R."""
         rng = np.random.default_rng(seed)
         n = p + extra_rows
         problems = [make_problem(n=n, p=p, l=l, seed=int(s)) for s in rng.integers(0, 2**31, 3)]
@@ -682,12 +699,17 @@ class TestSketchWorkspace:
                 indices, [rng.uniform(0.5, 2.0, tau) for _ in problems], n, p)[:3])
         heights = [batch[1].shape[1] for batch in batches]
         work = np.full(3 * (l // 2 + 1) * (p + 1) * max(heights), np.nan, dtype=np.complex128)
-        for batch in batches:
-            taus_fresh, fresh = solver._factor_sketches(problems, *batch)
-            taus_reused, reused = solver._factor_sketches(problems, *batch, work)
-            assert np.array_equal(taus_reused, taus_fresh)
-            assert np.array_equal(reused, fresh)
-            assert reused.shape == (3, l // 2 + 1, p + 1, p + 1)
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(solver, "_QR_BLOCK_ROWS", block)
+            for batch in batches:
+                taus_fresh, fresh = solver._factor_sketches(problems, *batch)
+                taus_reused, reused = solver._factor_sketches(problems, *batch, work)
+                assert np.array_equal(taus_reused, taus_fresh)
+                assert np.array_equal(reused, fresh)
+                assert reused.shape == (3, l // 2 + 1, p + 1, p + 1)
+                want = self.row_major_r(problems, *batch[1:], block)
+                assert np.array_equal(reused[..., : want.shape[-2], :], want)
+                assert not reused[..., want.shape[-2] :, :].any()
 
 
 class TestOneSpectrumPerSolution:
