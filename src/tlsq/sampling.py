@@ -16,7 +16,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DegenerateDistribution
-from .solver import _as_design, _compress_sorted, _plan_keys
+from .solver import _as_design, _compress_sorted, _plan_keys, _row_blocks
 from .tensor import _parseval_weights, _row_energy
 
 PROB_SUM_TOL = 1e-12
@@ -144,11 +144,13 @@ def _sandwich_numerators(design):
     """Means over all l slices of (1 - h_i(k)) * ||x_i(k)||^2 and of ||x_i(k)||^2, (n,) each.
 
     The first is the sandwich middle trace's numerator, whose square root
-    optimal_probs follows; h_i(k) are the leverage rows of the _Design.
+    optimal_probs follows; h_i(k) are the leverage rows of the _Design. The
+    row energies of the column-major half stack are taken a block of rows
+    at a time, so at most one block is copied.
     """
     l = design.shape[2]
     w = _parseval_weights(l) / l
-    row_x = _row_energy(design.half)
+    row_x = np.concatenate([_row_energy(block) for block in _row_blocks(design.half)], axis=1)
     return w @ ((1.0 - design.leverage_rows) * row_x), w @ row_x
 
 

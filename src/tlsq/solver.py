@@ -242,11 +242,12 @@ def _row_blocks(*stacks):
     """Row blocks of the column-wise concatenation of `stacks`, _QR_BLOCK_ROWS rows each.
 
     Only one block is gathered at a time, so the whole concatenation is
-    never held.
+    never held. A concatenated block is column-major in each slice, as the
+    half stacks are, so the QR's copy of it reads whole columns.
     """
     for start in range(0, stacks[0].shape[-2], _QR_BLOCK_ROWS):
         part = [s[..., start : start + _QR_BLOCK_ROWS, :] for s in stacks]
-        yield part[0] if len(part) == 1 else np.concatenate(part, axis=-1)
+        yield part[0] if len(part) == 1 else np.concatenate([q.mT for q in part], axis=-2).mT
 
 
 def _tsqr_r(blocks):
@@ -460,7 +461,8 @@ def _factor_sketches(problems, taus, picked, scale, work=None):
     zero rows (which leave R unchanged) to a common height of at least p.
     Each plan gathers its rows from its own problem, scaled on the way, into
     a (B, l//2 + 1, p + 1, rows) stack, whose .mT one _tsqr_r call factors,
-    one plan at a time: each slice's sketch is column-major, so the QR's
+    one plan at a time: each slice's sketch is column-major, as the half
+    stacks are, so the gather reads and writes in one order, and the QR's
     copy and LAPACK's layout read it contiguously. The stack is a view of
     the flat complex buffer `work` when one is given (the replicate driver
     reuses one across a chunk's batches, so a batch allocates no stack of
@@ -475,8 +477,8 @@ def _factor_sketches(problems, taus, picked, scale, work=None):
     shape = (len(problems), l // 2 + 1, p + 1, picked.shape[1])
     m = np.empty(shape, np.complex128) if work is None else work[: math.prod(shape)].reshape(shape)
     for j, pb in enumerate(problems):
-        np.multiply(pb._design.half[:, picked[j]].mT, scale[j], out=m[j, :, :p])
-        np.multiply(pb.response_half[:, picked[j], 0], scale[j], out=m[j, :, p])
+        np.multiply(pb._design.half.mT[..., picked[j]], scale[j], out=m[j, :, :p])
+        np.multiply(pb.response_half.mT[:, 0, picked[j]], scale[j], out=m[j, :, p])
     r = _tsqr_r(_row_blocks(m.mT))
     return taus, np.concatenate([r, np.zeros_like(r[..., :1, :])], axis=-2) if r.shape[-2] == p else r
 

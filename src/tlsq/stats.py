@@ -26,7 +26,7 @@ import numpy as np
 from .errors import DimensionMismatch, ZeroProbabilityRow
 from .sampling import SamplingDistribution, _sandwich_numerators
 from .tensor import _from_half, _row_energy, as_tensor
-from .solver import TlsProblem, _as_design
+from .solver import TlsProblem, _as_design, _row_blocks
 
 # Rows whose numerator is this far below the caller's reference scale are
 # treated as exact zeros when paired with a zero sampling probability.
@@ -128,7 +128,13 @@ def _conditional_middle(prob: TlsProblem, dist: SamplingDistribution, tau: int) 
     """Row weights (l//2 + 1, n) of the conditional sandwich: residual energy / (tau * pi_i)."""
     if tau < 1:
         raise ValueError("tau must be at least 1")
-    energy = _row_energy(prob.response_half - prob._design.half @ prob._ols_half)
+    # BLAS sums a matrix-vector product in another order on a column-major
+    # matrix, so the residual is formed on row-major copies of row blocks,
+    # which keeps it independent of the half stack's memory order.
+    blocks = zip(_row_blocks(prob._design.half), _row_blocks(prob.response_half))
+    energy = np.concatenate(
+        [_row_energy(y - np.ascontiguousarray(x) @ prob._ols_half) for x, y in blocks], axis=1
+    )
     scale = float(_row_energy(prob.response_half).max())
     return _row_weights(energy, dist.probs, "residual", scale) / tau
 

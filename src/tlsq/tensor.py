@@ -31,7 +31,8 @@ BCIRC_MAX_ENTRIES = 4_000_000
 # Relative ceiling on the imaginary part an inverse tube DFT may discard.
 IMAG_RESIDUE_TOL = 1e-8
 
-# Tall stacks are transformed, and factored, this many rows at a time.
+# Tall half stacks are factored, and their row energies taken, this many rows
+# at a time, so no reordered copy of a whole stack is made.
 _QR_BLOCK_ROWS = 2048
 
 # The read-only arrays read_tensor returned after its finiteness scan, by id.
@@ -62,8 +63,10 @@ def as_tensor(x, name: str = "tensor") -> np.ndarray:
 # The DFT slices of a real tensor beyond index l//2 are conjugate mirrors of
 # earlier ones, so only the l//2 + 1 independent slices are ever formed: as a
 # slice-major "half stack" (l//2 + 1, n, p), which numpy's stacked linalg and
-# matmul treat as a batch of matrices. Slice 0, and slice l/2 for even l, are
-# self-conjugate (real).
+# matmul treat as a batch of matrices. Each slice is held column-major, the
+# order of a .tt payload, of LAPACK and of the sketch stacks, so the tube DFT
+# writes a tensor's spectrum in one strided rfft and the QR copies whole
+# columns. Slice 0, and slice l/2 for even l, are self-conjugate (real).
 
 
 def _parseval_weights(l: int) -> np.ndarray:
@@ -84,29 +87,28 @@ def _mirror_index(l: int) -> np.ndarray:
 def _to_half(*tensors) -> np.ndarray:
     """The independent DFT slices of real (n, p_j, l) tensors, side by side in one half stack.
 
-    The stack is C-contiguous, (l//2 + 1, n, p_1 + p_2 + ...): one tensor
-    gives its (l//2 + 1, n, p) half stack, and a design and its response
-    give the joint [X | y] stack. Each tensor is transformed _QR_BLOCK_ROWS
-    rows at a time, and each block's spectrum is written transposed into
-    its rows of the stack. So any layout, C order, the F-order view
-    read_tensor returns or a strided view, is transformed without a
-    reordered copy of the whole tensor, and gives the same bits.
+    The stack is (l//2 + 1, n, p_1 + p_2 + ...): one tensor gives its
+    (l//2 + 1, n, p) half stack, and a design and its response give the
+    joint [X | y] stack. Each slice is column-major: the stack is the .mT
+    view of a C-contiguous (l//2 + 1, p_1 + p_2 + ..., n) array, into which
+    one rfft per tensor writes its spectrum. So any layout, C order, the
+    F-order view read_tensor returns or a strided view, is transformed
+    without a reordered copy of the tensor, and gives the same bits.
     """
     n, _, l = tensors[0].shape
     edges = np.cumsum([0] + [x.shape[1] for x in tensors])
-    out = np.empty((l // 2 + 1, n, edges[-1]), dtype=np.complex128)
-    for start in range(0, n, _QR_BLOCK_ROWS):
-        rows = slice(start, start + _QR_BLOCK_ROWS)
-        for x, a, b in zip(tensors, edges, edges[1:]):
-            out[:, rows, a:b] = np.fft.rfft(x[rows], axis=2).transpose(2, 0, 1)
-    return out
+    out = np.empty((l // 2 + 1, edges[-1], n), dtype=np.complex128)
+    for x, a, b in zip(tensors, edges, edges[1:]):
+        np.fft.rfft(x, axis=2, out=out[:, a:b].transpose(2, 1, 0))
+    return out.mT
 
 
 def _row_energy(stack) -> np.ndarray:
     """Squared norm of every row of every slice of a half stack, as an (l//2 + 1, n) array.
 
-    A stack whose rows are contiguous, such as the design columns of a joint
-    [X | y] stack, is read in place; any other is copied first.
+    A stack whose rows are contiguous is read in place; any other, such as
+    a block of rows of a column-major half stack, is copied first, so a
+    caller passes a tall stack a block of rows at a time (_row_blocks).
     """
     if stack.strides[-1] != stack.itemsize:
         stack = np.ascontiguousarray(stack)

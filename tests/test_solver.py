@@ -11,7 +11,7 @@ from hypothesis import strategies as st
 
 import tlsq
 from tlsq import experiments, sampling, solver, tensor
-from tlsq.errors import DimensionMismatch, RankDeficient, SketchRankDeficient
+from tlsq.errors import DegenerateDistribution, DimensionMismatch, RankDeficient, SketchRankDeficient
 from tlsq.tensor import _from_half, _to_half
 
 
@@ -796,6 +796,56 @@ class TestProblemFromFile:
         for name in ("_ols_half", "_rho"):
             assert getattr(read, name).tobytes() == getattr(memory, name).tobytes()
         assert tlsq.objective(read, b) == tlsq.objective(memory, b)
+
+
+class TestWholeFitAcrossLayouts:
+    """A fit is the same bits on read_tensor's F-order view, a C-order copy and a strided view.
+
+    Property checks on l = 1, l = 2, odd and even l, n = p and tau = p, with
+    row blocks small enough that the TSQR, the row energies and the
+    residuals are taken a block at a time.
+    """
+
+    @settings(max_examples=40, deadline=None)
+    @given(**edge_shapes, extra_tau=st.integers(0, 4), block=st.integers(1, 5))
+    @example(p=3, extra_rows=0, l=1, seed=0, extra_tau=0, block=2)
+    @example(p=2, extra_rows=3, l=2, seed=1, extra_tau=0, block=1)
+    @example(p=4, extra_rows=4, l=5, seed=2, extra_tau=3, block=3)
+    @example(p=3, extra_rows=2, l=6, seed=3, extra_tau=1, block=5)
+    def test_fit_is_bit_equal(self, p, extra_rows, l, seed, extra_tau, block):
+        n = p + extra_rows
+        rng = np.random.default_rng(seed)
+        x, y, ys = rng.standard_normal((n, p, l)), rng.standard_normal((n, 1, l)), list(rand((3, n, 1, l), seed))
+        padded = np.zeros((2 * n, p + 1, 2 * l))
+        padded[::2, 1:, ::2] = x
+        with tempfile.TemporaryDirectory() as d, pytest.MonkeyPatch.context() as mp:
+            mp.setattr(solver, "_QR_BLOCK_ROWS", block)
+            path = os.path.join(d, "x.tt")
+            tlsq.write_tensor(x, path)
+            layouts = (tlsq.read_tensor(path), np.ascontiguousarray(x), padded[::2, 1:, ::2])
+            fits = [self.fit(tlsq.TlsProblem(design, y), ys, p + extra_tau, seed) for design in layouts]
+        assert fits[0] == fits[1] == fits[2]
+
+    @staticmethod
+    def fit(prob, ys, tau, seed) -> list:
+        """The bytes of every fit result on `prob`, or the error that stopped it."""
+
+        def outcome(f):
+            try:
+                return f()
+            except (DegenerateDistribution, SketchRankDeficient) as exc:
+                return repr(exc)
+
+        ols, lev = tlsq.solve_ols(prob), tlsq.leverage_probs(prob)
+        report = tlsq.variance_report(prob, lev, tau, sigma2=2.0)
+        plan = tlsq.draw_plan(tlsq.uniform_probs(prob.shape[0]), tau, seed)
+        return [
+            ols.b.tobytes(), ols.objective, lev.leverage.tobytes(), lev.probs.tobytes(),
+            outcome(lambda: tlsq.optimal_probs(prob).probs.tobytes()),
+            report.trace_conditional, report.trace_unconditional,
+            outcome(lambda: tlsq.solve_subsampled(prob, plan).b.tobytes()),
+            [(pb._ols_half.tobytes(), pb._rho.tobytes()) for pb in solver._on_design(prob._design, ys)],
+        ]
 
 
 class TestMultiResponseFit:

@@ -82,11 +82,11 @@ class TestHalfStackInverse:
 
 
 class TestHalfStackLayout:
-    """_to_half writes the rfft of each block of rows into a C-contiguous (l//2 + 1, n, p) stack.
+    """_to_half writes each tensor's rfft into a (l//2 + 1, n, p) stack, column-major per slice.
 
     Every input layout gives the same bits as the rfft of a C-order array,
-    also over several row blocks with a ragged last one, and a joint [X | y]
-    stack holds each tensor's own half stack.
+    also with a row block size that leaves a ragged last block, and a joint
+    [X | y] stack holds each tensor's own half stack in one buffer.
     """
 
     @settings(max_examples=80, deadline=None)
@@ -115,10 +115,11 @@ class TestHalfStackLayout:
             for layout in (x, payload, padded[::2, 1:, ::2]):
                 half = _to_half(layout)
                 assert half.shape == (l // 2 + 1, n, p)
-                assert half.flags.c_contiguous  # the replicate path gathers rows of it
+                assert half.mT.flags.c_contiguous  # the sketch gathers read its columns
                 assert half.tobytes() == expected.tobytes()
             joint = _to_half(payload, y)
-        assert joint.shape == (l // 2 + 1, n, p + 1) and joint.flags.c_contiguous
+        assert joint.shape == (l // 2 + 1, n, p + 1) and joint.mT.flags.c_contiguous
+        assert joint[..., :p].base is joint[..., p:].base is not None
         assert joint[..., :p].tobytes() == expected.tobytes()
         assert joint[..., p:].tobytes() == _to_half(y).tobytes()
 
