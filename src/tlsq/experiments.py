@@ -527,8 +527,12 @@ def run_experiment(cfg: ExperimentConfig) -> list[MetricsRow]:
     aggregates for their cell; a cell left with fewer than two estimates is
     reported with NaN metrics and its counts. With `timing` off (the
     default) the mean_ms column is NaN and the whole report is a pure
-    function of the config.
+    function of the config. At n = p every row has leverage one in every DFT
+    slice, so opt is undefined for every design and ConfigError is raised
+    before any work starts.
     """
+    if "opt" in cfg.methods and cfg.n == cfg.p:
+        raise ConfigError("opt is undefined at n = p: every row has leverage one in every DFT slice")
     cells = [
         _Cell(method, tau, method, tau, _STREAM_PLAN, (mi, ti))
         for mi, method in enumerate(cfg.methods)

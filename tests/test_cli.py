@@ -405,6 +405,26 @@ class TestExperiment:
         assert {r.method for r in rows} == expected
         assert all(r.tau == 30 and r.replicates + r.failures == 2 for r in rows)
 
+    def test_opt_at_n_equal_p_is_usage_error(self, tmp_path, capsys):
+        # the default methods include opt, which no n = p design defines
+        cfg = tmp_path / "cfg.txt"
+        cfg.write_text("n=4\np=4\nl=2\nreplicates=4\ntaus=4\nseed=1\n")
+        out = tmp_path / "r.csv"
+        assert main(["experiment", "--config", str(cfg), "--out", str(out)]) == 1
+        err = capsys.readouterr().err
+        assert err == "error: opt is undefined at n = p: every row has leverage one in every DFT slice\n"
+        assert not out.exists()
+
+    @pytest.mark.parametrize("command, methods", [("experiment", "methods=unif,lev\n"),
+                                                  ("compare-mls", "")])
+    def test_n_equal_p_without_opt_runs(self, tmp_path, command, methods):
+        cfg = tmp_path / "cfg.txt"
+        cfg.write_text("n=4\np=4\nl=2\nreplicates=4\ntaus=4\nseed=1\n" + methods)
+        out = tmp_path / "r.csv"
+        assert main([command, "--config", str(cfg), "--out", str(out)]) == 0
+        rows = tlsq.read_report(out)
+        assert rows and all(r.tau == 4 and r.replicates + r.failures == 4 for r in rows)
+
     def test_starved_cell_is_reported_not_fatal(self, tmp_path, capsys):
         # tau = p on a 12-row design: most sketches lose rank in some slice
         cfg = tmp_path / "cfg.txt"

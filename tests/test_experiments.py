@@ -58,6 +58,14 @@ class TestGenerators:
         with pytest.raises(ValueError):
             gen_design("cauchy", 10, 4, 2, seed=0)
 
+    def test_design_needs_two_columns(self):
+        with pytest.raises(ValueError, match="p >= 2"):
+            gen_design("mn", 10, 1, 2, seed=0)
+
+    def test_unknown_distribution_method(self):
+        with pytest.raises(ValueError, match="unknown method 'cauchy'"):
+            experiments.build_distribution(gen_design("mn", 10, 4, 2, seed=0), "cauchy")
+
     def test_coefficient_pattern(self):
         b0 = true_coefficients(10, 3)
         expected = np.array([1, 1, 0.1, 0.1, 0.1, 0.1, 0.1, 0.1, 1, 1])

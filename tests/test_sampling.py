@@ -438,6 +438,15 @@ class TestDistributionValidation:
         with pytest.raises(ValueError, match="positive"):
             tlsq.SamplingDistribution(kind="unif", probs=np.array([1.0, 0.0]))
 
+    @pytest.mark.parametrize("probs", [np.zeros(0), np.full((2, 2), 0.25)], ids=["empty", "2-d"])
+    def test_probabilities_must_be_a_nonempty_vector(self, probs):
+        with pytest.raises(ValueError, match="nonempty vector"):
+            tlsq.SamplingDistribution(kind="custom", probs=probs)
+
+    def test_uniform_needs_a_row(self):
+        with pytest.raises(ValueError, match="n must be at least 1"):
+            tlsq.uniform_probs(0)
+
 
 class TestCsv:
     def test_distribution_round_trip(self):

@@ -802,8 +802,9 @@ class TestWholeFitAcrossLayouts:
     """A fit is the same bits on read_tensor's F-order view, a C-order copy and a strided view.
 
     Property checks on l = 1, l = 2, odd and even l, n = p and tau = p, with
-    row blocks small enough that the TSQR, the row energies and the
-    residuals are taken a block at a time.
+    row blocks small enough that the TSQR and the row energies are taken a
+    block at a time. The conditional residual is one product on the half
+    stack, which _to_half lays out the same way for every input layout.
     """
 
     @settings(max_examples=40, deadline=None)
@@ -1068,3 +1069,8 @@ class TestTauLowerBound:
         for beta, eps in ((0.0, 1.0), (1.5, 1.0), (1.0, 0.0), (1.0, 2.0), (-1.0, 0.5)):
             with pytest.raises(ValueError):
                 tlsq.tau_lower_bound(2, 2, beta, eps)
+
+    @pytest.mark.parametrize("p, l", [(0, 2), (2, 0)], ids=["p0", "l0"])
+    def test_shape_domain_errors(self, p, l):
+        with pytest.raises(ValueError, match="p and l must be at least 1"):
+            tlsq.tau_lower_bound(p, l, 1.0, 1.0)

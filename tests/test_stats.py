@@ -2,6 +2,8 @@
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 import tlsq
 from tlsq.errors import DimensionMismatch, ZeroProbabilityRow
@@ -245,6 +247,16 @@ class TestUnconditionalVariance:
         with pytest.raises(ValueError):
             unconditional_variance(x, tlsq.uniform_probs(10), 5, 0.0)
 
+    @pytest.mark.parametrize("form", ["conditional", "unconditional"])
+    def test_tau_must_be_positive(self, form):
+        prob, dist = make_problem(n=10, p=2, l=2, seed=37), tlsq.uniform_probs(10)
+        calls = {
+            "conditional": lambda: conditional_variance(prob, dist, 0),
+            "unconditional": lambda: unconditional_variance(prob, dist, 0, 1.0),
+        }
+        with pytest.raises(ValueError, match="tau must be at least 1"):
+            calls[form]()
+
     @pytest.mark.parametrize("sigma2", [float("nan"), float("inf")])
     @pytest.mark.parametrize(
         "call", ["gen_response", "ols_variance", "unconditional_variance", "variance_report"]
@@ -452,6 +464,10 @@ class TestZeroProbabilityPolicy:
 
 
 class TestMiddleTrace:
+    def test_probabilities_must_match_the_rows(self):
+        with pytest.raises(DimensionMismatch, match=r"shape \(9,\); expected \(10,\)"):
+            sandwich_middle_trace(rand((10, 2, 2), 38), np.full(9, 1 / 9))
+
     def test_matches_direct_summation(self):
         x = rand((20, 3, 3), 30)
         probs = tlsq.leverage_probs(x).probs
@@ -482,12 +498,55 @@ class TestReportAndSpread:
         partial = variance_report(prob, dist, tau=20)
         assert partial.unconditional is None and partial.trace_unconditional is None
 
+    def test_spread_needs_two_estimates(self):
+        with pytest.raises(ValueError, match="at least two estimates"):
+            estimator_spread([rand((3, 1, 2), 36)])
+
     def test_spread_matches_trace_of_empirical_covariance(self):
         rng = np.random.default_rng(33)
         draws = [rng.standard_normal((3, 1, 2)) for _ in range(40)]
         stack = np.stack([d.ravel() for d in draws])
         cov = np.cov(stack.T, bias=True)
         assert abs(estimator_spread(draws) - np.trace(cov)) <= 1e-10
+
+
+class TestReportOnEdgeShapes:
+    """variance_report against the spatial oracles on l = 1, l = 2, odd and even l, n = p to p + 6.
+
+    tau is 1 or p, and opt runs only where it is defined (n > p). The oracles
+    form X^T * X and invert it, so their rounding error grows like eps times
+    the squared condition number of the design's worst DFT slice; the
+    tolerance is 1e-12 times that square, relative to the oracle's largest
+    entry (at least one), and p times that for a trace.
+    """
+
+    @settings(max_examples=40, deadline=None)
+    @given(p=st.integers(1, 4), extra_rows=st.integers(0, 6), l=st.integers(1, 6),
+           tau_is_p=st.booleans(), seed=st.integers(0, 2**32 - 1))
+    @example(p=3, extra_rows=0, l=1, tau_is_p=True, seed=0)
+    @example(p=2, extra_rows=6, l=2, tau_is_p=False, seed=1)
+    @example(p=4, extra_rows=1, l=5, tau_is_p=True, seed=2)
+    @example(p=1, extra_rows=3, l=6, tau_is_p=False, seed=3)
+    @example(p=2, extra_rows=0, l=4, tau_is_p=False, seed=4)
+    def test_matches_oracles(self, p, extra_rows, l, tau_is_p, seed):
+        n, tau, sigma2 = p + extra_rows, p if tau_is_p else 1, 2.0
+        rng = np.random.default_rng(seed)
+        x, y = rng.standard_normal((n, p, l)), rng.standard_normal((n, 1, l))
+        kappa = np.linalg.cond(np.fft.fft(x, axis=2).transpose(2, 0, 1)).max()
+        prob = tlsq.TlsProblem(x, y)
+        for kind in ("unif", "lev", "slev", "opt")[: 4 if n > p else 3]:
+            dist = tlsq.experiments.build_distribution(prob, kind, 0.8)
+            report = variance_report(prob, dist, tau, sigma2)
+            pairs = [
+                (report.conditional, report.trace_conditional,
+                 conditional_oracle(prob, dist.probs, tau)),
+                (report.unconditional, report.trace_unconditional,
+                 unconditional_oracle(x, dist.probs, tau, sigma2)),
+            ]
+            for got, trace, oracle in pairs:
+                tol = 1e-12 * kappa**2 * max(1.0, np.abs(oracle).max())
+                assert np.abs(got - oracle).max() <= tol, kind
+                assert abs(trace - trace_t(oracle)) <= p * tol, kind
 
 
 class TestUnconditionalMonteCarlo:

@@ -1,6 +1,8 @@
 """Tubal algebra against the dense block-circulant oracle and exact identities."""
 
+import os
 import struct
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -497,3 +499,26 @@ class TestValidation:
     def test_wrong_ndim_rejected(self):
         with pytest.raises(DimensionMismatch):
             tlsq.as_tensor(np.zeros((2, 2)))
+
+    @pytest.mark.parametrize(
+        "call, error, match",
+        [
+            (lambda: tlsq.from_fourier(np.zeros((3, 2), complex)), DimensionMismatch, "3-way"),
+            (lambda: tlsq.identity(0, 3), ValueError, "n >= 1"),
+            (lambda: tlsq.fold(np.zeros((5, 2)), 2, 3), DimensionMismatch, "cannot fold"),
+        ],
+        ids=["from_fourier-2d", "identity-n0", "fold-wrong-height"],
+    )
+    def test_bad_argument_rejected(self, call, error, match):
+        with pytest.raises(error, match=match):
+            call()
+
+    def test_payload_short_of_its_checked_size(self, tmp_path, monkeypatch):
+        """A payload that comes up short after the size check (a file cut while read) is rejected."""
+        path = tmp_path / "cut.tt"
+        tlsq.write_tensor(rand((4, 2, 3), 42), path)
+        os.truncate(path, path.stat().st_size - 8)
+        real = os.fstat
+        monkeypatch.setattr(tensor.os, "fstat", lambda fd: SimpleNamespace(st_size=real(fd).st_size + 8))
+        with pytest.raises(FileFormatError, match="payload shorter than its 192 bytes"):
+            tlsq.read_tensor(path)
