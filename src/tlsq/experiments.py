@@ -453,9 +453,9 @@ def _run_cells(cfg: ExperimentConfig, cells) -> list[MetricsRow]:
     compressed to its unique rows, with no sort of the (plan, row) keys.
     The tensor cells run first. Once their plans are drawn, the chunk takes
     one flat complex workspace sized for the tallest of their batches, and
-    each tensor cell factors its plans as one batch (_factor_sketches) from
-    a (B, l//2 + 1, p + 1, rows) view of it, column-major per slice, into
-    the chunk's one stack of R factors. The workspace is dropped, and one
+    each tensor cell factors its plans as one batch (_factor_sketches), in
+    place in a (B, l//2 + 1, p + 1, rows) view of it, column-major per
+    slice, into the chunk's one stack of R factors. The workspace is dropped, and one
     _finish_sketches call solves the whole stack; its stacks (ok, bs,
     objectives, errors) are split back per cell. Then each matrix cell
     solves its plans as one batch by _solve_matrix_sketches, so the
@@ -496,7 +496,7 @@ def _run_cells(cfg: ExperimentConfig, cells) -> list[MetricsRow]:
         plans = [timed(c, draw, cells[c]) for c in tensor]
         work = np.empty(r[0, 0, ..., 0].size * max(plan[1].size for plan in plans), np.complex128)
         for k, (c, plan) in enumerate(zip(tensor, plans)):
-            r[k] = timed(c, _factor_sketches, problems, *plan[:3], work)[1]
+            r[k] = timed(c, _factor_sketches, problems, *plan[1:3], work)
         taus, r = np.concatenate([plan[0] for plan in plans]), r.reshape(-1, *r.shape[2:])
         del work, plans  # the matrix cells run without them
         start = clock()  # every run has a tensor cell

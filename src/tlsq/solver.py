@@ -17,6 +17,7 @@ from dataclasses import dataclass
 from typing import TYPE_CHECKING
 
 import numpy as np
+from numpy.linalg import _umath_linalg
 
 from .errors import DimensionMismatch, RankDeficient, SketchRankDeficient
 from .tensor import _QR_BLOCK_ROWS, _from_half, _parseval_weights, _row_energy, _to_half
@@ -38,7 +39,7 @@ def validate_design(design) -> _Design:
     """
     x = _check_design(design)
     xhalf = _to_half(x)
-    return _checked_design(x, xhalf, _tsqr_r(_row_blocks(xhalf)))
+    return _checked_design(x, xhalf, _tsqr_r(map(np.array, _row_blocks(xhalf))))
 
 
 def _check_design(design) -> np.ndarray:
@@ -159,7 +160,7 @@ class TlsProblem:
         (y,) = _check_responses([response], x.shape)
         p = x.shape[1]
         joint = _to_half(x, y)
-        r = _tsqr_r(_row_blocks(joint))
+        r = _tsqr_r(map(np.array, _row_blocks(joint)))
         _fitted(_checked_design(x, joint[..., :p], r), [y], [joint[..., p:]], r, [self])
 
     def with_response(self, response) -> "TlsProblem":
@@ -242,8 +243,8 @@ def _row_blocks(*stacks):
     """Row blocks of the column-wise concatenation of `stacks`, _QR_BLOCK_ROWS rows each.
 
     Only one block is gathered at a time, so the whole concatenation is
-    never held. A concatenated block is column-major in each slice, as the
-    half stacks are, so the QR's copy of it reads whole columns.
+    never held. A block of one stack is a view of it; a concatenated block
+    is fresh, and column-major in each slice, as the half stacks are.
     """
     for start in range(0, stacks[0].shape[-2], _QR_BLOCK_ROWS):
         part = [s[..., start : start + _QR_BLOCK_ROWS, :] for s in stacks]
@@ -251,19 +252,37 @@ def _row_blocks(*stacks):
 
 
 def _tsqr_r(blocks):
-    """R-only QR of a stack given as row blocks (TSQR).
+    """R-only QR of a stack given as row blocks (TSQR), overwriting each block.
 
-    Each block is factored on its own and the stacked R factors once more,
-    which gives the R of the whole stack; a stack of one block is factored
-    once. So the tall slices are factored once and normal equations are
-    never formed. A block of a batch of sketches, (B, slices, rows, cols),
-    is factored one plan at a time: numpy's QR copies its input, and a copy
-    of one plan's slices is reused from the heap, where a copy of the whole
-    batch takes fresh pages. The bits are those of one call on the block.
+    Each block is factored on its own (_qr_r) and the stacked R factors once
+    more, which gives the R of the whole stack; a stack of one block is
+    factored once. So the tall slices are factored once and normal
+    equations are never formed. A block may be a whole batch of sketches,
+    (B, slices, rows, cols), which one call factors. The blocks are
+    overwritten, so a caller that keeps its stack passes copies of its
+    blocks, as np.linalg.qr would make them. Each block is dropped once it
+    is factored, before the next is gathered, so at most one is held.
     """
-    rs = [np.stack([np.linalg.qr(x, mode="r") for x in b]) if b.ndim == 4 else np.linalg.qr(b, mode="r")
-          for b in blocks]
-    return rs[0] if len(rs) == 1 else np.linalg.qr(np.concatenate(rs, axis=-2), mode="r")
+    rs = list(map(_qr_r, blocks))
+    return rs[0] if len(rs) == 1 else _qr_r(np.concatenate(rs, axis=-2))
+
+
+def _qr_r(a) -> np.ndarray:
+    """np.linalg.qr(a, mode="r") of a complex stack, bit for bit, factored in place.
+
+    np.linalg.qr copies its input and runs numpy's own kernel on the copy;
+    here the kernel overwrites `a` with its Householder form, in any layout,
+    so only a stack that nothing reads afterwards may be passed. Under the
+    errstate np.linalg.qr sets, LAPACK's error code raises LinAlgError and no
+    floating-point warning is shown.
+    """
+    with np.errstate(call=_qr_error, invalid="call", over="ignore", divide="ignore", under="ignore"):
+        _umath_linalg.qr_r_raw(a, signature="D->D")
+    return np.triu(a[..., : min(a.shape[-2:]), :])
+
+
+def _qr_error(err, flag):
+    raise np.linalg.LinAlgError("Incorrect argument found while performing QR factorization")
 
 
 def _solve_factored(r, p: int, rows, l: int):
@@ -440,47 +459,47 @@ def _solve_sketches(problems, indices, weights):
     """Solve the sketches of several plans in one batch, plan j on problems[j].
 
     Plan j draws rows indices[j] with weights weights[j]. The batch is
-    compressed (_compress), factored (_factor_sketches) and finished
-    (_finish_sketches) in a row, so it returns the stacks (ok, bs,
-    objectives, errors): `ok` masks the plans that kept their rank, `bs`
-    (count(ok), p, 1, l) and `objectives` (count(ok),) are theirs, and
-    `errors` holds each plan's SketchRankDeficient or None. The replicate
-    driver calls the two halves itself, so that one finish serves the
-    factors of several batches.
+    compressed (_compress), factored (_factor_sketches, in a workspace of
+    its own) and finished (_finish_sketches) in a row, so it returns the
+    stacks (ok, bs, objectives, errors): `ok` masks the plans that kept
+    their rank, `bs` (count(ok), p, 1, l) and `objectives` (count(ok),)
+    are theirs, and `errors` holds each plan's SketchRankDeficient or None.
+    The replicate driver calls the two halves itself, so that one workspace
+    serves a chunk's batches and one finish serves their factors.
     """
-    n, p, _ = problems[0].shape
-    taus, r = _factor_sketches(problems, *_compress(indices, weights, n, p)[:3])
-    return _finish_sketches(problems, r, taus)
+    n, p, l = problems[0].shape
+    taus, picked, scale = _compress(indices, weights, n, p)[:3]
+    work = np.empty(picked.size * (l // 2 + 1) * (p + 1), np.complex128)
+    return _finish_sketches(problems, _factor_sketches(problems, picked, scale, work), taus)
 
 
-def _factor_sketches(problems, taus, picked, scale, work=None):
-    """The R factors (B, l//2 + 1, p + 1, p + 1) of a batch's sketches, and each plan's tau draws.
+def _factor_sketches(problems, picked, scale, work) -> np.ndarray:
+    """The R factors (B, l//2 + 1, p + 1, p + 1) of a batch's sketches.
 
-    The plans come compressed, as _compress returns them (taus, picked,
-    scale): plan j's unique rows picked[j], scaled by scale[j], padded with
+    The plans come compressed, as _compress returns them (picked, scale):
+    plan j's unique rows picked[j], scaled by scale[j], padded with
     zero rows (which leave R unchanged) to a common height of at least p.
     Each plan gathers its rows from its own problem, scaled on the way, into
-    a (B, l//2 + 1, p + 1, rows) stack, whose .mT one _tsqr_r call factors,
-    one plan at a time: each slice's sketch is column-major, as the half
-    stacks are, so the gather reads and writes in one order, and the QR's
-    copy and LAPACK's layout read it contiguously. The stack is a view of
-    the flat complex buffer `work` when one is given (the replicate driver
-    reuses one across a chunk's batches, so a batch allocates no stack of
-    its own), and every entry of the view is written, so nothing of an
-    earlier batch is read.
-    Without `work` the stack is allocated in the same layout. A batch of
-    height p gets a zero last row of R, so that the factors of batches of
-    any height stack. Padding costs rows, so a batch should hold plans of
-    similar height, as the replicate driver's batches of one cell do.
+    a (B, l//2 + 1, p + 1, rows) view of the flat complex buffer `work`,
+    which must hold at least picked.size * (l//2 + 1) * (p + 1) entries.
+    Every entry of the view is written, so nothing of an earlier batch is
+    read, and one _tsqr_r call factors its .mT in place: each slice's sketch
+    is column-major, as the half stacks are, so the gather reads and writes
+    in one order and LAPACK's layout reads it contiguously. The replicate
+    driver reuses one buffer across a chunk's batches, so a batch allocates
+    no stack of its own. A batch of height p gets a zero last row of R, so
+    that the factors of batches of any height stack. Padding costs rows, so
+    a batch should hold plans of similar height, as the replicate driver's
+    batches of one cell do.
     """
     _, p, l = problems[0].shape
     shape = (len(problems), l // 2 + 1, p + 1, picked.shape[1])
-    m = np.empty(shape, np.complex128) if work is None else work[: math.prod(shape)].reshape(shape)
+    m = work[: math.prod(shape)].reshape(shape)
     for j, pb in enumerate(problems):
         np.multiply(pb._design.half.mT[..., picked[j]], scale[j], out=m[j, :, :p])
         np.multiply(pb.response_half.mT[:, 0, picked[j]], scale[j], out=m[j, :, p])
     r = _tsqr_r(_row_blocks(m.mT))
-    return taus, np.concatenate([r, np.zeros_like(r[..., :1, :])], axis=-2) if r.shape[-2] == p else r
+    return np.concatenate([r, np.zeros_like(r[..., :1, :])], axis=-2) if r.shape[-2] == p else r
 
 
 def _finish_sketches(problems, r, taus):

@@ -2,6 +2,8 @@
 
 import os
 import tempfile
+import warnings
+import weakref
 from unittest import mock
 
 import numpy as np
@@ -625,8 +627,11 @@ class TestOneFinishForSeveralBatches:
                 indices[1] = rng.integers(0, p - 1, tau)
             short += [False, has_short and p > 1, False]
             batches.append((indices, [rng.uniform(0.5, 2.0, tau) for _ in problems]))
-        factored = [solver._factor_sketches(problems, *solver._compress(*batch, n, p)[:3])
-                    for batch in batches]
+        factored = []
+        for batch in batches:
+            taus, picked, scale = solver._compress(*batch, n, p)[:3]
+            work = np.empty(picked.size * (l // 2 + 1) * (p + 1), dtype=np.complex128)
+            factored.append((taus, solver._factor_sketches(problems, picked, scale, work)))
         for _, r in factored:
             assert r.shape == (3, l // 2 + 1, p + 1, p + 1)
         svd_stacks = []
@@ -657,8 +662,8 @@ class TestOneFinishForSeveralBatches:
 
 
 class TestSketchWorkspace:
-    """_factor_sketches into a reused workspace gives the bits of its own fresh stack, and of a
-    row-major stack scaled after the gather."""
+    """_factor_sketches into a reused, dirty workspace gives the bits of a clean one of its own,
+    and of a row-major stack scaled after the gather."""
 
     @staticmethod
     def row_major_r(problems, picked, scale, block):
@@ -684,8 +689,9 @@ class TestSketchWorkspace:
     def test_reused_workspace_matches_fresh_stack(self, p, extra_rows, l, seed, extra_taus, block):
         """Batches of tau = p + extra_tau draws on n = p + extra_rows rows, three plans each on
         three designs, run in order of rising and then falling tau through one workspace that
-        starts as NaN, and factored in row blocks of `block` rows. A tau = p batch of repeated
-        rows is padded with zero rows to height p and gets a zero last row of R."""
+        starts as NaN, and factored in row blocks of `block` rows. Each batch matches its run in
+        a fresh zero-filled workspace of its exact size. A tau = p batch of repeated rows is
+        padded with zero rows to height p and gets a zero last row of R."""
         rng = np.random.default_rng(seed)
         n = p + extra_rows
         problems = [make_problem(n=n, p=p, l=l, seed=int(s)) for s in rng.integers(0, 2**31, 3)]
@@ -701,13 +707,13 @@ class TestSketchWorkspace:
         work = np.full(3 * (l // 2 + 1) * (p + 1) * max(heights), np.nan, dtype=np.complex128)
         with pytest.MonkeyPatch.context() as mp:
             mp.setattr(solver, "_QR_BLOCK_ROWS", block)
-            for batch in batches:
-                taus_fresh, fresh = solver._factor_sketches(problems, *batch)
-                taus_reused, reused = solver._factor_sketches(problems, *batch, work)
-                assert np.array_equal(taus_reused, taus_fresh)
+            for _, picked, scale in batches:
+                clean = np.zeros(picked.size * (l // 2 + 1) * (p + 1), dtype=np.complex128)
+                fresh = solver._factor_sketches(problems, picked, scale, clean)
+                reused = solver._factor_sketches(problems, picked, scale, work)
                 assert np.array_equal(reused, fresh)
                 assert reused.shape == (3, l // 2 + 1, p + 1, p + 1)
-                want = self.row_major_r(problems, *batch[1:], block)
+                want = self.row_major_r(problems, picked, scale, block)
                 assert np.array_equal(reused[..., : want.shape[-2], :], want)
                 assert not reused[..., want.shape[-2] :, :].any()
 
@@ -765,6 +771,134 @@ class TestBlockedQr:
         x = np.repeat(rand((8, 2, 1), 4), 3, axis=2)
         with pytest.raises(RankDeficient, match="slice"):
             tlsq.TlsProblem(x, rand((8, 1, 3), 5))
+
+
+class TestInPlaceQr:
+    """solver._qr_r, numpy's QR kernel run in place, gives np.linalg.qr(mode="r") bit for bit.
+
+    Property checks on l = 1, l = 2, odd and even l, rows = p and p + 1 for p + 1 columns, and
+    batches of 1 and 8 stacks, in the layouts the library passes: a column-major view of a flat
+    workspace and a fresh C-order block. The QR overwrites its input, so the stacks a problem
+    keeps are factored from copies and must come out bit-unchanged.
+    """
+
+    shapes = dict(
+        p=st.integers(1, 4),
+        extra_rows=st.integers(0, 6),
+        l=st.integers(1, 6),
+        batch=st.sampled_from([1, 8]),
+        seed=st.integers(0, 2**32 - 1),
+    )
+
+    @staticmethod
+    def stack(p, extra_rows, l, batch, seed, workspace):
+        """A (batch, l//2 + 1, p + extra_rows, p + 1) complex stack, as a column-major view of a
+        NaN-filled flat workspace with room to spare, or as a fresh C-order array."""
+        shape = (batch, l // 2 + 1, p + 1, p + extra_rows)
+        values = np.random.default_rng(seed).standard_normal((*shape, 2)).view(complex)[..., 0]
+        if not workspace:
+            return np.ascontiguousarray(values.mT)
+        work = np.full(values.size + 7, np.nan, dtype=complex)
+        view = work[: values.size].reshape(shape)
+        view[...] = values
+        return view.mT
+
+    @settings(max_examples=60, deadline=None)
+    @given(**shapes, workspace=st.booleans())
+    @example(p=3, extra_rows=0, l=1, batch=1, seed=0, workspace=True)
+    @example(p=3, extra_rows=1, l=2, batch=8, seed=1, workspace=True)
+    @example(p=1, extra_rows=0, l=5, batch=8, seed=2, workspace=False)
+    @example(p=4, extra_rows=1, l=6, batch=1, seed=3, workspace=False)
+    def test_matches_numpy_qr(self, p, extra_rows, l, batch, seed, workspace):
+        a = self.stack(p, extra_rows, l, batch, seed, workspace)
+        want = np.linalg.qr(a, mode="r")
+        got = solver._qr_r(a)
+        assert got.shape == (batch, l // 2 + 1, min(p + extra_rows, p + 1), p + 1)
+        assert np.array_equal(got, want)
+
+    @settings(max_examples=40, deadline=None)
+    @given(**shapes, workspace=st.booleans(), block=st.integers(1, 5))
+    @example(p=2, extra_rows=0, l=1, batch=8, seed=0, workspace=True, block=1)
+    @example(p=4, extra_rows=6, l=6, batch=1, seed=1, workspace=False, block=3)
+    def test_taller_stack_matches_numpy_tsqr(self, p, extra_rows, l, batch, seed, workspace, block):
+        """A stack taller than _QR_BLOCK_ROWS is factored block by block and the block factors
+        once more (the combine), with the bits of np.linalg.qr doing each step."""
+        a = self.stack(p, extra_rows, l, batch, seed, workspace)
+        rs = [np.linalg.qr(a[..., s : s + block, :], mode="r") for s in range(0, a.shape[-2], block)]
+        want = rs[0] if len(rs) == 1 else np.linalg.qr(np.concatenate(rs, axis=-2), mode="r")
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(solver, "_QR_BLOCK_ROWS", block)
+            got = solver._tsqr_r(solver._row_blocks(a))
+        assert np.array_equal(got, want)
+
+    def test_each_block_is_dropped_before_the_next(self):
+        """_tsqr_r holds at most one block: each is released once factored, before the next one
+        is gathered, so two tall block copies never overlap."""
+        alive = []
+
+        def fresh(seed):
+            block = self.stack(2, 9, 4, 1, seed, workspace=False)
+            alive.append(weakref.ref(block))
+            return block
+
+        def blocks():
+            for seed in range(4):
+                assert all(ref() is None for ref in alive)
+                yield fresh(seed)
+
+        assert solver._tsqr_r(blocks()).shape == (1, 3, 3, 3)
+        assert len(alive) == 4
+
+    def test_nan_entry_matches_numpy_without_warning(self):
+        """numpy's QR does not raise on a NaN entry: it returns NaN in the R rows the entry reaches,
+        and clears the floating-point flags, so no RuntimeWarning is shown."""
+        a = self.stack(3, 2, 4, 8, seed=4, workspace=True)
+        a[5, 1, 2, 1] = np.nan
+        want = np.linalg.qr(a, mode="r")
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            got = solver._qr_r(a)
+        assert np.isnan(got[5, 1]).any() and not np.isnan(np.delete(got, 5, axis=0)).any()
+        assert np.array_equal(got, want, equal_nan=True)
+
+    def test_kernel_error_raises_linalg_error(self, monkeypatch):
+        """The kernel reports a LAPACK error by setting the invalid flag; under np.linalg.qr's
+        errstate that raises LinAlgError, with no RuntimeWarning."""
+
+        class Failing:
+            @staticmethod
+            def qr_r_raw(a, signature):
+                return np.sqrt(np.full(1, -1.0))
+
+        monkeypatch.setattr(solver, "_umath_linalg", Failing)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(np.linalg.LinAlgError, match="QR factorization"):
+                solver._qr_r(np.ones((2, 2), dtype=complex))
+
+    @settings(max_examples=40, deadline=None)
+    @given(**edge_shapes, block=st.integers(1, 5))
+    @example(p=3, extra_rows=0, l=1, seed=0, block=1)
+    @example(p=2, extra_rows=4, l=6, seed=1, block=5)
+    def test_kept_stacks_are_unchanged(self, p, extra_rows, l, seed, block):
+        """validate_design, TlsProblem, with_response and _solve_sketches, with a TSQR of one or
+        several row blocks, leave every kept half and response_half bit-unchanged."""
+        n = p + extra_rows
+        rng = np.random.default_rng(seed)
+        x, y, y2 = rng.standard_normal((n, p, l)), rng.standard_normal((n, 1, l)), rand((n, 1, l), seed)
+        joint = _to_half(x, y)
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(solver, "_QR_BLOCK_ROWS", block)
+            assert np.array_equal(solver.validate_design(x).half, _to_half(x))
+            prob = tlsq.TlsProblem(x, y)
+            other = prob.with_response(y2)
+            kept = [prob._design.half, prob.response_half, other.response_half]
+            assert [k.tobytes() for k in kept] == [
+                joint[..., :p].tobytes(), joint[..., p:].tobytes(), _to_half(y2).tobytes()]
+            before = [k.copy() for k in kept]
+            indices = rng.integers(0, n, (2, p + 3))
+            solver._solve_sketches([prob, other], indices, rng.uniform(0.5, 2.0, (2, p + 3)))
+        assert all(np.array_equal(k, b) for k, b in zip(kept, before))
 
 
 class TestProblemFromFile:
