@@ -77,8 +77,12 @@ def _build_parser() -> _Parser:
     sp = sub.add_parser("solve", help="solve a tensor least-squares problem")
     sp.add_argument("--design", required=True, help="design tensor (.tt file, n x p x l)")
     sp.add_argument("--response", required=True, help="response tensor (.tt file, n x 1 x l)")
-    sp.add_argument("--method", required=True, choices=("ols",) + METHOD_KINDS,
-                    help="exact solve or one of the subsampling distributions")
+    sp.add_argument(
+        "--method",
+        required=True,
+        choices=("ols",) + METHOD_KINDS,
+        help="exact solve or one of the subsampling distributions",
+    )
     sp.add_argument("--alpha", type=float, default=0.9, help="shrinkage weight for slev")
     sp.add_argument("--tau", type=int, help="sample size (required unless method=ols)")
     sp.add_argument("--seed", type=int, help="plan seed (required unless method=ols)")
@@ -91,7 +95,9 @@ def _build_parser() -> _Parser:
     sp.add_argument("--alpha", type=float, default=0.9)
     sp.set_defaults(func=_cmd_probs)
 
-    sp = sub.add_parser("variance", help="closed-form variance traces as CSV")
+    sp = sub.add_parser(
+        "variance", help="closed-form variance traces as CSV"
+    )
     sp.add_argument("--design", required=True)
     sp.add_argument("--response", required=True)
     sp.add_argument("--method", required=True, choices=METHOD_KINDS)
@@ -111,8 +117,10 @@ def _build_parser() -> _Parser:
     sp.add_argument("--out", required=True, help="CSV report path")
     sp.set_defaults(func=_cmd_report)
 
-    sp = sub.add_parser("compare-mls",
-                        help="tensor solver vs flattened matrix baseline at tau and l*tau")
+    sp = sub.add_parser(
+        "compare-mls",
+        help="tensor solver vs flattened matrix baseline at tau and l*tau",
+    )
     sp.add_argument("--config", required=True)
     sp.add_argument("--out", required=True)
     sp.set_defaults(func=_cmd_report)

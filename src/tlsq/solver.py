@@ -17,7 +17,7 @@ from dataclasses import dataclass
 from typing import TYPE_CHECKING
 
 import numpy as np
-from numpy.linalg import _umath_linalg
+from numpy.linalg._linalg import _raise_linalgerror_qr, _umath_linalg
 
 from .errors import DimensionMismatch, RankDeficient, SketchRankDeficient
 from .tensor import _QR_BLOCK_ROWS, _from_half, _parseval_weights, _row_energy, _to_half
@@ -38,8 +38,7 @@ def validate_design(design) -> _Design:
     which gives the same check and factors from its leading p columns.
     """
     x = _check_design(design)
-    xhalf = _to_half(x)
-    return _checked_design(x, xhalf, _tsqr_r(map(np.array, _row_blocks(xhalf))))
+    return _checked_design(x, _to_half(x))[0]
 
 
 def _check_design(design) -> np.ndarray:
@@ -61,17 +60,19 @@ def _check_responses(responses, shape) -> list:
     return ys
 
 
-def _checked_design(x, half, r) -> _Design:
-    """The _Design of design x, whose half stack `half` has the R factor r[..., :p, :p].
+def _checked_design(x, joint) -> tuple[_Design, np.ndarray]:
+    """The _Design of design x and the R factor r of `joint`, whose leading p columns are x's.
 
-    `r` is the R-only TSQR of the half stack, or of [X | y] as the TlsProblem
-    constructor factors it, whose leading p x p block R11 is the design's
-    own R factor. The SVD R11 = U S V^H of each slice checks it against
-    rank p and gives the Gram factors F = V S^-1. Only validate_design and
-    the constructor run this check: every problem on an existing _Design
+    `joint` is the half stack of x, or of [X | y] as the TlsProblem
+    constructor builds it. It is kept, so its R-only TSQR runs on copies of
+    its row blocks. The leading p x p block R11 of r is the design's own R
+    factor. The SVD R11 = U S V^H of each slice checks it against rank p
+    and gives the Gram factors F = V S^-1. Only validate_design and the
+    constructor run this check: every problem on an existing _Design
     reuses it.
     """
     n, p, l = x.shape
+    r = _tsqr_r(map(np.array, _row_blocks(joint)))
     r11 = r[..., :p, :p]
     _, s, vh = np.linalg.svd(r11)
     tol = default_rank_tol((n, p), float(s.max(initial=0.0)))
@@ -79,7 +80,7 @@ def _checked_design(x, half, r) -> _Design:
     if (smallest <= tol).any():
         k_bad = int(np.argmin(smallest)) + 1
         raise RankDeficient(f"design does not have rank {p} in DFT slice {k_bad} of {l}")
-    return _Design(x, half, r11, vh.conj().mT / s[:, None, :])
+    return _Design(x, joint[..., :p], r11, vh.conj().mT / s[:, None, :]), r
 
 
 @dataclass(frozen=True, eq=False)
@@ -158,10 +159,9 @@ class TlsProblem:
     def __init__(self, design, response):
         x = _check_design(design)
         (y,) = _check_responses([response], x.shape)
-        p = x.shape[1]
         joint = _to_half(x, y)
-        r = _tsqr_r(map(np.array, _row_blocks(joint)))
-        _fitted(_checked_design(x, joint[..., :p], r), [y], [joint[..., p:]], r, [self])
+        checked, r = _checked_design(x, joint)
+        _fitted(checked, [y], [joint[..., x.shape[1] :]], r, [self])
 
     def with_response(self, response) -> "TlsProblem":
         """Same design (validation, DFT and factors reused), different response, fitted at once."""
@@ -259,8 +259,8 @@ def _tsqr_r(blocks):
     factored once. So the tall slices are factored once and normal
     equations are never formed. A block may be a whole batch of sketches,
     (B, slices, rows, cols), which one call factors. The blocks are
-    overwritten, so a caller that keeps its stack passes copies of its
-    blocks, as np.linalg.qr would make them. Each block is dropped once it
+    overwritten, so _checked_design, whose stack is kept, passes copies of
+    its blocks, as np.linalg.qr would make them. Each block is dropped once it
     is factored, before the next is gathered, so at most one is held.
     """
     rs = list(map(_qr_r, blocks))
@@ -273,16 +273,12 @@ def _qr_r(a) -> np.ndarray:
     np.linalg.qr copies its input and runs numpy's own kernel on the copy;
     here the kernel overwrites `a` with its Householder form, in any layout,
     so only a stack that nothing reads afterwards may be passed. Under the
-    errstate np.linalg.qr sets, LAPACK's error code raises LinAlgError and no
-    floating-point warning is shown.
+    errstate np.linalg.qr sets, with its own handler, LAPACK's error code
+    raises LinAlgError and no floating-point warning is shown.
     """
-    with np.errstate(call=_qr_error, invalid="call", over="ignore", divide="ignore", under="ignore"):
+    with np.errstate(all="ignore", invalid="call", call=_raise_linalgerror_qr):
         _umath_linalg.qr_r_raw(a, signature="D->D")
     return np.triu(a[..., : min(a.shape[-2:]), :])
-
-
-def _qr_error(err, flag):
-    raise np.linalg.LinAlgError("Incorrect argument found while performing QR factorization")
 
 
 def _solve_factored(r, p: int, rows, l: int):

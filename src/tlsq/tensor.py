@@ -170,11 +170,9 @@ def t_product(x, y) -> np.ndarray:
     """
     x = as_tensor(x, "left operand")
     y = as_tensor(y, "right operand")
-    n, p, l = x.shape
-    p2, r, l2 = y.shape
-    if p != p2 or l != l2:
+    if x.shape[1] != y.shape[0] or x.shape[2] != y.shape[2]:
         raise DimensionMismatch(f"cannot multiply {x.shape} by {y.shape}")
-    return _from_half(_to_half(x) @ _to_half(y), l)
+    return _from_half(_to_half(x) @ _to_half(y), x.shape[2])
 
 
 def t_transpose(x) -> np.ndarray:
@@ -251,9 +249,7 @@ def thin_t_svd(x, tol: float | None = None) -> ThinTSVD:
     elif tol < 0:
         raise ValueError("tolerance must be nonnegative")
     rank = int(np.count_nonzero(sv.max(axis=1) > tol))
-    sh = np.zeros((s.shape[0], rank, rank), dtype=np.complex128)
-    idx = np.arange(rank)
-    sh[:, idx, idx] = s[:, :rank]
+    sh = s[:, :rank, None] * np.eye(rank)
     return ThinTSVD(
         u=_from_half(uh[:, :, :rank], l),
         s=_from_half(sh, l),
