@@ -56,9 +56,9 @@ file formats:
   reports       CSV: method,tau,smrfv,smre,ssb,sv,smse,mean_ms,replicates,
                 failures. TLSQ_THREADS, a positive integer, caps replicate
                 parallelism, as do the ceil(replicates / 8) chunks. A
-                second thread pays on compare-mls's matrix cells (one lstsq
-                per sketch), not on experiment's tensor grid. A pool above
-                one thread wants one BLAS thread: OPENBLAS_NUM_THREADS=1.
+                second thread pays on compare-mls's matrix cells, whose QR
+                calls pass numpy's 500 interpreter-lock threshold, not on
+                the tensor grid. A pool wants OPENBLAS_NUM_THREADS=1.
 
 exit codes: 0 success, 1 usage error, 2 numerical failure or a run too large
 for memory (such as a huge --tau or replicates), 3 I/O failure.

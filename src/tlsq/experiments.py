@@ -25,7 +25,6 @@ from dataclasses import dataclass, fields, replace
 
 import numpy as np
 
-from .errors import SketchRankDeficient
 from .sampling import (
     SamplingDistribution,
     _draw_compressed,
@@ -36,8 +35,8 @@ from .sampling import (
     uniform_probs,
 )
 from .solver import TlsProblem, _as_design, _exact_solutions, _factor_sketches
-from .solver import _finish_sketches, _on_design, _r_objectives
-from .tensor import _rank_cutoff, _to_half, as_tensor, fold
+from .solver import _finish_sketches, _on_design, _qr_r, _r_objectives, _solve_factored
+from .tensor import _to_half, as_tensor
 
 DESIGN_KINDS = ("mn", "t3", "t1")
 METHOD_KINDS = ("unif", "lev", "slev", "opt")
@@ -61,6 +60,12 @@ _STREAM_SMLS = 3
 # only, so a worker holds one chunk's problems at a time. It depends on R
 # alone, so reports do not depend on the thread count.
 _REPLICATE_CHUNK = 8
+
+# A chunk's matrix cells of one sketch size are factored as one batch by a
+# sequential TSQR over blocks of this many sketch rows (_solve_matrix_sketches).
+# Taller blocks redo less of the carried R but hold a larger buffer, B (p*l + 1)
+# floats a row; at desk size 320 rows ran about 6% faster for 0.6 MB more max RSS.
+_MATRIX_BLOCK_ROWS = 256
 
 _EPS = np.finfo(np.float64).eps
 # An exact solution whose objective is at most this multiple of
@@ -340,35 +345,57 @@ def _bcirc_rows(x) -> np.ndarray:
     return np.lib.stride_tricks.sliding_window_view(doubled, p * l, axis=1)[:, : l * p : p][:, ::-1]
 
 
-def _solve_matrix_sketches(views, problems, taus, picked, scale, unique):
-    """Solve one matrix-baseline sketch per plan, plan j on the flattened system of problems[j].
+def _solve_matrix_sketches(views, problems, plans):
+    """Solve the matrix-baseline sketches of cell batches of one size, plan j on problems[j].
 
-    The plans come compressed over the n*l rows, as _compress returns them:
-    plan j's unique rows picked[j, :unique[j]] are rows (r, i) =
-    divmod(row, n) of the problem's bcirc(X), gathered from views[j], its
-    _bcirc_rows, and of its unfolded response, gathered as
-    response[i, :, r], each scaled by its scale. Each plan is solved by one
-    lstsq with the cutoff eps * max(tau, p*l): lstsq's default cutoff on
-    the uncompressed tau-row sketch. Returns
-    _solve_sketches' stacks (ok, bs, objectives, errors), where a plan
-    loses its rank when its sketch's rank is below p*l. lstsq's
-    coefficients are spatial, so the kept ones are transformed forward
-    once, together (_to_half), and one _r_objectives call reads their
-    objectives.
+    `plans` holds the batches' plans compressed over the n*l rows, as
+    _draw_compressed returns them (taus, picked, scale, unique), and their
+    plans are taken in order, so `views` and `problems` hold one entry per
+    plan of them all. A plan's unique rows are rows (r, i) = divmod(row, n)
+    of the problem's bcirc(X), gathered from its view, its _bcirc_rows, and
+    of its unfolded response, gathered as response[i, :, r], each scaled by
+    its scale. The baseline's l = 1 system [A | y] is solved as a tensor
+    sketch is, from its R factor. All plans are factored together by a
+    sequential TSQR (Demmel, Grigori, Hoemmen & Langou 2012) through one
+    column-major real buffer (B, 1, p*l + 1, H), H = max(_MATRIX_BLOCK_ROWS,
+    2 (p*l + 1)) rows: the first step gathers up to H rows of each plan,
+    each later step copies the previous R into the top p*l + 1 rows and
+    gathers the next rows below it, and the last step factors only the rows
+    it gathered. Each step factors the whole batch in place by one _qr_r
+    call. A plan with fewer rows than a step, or than p*l + 1 in all, is
+    zero-padded, which leaves R unchanged. _solve_factored then checks the
+    rank at the cutoff eps * max(tau, p*l), lstsq's default on the
+    uncompressed tau-row sketch, and solves. Returns _solve_sketches'
+    stacks (ok, bs, objectives, errors), where a plan loses its rank when
+    its sketch's rank is below p*l. The solutions are spatial, so the kept
+    ones are transformed forward once, together (_to_half), and one
+    _r_objectives call reads their objectives.
     """
     n, p, l = problems[0].shape
-    rconds = _rank_cutoff(taus, p * l)
-    bs, errors = np.empty((len(problems), p, 1, l)), [None] * len(problems)
-    for j, (view, prob, rcond) in enumerate(zip(views, problems, rconds)):
-        (r, i), w = np.divmod(picked[j, : unique[j]], n), scale[j, : unique[j], None]
-        sol, _, rank, _ = np.linalg.lstsq(view[i, r] * w, prob.response[i, :, r] * w, rcond=rcond)
-        bs[j] = fold(sol, p, l)
-        if rank < p * l:
-            errors[j] = SketchRankDeficient(f"matrix sketch has rank {rank} < {p * l}")
-    ok = np.array([error is None for error in errors])
-    bhalf = _to_half(bs[ok].reshape(-1, 1, l)).reshape(l // 2 + 1, -1, p, 1).swapaxes(0, 1)
+    cols = p * l + 1
+    drawn = [(pk, sc) for _, picked, scale, _ in plans for pk, sc in zip(picked, scale)]
+    total = max(cols, *(plan[1].shape[1] for plan in plans))
+    work = np.empty((len(problems), 1, cols, min(total, max(_MATRIX_BLOCK_ROWS, 2 * cols))))
+    r, start = None, 0
+    while start < total:
+        top = 0 if r is None else cols
+        stop = min(total, start + work.shape[-1] - top)
+        m = work[..., : top + stop - start]
+        if top:  # the previous R is dropped before the next one is formed
+            m[..., :top], r = r.mT, None
+        for j, (view, pb, (picked, scale)) in enumerate(zip(views, problems, drawn)):
+            (block_row, i), w = np.divmod(picked[start:stop], n), scale[start:stop]
+            np.multiply(view[i, block_row].T, w, out=m[j, 0, :-1, top : top + w.size])
+            np.multiply(pb.response[i, 0, block_row], w, out=m[j, 0, -1, top : top + w.size])
+            m[j, 0, :, top + w.size :] = 0.0
+        r, start = _qr_r(m.mT), stop
+    del work, m  # the solve runs without the buffer
+    taus = np.concatenate([plan[0] for plan in plans])
+    ok, sol, errors = _solve_factored(r, p * l, taus, 1, "matrix sketch has rank {rank} < {p}")
+    bs = sol.reshape(-1, l, p, 1).transpose(0, 2, 3, 1)  # fold each solution
+    bhalf = _to_half(bs.reshape(-1, 1, l)).reshape(l // 2 + 1, -1, p, 1).swapaxes(0, 1)
     kept = [pb for pb, keep in zip(problems, ok) if keep]
-    return ok, bs[ok], _r_objectives(kept, bhalf), errors
+    return ok, bs, _r_objectives(kept, bhalf), errors
 
 
 def _max_workers() -> int:
@@ -455,17 +482,21 @@ def _run_cells(cfg: ExperimentConfig, cells) -> list[MetricsRow]:
     one flat complex workspace sized for the tallest of their batches, and
     each tensor cell factors its plans as one batch (_factor_sketches), in
     place in a (B, l//2 + 1, p + 1, rows) view of it, column-major per
-    slice, into the chunk's one stack of R factors. The workspace is dropped, and one
-    _finish_sketches call solves the whole stack; its stacks (ok, bs,
-    objectives, errors) are split back per cell. Then each matrix cell
-    solves its plans as one batch by _solve_matrix_sketches, so the
-    workspace is never held beside the baseline's sketches. With `timing`
-    on, a cell's wall time in a replicate is an equal share of its batch's
-    draw and solve, where a tensor cell's solve is its factorization and an
-    equal share of the chunk's finish; otherwise it is NaN. A chunk returns
-    numbers only: its problems' response energies, their exact solutions
-    and objectives, and each cell's stacks, which _aggregate concatenates
-    into the rows. So a worker holds at most one chunk's problems.
+    slice; their R factors make the chunk's one stack. The workspace is
+    dropped, and one _finish_sketches call solves the whole stack; its
+    stacks (ok, bs, objectives, errors) are split back per cell. Then the
+    matrix cells of each sketch size (`draws`) draw their plans cell by
+    cell and solve them as one batch by _solve_matrix_sketches, so the
+    workspace is never held beside the baseline's sketches. A tau's unif
+    and lev baselines are one batch, so each of its QR calls factors twice
+    a cell's plans. With `timing` on, a cell's wall time in a replicate is
+    an equal share of its draw and of its solve, where a tensor cell's solve
+    is its factorization and an equal share of the chunk's finish, and a
+    matrix cell's an equal share of its batch's solve; otherwise it is NaN.
+    A chunk returns numbers only: its problems' response energies, their
+    exact solutions and objectives, and each cell's stacks, which _aggregate
+    concatenates into the rows. So a worker holds at most one chunk's
+    problems.
     """
     clock = time.perf_counter if cfg.timing else lambda: math.nan
     base = None if cfg.redraw_design else _prepare_state(cfg, cells, _STREAM_DESIGN)
@@ -491,24 +522,27 @@ def _run_cells(cfg: ExperimentConfig, cells) -> list[MetricsRow]:
             seconds[c] += clock() - start
             return out
 
+        def settle(group, start, ok, bs, objectives, _):  # a joint batch's stacks, split per cell
+            share = (clock() - start) / len(group)
+            oks = ok.reshape(len(group), size)
+            cuts = np.cumsum(oks.sum(axis=1))[:-1]
+            for c, *batch in zip(group, oks, np.split(bs, cuts), np.split(objectives, cuts)):
+                batches[c], seconds[c] = batch, seconds[c] + share
+
         size, batches, seconds = len(chunk), [None] * len(cells), [0.0] * len(cells)
-        r = np.empty((len(tensor), size, cfg.l // 2 + 1, cfg.p + 1, cfg.p + 1), dtype=np.complex128)
         plans = [timed(c, draw, cells[c]) for c in tensor]
-        work = np.empty(r[0, 0, ..., 0].size * max(plan[1].size for plan in plans), np.complex128)
-        for k, (c, plan) in enumerate(zip(tensor, plans)):
-            r[k] = timed(c, _factor_sketches, problems, *plan[1:3], work)
-        taus, r = np.concatenate([plan[0] for plan in plans]), r.reshape(-1, *r.shape[2:])
+        work = np.empty((cfg.l // 2 + 1) * (cfg.p + 1) * max(plan[1].size for plan in plans), complex)
+        r = np.concatenate([timed(c, _factor_sketches, problems, *plan[1:3], work)
+                            for c, plan in zip(tensor, plans)])
+        taus = np.concatenate([plan[0] for plan in plans])
         del work, plans  # the matrix cells run without them
-        start = clock()  # every run has a tensor cell
-        ok, bs, objectives, _ = _finish_sketches(problems * len(tensor), r, taus)
-        share = (clock() - start) / len(tensor)
-        oks = ok.reshape(len(tensor), size)
-        cuts = np.cumsum(oks.sum(axis=1))[:-1]
-        for c, *batch in zip(tensor, oks, np.split(bs, cuts), np.split(objectives, cuts)):
-            batches[c], seconds[c] = batch, seconds[c] + share
-        for c in matrix:
-            plan = timed(c, draw, cells[c])
-            batches[c] = timed(c, _solve_matrix_sketches, [s.rows for s in states], problems, *plan)
+        # Arguments are evaluated in order, so each clock() reads before its solve.
+        settle(tensor, clock(), *_finish_sketches(problems * len(tensor), r, taus))
+        for draws in dict.fromkeys(cells[c].draws for c in matrix):  # one batch per sketch size
+            group = [c for c in matrix if cells[c].draws == draws]
+            plans = [timed(c, draw, cells[c]) for c in group]
+            views = [s.rows for s in states] * len(group)
+            settle(group, clock(), *_solve_matrix_sketches(views, problems * len(group), plans))
         energies = [float(np.vdot(pb.response, pb.response)) for pb in problems]
         out = [(*batch[:3], np.full(size, t * 1e3 / size)) for batch, t in zip(batches, seconds)]
         return (energies, *_exact_solutions(problems), out)

@@ -128,9 +128,7 @@ def optimal_probs(design) -> SamplingDistribution:
     """
     design = _as_design(design)
     numerators, energy = _sandwich_numerators(design)
-    radicand = np.maximum(numerators, 0.0)
-    radicand[radicand <= _RADICAND_REL_TOL * energy] = 0.0
-    weights = np.sqrt(radicand)
+    weights = np.sqrt(np.where(numerators > _RADICAND_REL_TOL * energy, numerators, 0.0))
     total = weights.sum()
     if total <= 0.0:
         raise DegenerateDistribution(

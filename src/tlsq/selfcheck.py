@@ -33,10 +33,8 @@ _SEED = 20240517
 
 
 def _rand_dims(rng, max_side=6, max_tubes=8):
-    n = int(rng.integers(1, max_side + 1))
-    p = int(rng.integers(1, max_side + 1))
-    l = int(rng.integers(1, max_tubes + 1))
-    return n, p, l
+    """(n, p, l), drawn in that order, n and p in 1..max_side and l in 1..max_tubes."""
+    return tuple(int(rng.integers(1, top + 1)) for top in (max_side, max_side, max_tubes))
 
 
 def _case_t_product(rng) -> bool:
@@ -74,12 +72,11 @@ def _case_pinv(rng) -> bool:
     n, p, l = _rand_dims(rng)
     x = rng.standard_normal((n, p, l))
     y = t_pinv(x)
-    ok = np.abs(t_product(t_product(x, y), x) - x).max() <= 1e-8
-    ok &= np.abs(t_product(t_product(y, x), y) - y).max() <= 1e-8
-    xy = t_product(x, y)
-    yx = t_product(y, x)
-    ok &= np.abs(t_transpose(xy) - xy).max() <= 1e-8
-    ok &= np.abs(t_transpose(yx) - yx).max() <= 1e-8
+    ok = True
+    for a, b in ((x, y), (y, x)):  # the Penrose conditions a b a = a and (a b)^T = a b
+        ab = t_product(a, b)
+        ok &= np.abs(t_product(ab, a) - a).max() <= 1e-8
+        ok &= np.abs(t_transpose(ab) - ab).max() <= 1e-8
     return ok
 
 

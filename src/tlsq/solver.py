@@ -106,13 +106,15 @@ class _Design:
     def shape(self) -> tuple[int, int, int]:
         return self.tensor.shape
 
-    def orthonormal_blocks(self, rows: int):
-        """(start, U[:, start : start + rows]) for each block of rows of U = X F.
+    def orthonormal_blocks(self, rows: int, read):
+        """read(start, U[:, start : start + rows]) for each block of rows of U = X F, lazily.
 
-        U is formed a block at a time, so it is never held whole.
+        U is formed a block at a time, and each block is dropped once `read`
+        returns, before the next is formed, so U is never held whole and no
+        two blocks are held at once.
         """
-        for start in range(0, self.half.shape[1], rows):
-            yield start, self.half[:, start : start + rows] @ self.f
+        starts = range(0, self.half.shape[1], rows)
+        return (read(start, self.half[:, start : start + rows] @ self.f) for start in starts)
 
     @functools.cached_property
     def leverage_rows(self) -> np.ndarray:
@@ -124,8 +126,8 @@ class _Design:
         probabilities built on the rows summing to one. Only the row energies
         are kept, not U.
         """
-        blocks = self.orthonormal_blocks(_QR_BLOCK_ROWS)
-        rows = np.concatenate([_row_energy(u) for _, u in blocks], axis=1)
+        energies = self.orthonormal_blocks(_QR_BLOCK_ROWS, lambda _, u: _row_energy(u))
+        rows = np.concatenate(list(energies), axis=1)
         rows *= self.shape[1] / rows.sum(axis=1, keepdims=True)
         return rows
 
@@ -268,7 +270,7 @@ def _tsqr_r(blocks):
 
 
 def _qr_r(a) -> np.ndarray:
-    """np.linalg.qr(a, mode="r") of a complex stack, bit for bit, factored in place.
+    """np.linalg.qr(a, mode="r") of a complex128 or float64 stack, bit for bit, factored in place.
 
     np.linalg.qr copies its input and runs numpy's own kernel on the copy;
     here the kernel overwrites `a` with its Householder form, in any layout,
@@ -276,18 +278,23 @@ def _qr_r(a) -> np.ndarray:
     errstate np.linalg.qr sets, with its own handler, LAPACK's error code
     raises LinAlgError and no floating-point warning is shown.
     """
+    signature = "d->d" if a.dtype == np.float64 else "D->D"
     with np.errstate(all="ignore", invalid="call", call=_raise_linalgerror_qr):
-        _umath_linalg.qr_r_raw(a, signature="D->D")
+        _umath_linalg.qr_r_raw(a, signature=signature)
     return np.triu(a[..., : min(a.shape[-2:]), :])
 
 
-def _solve_factored(r, p: int, rows, l: int):
+_SHORT_SLICE = "sketched design has rank {rank} < {p} in DFT slice {slice} of {l}"
+
+
+def _solve_factored(r, p: int, rows, l: int, message=_SHORT_SLICE):
     """Rank-check a batch of factored [A | Y] stacks and solve the well-posed ones.
 
-    `r` (B, l//2 + 1, m, p + k) holds the R factors; `rows[j]` is the number
-    of rows stack j stands for. A slice whose singular values fall to
-    lstsq's default cutoff eps * max(rows, p) * s_max has lost rank. One
-    solve with R11 and [R12 | I] gives the solutions R11^-1 R12 and R11^-1.
+    `r` (B, l//2 + 1, m, p + k) holds the R factors, complex, or real for
+    the matrix baseline's l = 1 system; `rows[j]` is the number of rows
+    stack j stands for. A slice whose singular values fall to lstsq's
+    default cutoff eps * max(rows, p) * s_max has lost rank. One solve
+    with R11 and [R12 | I] gives the solutions R11^-1 R12 and R11^-1.
     A stack with ||R11||_F ||R11^-1||_F eps max(rows, p) <= 1/2 in every
     slice passes the cutoff by a factor of 2 in each, since the 2-norm
     condition number is at most that Frobenius product, and keeps that
@@ -298,8 +305,9 @@ def _solve_factored(r, p: int, rows, l: int):
     masks the stacks of full rank, `bhalf` holds their half-spectrum
     solutions, (count(ok), l//2 + 1, p, k), and `errors` has one entry per
     stack, a SketchRankDeficient naming the first short slice (1-based) of
-    a stack that lost rank and None otherwise. The sketch solvers keep this
-    mask and error list in the batch they return.
+    a stack that lost rank and None otherwise, whose text is `message`
+    filled in with the rank, p, the slice and l. The sketch solvers keep
+    this mask and error list in the batch they return.
     """
     cutoff = _rank_cutoff(rows, p)
     r11 = r[..., :p, :p]
@@ -321,10 +329,8 @@ def _solve_factored(r, p: int, rows, l: int):
             if short_k.any():
                 j = int(np.argmax(short_k))
                 rank = int(np.count_nonzero(s_k[j] > tol_k[j]))
-                errors[k] = SketchRankDeficient(
-                    f"sketched design has rank {rank} < {p} in DFT slice {j + 1} of {l}",
-                    slice_index=j + 1,
-                )
+                text = message.format(rank=rank, p=p, slice=j + 1, l=l)
+                errors[k] = SketchRankDeficient(text, slice_index=j + 1)
         rescued = rejected[~short.any(axis=1)]
         ok[rescued] = True
         bhalf[rescued] = _back_substitute(r[rescued], p)

@@ -79,12 +79,15 @@ def _sandwich(design, middle) -> np.ndarray:
     U is formed a block of rows at a time. A batch of middles
     (k, l//2 + 1, n) gives a batch of k tensors: every core comes from one
     stacked matmul per block of rows, (diag(m) U)^H U, with one conjugate
-    of the weighted rows.
+    of the weighted rows. Each block and its weighted rows are dropped
+    before the next block is formed.
     """
-    core = 0
-    for start, u in design.orthonormal_blocks(_CORE_BLOCK_ROWS):
+
+    def block_core(start, u):
         weighted = middle[..., start : start + _CORE_BLOCK_ROWS, None] * u
-        core = core + np.conjugate(weighted, out=weighted).mT @ u
+        return np.conjugate(weighted, out=weighted).mT @ u
+
+    core = sum(design.orthonormal_blocks(_CORE_BLOCK_ROWS, block_core))
     f = design.f
     return _from_half(f @ core @ f.conj().mT, design.shape[2])
 

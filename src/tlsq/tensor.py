@@ -23,6 +23,7 @@ from .errors import DimensionMismatch, FileFormatError, ImaginaryResidue
 
 _TT_MAGIC = b"TTEN"
 _TT_VERSION = 1
+_TT_HEADER = "<4sIQQQ"  # magic, u32 version, n, p, l as u64, little-endian
 
 # The dense block-circulant embedding is quadratic in l and only meant for
 # cross-checking small instances.
@@ -72,9 +73,7 @@ def as_tensor(x, name: str = "tensor") -> np.ndarray:
 def _parseval_weights(l: int) -> np.ndarray:
     """Multiplicity of each half-spectrum slice in the full DFT: 1 if self-conjugate, else 2."""
     w = np.full(l // 2 + 1, 2.0)
-    w[0] = 1.0
-    if l % 2 == 0:
-        w[-1] = 1.0
+    w[[0, -1] if l % 2 == 0 else [0]] = 1.0
     return w
 
 
@@ -178,10 +177,7 @@ def t_product(x, y) -> np.ndarray:
 def t_transpose(x) -> np.ndarray:
     """Transpose each frontal slice and reverse the order of slices 2..l."""
     x = as_tensor(x)
-    flipped = x.transpose(1, 0, 2)
-    return np.ascontiguousarray(
-        np.concatenate([flipped[:, :, :1], flipped[:, :, :0:-1]], axis=2)
-    )
+    return np.ascontiguousarray(np.roll(x.transpose(1, 0, 2)[:, :, ::-1], 1, axis=2))
 
 
 def identity(n: int, l: int) -> np.ndarray:
@@ -322,9 +318,7 @@ def write_tensor(x, path) -> None:
     x = as_tensor(x)
     n, p, l = x.shape
     with open(path, "wb") as fh:
-        fh.write(_TT_MAGIC)
-        fh.write(struct.pack("<I", _TT_VERSION))
-        fh.write(struct.pack("<QQQ", n, p, l))
+        fh.write(struct.pack(_TT_HEADER, _TT_MAGIC, _TT_VERSION, n, p, l))
         fh.write(x.astype("<f8").ravel(order="F").tobytes())
 
 
@@ -337,12 +331,12 @@ def read_tensor(path) -> np.ndarray:
     array, not a copy; being read-only, it keeps the scan valid, so
     as_tensor does not repeat it.
     """
-    header = struct.calcsize("<4sIQQQ")
+    header = struct.calcsize(_TT_HEADER)
     with open(path, "rb") as fh:
         head = fh.read(header)
         if len(head) < header:
             raise FileFormatError(f"{path}: truncated header")
-        magic, version, n, p, l = struct.unpack("<4sIQQQ", head)
+        magic, version, n, p, l = struct.unpack(_TT_HEADER, head)
         if magic != _TT_MAGIC:
             raise FileFormatError(f"{path}: bad magic {magic!r}")
         if version != _TT_VERSION:

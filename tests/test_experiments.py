@@ -575,25 +575,32 @@ class TestBatchedReplicateLoop:
         factorization; in conditional mode that one response serves every
         chunk. Under redraw_design every replicate's design is factored once,
         with its response, while each cell batch still spans the chunk; so
-        also in compare-mls. Matrix cells, exact solutions and objectives
+        also in compare-mls. The matrix cells of each sketch size are one
+        factor batch per chunk: the unif and lev baselines of a tau, and in
+        compare-mls those of l * tau as well. Exact solutions and objectives
         factor nothing.
         """
         calls = []
 
-        def counting(*args, _original=solver._tsqr_r, **kwargs):
-            calls.append(1)
-            return _original(*args, **kwargs)
+        def counting(original):
+            def wrapped(*args, **kwargs):
+                calls.append(1)
+                return original(*args, **kwargs)
 
-        monkeypatch.setattr(solver, "_tsqr_r", counting)
+            return wrapped
+
+        monkeypatch.setattr(solver, "_tsqr_r", counting(solver._tsqr_r))
+        monkeypatch.setattr(experiments, "_solve_matrix_sketches",
+                            counting(experiments._solve_matrix_sketches))
         cfg = ExperimentConfig(seed=37, n=150, p=4, l=3, design="t3", replicates=19,
                                taus=(8, 30), smls="same_tau", mode=mode, redraw_design=redraw)
         rows = (run_mls_comparison if compare else run_experiment)(cfg)
         chunks = math.ceil(cfg.replicates / experiments._REPLICATE_CHUNK)
         if compare:  # one tensor and two matrix cells per unif/lev kind and tau
-            cells = 2 * len(cfg.taus)
+            cells, sizes = 2 * len(cfg.taus), 2 * len(cfg.taus)
             assert len(rows) == 3 * cells
         else:
-            cells = len(cfg.methods) * len(cfg.taus)
+            cells, sizes = len(cfg.methods) * len(cfg.taus), len(cfg.taus)
             assert len(rows) == cells + 2 * len(cfg.taus)
         if redraw:
             expected = cfg.replicates + chunks * cells
@@ -601,7 +608,7 @@ class TestBatchedReplicateLoop:
             expected = 1 + chunks * cells
         else:
             expected = 1 + chunks * (1 + cells)
-        assert len(calls) == expected
+        assert len(calls) == expected + chunks * sizes
 
     def test_shared_design_is_not_checked_again(self, monkeypatch):
         """A shared design's replicate problems are fitted with no SVD: its rank was checked when
@@ -629,15 +636,21 @@ class TestBatchedReplicateLoop:
 
     @pytest.mark.parametrize("compare", [False, True])
     def test_matrix_cells_run_as_batches(self, monkeypatch, compare):
-        """A matrix cell draws its chunk's plans in one batch and runs one lstsq per plan.
+        """A chunk's matrix cells of one sketch size are factored as one batch, with no lstsq.
 
         Every cell, tensor or matrix, makes one _draw_compressed call per
         chunk, and the driver never calls draw_plan or _draw_plans, which
         draw in draw order. Both are watched as driver attributes even where
         the driver does not import them, so an import brought back is
-        caught.
+        caught. The unif and lev baselines of each sketch size make one
+        factor batch per chunk, of both cells' plans.
         """
         calls = {"lstsq": 0, "_draw_compressed": 0, "_draw_plans": 0, "draw_plan": 0}
+        batches = []
+
+        def solve(views, problems, plans, _original=experiments._solve_matrix_sketches):
+            batches.append(len(problems))
+            return _original(views, problems, plans)
 
         def counting(name, original):
             def wrapped(*args, **kwargs):
@@ -647,6 +660,7 @@ class TestBatchedReplicateLoop:
             return wrapped
 
         monkeypatch.setattr(np.linalg, "lstsq", counting("lstsq", np.linalg.lstsq))
+        monkeypatch.setattr(experiments, "_solve_matrix_sketches", solve)
         monkeypatch.setattr(experiments, "_draw_compressed",
                             counting("_draw_compressed", sampling._draw_compressed))
         monkeypatch.setattr(experiments, "_draw_plans",
@@ -659,10 +673,13 @@ class TestBatchedReplicateLoop:
                                smls="l_times_tau", redraw_design=not compare)
         rows = run_mls_comparison(cfg) if compare else run_experiment(cfg)
         matrix = sum(r.method.startswith("smls") for r in rows)
-        chunks = math.ceil(cfg.replicates / experiments._REPLICATE_CHUNK)
+        chunks = np.array_split(np.arange(cfg.replicates), 3)
+        assert len(chunks) == math.ceil(cfg.replicates / experiments._REPLICATE_CHUNK)
         assert matrix == (8 if compare else 4)
-        assert calls == {"lstsq": cfg.replicates * matrix, "_draw_compressed": chunks * len(rows),
+        assert calls == {"lstsq": 0, "_draw_compressed": len(chunks) * len(rows),
                          "_draw_plans": 0, "draw_plan": 0}
+        sizes = matrix // 2  # the sketch sizes: each tau, and l * tau in compare-mls
+        assert sorted(batches) == sorted([2 * len(chunk) for chunk in chunks] * sizes)
 
     def test_starved_config_counts_the_same_failures(self):
         cfg = ExperimentConfig(seed=33, n=12, p=10, l=2, design="mn", replicates=10,
@@ -746,7 +763,7 @@ class TestSmlsBaseline:
         rows = np.arange(a.shape[0])
         _, (folded,), _, _ = experiments._solve_matrix_sketches(
             [experiments._bcirc_rows(x)], [prob],
-            *solver._compress(rows[None], np.ones((1, rows.size)), rows.size, 4))
+            [solver._compress(rows[None], np.ones((1, rows.size)), rows.size, 4)])
         exact = tlsq.solve_ols(prob).b
         assert np.abs(folded - tlsq.fold(dense, 4, 3)).max() <= 1e-12
         assert np.abs(folded - exact).max() <= 1e-10 * max(1.0, np.abs(exact).max())
@@ -786,19 +803,29 @@ class TestSmlsBaseline:
         excess=st.integers(-4, 12),
         pool=st.integers(1, 30),
         seed=st.integers(0, 2**32 - 1),
+        block=st.sampled_from([1, 256]),
     )
     # every draw from one row, each with its own weight
-    @example(p=2, l=1, extra_rows=0, plans=3, excess=2, pool=1, seed=0)
+    @example(p=2, l=1, extra_rows=0, plans=3, excess=2, pool=1, seed=0, block=256)
     # starved: plan 2 of 4 has fewer unique rows than p*l
-    @example(p=3, l=3, extra_rows=4, plans=4, excess=6, pool=30, seed=0)
+    @example(p=3, l=3, extra_rows=4, plans=4, excess=6, pool=30, seed=0, block=256)
     # tau < p*l: every plan loses rank
-    @example(p=4, l=2, extra_rows=1, plans=4, excess=-4, pool=30, seed=2)
-    def test_batch_matches_uncompressed_lstsq(self, p, l, extra_rows, plans, excess, pool, seed):
+    @example(p=4, l=2, extra_rows=1, plans=4, excess=-4, pool=30, seed=2, block=256)
+    # tau = p*l exactly
+    @example(p=3, l=2, extra_rows=3, plans=3, excess=0, pool=30, seed=3, block=1)
+    # l = 1: the baseline is the tensor problem itself, in steps of 2 (p + 1) rows
+    @example(p=3, l=1, extra_rows=6, plans=2, excess=12, pool=30, seed=4, block=1)
+    # n = p: a square design
+    @example(p=2, l=4, extra_rows=0, plans=3, excess=1, pool=30, seed=5, block=256)
+    def test_batch_matches_uncompressed_lstsq(self, p, l, extra_rows, plans, excess, pool, seed,
+                                              block):
         """Each plan's batch solution and rank loss are those of lstsq on its uncompressed sketch.
 
         Plans draw from a pool of `pool` rows of bcirc(X), so small pools
         repeat rows, each draw with its own weight, and leave some plans
-        with fewer unique rows than p*l.
+        with fewer unique rows than p*l. A `block` of 1 makes the TSQR's
+        steps 2 (p*l + 1) rows tall, so a plan with more unique rows than
+        that is factored over several steps.
         """
         n = p + extra_rows
         rng = np.random.default_rng(seed)
@@ -810,9 +837,11 @@ class TestSmlsBaseline:
         candidates = rng.choice(n * l, size=min(pool, n * l), replace=False)
         indices = rng.choice(candidates, size=(plans, tau))
         weights = rng.uniform(0.5, 2.0, size=(plans, tau))
-        ok, bs, objectives, errors = experiments._solve_matrix_sketches(
-            [experiments._bcirc_rows(x)] * plans, [prob] * plans,
-            *solver._compress(indices, weights, n * l, p))
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(experiments, "_MATRIX_BLOCK_ROWS", block)
+            ok, bs, objectives, errors = experiments._solve_matrix_sketches(
+                [experiments._bcirc_rows(x)] * plans, [prob] * plans,
+                [solver._compress(indices, weights, n * l, p)])
         assert len(bs) == len(objectives) == np.count_nonzero(ok)
         kept = iter(zip(bs, objectives))
         for keep, error, idx, w in zip(ok, errors, indices, weights):
@@ -824,6 +853,25 @@ class TestSmlsBaseline:
                 assert np.abs(b - want).max() <= 1e-10 * np.abs(want).max()
                 # lstsq's coefficients take the same forward DFT as objective's argument.
                 assert objective == tlsq.objective(prob, b)
+
+    @pytest.mark.parametrize("redraw", [False, True])
+    def test_comparison_is_thread_invariant(self, monkeypatch, redraw):
+        """compare-mls reports are the same at TLSQ_THREADS 1, 2 and 8 in every column but mean_ms.
+
+        Three chunks of replicates run the tensor cells and the matrix cells at tau and l * tau,
+        on a shared design and on one drawn per replicate. A chunk's matrix cells of one sketch
+        size are one factor batch and no batch spans chunks, so the thread count moves no bit,
+        also of the failure counts at tau = p * l.
+        """
+        cfg = ExperimentConfig(seed=41, n=120, p=4, l=3, design="t3", replicates=19,
+                               taus=(12, 30), methods=("unif", "lev"), redraw_design=redraw)
+        reports = []
+        for threads in ("1", "2", "8"):
+            monkeypatch.setenv("TLSQ_THREADS", threads)
+            rows = run_mls_comparison(cfg)
+            reports.append([repr(vars(r) | {"mean_ms": None}) for r in rows])
+        assert len(reports[0]) == 12 and any("smls" in row for row in reports[0])
+        assert reports[0] == reports[1] == reports[2]
 
     def test_comparison_rows(self):
         cfg = ExperimentConfig(seed=13, n=100, p=4, l=3, design="mn", replicates=4,

@@ -2,6 +2,7 @@
 
 import os
 import tempfile
+import tracemalloc
 import warnings
 import weakref
 from unittest import mock
@@ -791,14 +792,15 @@ class TestInPlaceQr:
     )
 
     @staticmethod
-    def stack(p, extra_rows, l, batch, seed, workspace):
-        """A (batch, l//2 + 1, p + extra_rows, p + 1) complex stack, as a column-major view of a
-        NaN-filled flat workspace with room to spare, or as a fresh C-order array."""
+    def stack(p, extra_rows, l, batch, seed, workspace, dtype=complex):
+        """A (batch, l//2 + 1, p + extra_rows, p + 1) complex or real stack, as a column-major view
+        of a NaN-filled flat workspace with room to spare, or as a fresh C-order array."""
         shape = (batch, l // 2 + 1, p + 1, p + extra_rows)
         values = np.random.default_rng(seed).standard_normal((*shape, 2)).view(complex)[..., 0]
+        values = values if dtype is complex else values.real
         if not workspace:
             return np.ascontiguousarray(values.mT)
-        work = np.full(values.size + 7, np.nan, dtype=complex)
+        work = np.full(values.size + 7, np.nan, dtype=dtype)
         view = work[: values.size].reshape(shape)
         view[...] = values
         return view.mT
@@ -814,6 +816,19 @@ class TestInPlaceQr:
         want = np.linalg.qr(a, mode="r")
         got = solver._qr_r(a)
         assert got.shape == (batch, l // 2 + 1, min(p + extra_rows, p + 1), p + 1)
+        assert np.array_equal(got, want)
+
+    @settings(max_examples=40, deadline=None)
+    @given(**shapes, workspace=st.booleans())
+    @example(p=3, extra_rows=0, l=1, batch=8, seed=0, workspace=True)
+    @example(p=4, extra_rows=6, l=2, batch=1, seed=1, workspace=False)
+    def test_real_stack_matches_numpy_qr(self, p, extra_rows, l, batch, seed, workspace):
+        """A float64 stack, such as the matrix baseline's sketch batch, runs numpy's real kernel
+        and gives np.linalg.qr's real R bit for bit, column-major or in C order."""
+        a = self.stack(p, extra_rows, l, batch, seed, workspace, dtype=float)
+        want = np.linalg.qr(a, mode="r")
+        got = solver._qr_r(a)
+        assert got.dtype == want.dtype == np.float64
         assert np.array_equal(got, want)
 
     @settings(max_examples=40, deadline=None)
@@ -848,6 +863,25 @@ class TestInPlaceQr:
 
         assert solver._tsqr_r(blocks()).shape == (1, 3, 3, 3)
         assert len(alive) == 4
+
+    def test_leverage_rows_hold_one_block_of_u(self, monkeypatch):
+        """_Design.leverage_rows forms U = X F a block of rows at a time and drops each block
+        before the next is formed: its traced peak stays under two blocks of U (it read 2.5
+        when the previous block stayed bound), and the rows are those of the whole U."""
+        monkeypatch.setattr(solver, "_QR_BLOCK_ROWS", 256)
+        design = solver.validate_design(rand((2048, 8, 6), 3))
+        u = design.half @ design.f
+        block = u[:, :256].nbytes
+        tracemalloc.start()
+        try:
+            start = tracemalloc.get_traced_memory()[0]
+            rows = design.leverage_rows
+            peak = tracemalloc.get_traced_memory()[1] - start
+        finally:
+            tracemalloc.stop()
+        assert peak < 2 * block, peak / block
+        want = (u.real**2 + u.imag**2).sum(axis=-1)
+        assert np.abs(rows - want * 8 / want.sum(axis=1, keepdims=True)).max() <= 1e-12
 
     def test_nan_entry_matches_numpy_without_warning(self):
         """numpy's QR does not raise on a NaN entry: it returns NaN in the R rows the entry reaches,
@@ -1134,10 +1168,12 @@ class TestSharedDesign:
         """Copies made before the first read share the leverage: X F is formed once."""
         products = []
 
-        def counting(design, rows, _original=solver._Design.orthonormal_blocks):
-            for block in _original(design, rows):
+        def counting(design, rows, read, _original=solver._Design.orthonormal_blocks):
+            def reading(start, block):
                 products.append(rows)
-                yield block
+                return read(start, block)
+
+            return _original(design, rows, reading)
 
         monkeypatch.setattr(solver._Design, "orthonormal_blocks", counting)
         prob = make_problem(seed=135)

@@ -1,11 +1,14 @@
 """Variance formulas against a spatial-domain tubal-algebra oracle."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import tlsq
+from tlsq import solver, stats
 from tlsq.errors import DimensionMismatch, ZeroProbabilityRow
 from tlsq.stats import (
     conditional_variance,
@@ -578,3 +581,25 @@ class TestUnconditionalMonteCarlo:
         empirical = estimator_spread(estimates)
         rel = abs(empirical - formula) / formula
         assert rel <= 0.15, f"{kind}: l * formula {formula:.4g}, empirical {empirical:.4g}, rel {rel:.3f}"
+
+
+def test_sandwich_holds_one_block_of_u(monkeypatch):
+    """_sandwich forms U = X F and its weighted rows a block at a time and drops both before the
+    next block is formed: its traced peak stays under 3.5 blocks of U (it read 4 when the
+    previous block and its weighted rows stayed bound), and the core is that of the whole U."""
+    monkeypatch.setattr(stats, "_CORE_BLOCK_ROWS", 256)
+    design = solver.validate_design(rand((2048, 8, 6), 4))
+    middle = rand((4, 2048), 5) ** 2
+    u = design.half @ design.f
+    block = u[:, :256].nbytes
+    tracemalloc.start()
+    try:
+        start = tracemalloc.get_traced_memory()[0]
+        got = stats._sandwich(design, middle)
+        peak = tracemalloc.get_traced_memory()[1] - start
+    finally:
+        tracemalloc.stop()
+    assert peak < 3.5 * block, peak / block
+    core = (middle[..., None] * u).conj().mT @ u
+    want = tlsq.tensor._from_half(design.f @ core @ design.f.conj().mT, 6)
+    assert np.abs(got - want).max() <= 1e-12 * np.abs(want).max()
