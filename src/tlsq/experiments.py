@@ -35,7 +35,7 @@ from .sampling import (
     uniform_probs,
 )
 from .solver import TlsProblem, _as_design, _exact_solutions, _factor_sketches
-from .solver import _finish_sketches, _on_design, _qr_r, _r_objectives, _solve_factored
+from .solver import _finish_sketches, _on_design, _r_objectives, _solve_factored, _tall_r
 from .tensor import _to_half, as_tensor
 
 DESIGN_KINDS = ("mn", "t3", "t1")
@@ -61,9 +61,9 @@ _STREAM_SMLS = 3
 # alone, so reports do not depend on the thread count.
 _REPLICATE_CHUNK = 8
 
-# A chunk's matrix cells of one sketch size are factored as one batch by a
-# sequential TSQR over blocks of this many sketch rows (_solve_matrix_sketches).
-# Taller blocks redo less of the carried R but hold a larger buffer, B (p*l + 1)
+# A chunk's matrix cells of one sketch size are factored as one batch through a
+# real TSQR buffer of this many rows, or 2 (p*l + 1) if more (solver._tall_r).
+# A taller buffer redoes less of the carried R but holds more, B (p*l + 1)
 # floats a row; at desk size 320 rows ran about 6% faster for 0.6 MB more max RSS.
 _MATRIX_BLOCK_ROWS = 256
 
@@ -203,9 +203,7 @@ def true_coefficients(p: int, l: int) -> np.ndarray:
     if p < 4:
         raise ValueError("the coefficient pattern needs p >= 4")
     v = np.concatenate([[1.0, 1.0], np.full(p - 4, 0.1), [1.0, 1.0]])
-    b0 = np.zeros((p, 1, l))
-    b0[:, 0, :] = v[:, None]
-    return b0
+    return np.repeat(v[:, None, None], l, axis=2)
 
 
 def gen_response(x, seed, sigma2: float = 9.0) -> tuple[np.ndarray, np.ndarray]:
@@ -349,47 +347,36 @@ def _solve_matrix_sketches(views, problems, plans):
     """Solve the matrix-baseline sketches of cell batches of one size, plan j on problems[j].
 
     `plans` holds the batches' plans compressed over the n*l rows, as
-    _draw_compressed returns them (taus, picked, scale, unique), and their
-    plans are taken in order, so `views` and `problems` hold one entry per
-    plan of them all. A plan's unique rows are rows (r, i) = divmod(row, n)
-    of the problem's bcirc(X), gathered from its view, its _bcirc_rows, and
-    of its unfolded response, gathered as response[i, :, r], each scaled by
-    its scale. The baseline's l = 1 system [A | y] is solved as a tensor
-    sketch is, from its R factor. All plans are factored together by a
-    sequential TSQR (Demmel, Grigori, Hoemmen & Langou 2012) through one
-    column-major real buffer (B, 1, p*l + 1, H), H = max(_MATRIX_BLOCK_ROWS,
-    2 (p*l + 1)) rows: the first step gathers up to H rows of each plan,
-    each later step copies the previous R into the top p*l + 1 rows and
-    gathers the next rows below it, and the last step factors only the rows
-    it gathered. Each step factors the whole batch in place by one _qr_r
-    call. A plan with fewer rows than a step, or than p*l + 1 in all, is
-    zero-padded, which leaves R unchanged. _solve_factored then checks the
-    rank at the cutoff eps * max(tau, p*l), lstsq's default on the
-    uncompressed tau-row sketch, and solves. Returns _solve_sketches'
-    stacks (ok, bs, objectives, errors), where a plan loses its rank when
-    its sketch's rank is below p*l. The solutions are spatial, so the kept
-    ones are transformed forward once, together (_to_half), and one
-    _r_objectives call reads their objectives.
+    _draw_compressed returns them (taus, picked, scale), and their plans
+    are taken in order, so `views` and `problems` hold one entry per plan of
+    them all. A plan's unique rows are rows (r, i) = divmod(row, n) of the
+    problem's bcirc(X), gathered from its view, its _bcirc_rows, and of its
+    unfolded response, gathered as response[i, :, r], each scaled by its
+    scale. The baseline's l = 1 system [A | y] is solved as a tensor sketch
+    is, from its R factor. All plans are factored together by the solver's
+    sequential TSQR (_tall_r) through one real buffer (B, 1, p*l + 1, H),
+    H = max(_MATRIX_BLOCK_ROWS, 2 (p*l + 1)) rows, or fewer for a shorter
+    batch; a plan with fewer rows than a step is zero-filled. The buffer is
+    freed before the solve. _solve_factored then checks the rank at the
+    cutoff eps * max(tau, p*l), lstsq's default on the uncompressed tau-row
+    sketch, and solves. Returns _solve_sketches' stacks (ok, bs, objectives,
+    errors), where a plan loses its rank when its sketch's rank is below
+    p*l. The solutions are spatial, so the kept ones are transformed forward
+    once, together (_to_half), and one _r_objectives call reads their
+    objectives.
     """
     n, p, l = problems[0].shape
-    cols = p * l + 1
-    drawn = [(pk, sc) for _, picked, scale, _ in plans for pk, sc in zip(picked, scale)]
-    total = max(cols, *(plan[1].shape[1] for plan in plans))
-    work = np.empty((len(problems), 1, cols, min(total, max(_MATRIX_BLOCK_ROWS, 2 * cols))))
-    r, start = None, 0
-    while start < total:
-        top = 0 if r is None else cols
-        stop = min(total, start + work.shape[-1] - top)
-        m = work[..., : top + stop - start]
-        if top:  # the previous R is dropped before the next one is formed
-            m[..., :top], r = r.mT, None
+    drawn = [(pk, sc) for _, picked, scale in plans for pk, sc in zip(picked, scale)]
+
+    def gather(m, start, stop):
         for j, (view, pb, (picked, scale)) in enumerate(zip(views, problems, drawn)):
             (block_row, i), w = np.divmod(picked[start:stop], n), scale[start:stop]
-            np.multiply(view[i, block_row].T, w, out=m[j, 0, :-1, top : top + w.size])
-            np.multiply(pb.response[i, 0, block_row], w, out=m[j, 0, -1, top : top + w.size])
-            m[j, 0, :, top + w.size :] = 0.0
-        r, start = _qr_r(m.mT), stop
-    del work, m  # the solve runs without the buffer
+            np.multiply(view[i, block_row].T, w, out=m[j, 0, : w.size, :-1].T)
+            np.multiply(pb.response[i, 0, block_row], w, out=m[j, 0, : w.size, -1])
+            m[j, 0, w.size :] = 0.0
+
+    total = max(plan[1].shape[1] for plan in plans)
+    r = _tall_r(gather, (len(problems), 1, p * l + 1), total, _MATRIX_BLOCK_ROWS, dtype=float)
     taus = np.concatenate([plan[0] for plan in plans])
     ok, sol, errors = _solve_factored(r, p * l, taus, 1, "matrix sketch has rank {rank} < {p}")
     bs = sol.reshape(-1, l, p, 1).transpose(0, 2, 3, 1)  # fold each solution
@@ -479,17 +466,18 @@ def _run_cells(cfg: ExperimentConfig, cells) -> list[MetricsRow]:
     call, which sorts each plan's uniforms and so draws it already
     compressed to its unique rows, with no sort of the (plan, row) keys.
     The tensor cells run first. Once their plans are drawn, the chunk takes
-    one flat complex workspace sized for the tallest of their batches, and
-    each tensor cell factors its plans as one batch (_factor_sketches), in
-    place in a (B, l//2 + 1, p + 1, rows) view of it, column-major per
-    slice; their R factors make the chunk's one stack. The workspace is
-    dropped, and one _finish_sketches call solves the whole stack; its
-    stacks (ok, bs, objectives, errors) are split back per cell. Then the
-    matrix cells of each sketch size (`draws`) draw their plans cell by
-    cell and solve them as one batch by _solve_matrix_sketches, so the
-    workspace is never held beside the baseline's sketches. A tau's unif
-    and lev baselines are one batch, so each of its QR calls factors twice
-    a cell's plans. With `timing` on, a cell's wall time in a replicate is
+    one flat complex workspace with room for the tallest of their batches
+    and one more row per plan (a batch of height p is zero-filled to p + 1
+    rows), and each tensor cell factors its plans as one batch
+    (_factor_sketches) by the solver's sequential TSQR in it, in place in a
+    column-major view; their R factors make the chunk's one stack. The
+    workspace is dropped, and one _finish_sketches call solves the whole
+    stack; its stacks (ok, bs, objectives, errors) are split back per cell.
+    Then the matrix cells of each sketch size (`draws`) draw their plans
+    cell by cell and solve them as one batch by _solve_matrix_sketches, so
+    the workspace is never held beside the baseline's sketches. A tau's
+    unif and lev baselines are one batch, so each of its QR calls factors
+    twice a cell's plans. With `timing` on, a cell's wall time in a replicate is
     an equal share of its draw and of its solve, where a tensor cell's solve
     is its factorization and an equal share of the chunk's finish, and a
     matrix cell's an equal share of its batch's solve; otherwise it is NaN.
@@ -531,8 +519,9 @@ def _run_cells(cfg: ExperimentConfig, cells) -> list[MetricsRow]:
 
         size, batches, seconds = len(chunk), [None] * len(cells), [0.0] * len(cells)
         plans = [timed(c, draw, cells[c]) for c in tensor]
-        work = np.empty((cfg.l // 2 + 1) * (cfg.p + 1) * max(plan[1].size for plan in plans), complex)
-        r = np.concatenate([timed(c, _factor_sketches, problems, *plan[1:3], work)
+        rows = max(len(picked) * (picked.shape[1] + 1) for _, picked, _ in plans)
+        work = np.empty((cfg.l // 2 + 1) * (cfg.p + 1) * rows, complex)
+        r = np.concatenate([timed(c, _factor_sketches, problems, *plan[1:], work)
                             for c, plan in zip(tensor, plans)])
         taus = np.concatenate([plan[0] for plan in plans])
         del work, plans  # the matrix cells run without them

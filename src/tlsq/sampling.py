@@ -16,7 +16,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DegenerateDistribution
-from .solver import _as_design, _compress_sorted, _plan_keys, _row_blocks
+from .solver import _as_design, _compress_sorted, _plan_keys
 from .tensor import _parseval_weights, _row_energy
 
 PROB_SUM_TOL = 1e-12
@@ -144,11 +144,11 @@ def _sandwich_numerators(design):
     The first is the sandwich middle trace's numerator, whose square root
     optimal_probs follows; h_i(k) are the leverage rows of the _Design. The
     row energies of the column-major half stack are taken a block of rows
-    at a time, so at most one block is copied.
+    at a time (_row_energy), so at most one block is copied.
     """
     l = design.shape[2]
     w = _parseval_weights(l) / l
-    row_x = np.concatenate([_row_energy(block) for block in _row_blocks(design.half)], axis=1)
+    row_x = _row_energy(design.half)
     return w @ ((1.0 - design.leverage_rows) * row_x), w @ row_x
 
 
@@ -194,7 +194,7 @@ def _draw_plans(dists, tau: int, rngs) -> tuple[np.ndarray, np.ndarray]:
 
 
 def _draw_compressed(dists, tau: int, rngs, n: int, p: int):
-    """The plans of _draw_plans, drawn already compressed: _compress's (taus, picked, scale, unique).
+    """The plans of _draw_plans, drawn already compressed: _compress's (taus, picked, scale).
 
     Each plan's uniforms are sorted before they are mapped to rows, so its
     rows come out ascending with the same multiset of draws, and its unique

@@ -64,15 +64,15 @@ def _checked_design(x, joint) -> tuple[_Design, np.ndarray]:
     """The _Design of design x and the R factor r of `joint`, whose leading p columns are x's.
 
     `joint` is the half stack of x, or of [X | y] as the TlsProblem
-    constructor builds it. It is kept, so its R-only TSQR runs on copies of
-    its row blocks. The leading p x p block R11 of r is the design's own R
-    factor. The SVD R11 = U S V^H of each slice checks it against rank p
-    and gives the Gram factors F = V S^-1. Only validate_design and the
-    constructor run this check: every problem on an existing _Design
-    reuses it.
+    constructor builds it, and _joint_r factors copies of its rows, so the
+    kept stack is not overwritten. The leading p x p block R11 of r is the
+    design's own R factor. The SVD R11 = U S V^H of each slice checks it
+    against rank p and gives the Gram factors F = V S^-1. Only
+    validate_design and the constructor run this check: every problem on an
+    existing _Design reuses it.
     """
     n, p, l = x.shape
-    r = _tsqr_r(map(np.array, _row_blocks(joint)))
+    r = _joint_r(joint)
     r11 = r[..., :p, :p]
     _, s, vh = np.linalg.svd(r11)
     tol = default_rank_tol((n, p), float(s.max(initial=0.0)))
@@ -146,7 +146,7 @@ class TlsProblem:
     Requires n >= p and column rank p in every DFT slice of the design, so
     the normal-equations inverse exists. The constructor transforms the
     design and the response into one joint (l//2 + 1, n, p + 1) half stack
-    and factors it once, an R-only TSQR of its row blocks as they stand.
+    and factors it once, by an R-only TSQR of copies of its rows (_joint_r).
     The leading block gives the rank check, R11 and the Gram factors: with
     the design and its half stack, a view of the joint stack, they make the
     problem's _Design. with_response and _on_design hand that same object
@@ -241,32 +241,53 @@ def _r_objectives(problems, bhalf) -> np.ndarray:
     return (rho + excess) @ _parseval_weights(l) / l
 
 
-def _row_blocks(*stacks):
-    """Row blocks of the column-wise concatenation of `stacks`, _QR_BLOCK_ROWS rows each.
+def _joint_r(*stacks) -> np.ndarray:
+    """R factor of the half stacks `stacks` side by side, [X | Y_1 ... Y_k], by one _tall_r.
 
-    Only one block is gathered at a time, so the whole concatenation is
-    never held. A block of one stack is a view of it; a concatenated block
-    is fresh, and column-major in each slice, as the half stacks are.
+    Each step copies the next rows of every stack into the TSQR buffer by
+    one concatenate, so the stacks, which problems keep, are only read, and
+    their concatenation is never held whole.
     """
-    for start in range(0, stacks[0].shape[-2], _QR_BLOCK_ROWS):
-        part = [s[..., start : start + _QR_BLOCK_ROWS, :] for s in stacks]
-        yield part[0] if len(part) == 1 else np.concatenate([q.mT for q in part], axis=-2).mT
+
+    def gather(m, start, stop):
+        np.concatenate([s[..., start:stop, :].mT for s in stacks], axis=-2, out=m.mT)
+
+    *slices, n, _ = stacks[0].shape
+    return _tall_r(gather, (*slices, sum(s.shape[-1] for s in stacks)), n, _QR_BLOCK_ROWS)
 
 
-def _tsqr_r(blocks):
-    """R-only QR of a stack given as row blocks (TSQR), overwriting each block.
+def _tall_r(gather, shape, total, step, work=None, dtype=np.complex128) -> np.ndarray:
+    """R factors (*batch, cols, cols) of a batch of tall stacks of `total` rows, by sequential TSQR.
 
-    Each block is factored on its own (_qr_r) and the stacked R factors once
-    more, which gives the R of the whole stack; a stack of one block is
-    factored once. So the tall slices are factored once and normal
-    equations are never formed. A block may be a whole batch of sketches,
-    (B, slices, rows, cols), which one call factors. The blocks are
-    overwritten, so _checked_design, whose stack is kept, passes copies of
-    its blocks, as np.linalg.qr would make them. Each block is dropped once it
-    is factored, before the next is gathered, so at most one is held.
+    `shape` is (*batch, cols). The stacks are factored through one buffer
+    of h = min(max(total, cols), max(step, 2 cols)) rows, column-major per
+    stack (Demmel, Grigori, Hoemmen & Langou 2012). The first step gathers
+    h rows; each later step copies the previous R into the top cols rows
+    and gathers the next h - cols rows below it, and the last step factors
+    only the rows it holds. gather(m, start, stop) writes rows start:stop
+    of every stack into m, a (*batch, stop - start, cols) column-major view
+    of the buffer, zero-filling those of a stack that ends sooner; zero
+    rows leave R unchanged. Rows past `total` are zero-filled up to cols,
+    so every R is square. Each step factors the whole batch in place by one
+    _qr_r call, so a stack of at most h rows is factored once and normal
+    equations are never formed. `work` is a flat buffer of at least
+    prod(shape) * h entries of `dtype` to factor in, or None for a fresh
+    one. The previous R is dropped once it is copied, so the routine holds
+    its buffer and one R.
     """
-    rs = list(map(_qr_r, blocks))
-    return rs[0] if len(rs) == 1 else _qr_r(np.concatenate(rs, axis=-2))
+    *batch, cols = shape
+    height = min(max(total, cols), max(step, 2 * cols))
+    size = math.prod(shape) * height
+    buffer = (np.empty(size, dtype) if work is None else work[:size]).reshape(*batch, cols, height)
+    buffer[..., total:] = 0.0  # the rows past the stacks' end, when they are shorter than cols
+    r, start = np.zeros((*batch, 0, cols), dtype), 0
+    while start < total:
+        top = r.shape[-2]
+        rows = min(total - start, height - top)
+        buffer[..., :top], r = r.mT, None  # the previous R is dropped before the next one is formed
+        gather(buffer[..., top : top + rows].mT, start, start + rows)
+        r, start = _qr_r(buffer[..., : max(top + rows, cols)].mT), start + rows
+    return r
 
 
 def _qr_r(a) -> np.ndarray:
@@ -348,13 +369,12 @@ def _on_design(design: _Design, responses) -> list:
     """Problems on `design`, one per response, each holding that same _Design.
 
     One R-only TSQR of [X | Y_1 ... Y_k], the design's half stack and the
-    responses' side by side a block of rows at a time, fits every response
-    (_fitted). The design is already validated, so its rank is not checked
-    again.
+    responses' side by side (_joint_r), fits every response (_fitted). The
+    design is already validated, so its rank is not checked again.
     """
     ys = _check_responses(responses, design.shape)
     halves = [_to_half(y) for y in ys]
-    return _fitted(design, ys, halves, _tsqr_r(_row_blocks(design.half, *halves)))
+    return _fitted(design, ys, halves, _joint_r(design.half, *halves))
 
 
 def _fitted(design: _Design, ys, halves, r, probs=None) -> list:
@@ -403,10 +423,10 @@ def _compress(indices, weights, n: int, p: int):
     each drawn row, so the compressed sketch is exact for any plan, also for
     a row drawn with different weights. The plans' (plan, row) keys are put
     in order by a stable sort, which keeps each row's draws in input order,
-    and read as runs (_compress_sorted). Returns (taus, picked, scale,
-    unique): plan j's unique rows and their scales are the first unique[j]
-    entries of picked[j] and scale[j], (B, rows) each, and zeros pad them
-    to rows = max(unique.max(), p).
+    and read as runs (_compress_sorted). Returns (taus, picked, scale):
+    plan j's unique rows and their scales lead picked[j] and scale[j], (B,
+    rows) each, and zeros pad them to rows = max(unique rows of any plan,
+    p), so plan j's unique rows are its positive scales.
     """
     taus = np.array([len(row) for row in indices])
     if len(weights) != taus.size or any(len(w) != t for w, t in zip(weights, taus)):
@@ -435,7 +455,7 @@ def _plan_keys(taus, indices, weights, n: int, p: int) -> np.ndarray:
 
 
 def _compress_sorted(taus, keys, weights, n: int, p: int):
-    """_compress's (taus, picked, scale, unique) of a batch given by its sorted draws.
+    """_compress's (taus, picked, scale) of a batch given by its sorted draws.
 
     `keys` holds every draw's key plan * n + row in ascending order, and
     weights[t] is draw t's weight. A plan's unique rows are its runs of
@@ -454,54 +474,56 @@ def _compress_sorted(taus, keys, weights, n: int, p: int):
     scale = np.zeros(picked.shape)
     picked[owner, slot] = rows
     scale[owner, slot] = np.sqrt(np.bincount(np.cumsum(first) - 1, weights=weights**2))
-    return taus, picked, scale, unique
+    return taus, picked, scale
 
 
 def _solve_sketches(problems, indices, weights):
     """Solve the sketches of several plans in one batch, plan j on problems[j].
 
     Plan j draws rows indices[j] with weights weights[j]. The batch is
-    compressed (_compress), factored (_factor_sketches, in a workspace of
-    its own) and finished (_finish_sketches) in a row, so it returns the
+    compressed (_compress), factored (_factor_sketches, in a buffer of its
+    own) and finished (_finish_sketches) in a row, so it returns the
     stacks (ok, bs, objectives, errors): `ok` masks the plans that kept
     their rank, `bs` (count(ok), p, 1, l) and `objectives` (count(ok),)
     are theirs, and `errors` holds each plan's SketchRankDeficient or None.
     The replicate driver calls the two halves itself, so that one workspace
     serves a chunk's batches and one finish serves their factors.
     """
-    n, p, l = problems[0].shape
-    taus, picked, scale = _compress(indices, weights, n, p)[:3]
-    work = np.empty(picked.size * (l // 2 + 1) * (p + 1), np.complex128)
-    return _finish_sketches(problems, _factor_sketches(problems, picked, scale, work), taus)
+    n, p, _ = problems[0].shape
+    taus, picked, scale = _compress(indices, weights, n, p)
+    return _finish_sketches(problems, _factor_sketches(problems, picked, scale), taus)
 
 
-def _factor_sketches(problems, picked, scale, work) -> np.ndarray:
-    """The R factors (B, l//2 + 1, p + 1, p + 1) of a batch's sketches.
+def _factor_sketches(problems, picked, scale, work=None) -> np.ndarray:
+    """The R factors (B, l//2 + 1, p + 1, p + 1) of a batch's sketches, by one _tall_r.
 
     The plans come compressed, as _compress returns them (picked, scale):
     plan j's unique rows picked[j], scaled by scale[j], padded with
     zero rows (which leave R unchanged) to a common height of at least p.
-    Each plan gathers its rows from its own problem, scaled on the way, into
-    a (B, l//2 + 1, p + 1, rows) view of the flat complex buffer `work`,
-    which must hold at least picked.size * (l//2 + 1) * (p + 1) entries.
-    Every entry of the view is written, so nothing of an earlier batch is
-    read, and one _tsqr_r call factors its .mT in place: each slice's sketch
-    is column-major, as the half stacks are, so the gather reads and writes
-    in one order and LAPACK's layout reads it contiguously. The replicate
+    Each step gathers the next rows of every plan from its own problem,
+    scaled on the way, into the TSQR buffer, column-major per slice, as
+    the half stacks are, so the gather reads and writes in one order and
+    LAPACK's layout reads it contiguously. A batch up to _QR_BLOCK_ROWS
+    rows tall is gathered and factored in one step. `work` is a flat
+    complex buffer of at least B (l//2 + 1) (p + 1) max(rows, p + 1)
+    entries, or None for a fresh one; every entry the factorization reads
+    is written first, so nothing of an earlier batch is read. The replicate
     driver reuses one buffer across a chunk's batches, so a batch allocates
-    no stack of its own. A batch of height p gets a zero last row of R, so
-    that the factors of batches of any height stack. Padding costs rows, so
-    a batch should hold plans of similar height, as the replicate driver's
-    batches of one cell do.
+    no stack of its own. A batch of height p is zero-filled to p + 1 rows,
+    so that the factors of batches of any height stack. Padding costs rows,
+    so a batch should hold plans of similar height, as the replicate
+    driver's batches of one cell do.
     """
     _, p, l = problems[0].shape
-    shape = (len(problems), l // 2 + 1, p + 1, picked.shape[1])
-    m = work[: math.prod(shape)].reshape(shape)
-    for j, pb in enumerate(problems):
-        np.multiply(pb._design.half.mT[..., picked[j]], scale[j], out=m[j, :, :p])
-        np.multiply(pb.response_half.mT[:, 0, picked[j]], scale[j], out=m[j, :, p])
-    r = _tsqr_r(_row_blocks(m.mT))
-    return np.concatenate([r, np.zeros_like(r[..., :1, :])], axis=-2) if r.shape[-2] == p else r
+
+    def gather(m, start, stop):
+        for j, pb in enumerate(problems):
+            rows, w = picked[j, start:stop], scale[j, start:stop]
+            np.multiply(pb._design.half.mT[..., rows], w, out=m[j].mT[:, :p])
+            np.multiply(pb.response_half.mT[:, 0, rows], w, out=m[j, ..., p])
+
+    shape = (len(problems), l // 2 + 1, p + 1)
+    return _tall_r(gather, shape, picked.shape[1], _QR_BLOCK_ROWS, work)
 
 
 def _finish_sketches(problems, r, taus):

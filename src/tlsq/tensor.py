@@ -33,7 +33,9 @@ BCIRC_MAX_ENTRIES = 4_000_000
 IMAG_RESIDUE_TOL = 1e-8
 
 # Tall half stacks are factored, and their row energies taken, this many rows
-# at a time, so no reordered copy of a whole stack is made.
+# at a time, so no reordered copy of a whole stack is made: the fits and the
+# tensor sketches factor through a TSQR buffer of this height (solver._tall_r),
+# so a stack of up to 2048 rows, every desk-size one, is factored in one step.
 _QR_BLOCK_ROWS = 2048
 
 # The read-only arrays read_tensor returned after its finiteness scan, by id.
@@ -105,14 +107,14 @@ def _to_half(*tensors) -> np.ndarray:
 def _row_energy(stack) -> np.ndarray:
     """Squared norm of every row of every slice of a half stack, as an (l//2 + 1, n) array.
 
-    A stack whose rows are contiguous is read in place; any other, such as
-    a block of rows of a column-major half stack, is copied first, so a
-    caller passes a tall stack a block of rows at a time (_row_blocks).
+    The stack is read _QR_BLOCK_ROWS rows at a time. A C-contiguous block
+    is read in place; any other, such as a block of a column-major half
+    stack, is copied first, so no copy of a whole tall stack is made. Each
+    row's energy is its own sum, so the blocks give the bits of the whole.
     """
-    if stack.strides[-1] != stack.itemsize:
-        stack = np.ascontiguousarray(stack)
-    parts = stack.view(np.float64)
-    return np.einsum("hij,hij->hi", parts, parts)
+    blocks = np.split(stack, range(_QR_BLOCK_ROWS, stack.shape[-2], _QR_BLOCK_ROWS), axis=-2)
+    parts = (np.ascontiguousarray(block).view(np.float64) for block in blocks)
+    return np.concatenate([np.einsum("hij,hij->hi", part, part) for part in parts], axis=-1)
 
 
 def _from_half(blocks, l: int) -> np.ndarray:

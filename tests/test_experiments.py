@@ -589,9 +589,10 @@ class TestBatchedReplicateLoop:
 
             return wrapped
 
-        monkeypatch.setattr(solver, "_tsqr_r", counting(solver._tsqr_r))
-        monkeypatch.setattr(experiments, "_solve_matrix_sketches",
-                            counting(experiments._solve_matrix_sketches))
+        # Every tall factorization, a fit or a tensor or matrix sketch batch, is one _tall_r call.
+        tall_r = counting(solver._tall_r)
+        for module in (solver, experiments):
+            monkeypatch.setattr(module, "_tall_r", tall_r)
         cfg = ExperimentConfig(seed=37, n=150, p=4, l=3, design="t3", replicates=19,
                                taus=(8, 30), smls="same_tau", mode=mode, redraw_design=redraw)
         rows = (run_mls_comparison if compare else run_experiment)(cfg)

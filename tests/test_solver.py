@@ -1,10 +1,10 @@
 """Solver equivalence against dense flattened least squares and path identities."""
 
+import math
 import os
 import tempfile
 import tracemalloc
 import warnings
-import weakref
 from unittest import mock
 
 import numpy as np
@@ -270,6 +270,24 @@ edge_shapes = dict(
 )
 
 
+def stepwise_qr(a, step):
+    """np.linalg.qr(mode="r") of a (..., rows, cols) stack run as solver._tall_r's steps.
+
+    The buffer holds h = min(max(rows, cols), max(step, 2 cols)) rows. Zero rows fill a stack
+    of fewer than cols rows up to cols; the first step factors the first h rows and each later
+    one the previous R stacked over the next h - cols rows.
+    """
+    rows, cols = a.shape[-2:]
+    if rows < cols:
+        a = np.concatenate([a, np.zeros((*a.shape[:-2], cols - rows, cols), a.dtype)], axis=-2)
+    h = min(max(rows, cols), max(step, 2 * cols))
+    r, start = np.linalg.qr(a[..., :h, :], mode="r"), h
+    while start < a.shape[-2]:
+        r = np.linalg.qr(np.concatenate([r, a[..., start : start + h - cols, :]], axis=-2), mode="r")
+        start += h - cols
+    return r
+
+
 class TestEdgeShapesAgainstOracle:
     """Property checks on l = 1, l = 2, odd and even l, n = p and tau = p."""
 
@@ -433,9 +451,11 @@ class TestDuplicateCompression:
         rng = np.random.default_rng(seed)
         indices = [rng.choice(rng.permutation(n)[:pool], p + extra) for extra, pool in plans]
         weights = [10.0 ** rng.uniform(-3.0, 3.0, idx.size) for idx in indices]
-        got, want = solver._compress(indices, weights, n, p), unique_compress(indices, weights, n, p)
+        got = solver._compress(indices, weights, n, p)
+        *want, unique = unique_compress(indices, weights, n, p)
         for a, b in zip(got, want, strict=True):
             assert a.dtype == b.dtype and a.shape == b.shape and a.tobytes() == b.tobytes()
+        assert np.array_equal((got[2] > 0).sum(axis=1), unique)
 
     @settings(max_examples=60, deadline=None)
     @given(**edge_shapes, repeats=st.integers(1, 8))
@@ -557,7 +577,7 @@ class TestRankScreen:
             x[:, :p] = np.einsum("ipk,pq->iqk", x[:, :p], shrink)
             w = rng.uniform(0.5, 2.0, (taus[j], 1, 1))
             m[j, :, : taus[j]] = _to_half(x[rng.integers(0, n, taus[j])] * w)
-        r = solver._tsqr_r([m])
+        r = solver._qr_r(m)
         ok, bhalf, fits = solver._solve_factored(r, p, taus, l)
         expected_ok, expected_fits = svd_rank_rule(r, p, taus, l)
         assert np.array_equal(ok, expected_ok)
@@ -630,9 +650,8 @@ class TestOneFinishForSeveralBatches:
             batches.append((indices, [rng.uniform(0.5, 2.0, tau) for _ in problems]))
         factored = []
         for batch in batches:
-            taus, picked, scale = solver._compress(*batch, n, p)[:3]
-            work = np.empty(picked.size * (l // 2 + 1) * (p + 1), dtype=np.complex128)
-            factored.append((taus, solver._factor_sketches(problems, picked, scale, work)))
+            taus, picked, scale = solver._compress(*batch, n, p)
+            factored.append((taus, solver._factor_sketches(problems, picked, scale)))
         for _, r in factored:
             assert r.shape == (3, l // 2 + 1, p + 1, p + 1)
         svd_stacks = []
@@ -668,17 +687,15 @@ class TestSketchWorkspace:
 
     @staticmethod
     def row_major_r(problems, picked, scale, block):
-        """R of the stack as the parent built it: row-major, scaled after the gather, and every
-        block of `block` rows factored by one stacked QR."""
+        """R of the stack built row-major and scaled after the gather, factored by np.linalg.qr
+        in the sequential TSQR's steps for a `block`-row buffer (stepwise_qr)."""
         _, p, l = problems[0].shape
         m = np.empty((l // 2 + 1, *picked.shape, p + 1), dtype=np.complex128)
         for j, pb in enumerate(problems):
             m[:, j, :, :p] = pb._design.half[:, picked[j]]
             m[:, j, :, p] = pb.response_half[:, picked[j], 0]
         m *= scale[:, :, None]
-        m = m.swapaxes(0, 1)
-        rs = [np.linalg.qr(m[..., s : s + block, :], mode="r") for s in range(0, m.shape[-2], block)]
-        return rs[0] if len(rs) == 1 else np.linalg.qr(np.concatenate(rs, axis=-2), mode="r")
+        return stepwise_qr(m.swapaxes(0, 1), block)
 
     @settings(max_examples=60, deadline=None)
     @given(**edge_shapes, extra_taus=st.lists(st.integers(0, 12), min_size=2, max_size=5),
@@ -690,9 +707,10 @@ class TestSketchWorkspace:
     def test_reused_workspace_matches_fresh_stack(self, p, extra_rows, l, seed, extra_taus, block):
         """Batches of tau = p + extra_tau draws on n = p + extra_rows rows, three plans each on
         three designs, run in order of rising and then falling tau through one workspace that
-        starts as NaN, and factored in row blocks of `block` rows. Each batch matches its run in
-        a fresh zero-filled workspace of its exact size. A tau = p batch of repeated rows is
-        padded with zero rows to height p and gets a zero last row of R."""
+        starts as NaN, and factored through a TSQR buffer of `block` rows (or 2 (p + 1), if
+        more). Each batch matches its run in a fresh zero-filled workspace of its exact size,
+        max(rows, p + 1) rows a plan. A tau = p batch of repeated rows is padded with zero rows
+        to height p, zero-filled to p + 1, and gets a zero last row of R."""
         rng = np.random.default_rng(seed)
         n = p + extra_rows
         problems = [make_problem(n=n, p=p, l=l, seed=int(s)) for s in rng.integers(0, 2**31, 3)]
@@ -703,20 +721,20 @@ class TestSketchWorkspace:
         for tau in taus:
             indices = [rng.integers(0, n, tau) for _ in problems]
             batches.append(solver._compress(
-                indices, [rng.uniform(0.5, 2.0, tau) for _ in problems], n, p)[:3])
-        heights = [batch[1].shape[1] for batch in batches]
+                indices, [rng.uniform(0.5, 2.0, tau) for _ in problems], n, p))
+        heights = [max(batch[1].shape[1], p + 1) for batch in batches]
         work = np.full(3 * (l // 2 + 1) * (p + 1) * max(heights), np.nan, dtype=np.complex128)
         with pytest.MonkeyPatch.context() as mp:
             mp.setattr(solver, "_QR_BLOCK_ROWS", block)
-            for _, picked, scale in batches:
-                clean = np.zeros(picked.size * (l // 2 + 1) * (p + 1), dtype=np.complex128)
+            for (_, picked, scale), height in zip(batches, heights):
+                clean = np.zeros(3 * (l // 2 + 1) * (p + 1) * height, dtype=np.complex128)
                 fresh = solver._factor_sketches(problems, picked, scale, clean)
                 reused = solver._factor_sketches(problems, picked, scale, work)
                 assert np.array_equal(reused, fresh)
                 assert reused.shape == (3, l // 2 + 1, p + 1, p + 1)
-                want = self.row_major_r(problems, picked, scale, block)
-                assert np.array_equal(reused[..., : want.shape[-2], :], want)
-                assert not reused[..., want.shape[-2] :, :].any()
+                assert np.array_equal(reused, self.row_major_r(problems, picked, scale, block))
+                if picked.shape[1] == p:
+                    assert not reused[..., p, :].any()
 
 
 class TestOneSpectrumPerSolution:
@@ -745,7 +763,7 @@ class TestOneSpectrumPerSolution:
 
 
 class TestBlockedQr:
-    """Stacks taller than _QR_BLOCK_ROWS are factored block by block (TSQR)."""
+    """Stacks taller than _QR_BLOCK_ROWS are factored in steps (sequential TSQR)."""
 
     @pytest.mark.parametrize("block", [1, 4, 9, 16])
     def test_multi_block_matches_one_shot(self, monkeypatch, block):
@@ -753,10 +771,10 @@ class TestBlockedQr:
         one_prob = tlsq.TlsProblem(x, y)
         one = tlsq.solve_ols(one_prob)
         m = np.concatenate((one_prob._design.half, one_prob.response_half), axis=2)
-        r_one = solver._tsqr_r([m])
+        r_one = solver._qr_r(m)
         monkeypatch.setattr(solver, "_QR_BLOCK_ROWS", block)
         prob = tlsq.TlsProblem(x, y)
-        r = solver._tsqr_r(solver._row_blocks(prob._design.half, prob.response_half))
+        r = solver._joint_r(prob._design.half, prob.response_half)
         gram_one = r_one.conj().mT @ r_one
         assert np.abs(r.conj().mT @ r - gram_one).max() <= 1e-13 * np.abs(gram_one).max()
         f, f_one = prob._design.f, one_prob._design.f
@@ -831,38 +849,74 @@ class TestInPlaceQr:
         assert got.dtype == want.dtype == np.float64
         assert np.array_equal(got, want)
 
-    @settings(max_examples=40, deadline=None)
-    @given(**shapes, workspace=st.booleans(), block=st.integers(1, 5))
-    @example(p=2, extra_rows=0, l=1, batch=8, seed=0, workspace=True, block=1)
-    @example(p=4, extra_rows=6, l=6, batch=1, seed=1, workspace=False, block=3)
-    def test_taller_stack_matches_numpy_tsqr(self, p, extra_rows, l, batch, seed, workspace, block):
-        """A stack taller than _QR_BLOCK_ROWS is factored block by block and the block factors
-        once more (the combine), with the bits of np.linalg.qr doing each step."""
-        a = self.stack(p, extra_rows, l, batch, seed, workspace)
-        rs = [np.linalg.qr(a[..., s : s + block, :], mode="r") for s in range(0, a.shape[-2], block)]
-        want = rs[0] if len(rs) == 1 else np.linalg.qr(np.concatenate(rs, axis=-2), mode="r")
-        with pytest.MonkeyPatch.context() as mp:
-            mp.setattr(solver, "_QR_BLOCK_ROWS", block)
-            got = solver._tsqr_r(solver._row_blocks(a))
+    @settings(max_examples=60, deadline=None)
+    @given(
+        p=st.integers(1, 4),
+        l=st.integers(1, 6),
+        extra_rows=st.lists(st.integers(0, 12), min_size=1, max_size=4),
+        step=st.integers(1, 5),
+        real=st.booleans(),
+        workspace=st.booleans(),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    # l = 1 and n = p: one stack of p rows, zero-filled to p + 1
+    @example(p=3, l=1, extra_rows=[0], step=1, real=False, workspace=True, seed=0)
+    # l = 2, tau = p beside taller ragged plans, over several steps
+    @example(p=2, l=2, extra_rows=[0, 12, 5], step=5, real=True, workspace=True, seed=1)
+    @example(p=4, l=5, extra_rows=[12, 3, 0, 9], step=2, real=False, workspace=False, seed=2)
+    @example(p=1, l=6, extra_rows=[11, 12], step=3, real=True, workspace=False, seed=3)
+    def test_tall_r_matches_stepwise_numpy_qr(self, p, l, extra_rows, step, real, workspace, seed):
+        """_tall_r on a batch of ragged stacks, stack j of p + extra_rows[j] rows and p + 1
+        columns, gives np.linalg.qr run step by step (stepwise_qr) bit for bit, complex or real.
+        The gather zero-fills the rows past a stack's end, as the sketch gathers do, and a
+        NaN-filled workspace with room to spare shows that every entry read is written."""
+        dtype = float if real else complex
+        rng = np.random.default_rng(seed)
+        rows, cols = [p + extra for extra in extra_rows], p + 1
+        values = rng.standard_normal((len(rows), l // 2 + 1, max(rows), cols, 2))
+        a = values[..., 0] if real else values.view(complex)[..., 0]
+        for j, k in enumerate(rows):
+            a[j, :, k:] = 0.0
+
+        def gather(m, start, stop):
+            for j, k in enumerate(rows):
+                m[j, :, : max(0, k - start)] = a[j, :, start : min(k, stop)]
+                m[j, :, max(0, k - start) :] = 0.0
+
+        shape = (len(rows), l // 2 + 1, cols)
+        work = np.full(math.prod(shape) * max(*rows, cols) + 5, np.nan, dtype) if workspace else None
+        got = solver._tall_r(gather, shape, max(rows), step, work, dtype)
+        want = stepwise_qr(a, step)
+        assert got.dtype == want.dtype and got.shape == (*shape, cols)
         assert np.array_equal(got, want)
 
-    def test_each_block_is_dropped_before_the_next(self):
-        """_tsqr_r holds at most one block: each is released once factored, before the next one
-        is gathered, so two tall block copies never overlap."""
-        alive = []
+    def test_tall_r_holds_its_buffer_and_one_r(self):
+        """_tall_r drops each R once it is copied into the buffer, before the next is formed.
 
-        def fresh(seed):
-            block = self.stack(2, 9, 4, 1, seed, workspace=False)
-            alive.append(weakref.ref(block))
-            return block
+        Over 49 steps its traced peak stays within its buffer, one QR call's own peak (the R it
+        returns and np.triu's temporary) and half an R; keeping the previous R through the next
+        QR would add a whole R.
+        """
+        source = rand((3, 4, 400, 8), 12).astype(complex)
+        shape = (3, 4, 8)
 
-        def blocks():
-            for seed in range(4):
-                assert all(ref() is None for ref in alive)
-                yield fresh(seed)
+        def gather(m, start, stop):
+            np.copyto(m, source[..., start:stop, :])
 
-        assert solver._tsqr_r(blocks()).shape == (1, 3, 3, 3)
-        assert len(alive) == 4
+        def traced_peak(f, *args):
+            tracemalloc.start()
+            try:
+                start = tracemalloc.get_traced_memory()[0]
+                out = f(*args)
+                return out, tracemalloc.get_traced_memory()[1] - start
+            finally:
+                tracemalloc.stop()
+
+        r_bytes, buffer_bytes = source[..., :8, :].nbytes, source[..., :16, :].nbytes
+        _, qr_peak = traced_peak(solver._qr_r, np.ascontiguousarray(source[..., :16, :].mT).mT)
+        r, peak = traced_peak(solver._tall_r, gather, shape, 400, 16)
+        assert peak < buffer_bytes + qr_peak + 0.5 * r_bytes, (peak - buffer_bytes - qr_peak) / r_bytes
+        assert np.array_equal(r, stepwise_qr(source, 16))
 
     def test_leverage_rows_hold_one_block_of_u(self, monkeypatch):
         """_Design.leverage_rows forms U = X F a block of rows at a time and drops each block
@@ -989,6 +1043,7 @@ class TestWholeFitAcrossLayouts:
         padded[::2, 1:, ::2] = x
         with tempfile.TemporaryDirectory() as d, pytest.MonkeyPatch.context() as mp:
             mp.setattr(solver, "_QR_BLOCK_ROWS", block)
+            mp.setattr(tensor, "_QR_BLOCK_ROWS", block)
             path = os.path.join(d, "x.tt")
             tlsq.write_tensor(x, path)
             layouts = (tlsq.read_tensor(path), np.ascontiguousarray(x), padded[::2, 1:, ::2])
@@ -1079,11 +1134,11 @@ class TestBornFitted:
     def count_factorizations(monkeypatch):
         calls = []
 
-        def counting(*args, _original=solver._tsqr_r, **kwargs):
+        def counting(*args, _original=solver._tall_r, **kwargs):
             calls.append(1)
             return _original(*args, **kwargs)
 
-        monkeypatch.setattr(solver, "_tsqr_r", counting)
+        monkeypatch.setattr(solver, "_tall_r", counting)
         return calls
 
     @pytest.mark.parametrize("build", ["constructor", "with_response", "on_design"])
