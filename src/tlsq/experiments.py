@@ -54,11 +54,12 @@ _STREAM_SMLS = 3
 # The replicates run in ceil(R / _REPLICATE_CHUNK) near-equal chunks, one
 # pool task each, so at most that many threads work at once. A chunk fits its
 # responses on one design by one factorization of [X | Y], factors each
-# tensor cell as one batch of one plan per replicate from one reused sketch
-# workspace and finishes all its tensor cells' R factors in one stack. The
-# chunk bounds the memory its problems and stacks take; it returns numbers
-# only, so a worker holds one chunk's problems at a time. It depends on R
-# alone, so reports do not depend on the thread count.
+# tensor cell as one batch of one plan per replicate, in a TSQR buffer that
+# solver._tall_r sizes for that batch and frees, and finishes all its tensor
+# cells' R factors in one stack. The chunk bounds the memory its problems and
+# stacks take; it returns numbers only, so a worker holds one chunk's
+# problems at a time. It depends on R alone, so reports do not depend on the
+# thread count.
 _REPLICATE_CHUNK = 8
 
 # A chunk's matrix cells of one sketch size are factored as one batch through a
@@ -465,22 +466,20 @@ def _run_cells(cfg: ExperimentConfig, cells) -> list[MetricsRow]:
     replicate and each from its own stream key, in one _draw_compressed
     call, which sorts each plan's uniforms and so draws it already
     compressed to its unique rows, with no sort of the (plan, row) keys.
-    The tensor cells run first. Once their plans are drawn, the chunk takes
-    one flat complex workspace with room for the tallest of their batches
-    and one more row per plan (a batch of height p is zero-filled to p + 1
-    rows), and each tensor cell factors its plans as one batch
-    (_factor_sketches) by the solver's sequential TSQR in it, in place in a
-    column-major view; their R factors make the chunk's one stack. The
-    workspace is dropped, and one _finish_sketches call solves the whole
+    The tensor cells run first. Once their plans are drawn, each tensor
+    cell factors its plans as one batch (_factor_sketches) by the solver's
+    sequential TSQR, in place in a buffer that _tall_r sizes for that batch
+    and frees on return; their R factors make the chunk's one stack. The
+    plans are dropped, and one _finish_sketches call solves the whole
     stack; its stacks (ok, bs, objectives, errors) are split back per cell.
     Then the matrix cells of each sketch size (`draws`) draw their plans
-    cell by cell and solve them as one batch by _solve_matrix_sketches, so
-    the workspace is never held beside the baseline's sketches. A tau's
-    unif and lev baselines are one batch, so each of its QR calls factors
-    twice a cell's plans. With `timing` on, a cell's wall time in a replicate is
-    an equal share of its draw and of its solve, where a tensor cell's solve
-    is its factorization and an equal share of the chunk's finish, and a
-    matrix cell's an equal share of its batch's solve; otherwise it is NaN.
+    cell by cell and solve them as one batch by _solve_matrix_sketches. A
+    tau's unif and lev baselines are one batch, so each of its QR calls
+    factors twice a cell's plans. With `timing` on, a cell's wall time in a
+    replicate is an equal share of its draw and of its solve, where a
+    tensor cell's solve is its factorization and an equal share of the
+    chunk's finish, and a matrix cell's an equal share of its batch's
+    solve; otherwise it is NaN.
     A chunk returns numbers only: its problems' response energies, their
     exact solutions and objectives, and each cell's stacks, which _aggregate
     concatenates into the rows. So a worker holds at most one chunk's
@@ -519,12 +518,10 @@ def _run_cells(cfg: ExperimentConfig, cells) -> list[MetricsRow]:
 
         size, batches, seconds = len(chunk), [None] * len(cells), [0.0] * len(cells)
         plans = [timed(c, draw, cells[c]) for c in tensor]
-        rows = max(len(picked) * (picked.shape[1] + 1) for _, picked, _ in plans)
-        work = np.empty((cfg.l // 2 + 1) * (cfg.p + 1) * rows, complex)
-        r = np.concatenate([timed(c, _factor_sketches, problems, *plan[1:], work)
+        r = np.concatenate([timed(c, _factor_sketches, problems, *plan[1:])
                             for c, plan in zip(tensor, plans)])
         taus = np.concatenate([plan[0] for plan in plans])
-        del work, plans  # the matrix cells run without them
+        del plans  # the matrix cells run without them
         # Arguments are evaluated in order, so each clock() reads before its solve.
         settle(tensor, clock(), *_finish_sketches(problems * len(tensor), r, taus))
         for draws in dict.fromkeys(cells[c].draws for c in matrix):  # one batch per sketch size

@@ -256,7 +256,7 @@ def _joint_r(*stacks) -> np.ndarray:
     return _tall_r(gather, (*slices, sum(s.shape[-1] for s in stacks)), n, _QR_BLOCK_ROWS)
 
 
-def _tall_r(gather, shape, total, step, work=None, dtype=np.complex128) -> np.ndarray:
+def _tall_r(gather, shape, total, step, dtype=np.complex128) -> np.ndarray:
     """R factors (*batch, cols, cols) of a batch of tall stacks of `total` rows, by sequential TSQR.
 
     `shape` is (*batch, cols). The stacks are factored through one buffer
@@ -270,15 +270,14 @@ def _tall_r(gather, shape, total, step, work=None, dtype=np.complex128) -> np.nd
     rows leave R unchanged. Rows past `total` are zero-filled up to cols,
     so every R is square. Each step factors the whole batch in place by one
     _qr_r call, so a stack of at most h rows is factored once and normal
-    equations are never formed. `work` is a flat buffer of at least
-    prod(shape) * h entries of `dtype` to factor in, or None for a fresh
-    one. The previous R is dropped once it is copied, so the routine holds
-    its buffer and one R.
+    equations are never formed. The buffer, of exactly prod(shape) * h
+    entries of `dtype`, is the routine's own: no caller sizes it, and it is
+    freed on return. The previous R is dropped once it is copied, so the
+    routine holds its buffer and one R.
     """
     *batch, cols = shape
     height = min(max(total, cols), max(step, 2 * cols))
-    size = math.prod(shape) * height
-    buffer = (np.empty(size, dtype) if work is None else work[:size]).reshape(*batch, cols, height)
+    buffer = np.empty((*batch, cols, height), dtype)
     buffer[..., total:] = 0.0  # the rows past the stacks' end, when they are shorter than cols
     r, start = np.zeros((*batch, 0, cols), dtype), 0
     while start < total:
@@ -481,20 +480,20 @@ def _solve_sketches(problems, indices, weights):
     """Solve the sketches of several plans in one batch, plan j on problems[j].
 
     Plan j draws rows indices[j] with weights weights[j]. The batch is
-    compressed (_compress), factored (_factor_sketches, in a buffer of its
-    own) and finished (_finish_sketches) in a row, so it returns the
-    stacks (ok, bs, objectives, errors): `ok` masks the plans that kept
-    their rank, `bs` (count(ok), p, 1, l) and `objectives` (count(ok),)
-    are theirs, and `errors` holds each plan's SketchRankDeficient or None.
-    The replicate driver calls the two halves itself, so that one workspace
-    serves a chunk's batches and one finish serves their factors.
+    compressed (_compress), factored (_factor_sketches) and finished
+    (_finish_sketches) in a row, so it returns the stacks (ok, bs,
+    objectives, errors): `ok` masks the plans that kept their rank, `bs`
+    (count(ok), p, 1, l) and `objectives` (count(ok),) are theirs, and
+    `errors` holds each plan's SketchRankDeficient or None. The replicate
+    driver calls the two halves itself, so that one finish serves the
+    factors of a chunk's batches.
     """
     n, p, _ = problems[0].shape
     taus, picked, scale = _compress(indices, weights, n, p)
     return _finish_sketches(problems, _factor_sketches(problems, picked, scale), taus)
 
 
-def _factor_sketches(problems, picked, scale, work=None) -> np.ndarray:
+def _factor_sketches(problems, picked, scale) -> np.ndarray:
     """The R factors (B, l//2 + 1, p + 1, p + 1) of a batch's sketches, by one _tall_r.
 
     The plans come compressed, as _compress returns them (picked, scale):
@@ -504,15 +503,13 @@ def _factor_sketches(problems, picked, scale, work=None) -> np.ndarray:
     scaled on the way, into the TSQR buffer, column-major per slice, as
     the half stacks are, so the gather reads and writes in one order and
     LAPACK's layout reads it contiguously. A batch up to _QR_BLOCK_ROWS
-    rows tall is gathered and factored in one step. `work` is a flat
-    complex buffer of at least B (l//2 + 1) (p + 1) max(rows, p + 1)
-    entries, or None for a fresh one; every entry the factorization reads
-    is written first, so nothing of an earlier batch is read. The replicate
-    driver reuses one buffer across a chunk's batches, so a batch allocates
-    no stack of its own. A batch of height p is zero-filled to p + 1 rows,
-    so that the factors of batches of any height stack. Padding costs rows,
-    so a batch should hold plans of similar height, as the replicate
-    driver's batches of one cell do.
+    rows tall is gathered and factored in one step. _tall_r sizes that
+    buffer for the batch by its own height rule and frees it on return,
+    so a batch holds it only while it is factored, and nothing else sizes
+    it. A batch of height p is zero-filled to p + 1 rows, so that the
+    factors of batches of any height stack. Padding costs rows, so a batch
+    should hold plans of similar height, as the replicate driver's batches
+    of one cell do.
     """
     _, p, l = problems[0].shape
 
@@ -523,7 +520,7 @@ def _factor_sketches(problems, picked, scale, work=None) -> np.ndarray:
             np.multiply(pb.response_half.mT[:, 0, rows], w, out=m[j, ..., p])
 
     shape = (len(problems), l // 2 + 1, p + 1)
-    return _tall_r(gather, shape, picked.shape[1], _QR_BLOCK_ROWS, work)
+    return _tall_r(gather, shape, picked.shape[1], _QR_BLOCK_ROWS)
 
 
 def _finish_sketches(problems, r, taus):

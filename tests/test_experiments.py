@@ -1,5 +1,6 @@
 """Data generators, metric definitions, harness determinism, and report I/O."""
 
+import inspect
 import math
 import tracemalloc
 
@@ -720,6 +721,38 @@ class TestBatchedReplicateLoop:
                 tracemalloc.stop()
         assert held and not any(held)
         assert peaks[64] <= 1.25 * peaks[16], peaks
+
+    def test_driver_allocates_no_sketch_buffer(self, monkeypatch):
+        """While a tensor batch taller than _QR_BLOCK_ROWS is factored, the replicate driver
+        holds no block of its own above 64 KB: the TSQR buffer is _tall_r's alone.
+
+        Two unif plans of tau = 20000 draws on n = 5000 rows keep about 4900 unique rows each.
+        A driver-sized workspace for their full height, 2 plans * 2 slices * 5 columns * 4900
+        rows of complex, is about 1.6 MB. The designs and responses are drawn by the generators,
+        outside _run_cells, so they are not counted.
+        """
+        lines, first = inspect.getsourcelines(experiments._run_cells)
+        driver = range(first, first + len(lines))
+        heights, largest = [], []
+
+        def inspecting(gather, shape, total, *args, _original=solver._tall_r):
+            traces = tracemalloc.take_snapshot().filter_traces(
+                [tracemalloc.Filter(True, experiments.__file__)]).traces
+            heights.append(total)
+            largest.append(max([t.size for t in traces if t.traceback[0].lineno in driver],
+                               default=0))
+            return _original(gather, shape, total, *args)
+
+        monkeypatch.setattr(solver, "_tall_r", inspecting)
+        cfg = ExperimentConfig(seed=39, n=5000, p=4, l=2, design="t1", replicates=2,
+                               taus=(20000,), methods=("unif",))
+        tracemalloc.start()
+        try:
+            run_experiment(cfg)
+        finally:
+            tracemalloc.stop()
+        assert max(heights) > solver._QR_BLOCK_ROWS, heights
+        assert max(largest) <= 64 * 1024, largest
 
 
 class TestSmlsBaseline:

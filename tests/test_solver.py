@@ -1,6 +1,5 @@
 """Solver equivalence against dense flattened least squares and path identities."""
 
-import math
 import os
 import tempfile
 import tracemalloc
@@ -681,9 +680,8 @@ class TestOneFinishForSeveralBatches:
                 assert expected is None
 
 
-class TestSketchWorkspace:
-    """_factor_sketches into a reused, dirty workspace gives the bits of a clean one of its own,
-    and of a row-major stack scaled after the gather."""
+class TestSketchGather:
+    """_factor_sketches gives the bits of a row-major stack scaled after the gather."""
 
     @staticmethod
     def row_major_r(problems, picked, scale, block):
@@ -704,37 +702,25 @@ class TestSketchWorkspace:
     @example(p=2, extra_rows=3, l=2, seed=1, extra_taus=[5, 12, 0], block=2)
     @example(p=4, extra_rows=2, l=5, seed=2, extra_taus=[1, 9, 3], block=3)
     @example(p=1, extra_rows=4, l=6, seed=3, extra_taus=[12, 0], block=1)
-    def test_reused_workspace_matches_fresh_stack(self, p, extra_rows, l, seed, extra_taus, block):
+    def test_matches_row_major_stack(self, p, extra_rows, l, seed, extra_taus, block):
         """Batches of tau = p + extra_tau draws on n = p + extra_rows rows, three plans each on
-        three designs, run in order of rising and then falling tau through one workspace that
-        starts as NaN, and factored through a TSQR buffer of `block` rows (or 2 (p + 1), if
-        more). Each batch matches its run in a fresh zero-filled workspace of its exact size,
-        max(rows, p + 1) rows a plan. A tau = p batch of repeated rows is padded with zero rows
-        to height p, zero-filled to p + 1, and gets a zero last row of R."""
+        three designs, factored through a TSQR buffer of `block` rows (or 2 (p + 1), if more).
+        A tau = p batch of repeated rows is padded with zero rows to height p, zero-filled to
+        p + 1, and gets a zero last row of R."""
         rng = np.random.default_rng(seed)
         n = p + extra_rows
         problems = [make_problem(n=n, p=p, l=l, seed=int(s)) for s in rng.integers(0, 2**31, 3)]
-        half = len(extra_taus) // 2
-        taus = sorted(p + t for t in extra_taus[:half]) + sorted(
-            (p + t for t in extra_taus[half:]), reverse=True)
-        batches = []
-        for tau in taus:
-            indices = [rng.integers(0, n, tau) for _ in problems]
-            batches.append(solver._compress(
-                indices, [rng.uniform(0.5, 2.0, tau) for _ in problems], n, p))
-        heights = [max(batch[1].shape[1], p + 1) for batch in batches]
-        work = np.full(3 * (l // 2 + 1) * (p + 1) * max(heights), np.nan, dtype=np.complex128)
         with pytest.MonkeyPatch.context() as mp:
             mp.setattr(solver, "_QR_BLOCK_ROWS", block)
-            for (_, picked, scale), height in zip(batches, heights):
-                clean = np.zeros(3 * (l // 2 + 1) * (p + 1) * height, dtype=np.complex128)
-                fresh = solver._factor_sketches(problems, picked, scale, clean)
-                reused = solver._factor_sketches(problems, picked, scale, work)
-                assert np.array_equal(reused, fresh)
-                assert reused.shape == (3, l // 2 + 1, p + 1, p + 1)
-                assert np.array_equal(reused, self.row_major_r(problems, picked, scale, block))
+            for tau in (p + t for t in extra_taus):
+                indices = [rng.integers(0, n, tau) for _ in problems]
+                _, picked, scale = solver._compress(
+                    indices, [rng.uniform(0.5, 2.0, tau) for _ in problems], n, p)
+                r = solver._factor_sketches(problems, picked, scale)
+                assert r.shape == (3, l // 2 + 1, p + 1, p + 1)
+                assert np.array_equal(r, self.row_major_r(problems, picked, scale, block))
                 if picked.shape[1] == p:
-                    assert not reused[..., p, :].any()
+                    assert not r[..., p, :].any()
 
 
 class TestOneSpectrumPerSolution:
@@ -797,8 +783,8 @@ class TestInPlaceQr:
 
     Property checks on l = 1, l = 2, odd and even l, rows = p and p + 1 for p + 1 columns, and
     batches of 1 and 8 stacks, in the layouts the library passes: a column-major view of a flat
-    workspace and a fresh C-order block. The QR overwrites its input, so the stacks a problem
-    keeps are factored from copies and must come out bit-unchanged.
+    buffer, as _tall_r factors its own, and a fresh C-order block. The QR overwrites its input,
+    so the stacks a problem keeps are factored from copies and must come out bit-unchanged.
     """
 
     shapes = dict(
@@ -856,20 +842,20 @@ class TestInPlaceQr:
         extra_rows=st.lists(st.integers(0, 12), min_size=1, max_size=4),
         step=st.integers(1, 5),
         real=st.booleans(),
-        workspace=st.booleans(),
         seed=st.integers(0, 2**32 - 1),
     )
     # l = 1 and n = p: one stack of p rows, zero-filled to p + 1
-    @example(p=3, l=1, extra_rows=[0], step=1, real=False, workspace=True, seed=0)
+    @example(p=3, l=1, extra_rows=[0], step=1, real=False, seed=0)
     # l = 2, tau = p beside taller ragged plans, over several steps
-    @example(p=2, l=2, extra_rows=[0, 12, 5], step=5, real=True, workspace=True, seed=1)
-    @example(p=4, l=5, extra_rows=[12, 3, 0, 9], step=2, real=False, workspace=False, seed=2)
-    @example(p=1, l=6, extra_rows=[11, 12], step=3, real=True, workspace=False, seed=3)
-    def test_tall_r_matches_stepwise_numpy_qr(self, p, l, extra_rows, step, real, workspace, seed):
+    @example(p=2, l=2, extra_rows=[0, 12, 5], step=5, real=True, seed=1)
+    @example(p=4, l=5, extra_rows=[12, 3, 0, 9], step=2, real=False, seed=2)
+    @example(p=1, l=6, extra_rows=[11, 12], step=3, real=True, seed=3)
+    def test_tall_r_matches_stepwise_numpy_qr(self, p, l, extra_rows, step, real, seed):
         """_tall_r on a batch of ragged stacks, stack j of p + extra_rows[j] rows and p + 1
-        columns, gives np.linalg.qr run step by step (stepwise_qr) bit for bit, complex or real.
-        The gather zero-fills the rows past a stack's end, as the sketch gathers do, and a
-        NaN-filled workspace with room to spare shows that every entry read is written."""
+        columns, gives np.linalg.qr run step by step (stepwise_qr) bit for bit, complex or real,
+        in the fresh buffer it allocates. The gather zero-fills the rows past a stack's end, as
+        the sketch gathers do, and NaN in every new np.empty array shows that every entry read
+        is written."""
         dtype = float if real else complex
         rng = np.random.default_rng(seed)
         rows, cols = [p + extra for extra in extra_rows], p + 1
@@ -883,9 +869,15 @@ class TestInPlaceQr:
                 m[j, :, : max(0, k - start)] = a[j, :, start : min(k, stop)]
                 m[j, :, max(0, k - start) :] = 0.0
 
+        def nan_empty(shape, dtype=float, _empty=np.empty):
+            out = _empty(shape, dtype)
+            out.fill(np.nan)
+            return out
+
         shape = (len(rows), l // 2 + 1, cols)
-        work = np.full(math.prod(shape) * max(*rows, cols) + 5, np.nan, dtype) if workspace else None
-        got = solver._tall_r(gather, shape, max(rows), step, work, dtype)
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(np, "empty", nan_empty)
+            got = solver._tall_r(gather, shape, max(rows), step, dtype)
         want = stepwise_qr(a, step)
         assert got.dtype == want.dtype and got.shape == (*shape, cols)
         assert np.array_equal(got, want)
