@@ -64,9 +64,13 @@ _REPLICATE_CHUNK = 8
 
 # A chunk's matrix cells of one sketch size are factored as one batch through a
 # real TSQR buffer of this many rows, or 2 (p*l + 1) if more (solver._tall_r).
-# A taller buffer redoes less of the carried R but holds more, B (p*l + 1)
-# floats a row; at desk size 320 rows ran about 6% faster for 0.6 MB more max RSS.
-_MATRIX_BLOCK_ROWS = 256
+# Each step refactors the R it carries in its top p*l + 1 rows, so a taller
+# buffer takes fewer steps but holds more, B (p*l + 1) floats a row. At desk
+# size (p*l + 1 = 61, B = 14) 384 rows make 5 steps of an l*tau batch where
+# 256 made 8, and a 2.6 MB buffer where 256 held 1.75 MB: compare_mls_2t ran
+# 5.8% faster for 1.8 MB more peak RSS (BENCH_carried_r.json); a prototype at
+# 512 rows read 6.5% faster for 3.6 MB more.
+_MATRIX_BLOCK_ROWS = 384
 
 _EPS = np.finfo(np.float64).eps
 # An exact solution whose objective is at most this multiple of
@@ -357,8 +361,10 @@ def _solve_matrix_sketches(views, problems, plans):
     is, from its R factor. All plans are factored together by the solver's
     sequential TSQR (_tall_r) through one real buffer (B, 1, p*l + 1, H),
     H = max(_MATRIX_BLOCK_ROWS, 2 (p*l + 1)) rows, or fewer for a shorter
-    batch; a plan with fewer rows than a step is zero-filled. The buffer is
-    freed before the solve. _solve_factored then checks the rank at the
+    batch; each step keeps the previous R in place in the top p*l + 1 rows
+    and gathers the plans' next rows below it, and a plan with fewer rows
+    than a step is zero-filled. R is copied out once and the buffer freed
+    before the solve. _solve_factored then checks the rank at the
     cutoff eps * max(tau, p*l), lstsq's default on the uncompressed tau-row
     sketch, and solves. Returns _solve_sketches' stacks (ok, bs, objectives,
     errors), where a plan loses its rank when its sketch's rank is below

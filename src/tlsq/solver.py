@@ -262,31 +262,30 @@ def _tall_r(gather, shape, total, step, dtype=np.complex128) -> np.ndarray:
     `shape` is (*batch, cols). The stacks are factored through one buffer
     of h = min(max(total, cols), max(step, 2 cols)) rows, column-major per
     stack (Demmel, Grigori, Hoemmen & Langou 2012). The first step gathers
-    h rows; each later step copies the previous R into the top cols rows
-    and gathers the next h - cols rows below it, and the last step factors
-    only the rows it holds. gather(m, start, stop) writes rows start:stop
-    of every stack into m, a (*batch, stop - start, cols) column-major view
-    of the buffer, zero-filling those of a stack that ends sooner; zero
-    rows leave R unchanged. Rows past `total` are zero-filled up to cols,
-    so every R is square. Each step factors the whole batch in place by one
-    _qr_r call, so a stack of at most h rows is factored once and normal
-    equations are never formed. The buffer, of exactly prod(shape) * h
-    entries of `dtype`, is the routine's own: no caller sizes it, and it is
-    freed on return. The previous R is dropped once it is copied, so the
-    routine holds its buffer and one R.
+    h rows; each later step keeps the previous R where _qr_r leaves it, in
+    the top cols rows, and gathers the next h - cols rows below it, and the
+    last step factors only the rows it holds. gather(m, start, stop) writes
+    rows start:stop of every stack into m, a (*batch, stop - start, cols)
+    column-major view of the buffer, zero-filling those of a stack that ends
+    sooner; zero rows leave R unchanged. Rows past `total` are zero-filled
+    up to cols, so every R is square. Each step factors the whole batch in
+    place by one _qr_r call, so a stack of at most h rows is factored once
+    and normal equations are never formed. The buffer, of exactly
+    prod(shape) * h entries of `dtype`, is the routine's own: no caller
+    sizes it, and it is freed on return. R is copied out of it once, after
+    the last step, so the routine holds its buffer and, at the end, one R.
     """
     *batch, cols = shape
     height = min(max(total, cols), max(step, 2 * cols))
     buffer = np.empty((*batch, cols, height), dtype)
     buffer[..., total:] = 0.0  # the rows past the stacks' end, when they are shorter than cols
-    r, start = np.zeros((*batch, 0, cols), dtype), 0
+    top = start = 0
     while start < total:
-        top = r.shape[-2]
         rows = min(total - start, height - top)
-        buffer[..., :top], r = r.mT, None  # the previous R is dropped before the next one is formed
         gather(buffer[..., top : top + rows].mT, start, start + rows)
-        r, start = _qr_r(buffer[..., : max(top + rows, cols)].mT), start + rows
-    return r
+        _qr_r(buffer[..., : max(top + rows, cols)].mT)
+        top, start = cols, start + rows
+    return buffer[..., :cols].mT.copy()
 
 
 def _qr_r(a) -> np.ndarray:
@@ -294,14 +293,19 @@ def _qr_r(a) -> np.ndarray:
 
     np.linalg.qr copies its input and runs numpy's own kernel on the copy;
     here the kernel overwrites `a` with its Householder form, in any layout,
-    so only a stack that nothing reads afterwards may be passed. Under the
-    errstate np.linalg.qr sets, with its own handler, LAPACK's error code
-    raises LinAlgError and no floating-point warning is shown.
+    so only a stack that nothing reads afterwards may be passed. R is left
+    in a's top rows, and returned as that view: the reflectors below its
+    diagonal are overwritten with +0.0, as np.triu writes, so a step
+    allocates no R. Under the errstate np.linalg.qr sets, with its own
+    handler, LAPACK's error code raises LinAlgError and no floating-point
+    warning is shown.
     """
     signature = "d->d" if a.dtype == np.float64 else "D->D"
     with np.errstate(all="ignore", invalid="call", call=_raise_linalgerror_qr):
         _umath_linalg.qr_r_raw(a, signature=signature)
-    return np.triu(a[..., : min(a.shape[-2:]), :])
+    r = a[..., : min(a.shape[-2:]), :]
+    np.copyto(r, 0.0, where=np.tri(*r.shape[-2:], -1, dtype=bool))
+    return r
 
 
 _SHORT_SLICE = "sketched design has rank {rank} < {p} in DFT slice {slice} of {l}"
