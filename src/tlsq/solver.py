@@ -17,7 +17,11 @@ from dataclasses import dataclass
 from typing import TYPE_CHECKING
 
 import numpy as np
-from numpy.linalg._linalg import _raise_linalgerror_qr, _umath_linalg
+
+try:  # numpy's private QR kernel and error handler, which _qr_r runs in place
+    from numpy.linalg._linalg import _raise_linalgerror_qr, _umath_linalg
+except ImportError:  # a numpy that renamed them: _qr_r falls back to np.linalg.qr
+    _umath_linalg = None
 
 from .errors import DimensionMismatch, RankDeficient, SketchRankDeficient
 from .tensor import _QR_BLOCK_ROWS, _from_half, _parseval_weights, _row_energy, _to_half
@@ -93,8 +97,8 @@ class _Design:
     F = V S^-1, from the SVD R11 = U S V^H: U = X F has orthonormal columns
     in each slice, and F F^H is the Gram inverse. Every problem on the
     design holds this one object, and the solver, sampling and stats read
-    it. The leverage rows and scores are computed on first use, once per
-    design.
+    it. The leverage rows, the Gram rows and the leverage scores are
+    computed on first use, once per design.
     """
 
     tensor: np.ndarray
@@ -117,19 +121,40 @@ class _Design:
         return (read(start, self.half[:, start : start + rows] @ self.f) for start in starts)
 
     @functools.cached_property
-    def leverage_rows(self) -> np.ndarray:
-        """Slice leverage rows ||u_i||^2, (l//2 + 1, n), each slice rescaled to its exact trace p.
+    def _u_rows(self) -> tuple[np.ndarray, np.ndarray]:
+        """(leverage_rows, gram_rows), from one block pass over U = X F.
 
-        S^-1 amplifies rounding, so the rows of U are orthonormal only to about
-        eps * kappa: at kappa = 2e7 a slice's rows sum to p only to 1e-10, while
-        each row stays accurate to a few 1e-10. Restoring the trace keeps the
-        probabilities built on the rows summing to one. Only the row energies
-        are kept, not U.
+        Each block gives its rows of both, read from its interleaved float
+        view: the Gram rows weight each entry by the squared column norm
+        ||F e_j||^2 = 1 / s_j^2 of its column. Both are written into their
+        (l//2 + 1, n) arrays as the pass goes, so only they and one block are
+        held.
         """
-        energies = self.orthonormal_blocks(_QR_BLOCK_ROWS, lambda _, u: _row_energy(u))
-        rows = np.concatenate(list(energies), axis=1)
-        rows *= self.shape[1] / rows.sum(axis=1, keepdims=True)
-        return rows
+        weights = np.repeat(_row_energy(self.f.mT), 2, axis=-1)
+        energies, grams = np.empty((2, *self.half.shape[:2]))
+
+        def read(start, u):
+            part, rows = u.view(np.float64), slice(start, start + u.shape[1])
+            energies[:, rows] = _row_energy(part)
+            grams[:, rows] = np.einsum("hij,hij,hj->hi", part, part, weights)
+
+        list(self.orthonormal_blocks(_QR_BLOCK_ROWS, read))
+        energies *= self.shape[1] / energies.sum(axis=1, keepdims=True)
+        return energies, grams
+
+    # Slice leverage rows ||u_i||^2, (l//2 + 1, n), each slice rescaled to its
+    # exact trace p. S^-1 amplifies rounding, so the rows of U are orthonormal
+    # only to about eps * kappa: at kappa = 2e7 a slice's rows sum to p only to
+    # 1e-10, while each row stays accurate to a few 1e-10. Restoring the trace
+    # keeps the probabilities built on the rows summing to one. Only the row
+    # energies are kept, not U.
+    leverage_rows = property(lambda self: self._u_rows[0])
+
+    # Row terms g_i = ||x_i G||^2 of the Gram inverse G = F F^H, (l//2 + 1, n).
+    # x_i G = u_i F^H and F^H F = S^-2, so g_i = sum_j |u_ij|^2 / s_j^2: the
+    # trace of G X^H diag(m) X G is sum_i m_i g_i, read from the rows of U, so
+    # no condition number is squared. Not rescaled.
+    gram_rows = property(lambda self: self._u_rows[1])
 
     @functools.cached_property
     def leverage(self) -> np.ndarray:
@@ -298,13 +323,17 @@ def _qr_r(a) -> np.ndarray:
     diagonal are overwritten with +0.0, as np.triu writes, so a step
     allocates no R. Under the errstate np.linalg.qr sets, with its own
     handler, LAPACK's error code raises LinAlgError and no floating-point
-    warning is shown.
+    warning is shown. Where numpy lacks the private kernel or handler,
+    np.linalg.qr's R is written into a's top rows instead: the same bits and
+    view, at the cost of numpy's copy, and the rows below R keep a's entries.
     """
-    signature = "d->d" if a.dtype == np.float64 else "D->D"
-    with np.errstate(all="ignore", invalid="call", call=_raise_linalgerror_qr):
-        _umath_linalg.qr_r_raw(a, signature=signature)
     r = a[..., : min(a.shape[-2:]), :]
-    np.copyto(r, 0.0, where=np.tri(*r.shape[-2:], -1, dtype=bool))
+    if _umath_linalg is None:
+        r[...] = np.linalg.qr(a, mode="r")
+    else:
+        with np.errstate(all="ignore", invalid="call", call=_raise_linalgerror_qr):
+            _umath_linalg.qr_r_raw(a, signature="d->d" if a.dtype == np.float64 else "D->D")
+        np.copyto(r, 0.0, where=np.tri(*r.shape[-2:], -1, dtype=bool))
     return r
 
 

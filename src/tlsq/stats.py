@@ -25,7 +25,7 @@ import numpy as np
 
 from .errors import DimensionMismatch, ZeroProbabilityRow
 from .sampling import SamplingDistribution, _sandwich_numerators
-from .tensor import _from_half, _row_energy, as_tensor
+from .tensor import _from_half, _parseval_weights, _row_energy, as_tensor
 from .solver import TlsProblem, _as_design
 
 # Rows whose numerator is this far below the caller's reference scale are
@@ -39,18 +39,17 @@ _CORE_BLOCK_ROWS = 512
 
 @dataclass(frozen=True, eq=False)
 class VarianceReport:
-    """First-order variance terms for one distribution at one sample size.
+    """Tubal traces of the first-order variance terms for one distribution at one sample size.
 
-    `conditional` is the sampling-only covariance given the response;
-    `unconditional` additionally integrates over model noise and is only
-    present when sigma2 was supplied. Traces are tubal traces.
+    `trace_conditional` is that of the sampling-only covariance given the
+    response; `trace_unconditional` additionally integrates over model noise
+    and is only present when sigma2 was supplied. The covariance tensors
+    themselves come from conditional_variance and unconditional_variance.
     """
 
     kind: str
     tau: int
-    conditional: np.ndarray | None = None
-    unconditional: np.ndarray | None = None
-    trace_conditional: float | None = None
+    trace_conditional: float
     trace_unconditional: float | None = None
     sigma2: float | None = None
 
@@ -76,11 +75,11 @@ def _sandwich(design, middle) -> np.ndarray:
     the Gram inverse G = F F^H, but its core is formed from the rows of U,
     whose columns are orthonormal, and F is applied last, so the rounding
     error grows like eps times the slice condition number, not its square.
-    U is formed a block of rows at a time. A batch of middles
-    (k, l//2 + 1, n) gives a batch of k tensors: every core comes from one
-    stacked matmul per block of rows, (diag(m) U)^H U, with one conjugate
-    of the weighted rows. Each block and its weighted rows are dropped
-    before the next block is formed.
+    U is formed a block of rows at a time, and each block's core is one
+    matmul, (diag(m) U)^H U, with one conjugate of the weighted rows. Each
+    block and its weighted rows are dropped before the next block is formed.
+    Only the covariance tensors need it: variance_report's traces are read
+    from the design's Gram rows.
     """
 
     def block_core(start, u):
@@ -88,8 +87,7 @@ def _sandwich(design, middle) -> np.ndarray:
         return np.conjugate(weighted, out=weighted).mT @ u
 
     core = sum(design.orthonormal_blocks(_CORE_BLOCK_ROWS, block_core))
-    f = design.f
-    return _from_half(f @ core @ f.conj().mT, design.shape[2])
+    return _from_half(design.f @ core @ design.f.conj().mT, design.shape[2])
 
 
 def _row_weights(numerators, probs, what: str, scale: float) -> np.ndarray:
@@ -200,28 +198,26 @@ def variance_report(
     tau: int,
     sigma2: float | None = None,
 ) -> VarianceReport:
-    """Bundle the conditional and (when sigma2 is given) unconditional terms.
+    """The tubal traces of the conditional and (when sigma2 is given) unconditional terms.
 
     `sigma2` is the tube variance, E[e * e^T] = sigma2 I; for i.i.d.
-    N(0, s^2) entries pass l * s^2 (see the module docstring). The terms
-    share the design, so their sandwich cores come from one stacked pass
-    over its rows, also when only the conditional term is asked for.
+    N(0, s^2) entries pass l * s^2 (see the module docstring). No sandwich
+    is formed: in slice k, trace(G X^H diag(m) X G) = sum_i m_i g_i with the
+    design's Gram rows g (_Design.gram_rows), so each trace is
+    sum_k (w_k / l) sum_i m_i(k) g_i(k), with w the Parseval weights. The
+    OLS part of the unconditional trace is sigma2 sum_k (w_k / l) ||F_k||_F^2.
+    The Gram rows cost O(n p) per slice in the pass over U that also gives
+    the leverage rows, once per design; a trace then costs O(n) per slice.
     """
     design = prob._design
     middles = [_conditional_middle(prob, dist, tau)]
     if sigma2 is not None:
         middles.append(_unconditional_middle(design, dist, tau, sigma2))
-    cond, *penalty = _sandwich(design, np.stack(middles))
-    uncond = None if sigma2 is None else ols_variance(design, sigma2) + penalty[0]
-    return VarianceReport(
-        kind=dist.kind,
-        tau=tau,
-        conditional=cond,
-        unconditional=uncond,
-        trace_conditional=trace_t(cond),
-        trace_unconditional=None if uncond is None else trace_t(uncond),
-        sigma2=sigma2,
-    )
+    w = _parseval_weights(design.shape[2]) / design.shape[2]
+    traces = np.einsum("mki,ki,k->m", np.stack(middles), design.gram_rows, w).tolist()
+    if sigma2 is not None:
+        traces[1] += sigma2 * float(w @ _row_energy(design.f).sum(axis=1))
+    return VarianceReport(dist.kind, tau, *traces, sigma2=sigma2)
 
 
 def estimator_spread(estimates) -> float:

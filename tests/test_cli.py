@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 
 import tlsq
-from tlsq import selfcheck, solver
+from tlsq import selfcheck, solver, stats
 from tlsq.cli import main
 
 
@@ -315,6 +315,33 @@ class TestVariance:
         )
         assert float(rec[2]) == report.trace_conditional
         assert float(rec[3]) == report.trace_unconditional
+
+    @pytest.mark.parametrize("method", ["unif", "lev", "opt"])
+    def test_u_formed_once(self, tmp_path, monkeypatch, capsys, method):
+        """One variance command forms U = X F once, in the design's one pass over its
+        2048-row blocks (3 blocks at n = 5000), and forms no sandwich: its traces come from
+        the per-row terms of that pass."""
+        x = tlsq.gen_design("mn", 5000, 4, 3, seed=1)
+        y, _ = tlsq.gen_response(x, seed=2, sigma2=4.0)
+        xp, yp = tmp_path / "x.tt", tmp_path / "y.tt"
+        tlsq.write_tensor(x, xp)
+        tlsq.write_tensor(y, yp)
+        blocks, sandwiches = [], []
+
+        def counting(design, rows, read, _original=solver._Design.orthonormal_blocks):
+            return _original(design, rows, lambda start, u: blocks.append(rows) or read(start, u))
+
+        monkeypatch.setattr(solver._Design, "orthonormal_blocks", counting)
+
+        def sandwich(*args, _original=stats._sandwich):
+            sandwiches.append(args)
+            return _original(*args)
+
+        monkeypatch.setattr(stats, "_sandwich", sandwich)
+        assert main(["variance", "--design", str(xp), "--response", str(yp), "--method",
+                     method, "--tau", "400", "--sigma2", "9.0"]) == 0
+        assert blocks == [2048] * 3 and sandwiches == []
+        assert len(capsys.readouterr().out.strip().splitlines()) == 2
 
 
 class TestExperiment:

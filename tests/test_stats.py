@@ -490,16 +490,26 @@ class TestMiddleTrace:
             assert best <= sandwich_middle_trace(x, rng.dirichlet(np.ones(25))) + 1e-10
 
 
+def assert_traces_match_tensors(prob, dist, tau, sigma2, rel=1e-13):
+    """The report's traces, read from the Gram rows, against trace_t of the two tensors."""
+    report = variance_report(prob, dist, tau, sigma2)
+    pairs = [(report.trace_conditional, conditional_variance(prob, dist, tau)),
+             (report.trace_unconditional, unconditional_variance(prob, dist, tau, sigma2))]
+    for got, tensor in pairs:
+        want = trace_t(tensor)
+        assert abs(got - want) <= rel * abs(want), (got, want)
+
+
 class TestReportAndSpread:
     def test_report_bundles_both_terms(self):
         prob = make_problem(seed=32)
         dist = tlsq.uniform_probs(50)
         report = variance_report(prob, dist, tau=20, sigma2=2.0)
-        assert report.kind == "unif" and report.tau == 20
-        assert report.trace_conditional == trace_t(report.conditional)
-        assert report.trace_unconditional == trace_t(report.unconditional)
+        assert report.kind == "unif" and report.tau == 20 and report.sigma2 == 2.0
+        assert_traces_match_tensors(prob, dist, 20, 2.0)
         partial = variance_report(prob, dist, tau=20)
-        assert partial.unconditional is None and partial.trace_unconditional is None
+        assert partial.trace_unconditional is None
+        assert partial.trace_conditional == report.trace_conditional
 
     def test_spread_needs_two_estimates(self):
         with pytest.raises(ValueError, match="at least two estimates"):
@@ -514,7 +524,9 @@ class TestReportAndSpread:
 
 
 class TestReportOnEdgeShapes:
-    """variance_report against the spatial oracles on l = 1, l = 2, odd and even l, n = p to p + 6.
+    """variance_report's traces, and the tensors of conditional_variance and
+    unconditional_variance, against the spatial oracles on l = 1, l = 2, odd
+    and even l, n = p to p + 6.
 
     tau is 1 or p, and opt runs only where it is defined (n > p). The oracles
     form X^T * X and invert it, so their rounding error grows like eps times
@@ -541,15 +553,41 @@ class TestReportOnEdgeShapes:
             dist = tlsq.experiments.build_distribution(prob, kind, 0.8)
             report = variance_report(prob, dist, tau, sigma2)
             pairs = [
-                (report.conditional, report.trace_conditional,
+                (conditional_variance(prob, dist, tau), report.trace_conditional,
                  conditional_oracle(prob, dist.probs, tau)),
-                (report.unconditional, report.trace_unconditional,
+                (unconditional_variance(prob, dist, tau, sigma2), report.trace_unconditional,
                  unconditional_oracle(x, dist.probs, tau, sigma2)),
             ]
             for got, trace, oracle in pairs:
                 tol = 1e-12 * kappa**2 * max(1.0, np.abs(oracle).max())
                 assert np.abs(got - oracle).max() <= tol, kind
                 assert abs(trace - trace_t(oracle)) <= p * tol, kind
+
+
+class TestTracesFromGramRows:
+    """variance_report reads its traces from the design's Gram rows, with no sandwich; they equal
+    trace_t of conditional_variance and unconditional_variance to 1e-13 relative on l = 1,
+    l = 2, odd and even l, n = p and tau = p, also when one column is moved toward another
+    until the worst slice's condition number reaches about 1e6, since neither path squares it."""
+
+    @settings(max_examples=60, deadline=None)
+    @given(p=st.integers(1, 4), extra_rows=st.integers(0, 8), l=st.integers(1, 6),
+           tau_is_p=st.booleans(), log_kappa=st.floats(0.0, 6.0), seed=st.integers(0, 2**32 - 1))
+    @example(p=3, extra_rows=0, l=1, tau_is_p=True, log_kappa=6.0, seed=0)
+    @example(p=2, extra_rows=5, l=2, tau_is_p=False, log_kappa=6.0, seed=1)
+    @example(p=4, extra_rows=2, l=5, tau_is_p=True, log_kappa=5.0, seed=2)
+    @example(p=3, extra_rows=8, l=6, tau_is_p=False, log_kappa=6.0, seed=3)
+    @example(p=1, extra_rows=0, l=4, tau_is_p=True, log_kappa=0.0, seed=4)
+    def test_traces_match_tensors(self, p, extra_rows, l, tau_is_p, log_kappa, seed):
+        n = p + extra_rows
+        rng = np.random.default_rng(seed)
+        x, y = rng.standard_normal((n, p, l)), rng.standard_normal((n, 1, l))
+        if p > 1:  # column 0 moved toward column 1
+            x[:, 0] = x[:, 1] + x[:, 0] * 10.0**-log_kappa
+        prob = tlsq.TlsProblem(x, y)
+        for kind in ("unif", "lev", "slev", "opt")[: 4 if n > p else 3]:
+            dist = tlsq.experiments.build_distribution(prob, kind, 0.8)
+            assert_traces_match_tensors(prob, dist, p if tau_is_p else 1, 2.0)
 
 
 class TestUnconditionalMonteCarlo:
