@@ -46,7 +46,6 @@ from .solver import (
     objective,
     solve_ols,
     solve_subsampled,
-    tau_lower_bound,
 )
 from .stats import (
     VarianceReport,

@@ -172,7 +172,20 @@ _REPORT_SPECS = {f.name: ".17g" if f.type == "float" else "" for f in fields(Met
 
 
 def _rng(master_seed, *key) -> np.random.Generator:
-    return np.random.default_rng(np.random.SeedSequence([int(master_seed), *map(int, key)]))
+    """np.random.default_rng(np.random.SeedSequence([master_seed, *key])), bit for bit.
+
+    SeedSequence coerces a list of ints to each value's little-endian 32-bit
+    words, one zero word for 0, and hashes those. The words are built here
+    and handed over as one uint32 array, which skips numpy's coercion of the
+    list, half the cost of a stream; a negative value raises OverflowError.
+    """
+    words = []
+    for value in map(int, (master_seed, *key)):
+        while value > 0xFFFFFFFF:
+            words.append(value & 0xFFFFFFFF)
+            value >>= 32
+        words.append(value)
+    return np.random.Generator(np.random.PCG64(np.random.SeedSequence(np.array(words, np.uint32))))
 
 
 def covariance_matrix(p: int) -> np.ndarray:
@@ -414,6 +427,7 @@ def _map_chunks(worker, chunks):
 @dataclass
 class _ReplicateState:
     prob: TlsProblem  # carries the response of its design's first replicate (_prepare_state)
+    signal: np.ndarray  # X * B0 of the design, which every replicate's response adds noise to
     dists: dict  # (kind, matrix) -> _cell_distribution, for every cell
     rows: np.ndarray | None  # _bcirc_rows of the design when some cell is a matrix cell
 
@@ -585,11 +599,12 @@ def _prepare_state(cfg: ExperimentConfig, cells, stream, *key) -> _ReplicateStat
     only when some cell is a matrix cell.
     """
     x = gen_design(cfg.design, cfg.n, cfg.p, cfg.l, _rng(cfg.seed, stream, *key))
-    prob = TlsProblem(x, _response(cfg, _signal(x), _response_key(cfg, *(key or (0,)))))
+    signal = _signal(x)
+    prob = TlsProblem(x, _response(cfg, signal, _response_key(cfg, *(key or (0,)))))
     named = dict.fromkeys((cell.kind, cell.matrix) for cell in cells)
     dists = {k: _cell_distribution(prob, *k, cfg.alpha) for k in named}
     rows = _bcirc_rows(x) if any(cell.matrix for cell in cells) else None
-    return _ReplicateState(prob=prob, dists=dists, rows=rows)
+    return _ReplicateState(prob=prob, signal=signal, dists=dists, rows=rows)
 
 
 def _response_key(cfg: ExperimentConfig, b) -> tuple:
@@ -607,14 +622,14 @@ def _replicate_problems(cfg: ExperimentConfig, state: _ReplicateState, replicate
 
     Replicates that share a response key share one problem. The state's
     problem serves replicate 0's key; the responses of the other keys are
-    drawn and fitted by one _on_design factorization.
+    drawn around the state's signal and fitted by one _on_design
+    factorization.
     """
     keys, own = [_response_key(cfg, b) for b in replicates], _response_key(cfg, 0)
     fresh = list(dict.fromkeys(k for k in keys if k != own))
     built = {own: state.prob}
     if fresh:
-        signal = _signal(state.prob.design)
-        responses = [_response(cfg, signal, k) for k in fresh]
+        responses = [_response(cfg, state.signal, k) for k in fresh]
         built.update(zip(fresh, _on_design(state.prob._design, responses)))
     return [built[k] for k in keys]
 

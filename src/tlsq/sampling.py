@@ -11,6 +11,7 @@ are never materialized as dense tubal matrices.
 from __future__ import annotations
 
 import functools
+import itertools
 from dataclasses import dataclass
 
 import numpy as np
@@ -225,12 +226,14 @@ def _rows_and_weights(dists, tau: int, uniforms) -> tuple[np.ndarray, np.ndarray
     The uniforms are mapped by inverse-CDF binary search over each
     distribution's positive-probability rows (cached on the distribution),
     so a zero-probability row can never be selected: one searchsorted per
-    distinct distribution, one in all for a batch on a shared design.
-    Weight t is 1/sqrt(tau * pi_{i_t}).
+    run of consecutive plans on one distribution, one in all for a batch on
+    a shared design. A run's rows are a slice, so no row of the batch is
+    copied by a fancy index. Weight t is 1/sqrt(tau * pi_{i_t}).
     """
     indices, probs = np.empty(uniforms.shape, dtype=np.intp), np.empty(uniforms.shape)
-    for dist in {id(d): d for d in dists}.values():
-        rows = [j for j, d in enumerate(dists) if d is dist]
+    stop = 0
+    for dist, run in itertools.groupby(dists):  # a distribution equals only itself
+        rows = slice(stop, stop := stop + len(list(run)))
         support, cum = dist._inverse_cdf
         indices[rows] = support[np.searchsorted(cum, uniforms[rows], side="right")]
         probs[rows] = dist.probs[indices[rows]]

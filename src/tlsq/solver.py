@@ -12,7 +12,6 @@ selection commutes with the tube DFT.
 from __future__ import annotations
 
 import functools
-import math
 from dataclasses import dataclass
 from typing import TYPE_CHECKING
 
@@ -252,17 +251,19 @@ def _r_objectives(problems, bhalf) -> np.ndarray:
     times the slice condition number, not its square as with an exact fit
     taken from the normal equations R11^H R11. `bhalf` holds the solutions'
     half spectra, (len(problems), l//2 + 1, p, 1), as the triangular solves
-    leave them, so no solution is transformed here. An empty batch has no
-    objectives.
+    leave them, so no solution is transformed here. Each distinct design's
+    R11 is broadcast over the solutions on it, so no copy of it is stacked
+    per solution. An empty batch has no objectives.
     """
     if not problems:
         return np.zeros(0)
-    r11, ols_half, rho = (
-        np.stack(a) for a in zip(*[(pb._design.r11, pb._ols_half, pb._rho) for pb in problems])
-    )
+    ols_half, rho = (np.stack(a) for a in zip(*[(pb._ols_half, pb._rho) for pb in problems]))
     l = problems[0].shape[2]
-    d = r11 @ (bhalf - ols_half)
-    excess = (d.real**2 + d.imag**2).sum(axis=(-2, -1))
+    diff, excess = bhalf - ols_half, np.empty(rho.shape)
+    for design in {id(pb._design): pb._design for pb in problems}.values():
+        on = [j for j, pb in enumerate(problems) if pb._design is design]
+        d = design.r11 @ diff[on]
+        excess[on] = (d.real**2 + d.imag**2).sum(axis=(-2, -1))
     return (rho + excess) @ _parseval_weights(l) / l
 
 
@@ -400,13 +401,15 @@ def _back_substitute(r, p: int) -> np.ndarray:
 def _on_design(design: _Design, responses) -> list:
     """Problems on `design`, one per response, each holding that same _Design.
 
-    One R-only TSQR of [X | Y_1 ... Y_k], the design's half stack and the
-    responses' side by side (_joint_r), fits every response (_fitted). The
-    design is already validated, so its rank is not checked again.
+    One _to_half call transforms the responses into one (l//2 + 1, n, k)
+    stack, and each problem keeps its column as a view. One R-only TSQR of
+    [X | Y_1 ... Y_k], the design's half stack and that stack side by side
+    (_joint_r), fits every response (_fitted). The design is already
+    validated, so its rank is not checked again.
     """
     ys = _check_responses(responses, design.shape)
-    halves = [_to_half(y) for y in ys]
-    return _fitted(design, ys, halves, _joint_r(design.half, *halves))
+    stack = _to_half(*ys)
+    return _fitted(design, ys, np.split(stack, len(ys), axis=-1), _joint_r(design.half, stack))
 
 
 def _fitted(design: _Design, ys, halves, r, probs=None) -> list:
@@ -589,18 +592,3 @@ def solve_subsampled(prob: TlsProblem, plan: SamplingPlan) -> TlsSolution:
         raise errors[0]
     return TlsSolution(b=bs[0], objective=float(objectives[0]), method="subsampled", plan=plan)
 
-
-def tau_lower_bound(p: int, l: int, beta: float, eps: float) -> int:
-    """Sample size above which the residual guarantee holds with probability 0.7.
-
-    Computes ceil(440 * p^2 * l^2 / (beta * eps)). The constant is loose by
-    orders of magnitude compared with practical sample sizes; treat this as a
-    reference value, not an operating requirement.
-    """
-    if not 0.0 < beta <= 1.0:
-        raise ValueError(f"beta must lie in (0, 1], got {beta}")
-    if not 0.0 < eps <= 1.0:
-        raise ValueError(f"eps must lie in (0, 1], got {eps}")
-    if p < 1 or l < 1:
-        raise ValueError("p and l must be at least 1")
-    return math.ceil(440.0 * p * p * l * l / (beta * eps))

@@ -456,6 +456,27 @@ def assert_reports_match(rows, expected, rtol=1e-12):
                 got.method, got.tau, name, a, b)
 
 
+class TestStreams:
+    """_rng builds numpy's SeedSequence of [seed, *key] from its 32-bit words, bit for bit."""
+
+    @settings(max_examples=200, deadline=None)
+    @given(
+        seed=st.one_of(st.sampled_from([0, 2**32 - 1, 2**32]), st.integers(0, 2**130 - 1)),
+        key=st.lists(st.integers(0, 2**40 - 1), max_size=5),
+        numpy_ints=st.booleans(),
+    )
+    @example(seed=0, key=[], numpy_ints=False)
+    @example(seed=2**32 - 1, key=[0, 2**32 - 1], numpy_ints=False)
+    @example(seed=2**32, key=[2**32, 0, 2**40 - 1], numpy_ints=True)
+    @example(seed=2**130 - 1, key=[1, 2, 3, 4, 5], numpy_ints=True)
+    def test_same_stream_as_the_list_seed_sequence(self, seed, key, numpy_ints):
+        """The driver's keys hold numpy integers too, such as a chunk's replicate indices."""
+        ours = experiments._rng(seed, *(map(np.int64, key) if numpy_ints else key))
+        reference = np.random.default_rng(np.random.SeedSequence([seed, *key]))
+        assert ours.bit_generator.state == reference.bit_generator.state
+        assert np.array_equal(ours.random(16), reference.random(16))
+
+
 class TestBatchedReplicateLoop:
     """Batched solves report what one solve_subsampled call per cell reports."""
 

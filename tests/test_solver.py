@@ -393,6 +393,44 @@ class TestObjectiveFromR:
             assert abs(tlsq.objective(prob, b) - expected) <= 1e-9 * expected, seed
 
 
+def stacked_r_objectives(problems, bhalf):
+    """_r_objectives with a copy of each problem's R11 stacked per solution, as it was first built."""
+    r11, ols_half, rho = (
+        np.stack(a) for a in zip(*[(pb._design.r11, pb._ols_half, pb._rho) for pb in problems])
+    )
+    l = problems[0].shape[2]
+    d = r11 @ (bhalf - ols_half)
+    excess = (d.real**2 + d.imag**2).sum(axis=(-2, -1))
+    return (rho + excess) @ tensor._parseval_weights(l) / l
+
+
+class TestBroadcastR11:
+    """_r_objectives broadcasts each design's R11 and reads the stacked form's bits."""
+
+    @staticmethod
+    def solutions(count, p, l, seed):
+        rng = np.random.default_rng(seed)
+        shape = (count, l // 2 + 1, p, 1)
+        return rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
+
+    @pytest.mark.parametrize("p, l", [(1, 1), (3, 2), (4, 5), (3, 6)])
+    def test_one_shared_design(self, p, l):
+        """A chunk's problems on one design, repeated once per cell as the driver batches them."""
+        prob = make_problem(n=30, p=p, l=l, seed=140)
+        problems = solver._on_design(prob._design, [rand((30, 1, l), 141 + j) for j in range(5)])
+        batch = [prob, *problems] * 3
+        bhalf = self.solutions(len(batch), p, l, 142)
+        assert np.array_equal(solver._r_objectives(batch, bhalf), stacked_r_objectives(batch, bhalf))
+
+    @pytest.mark.parametrize("p, l", [(1, 1), (3, 2), (4, 5), (3, 6)])
+    def test_two_designs(self, p, l):
+        """Problems over two designs, interleaved as redraw_design's cell batches are."""
+        first, second = (make_problem(n=30, p=p, l=l, seed=s) for s in (143, 144))
+        batch = [first, second, second.with_response(rand((30, 1, l), 145))] * 4
+        bhalf = self.solutions(len(batch), p, l, 146)
+        assert np.array_equal(solver._r_objectives(batch, bhalf), stacked_r_objectives(batch, bhalf))
+
+
 def uncompressed_short_slice(x, plan):
     """First rank-deficient DFT slice of the uncompressed sketch, 1-based, or None.
 
@@ -1146,6 +1184,22 @@ class TestMultiResponseFit:
         monkeypatch.setattr(solver, "_QR_BLOCK_ROWS", block)
         self.assert_columns_match_solve_ols(x, ys, refs)
 
+    @pytest.mark.parametrize("block", [2, 7, solver._QR_BLOCK_ROWS])
+    @pytest.mark.parametrize("n, p, l, k", [(12, 3, 1, 2), (15, 4, 5, 3), (37, 3, 6, 5), (5, 5, 4, 2)])
+    def test_one_transform_of_the_responses_keeps_the_bits(self, monkeypatch, block, n, p, l, k):
+        """The responses' one half stack gives the fits, rho and response halves bit for bit that
+        a transform of each response alone and _joint_r of those halves give."""
+        monkeypatch.setattr(solver, "_QR_BLOCK_ROWS", block)
+        x, ys = self.draw(n, p, l, k, seed=98 + n + k)
+        design = tlsq.TlsProblem(x, ys[0])._design
+        halves = [_to_half(y) for y in ys]
+        want = solver._fitted(design, ys, halves, solver._joint_r(design.half, *halves))
+        got = solver._on_design(design, ys)
+        for g, w in zip(got, want, strict=True):
+            for name in ("response_half", "_ols_half", "_rho"):
+                assert np.array_equal(getattr(g, name), getattr(w, name)), name
+            assert g._design is design
+
     def test_slice_rank_deficient_design_is_rejected_at_validation(self, monkeypatch):
         """The design's rank is checked where its _Design is built, by validate_design or a
         TlsProblem; _on_design fits on a validated _Design and takes no SVD."""
@@ -1319,23 +1373,3 @@ class TestSharedDesign:
                 with pytest.raises(tlsq.DegenerateDistribution):
                     tlsq.optimal_probs(d)
 
-
-class TestTauLowerBound:
-    def test_unit_case(self):
-        assert tlsq.tau_lower_bound(1, 1, 1.0, 1.0) == 440
-
-    def test_quadratic_growth_case(self):
-        assert tlsq.tau_lower_bound(10, 10, 1.0, 1.0) == 4_400_000
-
-    def test_inverse_proportionality_in_beta(self):
-        assert tlsq.tau_lower_bound(3, 2, 0.5, 1.0) == 2 * tlsq.tau_lower_bound(3, 2, 1.0, 1.0)
-
-    def test_domain_errors(self):
-        for beta, eps in ((0.0, 1.0), (1.5, 1.0), (1.0, 0.0), (1.0, 2.0), (-1.0, 0.5)):
-            with pytest.raises(ValueError):
-                tlsq.tau_lower_bound(2, 2, beta, eps)
-
-    @pytest.mark.parametrize("p, l", [(0, 2), (2, 0)], ids=["p0", "l0"])
-    def test_shape_domain_errors(self, p, l):
-        with pytest.raises(ValueError, match="p and l must be at least 1"):
-            tlsq.tau_lower_bound(p, l, 1.0, 1.0)
