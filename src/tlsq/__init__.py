@@ -21,7 +21,6 @@ from .tensor import (
     fold,
     fro_norm,
     from_fourier,
-    identity,
     read_tensor,
     t_pinv,
     t_product,

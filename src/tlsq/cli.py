@@ -73,35 +73,35 @@ def _build_parser() -> _Parser:
         formatter_class=argparse.RawDescriptionHelpFormatter,
     )
     sub = parser.add_subparsers(dest="command", required=True, parser_class=_Parser)
+    # The flags that several subcommands share, each defined once in a parent parser.
+    design, response, report = (_Parser(add_help=False) for _ in range(3))
+    design.add_argument("--design", required=True, help="design tensor (.tt file, n x p x l)")
+    design.add_argument("--alpha", type=float, default=0.9, help="shrinkage weight for slev")
+    response.add_argument("--response", required=True, help="response tensor (.tt file, n x 1 x l)")
+    report.add_argument("--config", required=True, help="flat key=value config file")
+    report.add_argument("--out", required=True, help="CSV report path")
+    report.set_defaults(func=_cmd_report)
 
-    sp = sub.add_parser("solve", help="solve a tensor least-squares problem")
-    sp.add_argument("--design", required=True, help="design tensor (.tt file, n x p x l)")
-    sp.add_argument("--response", required=True, help="response tensor (.tt file, n x 1 x l)")
+    sp = sub.add_parser("solve", parents=[design, response],
+                        help="solve a tensor least-squares problem")
     sp.add_argument(
         "--method",
         required=True,
         choices=("ols",) + METHOD_KINDS,
         help="exact solve or one of the subsampling distributions",
     )
-    sp.add_argument("--alpha", type=float, default=0.9, help="shrinkage weight for slev")
     sp.add_argument("--tau", type=int, help="sample size (required unless method=ols)")
     sp.add_argument("--seed", type=int, help="plan seed (required unless method=ols)")
     sp.add_argument("--out", required=True, help="where to write the solution (.tt)")
     sp.set_defaults(func=_cmd_solve)
 
-    sp = sub.add_parser("probs", help="emit sampling probabilities as CSV")
-    sp.add_argument("--design", required=True)
+    sp = sub.add_parser("probs", parents=[design], help="emit sampling probabilities as CSV")
     sp.add_argument("--method", required=True, choices=METHOD_KINDS)
-    sp.add_argument("--alpha", type=float, default=0.9)
     sp.set_defaults(func=_cmd_probs)
 
-    sp = sub.add_parser(
-        "variance", help="closed-form variance traces as CSV"
-    )
-    sp.add_argument("--design", required=True)
-    sp.add_argument("--response", required=True)
+    sp = sub.add_parser("variance", parents=[design, response],
+                        help="closed-form variance traces as CSV")
     sp.add_argument("--method", required=True, choices=METHOD_KINDS)
-    sp.add_argument("--alpha", type=float, default=0.9)
     sp.add_argument("--tau", type=int, required=True)
     sp.add_argument(
         "--sigma2",
@@ -112,18 +112,9 @@ def _build_parser() -> _Parser:
     )
     sp.set_defaults(func=_cmd_variance)
 
-    sp = sub.add_parser("experiment", help="run a replicated benchmark")
-    sp.add_argument("--config", required=True, help="flat key=value config file")
-    sp.add_argument("--out", required=True, help="CSV report path")
-    sp.set_defaults(func=_cmd_report)
-
-    sp = sub.add_parser(
-        "compare-mls",
-        help="tensor solver vs flattened matrix baseline at tau and l*tau",
-    )
-    sp.add_argument("--config", required=True)
-    sp.add_argument("--out", required=True)
-    sp.set_defaults(func=_cmd_report)
+    sub.add_parser("experiment", parents=[report], help="run a replicated benchmark")
+    sub.add_parser("compare-mls", parents=[report],
+                   help="tensor solver vs flattened matrix baseline at tau and l*tau")
 
     sp = sub.add_parser("selfcheck", help="run the oracle equivalence suites")
     sp.set_defaults(func=_cmd_selfcheck)

@@ -348,29 +348,16 @@ def _cell_distribution(prob: TlsProblem, kind: str, matrix: bool, alpha: float):
     return replace(lev, probs=np.tile(lev.probs / l, l), leverage=np.tile(lev.leverage, l))
 
 
-def _bcirc_rows(x) -> np.ndarray:
-    """The rows of bcirc(x) as a read-only (n, l, p*l) view: entry [i, r] is row r*n + i.
-
-    Row (r, i) of bcirc(x) is x[i, :, (r - c) % l] over the block columns c,
-    which is one contiguous p*l window of row i of the tube-reversed design
-    laid out twice, tube position before column. So the view reads 2*n*p*l
-    floats, not the embedding's n*p*l^2.
-    """
-    n, p, l = x.shape
-    doubled = np.concatenate([x.transpose(0, 2, 1)[:, ::-1]] * 2, axis=1).reshape(n, 2 * l * p)
-    return np.lib.stride_tricks.sliding_window_view(doubled, p * l, axis=1)[:, : l * p : p][:, ::-1]
-
-
-def _solve_matrix_sketches(views, problems, plans):
+def _solve_matrix_sketches(problems, plans):
     """Solve the matrix-baseline sketches of cell batches of one size, plan j on problems[j].
 
     `plans` holds the batches' plans compressed over the n*l rows, as
     _draw_compressed returns them (taus, picked, scale), and their plans
-    are taken in order, so `views` and `problems` hold one entry per plan of
-    them all. A plan's unique rows are rows (r, i) = divmod(row, n) of the
-    problem's bcirc(X), gathered from its view, its _bcirc_rows, and of its
-    unfolded response, gathered as response[i, :, r], each scaled by its
-    scale. The baseline's l = 1 system [A | y] is solved as a tensor sketch
+    are taken in order, so `problems` holds one entry per plan of them all.
+    A plan's unique rows are rows (r, i) = divmod(row, n) of the problem's
+    bcirc(X), gathered from its design's view of them (bcirc_rows), and of
+    its unfolded response, gathered as response[i, :, r], each scaled by
+    its scale. The baseline's l = 1 system [A | y] is solved as a tensor sketch
     is, from its R factor. All plans are factored together by the solver's
     sequential TSQR (_tall_r) through one real buffer (B, 1, p*l + 1, H),
     H = max(_MATRIX_BLOCK_ROWS, 2 (p*l + 1)) rows, or fewer for a shorter
@@ -389,16 +376,16 @@ def _solve_matrix_sketches(views, problems, plans):
     drawn = [(pk, sc) for _, picked, scale in plans for pk, sc in zip(picked, scale)]
 
     def gather(m, start, stop):
-        for j, (view, pb, (picked, scale)) in enumerate(zip(views, problems, drawn)):
+        for j, (pb, (picked, scale)) in enumerate(zip(problems, drawn)):
             (block_row, i), w = np.divmod(picked[start:stop], n), scale[start:stop]
-            np.multiply(view[i, block_row].T, w, out=m[j, 0, : w.size, :-1].T)
+            np.multiply(pb._design.bcirc_rows[i, block_row].T, w, out=m[j, 0, : w.size, :-1].T)
             np.multiply(pb.response[i, 0, block_row], w, out=m[j, 0, : w.size, -1])
             m[j, 0, w.size :] = 0.0
 
     total = max(plan[1].shape[1] for plan in plans)
     r = _tall_r(gather, (len(problems), 1, p * l + 1), total, _MATRIX_BLOCK_ROWS, dtype=float)
     taus = np.concatenate([plan[0] for plan in plans])
-    ok, sol, errors = _solve_factored(r, p * l, taus, 1, "matrix sketch has rank {rank} < {p}")
+    ok, sol, errors = _solve_factored(r, p * l, taus, 1)
     bs = sol.reshape(-1, l, p, 1).transpose(0, 2, 3, 1)  # fold each solution
     bhalf = _to_half(bs.reshape(-1, 1, l)).reshape(l // 2 + 1, -1, p, 1).swapaxes(0, 1)
     kept = [pb for pb, keep in zip(problems, ok) if keep]
@@ -417,10 +404,7 @@ def _max_workers() -> int:
 
 
 def _map_chunks(worker, chunks):
-    workers = _max_workers()
-    if workers == 1:
-        return [worker(chunk) for chunk in chunks]
-    with ThreadPoolExecutor(max_workers=workers) as pool:
+    with ThreadPoolExecutor(max_workers=_max_workers()) as pool:
         return list(pool.map(worker, chunks))
 
 
@@ -429,7 +413,6 @@ class _ReplicateState:
     prob: TlsProblem  # carries the response of its design's first replicate (_prepare_state)
     signal: np.ndarray  # X * B0 of the design, which every replicate's response adds noise to
     dists: dict  # (kind, matrix) -> _cell_distribution, for every cell
-    rows: np.ndarray | None  # _bcirc_rows of the design when some cell is a matrix cell
 
 
 def _aggregate(parts, cells, truth) -> list[MetricsRow]:
@@ -460,7 +443,7 @@ class _Cell:
 
     The plan's random stream is (seed, stream, b, *index). A matrix cell is
     solved on the flattened block-circulant system, its rows read from the
-    design (_bcirc_rows), every other cell by the tensor solver.
+    design (_Design.bcirc_rows), every other cell by the tensor solver.
     """
 
     label: str
@@ -547,8 +530,7 @@ def _run_cells(cfg: ExperimentConfig, cells) -> list[MetricsRow]:
         for draws in dict.fromkeys(cells[c].draws for c in matrix):  # one batch per sketch size
             group = [c for c in matrix if cells[c].draws == draws]
             plans = [timed(c, draw, cells[c]) for c in group]
-            views = [s.rows for s in states] * len(group)
-            settle(group, clock(), *_solve_matrix_sketches(views, problems * len(group), plans))
+            settle(group, clock(), *_solve_matrix_sketches(problems * len(group), plans))
         energies = [float(np.vdot(pb.response, pb.response)) for pb in problems]
         out = [(*batch[:3], np.full(size, t * 1e3 / size)) for batch, t in zip(batches, seconds)]
         return (energies, *_exact_solutions(problems), out)
@@ -595,16 +577,14 @@ def _prepare_state(cfg: ExperimentConfig, cells, stream, *key) -> _ReplicateStat
     shared one. The problem carries the response that the design's first
     replicate reads: replicate b's, or replicate 0's on the shared design,
     whose key is _response_key(cfg, 0). It builds exactly the distributions
-    the cells name, one per (kind, matrix), and the design's _bcirc_rows
-    only when some cell is a matrix cell.
+    the cells name, one per (kind, matrix).
     """
     x = gen_design(cfg.design, cfg.n, cfg.p, cfg.l, _rng(cfg.seed, stream, *key))
     signal = _signal(x)
     prob = TlsProblem(x, _response(cfg, signal, _response_key(cfg, *(key or (0,)))))
     named = dict.fromkeys((cell.kind, cell.matrix) for cell in cells)
     dists = {k: _cell_distribution(prob, *k, cfg.alpha) for k in named}
-    rows = _bcirc_rows(x) if any(cell.matrix for cell in cells) else None
-    return _ReplicateState(prob=prob, signal=signal, dists=dists, rows=rows)
+    return _ReplicateState(prob=prob, signal=signal, dists=dists)
 
 
 def _response_key(cfg: ExperimentConfig, b) -> tuple:

@@ -24,7 +24,7 @@ except ImportError:  # a numpy that renamed them: _qr_r falls back to np.linalg.
 
 from .errors import DimensionMismatch, RankDeficient, SketchRankDeficient
 from .tensor import _QR_BLOCK_ROWS, _from_half, _parseval_weights, _row_energy, _to_half
-from .tensor import _rank_cutoff, as_tensor, default_rank_tol
+from .tensor import _bcirc_rows, _rank_cutoff, as_tensor, default_rank_tol
 
 if TYPE_CHECKING:  # sampling builds on problems, so it imports this module
     from .sampling import SamplingPlan
@@ -96,8 +96,9 @@ class _Design:
     F = V S^-1, from the SVD R11 = U S V^H: U = X F has orthonormal columns
     in each slice, and F F^H is the Gram inverse. Every problem on the
     design holds this one object, and the solver, sampling and stats read
-    it. The leverage rows, the Gram rows and the leverage scores are
-    computed on first use, once per design.
+    it. The leverage rows, the Gram rows, the leverage scores and the
+    matrix baseline's view of the rows of bcirc(X) are computed on first
+    use, once per design.
     """
 
     tensor: np.ndarray
@@ -109,15 +110,15 @@ class _Design:
     def shape(self) -> tuple[int, int, int]:
         return self.tensor.shape
 
-    def orthonormal_blocks(self, rows: int, read):
-        """read(start, U[:, start : start + rows]) for each block of rows of U = X F, lazily.
+    def orthonormal_blocks(self, read):
+        """read(start, U[:, start : start + _QR_BLOCK_ROWS]) for each block of U = X F, lazily.
 
-        U is formed a block at a time, and each block is dropped once `read`
-        returns, before the next is formed, so U is never held whole and no
-        two blocks are held at once.
+        U is formed a block of _QR_BLOCK_ROWS rows at a time, and each block
+        is dropped once `read` returns, before the next is formed, so U is
+        never held whole and no two blocks are held at once.
         """
-        starts = range(0, self.half.shape[1], rows)
-        return (read(start, self.half[:, start : start + rows] @ self.f) for start in starts)
+        starts = range(0, self.half.shape[1], _QR_BLOCK_ROWS)
+        return (read(i, self.half[:, i : i + _QR_BLOCK_ROWS] @ self.f) for i in starts)
 
     @functools.cached_property
     def _u_rows(self) -> tuple[np.ndarray, np.ndarray]:
@@ -137,7 +138,7 @@ class _Design:
             energies[:, rows] = _row_energy(part)
             grams[:, rows] = np.einsum("hij,hij,hj->hi", part, part, weights)
 
-        list(self.orthonormal_blocks(_QR_BLOCK_ROWS, read))
+        list(self.orthonormal_blocks(read))
         energies *= self.shape[1] / energies.sum(axis=1, keepdims=True)
         return energies, grams
 
@@ -154,6 +155,11 @@ class _Design:
     # trace of G X^H diag(m) X G is sum_i m_i g_i, read from the rows of U, so
     # no condition number is squared. Not rescaled.
     gram_rows = property(lambda self: self._u_rows[1])
+
+    @functools.cached_property
+    def bcirc_rows(self) -> np.ndarray:
+        """The rows of bcirc(X), the matrix baseline's design, as _bcirc_rows' view; read-only."""
+        return _bcirc_rows(self.tensor)
 
     @functools.cached_property
     def leverage(self) -> np.ndarray:
@@ -338,10 +344,7 @@ def _qr_r(a) -> np.ndarray:
     return r
 
 
-_SHORT_SLICE = "sketched design has rank {rank} < {p} in DFT slice {slice} of {l}"
-
-
-def _solve_factored(r, p: int, rows, l: int, message=_SHORT_SLICE):
+def _solve_factored(r, p: int, rows, l: int):
     """Rank-check a batch of factored [A | Y] stacks and solve the well-posed ones.
 
     `r` (B, l//2 + 1, m, p + k) holds the R factors, complex, or real for
@@ -359,9 +362,8 @@ def _solve_factored(r, p: int, rows, l: int, message=_SHORT_SLICE):
     masks the stacks of full rank, `bhalf` holds their half-spectrum
     solutions, (count(ok), l//2 + 1, p, k), and `errors` has one entry per
     stack, a SketchRankDeficient naming the first short slice (1-based) of
-    a stack that lost rank and None otherwise, whose text is `message`
-    filled in with the rank, p, the slice and l. The sketch solvers keep
-    this mask and error list in the batch they return.
+    a stack that lost rank, out of l, and None otherwise. The sketch
+    solvers keep this mask and error list in the batch they return.
     """
     cutoff = _rank_cutoff(rows, p)
     r11 = r[..., :p, :p]
@@ -383,7 +385,7 @@ def _solve_factored(r, p: int, rows, l: int, message=_SHORT_SLICE):
             if short_k.any():
                 j = int(np.argmax(short_k))
                 rank = int(np.count_nonzero(s_k[j] > tol_k[j]))
-                text = message.format(rank=rank, p=p, slice=j + 1, l=l)
+                text = f"sketched design has rank {rank} < {p} in DFT slice {j + 1} of {l}"
                 errors[k] = SketchRankDeficient(text, slice_index=j + 1)
         rescued = rejected[~short.any(axis=1)]
         ok[rescued] = True

@@ -32,10 +32,6 @@ from .solver import TlsProblem, _as_design
 # treated as exact zeros when paired with a zero sampling probability.
 _ZERO_ROW_TOL = 1e-10
 
-# The sandwich cores U^H diag(m) U are summed over blocks of this many rows,
-# so neither U = X F nor its weighted rows are held for the whole design.
-_CORE_BLOCK_ROWS = 512
-
 
 @dataclass(frozen=True, eq=False)
 class VarianceReport:
@@ -75,18 +71,20 @@ def _sandwich(design, middle) -> np.ndarray:
     the Gram inverse G = F F^H, but its core is formed from the rows of U,
     whose columns are orthonormal, and F is applied last, so the rounding
     error grows like eps times the slice condition number, not its square.
-    U is formed a block of rows at a time, and each block's core is one
-    matmul, (diag(m) U)^H U, with one conjugate of the weighted rows. Each
-    block and its weighted rows are dropped before the next block is formed.
+    U is formed a block of rows at a time, as the design's leverage pass
+    forms it (_Design.orthonormal_blocks), so neither U nor its weighted rows
+    are held for the whole design. Each block's core is one matmul,
+    (diag(m) U)^H U, with one conjugate of the weighted rows, and each block
+    and its weighted rows are dropped before the next block is formed.
     Only the covariance tensors need it: variance_report's traces are read
     from the design's Gram rows.
     """
 
     def block_core(start, u):
-        weighted = middle[..., start : start + _CORE_BLOCK_ROWS, None] * u
+        weighted = middle[..., start : start + u.shape[1], None] * u
         return np.conjugate(weighted, out=weighted).mT @ u
 
-    core = sum(design.orthonormal_blocks(_CORE_BLOCK_ROWS, block_core))
+    core = sum(design.orthonormal_blocks(block_core))
     return _from_half(design.f @ core @ design.f.conj().mT, design.shape[2])
 
 

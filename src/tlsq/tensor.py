@@ -182,15 +182,6 @@ def t_transpose(x) -> np.ndarray:
     return np.ascontiguousarray(np.roll(x.transpose(1, 0, 2)[:, :, ::-1], 1, axis=2))
 
 
-def identity(n: int, l: int) -> np.ndarray:
-    """Identity tubal matrix: unit first frontal slice, zeros elsewhere."""
-    if n < 1 or l < 1:
-        raise ValueError("identity needs n >= 1 and l >= 1")
-    out = np.zeros((n, n, l))
-    out[:, :, 0] = np.eye(n)
-    return out
-
-
 def f_diag(v) -> np.ndarray:
     """Place the tubes of a tubal vector (n, 1, l) on the diagonal of an (n, n, l) tensor."""
     v = as_tensor(v, "tubal vector")
@@ -299,6 +290,20 @@ def bcirc(x) -> np.ndarray:
         for r in range(l):
             out[r * n : (r + 1) * n, c * p : (c + 1) * p] = x[:, :, (r - c) % l]
     return out
+
+
+def _bcirc_rows(x) -> np.ndarray:
+    """The rows of bcirc(x) as a read-only (n, l, p*l) view: entry [i, r] is row r*n + i.
+
+    Row (r, i) of bcirc(x) is x[i, :, (r - c) % l] over the block columns c,
+    which is one contiguous p*l window of row i of the tube-reversed design
+    laid out twice, tube position before column. So the view reads 2*n*p*l
+    floats, not the embedding's n*p*l^2. The matrix baseline reads its rows
+    from this view, which a design builds once (_Design.bcirc_rows).
+    """
+    n, p, l = x.shape
+    doubled = np.concatenate([x.transpose(0, 2, 1)[:, ::-1]] * 2, axis=1).reshape(n, 2 * l * p)
+    return np.lib.stride_tricks.sliding_window_view(doubled, p * l, axis=1)[:, : l * p : p][:, ::-1]
 
 
 def bcirc_product(x, y) -> np.ndarray:

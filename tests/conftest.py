@@ -25,3 +25,18 @@ def _ill_conditioned_half_design(n, p, l, svals, seed):
 def ill_conditioned_half_design():
     """Builder of ill-conditioned half stacks: (n, p, l, svals, seed) -> (half, U, V)."""
     return _ill_conditioned_half_design
+
+
+def _identity(n, l):
+    """Identity tubal matrix (n, n, l): unit first frontal slice, zeros elsewhere."""
+    if n < 1 or l < 1:
+        raise ValueError("identity needs n >= 1 and l >= 1")
+    out = np.zeros((n, n, l))
+    out[:, :, 0] = np.eye(n)
+    return out
+
+
+@pytest.fixture(scope="session")
+def identity():
+    """Builder of identity tubal matrices: (n, l) -> (n, n, l)."""
+    return _identity

@@ -12,7 +12,7 @@ PUBLIC_NAMES = (
     "VarianceReport", "ZeroProbabilityRow", "as_tensor", "bcirc", "bcirc_product", "coherence",
     "compute_metrics", "conditional_variance", "draw_plan",
     "f_diag", "fold", "fro_norm", "from_fourier", "gen_design",
-    "gen_response", "identity", "leverage_probs", "objective", "ols_variance", "optimal_probs",
+    "gen_response", "leverage_probs", "objective", "ols_variance", "optimal_probs",
     "read_report", "read_tensor", "run_experiment", "run_mls_comparison",
     "sandwich_middle_trace", "shrinked_leverage_probs", "solve_ols", "solve_subsampled",
     "t_pinv", "t_product", "t_transpose", "thin_t_svd", "trace_t",
@@ -23,7 +23,7 @@ PUBLIC_NAMES = (
 
 def test_all_is_pinned():
     """Any change to the exported names is a deliberate edit here; submodules are not exported."""
-    assert len(PUBLIC_NAMES) == 53
+    assert len(PUBLIC_NAMES) == 52
     assert sorted(tlsq.__all__) == sorted(PUBLIC_NAMES)
 
 

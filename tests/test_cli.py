@@ -8,7 +8,7 @@ import pytest
 
 import tlsq
 from tlsq import selfcheck, solver, stats
-from tlsq.cli import main
+from tlsq.cli import _build_parser, main
 
 
 @pytest.fixture()
@@ -130,6 +130,55 @@ class TestUsage:
     def test_bad_method_choice(self, problem_files, capsys):
         _, _, xp, _ = problem_files
         assert main(["probs", "--design", xp, "--method", "fancy"]) == 1
+
+    def test_each_subcommand_takes_exactly_its_flags(self):
+        """Every option of every subcommand, as (required, choices, default, type)."""
+        design = ("--design", (True, None, None, None))
+        response = ("--response", (True, None, None, None))
+        alpha = ("--alpha", (False, None, 0.9, float))
+        method = ("--method", (True, tlsq.experiments.METHOD_KINDS, None, None))
+        report = {"--config": (True, None, None, None), "--out": (True, None, None, None)}
+        expected = {
+            "solve": dict([design, response, alpha], **{
+                "--method": (True, ("ols", "unif", "lev", "slev", "opt"), None, None),
+                "--tau": (False, None, None, int),
+                "--seed": (False, None, None, int),
+                "--out": (True, None, None, None),
+            }),
+            "probs": dict([design, method, alpha]),
+            "variance": dict([design, response, method, alpha], **{
+                "--tau": (True, None, None, int),
+                "--sigma2": (True, None, None, float),
+            }),
+            "experiment": report,
+            "compare-mls": report,
+            "selfcheck": {},
+        }
+        (commands,) = [a for a in _build_parser()._actions if a.dest == "command"]
+        seen = {
+            name: {
+                flag: (a.required, a.choices, a.default, a.type)
+                for a in sub._actions if a.dest != "help" for flag in a.option_strings
+            }
+            for name, sub in commands.choices.items()
+        }
+        assert seen == expected
+
+    @pytest.mark.parametrize("argv, flag", [
+        (["solve", "--design", "x", "--response", "y", "--method", "ols", "--out", "b",
+          "--config", "c"], "--config"),
+        (["probs", "--design", "x", "--method", "unif", "--response", "y"], "--response"),
+        (["probs", "--design", "x", "--method", "unif", "--tau", "5"], "--tau"),
+        (["variance", "--design", "x", "--response", "y", "--method", "unif", "--tau", "5",
+          "--sigma2", "1", "--out", "o"], "--out"),
+        (["experiment", "--config", "c", "--out", "o", "--design", "x"], "--design"),
+        (["compare-mls", "--config", "c", "--out", "o", "--alpha", "0.5"], "--alpha"),
+        (["selfcheck", "--config", "c"], "--config"),
+    ])
+    def test_flag_of_another_subcommand_is_usage_error(self, capsys, argv, flag):
+        assert main(argv) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and flag in err
 
 
 class TestProbs:
@@ -319,8 +368,8 @@ class TestVariance:
     @pytest.mark.parametrize("method", ["unif", "lev", "opt"])
     def test_u_formed_once(self, tmp_path, monkeypatch, capsys, method):
         """One variance command forms U = X F once, in the design's one pass over its
-        2048-row blocks (3 blocks at n = 5000), and forms no sandwich: its traces come from
-        the per-row terms of that pass."""
+        2048-row blocks (2048, 2048 and 904 rows at n = 5000), and forms no sandwich: its
+        traces come from the per-row terms of that pass."""
         x = tlsq.gen_design("mn", 5000, 4, 3, seed=1)
         y, _ = tlsq.gen_response(x, seed=2, sigma2=4.0)
         xp, yp = tmp_path / "x.tt", tmp_path / "y.tt"
@@ -328,8 +377,8 @@ class TestVariance:
         tlsq.write_tensor(y, yp)
         blocks, sandwiches = [], []
 
-        def counting(design, rows, read, _original=solver._Design.orthonormal_blocks):
-            return _original(design, rows, lambda start, u: blocks.append(rows) or read(start, u))
+        def counting(design, read, _original=solver._Design.orthonormal_blocks):
+            return _original(design, lambda start, u: blocks.append(u.shape[1]) or read(start, u))
 
         monkeypatch.setattr(solver._Design, "orthonormal_blocks", counting)
 
@@ -340,7 +389,7 @@ class TestVariance:
         monkeypatch.setattr(stats, "_sandwich", sandwich)
         assert main(["variance", "--design", str(xp), "--response", str(yp), "--method",
                      method, "--tau", "400", "--sigma2", "9.0"]) == 0
-        assert blocks == [2048] * 3 and sandwiches == []
+        assert blocks == [2048, 2048, 904] and sandwiches == []
         assert len(capsys.readouterr().out.strip().splitlines()) == 2
 
 

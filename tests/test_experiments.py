@@ -671,9 +671,9 @@ class TestBatchedReplicateLoop:
         calls = {"lstsq": 0, "_draw_compressed": 0, "_draw_plans": 0, "draw_plan": 0}
         batches = []
 
-        def solve(views, problems, plans, _original=experiments._solve_matrix_sketches):
+        def solve(problems, plans, _original=experiments._solve_matrix_sketches):
             batches.append(len(problems))
-            return _original(views, problems, plans)
+            return _original(problems, plans)
 
         def counting(name, original):
             def wrapped(*args, **kwargs):
@@ -803,7 +803,7 @@ class TestSmlsBaseline:
             tlsq.write_tensor(x, path / "x.tt")
             tlsq.write_tensor(y, path / "y.tt")
             x, y = tlsq.read_tensor(path / "x.tt"), tlsq.read_tensor(path / "y.tt")
-        view = experiments._bcirc_rows(x)
+        view = tlsq.tensor._bcirc_rows(x)
         assert view.shape == (n, l, p * l) and not view.flags.writeable
         r, i = np.divmod(np.arange(n * l), n)
         assert np.array_equal(view[i, r], tlsq.bcirc(x))
@@ -817,9 +817,9 @@ class TestSmlsBaseline:
         dense = np.linalg.lstsq(a, tlsq.unfold(y), rcond=None)[0]
         rows = np.arange(a.shape[0])
         _, (folded,), _, _ = experiments._solve_matrix_sketches(
-            [experiments._bcirc_rows(x)], [prob],
-            [solver._compress(rows[None], np.ones((1, rows.size)), rows.size, 4)])
+            [prob], [solver._compress(rows[None], np.ones((1, rows.size)), rows.size, 4)])
         exact = tlsq.solve_ols(prob).b
+        assert prob.with_response(y)._design.bcirc_rows is prob._design.bcirc_rows  # built once
         assert np.abs(folded - tlsq.fold(dense, 4, 3)).max() <= 1e-12
         assert np.abs(folded - exact).max() <= 1e-10 * max(1.0, np.abs(exact).max())
 
@@ -895,8 +895,7 @@ class TestSmlsBaseline:
         with pytest.MonkeyPatch.context() as mp:
             mp.setattr(experiments, "_MATRIX_BLOCK_ROWS", block)
             ok, bs, objectives, errors = experiments._solve_matrix_sketches(
-                [experiments._bcirc_rows(x)] * plans, [prob] * plans,
-                [solver._compress(indices, weights, n * l, p)])
+                [prob] * plans, [solver._compress(indices, weights, n * l, p)])
         assert len(bs) == len(objectives) == np.count_nonzero(ok)
         kept = iter(zip(bs, objectives))
         for keep, error, idx, w in zip(ok, errors, indices, weights):

@@ -67,8 +67,8 @@ class TestLeverage:
         rows = (u**2).sum(axis=(1, 2))
         assert np.abs(dist.probs - rows / 3).max() <= 1e-10
 
-    def test_identity_design_is_uniform(self):
-        dist = tlsq.leverage_probs(tlsq.identity(5, 3))
+    def test_identity_design_is_uniform(self, identity):
+        dist = tlsq.leverage_probs(identity(5, 3))
         assert np.abs(dist.probs - 0.2).max() <= 1e-12
 
     def test_scores_sum_to_p_and_match_hat_oracle(self):
@@ -123,8 +123,8 @@ class TestShrinkedLeverage:
 
 
 class TestOptimal:
-    def test_square_design_degenerates(self):
-        x = rand((4, 4, 3), 9) + 2.0 * tlsq.identity(4, 3)
+    def test_square_design_degenerates(self, identity):
+        x = rand((4, 4, 3), 9) + 2.0 * identity(4, 3)
         with pytest.raises(DegenerateDistribution):
             tlsq.optimal_probs(x)
 
@@ -150,8 +150,8 @@ class TestOptimal:
 
 
 class TestCoherence:
-    def test_identity_single_tube(self):
-        assert abs(tlsq.coherence(tlsq.identity(3, 1)) - 1.0) <= 1e-12
+    def test_identity_single_tube(self, identity):
+        assert abs(tlsq.coherence(identity(3, 1)) - 1.0) <= 1e-12
 
     def test_incoherent_rows_attain_lower_bound(self):
         had = np.array(

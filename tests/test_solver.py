@@ -1317,12 +1317,12 @@ class TestSharedDesign:
         """Copies made before the first read share the leverage: X F is formed once."""
         products = []
 
-        def counting(design, rows, read, _original=solver._Design.orthonormal_blocks):
+        def counting(design, read, _original=solver._Design.orthonormal_blocks):
             def reading(start, block):
-                products.append(rows)
+                products.append(block.shape[1])
                 return read(start, block)
 
-            return _original(design, rows, reading)
+            return _original(design, reading)
 
         monkeypatch.setattr(solver._Design, "orthonormal_blocks", counting)
         prob = make_problem(seed=135)

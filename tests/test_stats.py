@@ -79,8 +79,8 @@ def unconditional_oracle(x, probs, tau, sigma2):
 
 
 class TestTrace:
-    def test_identity(self):
-        assert abs(trace_t(tlsq.identity(5, 3)) - 5.0) <= 1e-12
+    def test_identity(self, identity):
+        assert abs(trace_t(identity(5, 3)) - 5.0) <= 1e-12
 
     def test_equals_first_slice_trace(self):
         a = rand((4, 4, 5), 2)
@@ -200,8 +200,8 @@ class TestSpecializedForms:
 
 
 class TestUnconditionalVariance:
-    def test_square_design_reduces_to_exact_covariance(self):
-        x = rand((4, 4, 3), 15) + 2.0 * tlsq.identity(4, 3)
+    def test_square_design_reduces_to_exact_covariance(self, identity):
+        x = rand((4, 4, 3), 15) + 2.0 * identity(4, 3)
         out = unconditional_variance(x, tlsq.uniform_probs(4), tau=12, sigma2=1.5)
         base = ols_variance(x, 1.5)
         assert np.abs(out - base).max() <= 1e-10 * max(1.0, np.abs(base).max())
@@ -625,7 +625,7 @@ def test_sandwich_holds_one_block_of_u(monkeypatch):
     """_sandwich forms U = X F and its weighted rows a block at a time and drops both before the
     next block is formed: its traced peak stays under 3.5 blocks of U (it read 4 when the
     previous block and its weighted rows stayed bound), and the core is that of the whole U."""
-    monkeypatch.setattr(stats, "_CORE_BLOCK_ROWS", 256)
+    monkeypatch.setattr(solver, "_QR_BLOCK_ROWS", 256)
     design = solver.validate_design(rand((2048, 8, 6), 4))
     middle = rand((4, 2048), 5) ** 2
     u = design.half @ design.f

@@ -124,9 +124,9 @@ class TestHalfStackLayout:
 
 
 class TestTProduct:
-    def test_identity_neutral(self):
+    def test_identity_neutral(self, identity):
         y = rand((3, 2, 4), 5)
-        out = tlsq.t_product(tlsq.identity(3, 4), y)
+        out = tlsq.t_product(identity(3, 4), y)
         assert np.abs(out - y).max() <= 1e-12
 
     def test_single_tube_collapses_to_matrix_product(self):
@@ -214,14 +214,14 @@ class TestBcirc:
 
 
 class TestConstructors:
-    def test_identity_idempotent_under_product(self):
-        i3 = tlsq.identity(3, 4)
+    def test_identity_idempotent_under_product(self, identity):
+        i3 = identity(3, 4)
         assert np.abs(tlsq.t_product(i3, i3) - i3).max() <= 1e-12
 
-    def test_f_diag_of_unit_tubes_is_identity(self):
+    def test_f_diag_of_unit_tubes_is_identity(self, identity):
         ones = np.zeros((3, 1, 4))
         ones[:, 0, 0] = 1.0
-        assert np.array_equal(tlsq.f_diag(ones), tlsq.identity(3, 4))
+        assert np.array_equal(tlsq.f_diag(ones), identity(3, 4))
 
     def test_f_diag_product_matches_oracle(self):
         v = rand((4, 1, 3), 18)
@@ -238,8 +238,8 @@ class TestNorm:
     def test_zero(self):
         assert tlsq.fro_norm(np.zeros((2, 3, 4))) == 0.0
 
-    def test_identity(self):
-        assert abs(tlsq.fro_norm(tlsq.identity(5, 3)) - np.sqrt(5)) <= 1e-12
+    def test_identity(self, identity):
+        assert abs(tlsq.fro_norm(identity(5, 3)) - np.sqrt(5)) <= 1e-12
 
     def test_fourier_sum(self):
         x = rand((4, 3, 5), 21)
@@ -248,12 +248,12 @@ class TestNorm:
 
 
 class TestThinTSVD:
-    def test_identity_factors(self):
-        svd = tlsq.thin_t_svd(tlsq.identity(4, 3))
+    def test_identity_factors(self, identity):
+        svd = tlsq.thin_t_svd(identity(4, 3))
         assert svd.rank == 4
-        assert np.abs(svd.s - tlsq.identity(4, 3)).max() <= 1e-12
+        assert np.abs(svd.s - identity(4, 3)).max() <= 1e-12
         recon = tlsq.t_product(tlsq.t_product(svd.u, svd.s), tlsq.t_transpose(svd.v))
-        assert np.abs(recon - tlsq.identity(4, 3)).max() <= 1e-12
+        assert np.abs(recon - identity(4, 3)).max() <= 1e-12
 
     def test_single_tube_is_matrix_svd(self):
         x = rand((5, 3, 1), 22)
@@ -270,10 +270,10 @@ class TestThinTSVD:
         mine = np.sort(svd.slice_singular_values.ravel())
         assert np.abs(dense - mine).max() <= 1e-10 * max(1.0, dense.max())
 
-    def test_partial_orthogonality(self):
+    def test_partial_orthogonality(self, identity):
         x = rand((6, 3, 4), 24)
         svd = tlsq.thin_t_svd(x)
-        i_r = tlsq.identity(svd.rank, 4)
+        i_r = identity(svd.rank, 4)
         utu = tlsq.t_product(tlsq.t_transpose(svd.u), svd.u)
         vtv = tlsq.t_product(tlsq.t_transpose(svd.v), svd.v)
         assert np.abs(utu - i_r).max() <= 1e-8
@@ -303,8 +303,8 @@ class TestThinTSVD:
 
 
 class TestTubalRank:
-    def test_identity(self):
-        assert tlsq.thin_t_svd(tlsq.identity(4, 5)).rank == 4
+    def test_identity(self, identity):
+        assert tlsq.thin_t_svd(identity(4, 5)).rank == 4
 
     def test_zero(self):
         assert tlsq.thin_t_svd(np.zeros((3, 2, 4))).rank == 0
@@ -317,20 +317,20 @@ class TestTubalRank:
         # dense cross-check: every slice has rank one, so the embedding has rank l
         assert np.linalg.matrix_rank(tlsq.bcirc(x)) == 3
 
-    def test_negative_tolerance_rejected(self):
+    def test_negative_tolerance_rejected(self, identity):
         with pytest.raises(ValueError, match="nonnegative"):
-            tlsq.thin_t_svd(tlsq.identity(2, 2), tol=-1.0)
+            tlsq.thin_t_svd(identity(2, 2), tol=-1.0)
 
 
 class TestPinv:
-    def test_identity(self):
-        i4 = tlsq.identity(4, 3)
+    def test_identity(self, identity):
+        i4 = identity(4, 3)
         assert np.abs(tlsq.t_pinv(i4) - i4).max() <= 1e-12
 
-    def test_square_invertible(self):
-        x = rand((4, 4, 3), 30) + 2.0 * tlsq.identity(4, 3)
+    def test_square_invertible(self, identity):
+        x = rand((4, 4, 3), 30) + 2.0 * identity(4, 3)
         prod = tlsq.t_product(x, tlsq.t_pinv(x))
-        assert np.abs(prod - tlsq.identity(4, 3)).max() <= 1e-8
+        assert np.abs(prod - identity(4, 3)).max() <= 1e-8
 
     def test_four_penrose_identities(self):
         x = rand((6, 3, 4), 31)
@@ -357,8 +357,8 @@ def extremal_singular_values(x):
 class TestExtremalSingularValues:
     """The extremes of thin_t_svd's slice singular values are those of the embedding bcirc(x)."""
 
-    def test_identity(self):
-        assert extremal_singular_values(tlsq.identity(3, 4)) == (1.0, 1.0, 1.0)
+    def test_identity(self, identity):
+        assert extremal_singular_values(identity(3, 4)) == (1.0, 1.0, 1.0)
 
     def test_single_tube(self):
         x = rand((4, 2, 1), 33)
@@ -500,15 +500,15 @@ class TestValidation:
     @pytest.mark.parametrize(
         "call, error, match",
         [
-            (lambda: tlsq.from_fourier(np.zeros((3, 2), complex)), DimensionMismatch, "3-way"),
-            (lambda: tlsq.identity(0, 3), ValueError, "n >= 1"),
-            (lambda: tlsq.fold(np.zeros((5, 2)), 2, 3), DimensionMismatch, "cannot fold"),
+            (lambda _: tlsq.from_fourier(np.zeros((3, 2), complex)), DimensionMismatch, "3-way"),
+            (lambda identity: identity(0, 3), ValueError, "n >= 1"),
+            (lambda _: tlsq.fold(np.zeros((5, 2)), 2, 3), DimensionMismatch, "cannot fold"),
         ],
         ids=["from_fourier-2d", "identity-n0", "fold-wrong-height"],
     )
-    def test_bad_argument_rejected(self, call, error, match):
+    def test_bad_argument_rejected(self, identity, call, error, match):
         with pytest.raises(error, match=match):
-            call()
+            call(identity)
 
     def test_payload_short_of_its_checked_size(self, tmp_path, monkeypatch):
         """A payload that comes up short after the size check (a file cut while read) is rejected."""
