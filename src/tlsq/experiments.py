@@ -392,7 +392,8 @@ def _solve_matrix_sketches(problems, plans):
     return ok, bs, _r_objectives(kept, bhalf), errors
 
 
-def _max_workers() -> int:
+def _map_chunks(worker, chunks):
+    """[worker(chunk) for chunk in chunks], run on a pool of TLSQ_THREADS threads (default 1)."""
     raw = os.environ.get("TLSQ_THREADS", "").strip() or "1"
     try:
         workers = int(raw)
@@ -400,11 +401,7 @@ def _max_workers() -> int:
         workers = 0
     if workers < 1:
         raise ConfigError(f"TLSQ_THREADS must be a positive integer, got {raw!r}")
-    return workers
-
-
-def _map_chunks(worker, chunks):
-    with ThreadPoolExecutor(max_workers=_max_workers()) as pool:
+    with ThreadPoolExecutor(max_workers=workers) as pool:
         return list(pool.map(worker, chunks))
 
 
@@ -577,13 +574,19 @@ def _prepare_state(cfg: ExperimentConfig, cells, stream, *key) -> _ReplicateStat
     shared one. The problem carries the response that the design's first
     replicate reads: replicate b's, or replicate 0's on the shared design,
     whose key is _response_key(cfg, 0). It builds exactly the distributions
-    the cells name, one per (kind, matrix).
+    the cells name, one per (kind, matrix), and, when some cell is a matrix
+    cell, the design's view of the rows of bcirc(X) (_Design.bcirc_rows) on
+    the calling thread. Left to the first matrix batch, a shared design's
+    view was built in a replicate thread's heap, which raised the peak RSS
+    of a two-thread compare-mls run by about 3.5 MB.
     """
     x = gen_design(cfg.design, cfg.n, cfg.p, cfg.l, _rng(cfg.seed, stream, *key))
     signal = _signal(x)
     prob = TlsProblem(x, _response(cfg, signal, _response_key(cfg, *(key or (0,)))))
     named = dict.fromkeys((cell.kind, cell.matrix) for cell in cells)
     dists = {k: _cell_distribution(prob, *k, cfg.alpha) for k in named}
+    if any(cell.matrix for cell in cells):
+        prob._design.bcirc_rows  # cached by the design
     return _ReplicateState(prob=prob, signal=signal, dists=dists)
 
 

@@ -2,6 +2,7 @@
 
 import inspect
 import math
+import threading
 import tracemalloc
 
 import numpy as np
@@ -703,6 +704,36 @@ class TestBatchedReplicateLoop:
                          "_draw_plans": 0, "draw_plan": 0}
         sizes = matrix // 2  # the sketch sizes: each tau, and l * tau in compare-mls
         assert sorted(batches) == sorted([2 * len(chunk) for chunk in chunks] * sizes)
+
+    @pytest.mark.parametrize("redraw", [False, True])
+    def test_bcirc_view_built_once_per_design_where_it_is_drawn(self, monkeypatch, redraw):
+        """Each design builds its bcirc(X) view once, on the thread that draws the design.
+
+        A shared design is drawn on the calling thread, so its view is not
+        built in a replicate thread's heap and no two replicate threads build
+        it; a redrawn design is drawn and read by its replicate's thread.
+        """
+        built = []
+
+        def counting(x, _original=solver._bcirc_rows):
+            built.append((id(x), threading.get_ident()))
+            return _original(x)
+
+        monkeypatch.setattr(solver, "_bcirc_rows", counting)
+        monkeypatch.setenv("TLSQ_THREADS", "2")
+        drawn = []
+
+        def drawing(*args, _original=experiments.gen_design):
+            x = _original(*args)
+            drawn.append((id(x), threading.get_ident()))
+            return x
+
+        monkeypatch.setattr(experiments, "gen_design", drawing)
+        cfg = ExperimentConfig(seed=37, n=60, p=4, l=3, design="mn", replicates=17, taus=(12,),
+                               methods=("unif", "lev"), redraw_design=redraw)
+        run_mls_comparison(cfg)
+        assert sorted(built) == sorted(drawn) and len(built) == (cfg.replicates if redraw else 1)
+        assert redraw or built[0][1] == threading.get_ident()
 
     def test_starved_config_counts_the_same_failures(self):
         cfg = ExperimentConfig(seed=33, n=12, p=10, l=2, design="mn", replicates=10,
