@@ -576,9 +576,9 @@ def _prepare_state(cfg: ExperimentConfig, cells, stream, *key) -> _ReplicateStat
     whose key is _response_key(cfg, 0). It builds exactly the distributions
     the cells name, one per (kind, matrix), and, when some cell is a matrix
     cell, the design's view of the rows of bcirc(X) (_Design.bcirc_rows) on
-    the calling thread. Left to the first matrix batch, a shared design's
-    view was built in a replicate thread's heap, which raised the peak RSS
-    of a two-thread compare-mls run by about 3.5 MB.
+    the calling thread. So no two replicate threads build a shared design's
+    view, and it is not built in a replicate thread's heap, where it raised
+    the peak RSS of a two-thread compare-mls run by about 3.5 MB.
     """
     x = gen_design(cfg.design, cfg.n, cfg.p, cfg.l, _rng(cfg.seed, stream, *key))
     signal = _signal(x)
